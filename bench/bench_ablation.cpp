@@ -84,7 +84,7 @@ double opt_acceptance(const Scenario& sc, double util, int samples,
 }  // namespace
 
 int main() {
-  const AcceptanceOptions env = options_from_env(/*default_samples=*/60);
+  const SweepOptions env = sweep_options_from_env(/*default_samples=*/60);
   const int samples = env.samples_per_point;
   Scenario sc = fig2_scenario('a');
 
@@ -111,11 +111,11 @@ int main() {
 
   std::printf("\n=== A2: exact path signatures (EP) vs envelope (EN) ===\n");
   {
-    AcceptanceOptions options;
+    SweepOptions options;
     options.samples_per_point = samples;
-    const AcceptanceCurve curve = run_acceptance(
-        sc, {AnalysisKind::kDpcpPEp, AnalysisKind::kDpcpPEn}, options);
-    std::fputs(curve.to_table().c_str(), stdout);
+    const SweepResult result = run_sweep(
+        {sc}, {AnalysisKind::kDpcpPEp, AnalysisKind::kDpcpPEn}, options);
+    std::fputs(result.curves.front().to_table().c_str(), stdout);
   }
 
   std::printf("\n=== A3: EP signature budget (acceptance at norm-util 0.5) "

@@ -22,7 +22,7 @@
 using namespace dpcp;
 
 int main(int argc, char** argv) {
-  const AcceptanceOptions env = options_from_env(/*default_samples=*/20);
+  const SweepOptions env = sweep_options_from_env(/*default_samples=*/20);
   const int sets = env.samples_per_point;
   bool json = false;
   int repeats = 5;

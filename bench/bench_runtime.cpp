@@ -14,7 +14,7 @@
 using namespace dpcp;
 
 int main() {
-  const AcceptanceOptions env = options_from_env(/*default_samples=*/40);
+  const SweepOptions env = sweep_options_from_env(/*default_samples=*/40);
   const int samples = env.samples_per_point;
   Scenario sc = fig2_scenario('a');  // m=16, moderate contention
 

@@ -1,10 +1,6 @@
-// Simulator throughput per clock backend, plus a Lemma-1 soak counter:
-// runs the same prepared workloads under the event backend (next-event
-// jumps) and the legacy quantum backend (dense per-quantum walk) across
-// several utilization points, reporting simulated jobs per wall-clock
-// second for each and the event/quantum speedup.  The speedup is largest
-// at low utilization, where the dense walk burns ticks on idle processors
-// the event core skips entirely.
+// Simulator throughput, plus a Lemma-1 soak counter: runs prepared
+// DPCP-p workloads across several utilization points and reports
+// simulated jobs and events per wall-clock second.
 //
 // Usage: bench_sim [--json PATH] [--reps N]
 //        (env: DPCP_SEED default 42)
@@ -49,11 +45,9 @@ std::vector<Workload> prepare(double util, int count, std::uint64_t seed) {
   return out;
 }
 
-struct BackendSample {
+struct Throughput {
   double jobs_per_sec = 0.0;
   double events_per_sec = 0.0;
-  std::int64_t clock_advances = 0;
-  std::int64_t processor_polls = 0;
 };
 
 struct SoakCounters {
@@ -61,39 +55,33 @@ struct SoakCounters {
   std::int64_t violations = 0;
 };
 
-BackendSample run_backend(const std::vector<Workload>& workloads,
-                          SimBackend backend, int reps, SoakCounters* soak) {
+Throughput measure(const std::vector<Workload>& workloads, int reps,
+                   SoakCounters& soak) {
   SimConfig cfg;
-  cfg.backend = backend;
   cfg.horizon = millis(100);
   std::int64_t jobs = 0, events = 0;
-  BackendSample sample;
   const auto start = std::chrono::steady_clock::now();
   for (int r = 0; r < reps; ++r) {
     for (const Workload& w : workloads) {
       const SimResult res = simulate(w.ts, w.part, cfg);
       for (const TaskSimStats& t : res.task) jobs += t.jobs_completed;
       events += res.events_processed;
-      sample.clock_advances += res.clock_advances;
-      sample.processor_polls += res.processor_polls;
-      if (soak) {
-        soak->max_lp_blockers =
-            std::max(soak->max_lp_blockers, res.max_lower_priority_blockers);
-        soak->violations += res.lemma1_violations +
-                            res.mutual_exclusion_violations +
-                            res.ceiling_violations +
-                            res.work_conserving_violations;
-      }
+      soak.max_lp_blockers =
+          std::max(soak.max_lp_blockers, res.max_lower_priority_blockers);
+      soak.violations += res.lemma1_violations +
+                         res.mutual_exclusion_violations +
+                         res.ceiling_violations +
+                         res.work_conserving_violations;
     }
   }
   const double seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
-  sample.jobs_per_sec =
-      seconds > 0 ? static_cast<double>(jobs) / seconds : 0.0;
-  sample.events_per_sec =
+  Throughput t;
+  t.jobs_per_sec = seconds > 0 ? static_cast<double>(jobs) / seconds : 0.0;
+  t.events_per_sec =
       seconds > 0 ? static_cast<double>(events) / seconds : 0.0;
-  return sample;
+  return t;
 }
 
 }  // namespace
@@ -123,44 +111,24 @@ int main(int argc, char** argv) {
   }
   const SweepOptions env = sweep_options_from_env(/*default_samples=*/1);
 
-  // Normalized utilization points over m = 16; the low point is where the
-  // acceptance criterion lives (event backend >= 5x quantum jobs/sec).
+  // Normalized utilization points over m = 16.
   const std::vector<double> norm_utils{0.1, 0.25, 0.5, 0.75};
   std::printf(
-      "=== Simulator throughput: event vs quantum backend, %d reps, "
-      "100 ms horizon, seed %llu ===\n",
+      "=== Simulator throughput, %d reps, 100 ms horizon, seed %llu ===\n",
       reps, static_cast<unsigned long long>(env.seed));
 
-  Table table({"norm-util", "backend", "jobs/sec", "events/sec",
-               "clock-advances", "polls", "speedup"});
+  Table table({"norm-util", "jobs/sec", "events/sec"});
   SoakCounters soak;
   std::string json_points;
-  double low_util_speedup = 0.0;
   for (const double nu : norm_utils) {
     const auto workloads = prepare(nu * 16.0, /*count=*/5, env.seed);
-    const BackendSample ev =
-        run_backend(workloads, SimBackend::kEvent, reps, &soak);
-    const BackendSample qu =
-        run_backend(workloads, SimBackend::kQuantum, reps, &soak);
-    const double speedup =
-        qu.jobs_per_sec > 0 ? ev.jobs_per_sec / qu.jobs_per_sec : 0.0;
-    if (nu == norm_utils.front()) low_util_speedup = speedup;
-    table.add_row({strfmt("%.2f", nu), "event",
-                   strfmt("%.0f", ev.jobs_per_sec),
-                   strfmt("%.0f", ev.events_per_sec),
-                   strfmt("%lld", static_cast<long long>(ev.clock_advances)),
-                   strfmt("%lld", static_cast<long long>(ev.processor_polls)),
-                   strfmt("%.1fx", speedup)});
-    table.add_row({"", "quantum", strfmt("%.0f", qu.jobs_per_sec),
-                   strfmt("%.0f", qu.events_per_sec),
-                   strfmt("%lld", static_cast<long long>(qu.clock_advances)),
-                   strfmt("%lld", static_cast<long long>(qu.processor_polls)),
-                   ""});
+    const Throughput t = measure(workloads, reps, soak);
+    table.add_row({strfmt("%.2f", nu), strfmt("%.0f", t.jobs_per_sec),
+                   strfmt("%.0f", t.events_per_sec)});
     if (!json_points.empty()) json_points += ",\n  ";
-    json_points += strfmt(
-        "{\"norm_util\": %.2f, \"event_jobs_per_sec\": %.0f, "
-        "\"quantum_jobs_per_sec\": %.0f, \"speedup\": %.2f}",
-        nu, ev.jobs_per_sec, qu.jobs_per_sec, speedup);
+    json_points +=
+        strfmt("{\"norm_util\": %.2f, \"event_jobs_per_sec\": %.0f}", nu,
+               t.jobs_per_sec);
   }
   std::fputs(table.to_text().c_str(), stdout);
   std::printf(
@@ -172,9 +140,8 @@ int main(int argc, char** argv) {
     const std::string json = strfmt(
         "{\"reps\": %d, \"horizon_ms\": 100,\n"
         " \"points\": [%s],\n"
-        " \"low_util_speedup\": %.2f,\n"
         " \"max_lp_blockers\": %d, \"invariant_violations\": %lld}\n",
-        reps, json_points.c_str(), low_util_speedup, soak.max_lp_blockers,
+        reps, json_points.c_str(), soak.max_lp_blockers,
         static_cast<long long>(soak.violations));
     std::string error;
     if (!write_text_file(json_path, json, &error)) {

@@ -58,12 +58,6 @@ int usage(const char* argv0) {
       "  --samples N       task sets per utilization point (default: 100)\n"
       "  --seed S          root seed of the sweep, uint64 (default: 42)\n"
       "  --threads T       worker threads, 0 = hardware cores (default: 0)\n"
-      "  --batch B         coordinate | interleaved: work-distribution\n"
-      "                    schedule -- one item per task set running every\n"
-      "                    column, or one item per (task set, column) with\n"
-      "                    a fresh session each (the historical schedule);\n"
-      "                    output is byte-identical, only speed differs\n"
-      "                    (default: coordinate)\n"
       "  --light N         extra light tasks per set, Sec. VI (default: 0)\n"
       "  --utils LIST      normalized utilization points, e.g. 0.2,0.4,0.6\n"
       "                    (default: the paper's per-scenario grid)\n"
@@ -79,10 +73,6 @@ int usage(const char* argv0) {
       "  --sim-mode M      worst | random: worst-case periodic releases or\n"
       "                    jittered arrivals with scaled executions\n"
       "                    (default: worst)\n"
-      "  --sim-backend B   event | quantum: simulator clock backend --\n"
-      "                    next-event jumps or the legacy dense per-quantum\n"
-      "                    walk; results are identical, only speed differs\n"
-      "                    (default: event)\n"
       "  --sim-trace-out PATH  export one simulated task set (first\n"
       "                    scenario, first utilization point, first\n"
       "                    generable sample, DPCP-p on the baseline\n"
@@ -242,19 +232,6 @@ int main(int argc, char** argv) {
     else if (arg == "--samples") options.samples_per_point = static_cast<int>(int_value(1, 1 << 20));
     else if (arg == "--seed") options.seed = static_cast<std::uint64_t>(uint_value(0, UINT64_MAX));
     else if (arg == "--threads") options.threads = static_cast<int>(int_value(0, 1 << 16));
-    else if (arg == "--batch") {
-      // Same contract as --placement: a garbled schedule token is a hard
-      // usage error, never a silent fall-back to the default schedule.
-      const std::string token = value();
-      const auto batch = parse_sweep_batch(token);
-      if (!batch) {
-        std::fprintf(stderr,
-                     "--batch: expected coordinate|interleaved, got '%s'\n",
-                     token.c_str());
-        return usage(argv[0]);
-      }
-      options.batch = *batch;
-    }
     else if (arg == "--light") options.light_tasks = static_cast<int>(int_value(0, 1 << 20));
     else if (arg == "--utils") { options.norm_utilizations.clear(); if (!parse_doubles(value(), &options.norm_utilizations)) return usage(argv[0]); }
     else if (arg == "--max-paths") options.analysis.max_paths = int_value(1, INT64_MAX);
@@ -267,19 +244,6 @@ int main(int argc, char** argv) {
       if (mode == "worst") options.sim.mode = SimSweepMode::kWorst;
       else if (mode == "random") options.sim.mode = SimSweepMode::kRandom;
       else { std::fprintf(stderr, "--sim-mode: expected worst|random, got '%s'\n", mode.c_str()); return usage(argv[0]); }
-    }
-    else if (arg == "--sim-backend") {
-      // Same contract as --placement: a garbled backend token is a hard
-      // usage error, never a silent fall-back to the default backend.
-      const std::string token = value();
-      const auto backend = parse_sim_backend(token);
-      if (!backend) {
-        std::fprintf(stderr,
-                     "--sim-backend: expected event|quantum, got '%s'\n",
-                     token.c_str());
-        return usage(argv[0]);
-      }
-      options.sim.backend = *backend;
     }
     else if (arg == "--sim-trace-out") sim_trace_path = value();
     else if (arg == "--csv") csv_path = value();
@@ -330,8 +294,7 @@ int main(int argc, char** argv) {
                    "budgeted local search)\n",
                    static_cast<long long>(options.optimize_evals));
     if (options.sim.enabled || options.sim.validate)
-      std::fprintf(stderr, "sim: %s backend, horizon %lld ms, %s mode%s\n",
-                   sim_backend_name(options.sim.backend),
+      std::fprintf(stderr, "sim: horizon %lld ms, %s mode%s\n",
                    static_cast<long long>(options.sim.horizon / kMillisecond),
                    options.sim.mode == SimSweepMode::kWorst ? "worst-case"
                                                             : "randomized",

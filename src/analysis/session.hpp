@@ -18,8 +18,8 @@
 // (write-once, session-lifetime data only).  The experiment engine
 // constructs one session per generated task set and hands it to all five
 // analyses; see SchedAnalysis::prepare().  Sessions are single-threaded:
-// the engine's coordinate batching runs all columns of one task set
-// against one session on one worker.
+// the engine runs all columns of one task set against one session on one
+// worker.
 #pragma once
 
 #include <cstdint>

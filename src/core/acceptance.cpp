@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "exp/engine.hpp"
 #include "util/table.hpp"
 
 namespace dpcp {
@@ -27,32 +26,6 @@ std::string AcceptanceCurve::to_table() const {
     table.add_row(std::move(row));
   }
   return table.to_text();
-}
-
-// A single-scenario sweep through the experiment engine (exp/engine.hpp);
-// the engine's seeding scheme reproduces this function's historical
-// results bit-for-bit.
-AcceptanceCurve run_acceptance(const Scenario& scenario,
-                               const std::vector<AnalysisKind>& kinds,
-                               const AcceptanceOptions& options) {
-  SweepOptions sweep;
-  sweep.samples_per_point = options.samples_per_point;
-  sweep.seed = options.seed;
-  sweep.threads = options.threads;
-  SweepResult result = run_sweep({scenario}, kinds, sweep);
-  // Single scenario: the sweep-level generator counters are exactly this
-  // curve's, so the facade keeps its historical per-curve contract.
-  result.curves.front().gen_stats = result.gen_stats;
-  return std::move(result.curves.front());
-}
-
-AcceptanceOptions options_from_env(int default_samples) {
-  const SweepOptions sweep = sweep_options_from_env(default_samples);
-  AcceptanceOptions options;
-  options.samples_per_point = sweep.samples_per_point;
-  options.seed = sweep.seed;
-  options.threads = sweep.threads;
-  return options;
 }
 
 }  // namespace dpcp

@@ -1,11 +1,10 @@
-// Acceptance-ratio experiments (Sec. VII / Fig. 2 of the paper).
+// Acceptance-ratio curves (Sec. VII / Fig. 2 of the paper).
 //
-// For one scenario, sweeps total utilization over the paper's grid and
-// measures, per analysis, the fraction of randomly generated task sets
-// deemed schedulable.  All analyses are run on the *same* task sets
-// (paired comparison), and every sample derives from a deterministic
-// sub-stream of the experiment seed, so results are reproducible and
-// thread-count independent.
+// One scenario's result: per analysis, the fraction of randomly generated
+// task sets deemed schedulable at each total-utilization point.  The
+// experiment engine (exp/engine.hpp, run_sweep) fills one curve per
+// scenario, running all analyses on the *same* task sets (paired
+// comparison).
 #pragma once
 
 #include <cstdint>
@@ -13,9 +12,7 @@
 #include <string>
 #include <vector>
 
-#include "analysis/interface.hpp"
 #include "gen/scenario.hpp"
-#include "gen/taskset_gen.hpp"
 
 namespace dpcp {
 
@@ -34,11 +31,6 @@ struct AcceptanceCurve {
   std::vector<std::vector<std::int64_t>> accepted;
   /// Task sets actually tested per point (generation may skip a sample).
   std::vector<std::int64_t> samples;
-  /// Generator health counters for *this* curve.  Deprecated at the sweep
-  /// level: run_sweep() reports sweep-global counters in
-  /// SweepResult::gen_stats (generation is per task set, not per curve);
-  /// only the single-scenario run_acceptance() facade still fills this.
-  GenStats gen_stats;
 
   /// Acceptance ratio of `analysis` at utilization point `point`.
   /// Well-defined (0.0) at samples[point] == 0 — a point every sample of
@@ -64,25 +56,5 @@ struct AcceptanceCurve {
   /// Fig.-2-style table: one row per utilization point.
   std::string to_table() const;
 };
-
-/// Tuning knobs of a single-scenario acceptance experiment.  The richer
-/// multi-scenario interface lives in exp/engine.hpp (SweepOptions); this
-/// struct remains the stable facade for one-scenario callers.
-struct AcceptanceOptions {
-  /// Task sets generated per utilization point.
-  int samples_per_point = 100;
-  /// Root seed; sample s of point p draws from Rng(seed).fork((p<<20)^s).
-  std::uint64_t seed = 42;
-  /// Worker threads; 0 = one thread per hardware core.
-  int threads = 0;
-};
-
-AcceptanceCurve run_acceptance(const Scenario& scenario,
-                               const std::vector<AnalysisKind>& kinds,
-                               const AcceptanceOptions& options = {});
-
-/// Reads DPCP_SAMPLES / DPCP_SEED / DPCP_THREADS from the environment
-/// (used by the benchmark binaries so sweep sizes are tunable).
-AcceptanceOptions options_from_env(int default_samples);
 
 }  // namespace dpcp

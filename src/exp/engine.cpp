@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <memory>
 #include <mutex>
+#include <system_error>
 #include <thread>
 #include <tuple>
 
@@ -29,16 +30,6 @@ constexpr std::uint64_t kValidateSalt = 0x56414C00ull;     // "VAL"
 constexpr std::uint64_t kOptimizeSalt = 0x4F505400ull;     // "OPT"
 
 }  // namespace
-
-std::optional<SweepBatch> parse_sweep_batch(const std::string& token) {
-  if (token == "coordinate") return SweepBatch::kCoordinate;
-  if (token == "interleaved") return SweepBatch::kInterleaved;
-  return std::nullopt;
-}
-
-const char* to_string(SweepBatch batch) {
-  return batch == SweepBatch::kCoordinate ? "coordinate" : "interleaved";
-}
 
 void OptPointStats::merge(const OptPointStats& o) {
   seed_accepts += o.seed_accepts;
@@ -192,18 +183,11 @@ SweepResult run_sweep(const std::vector<Scenario>& scenarios,
           ? options.threads
           : static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
 
-  // Work units.  Coordinate batching: one unit per (scenario, point,
-  // sample), running every column.  Interleaved: `slots` units per
-  // coordinate — one per column — each regenerating the task set with a
-  // fresh session (the historical schedule; byte-identical, slower).
-  const bool interleaved = options.batch == SweepBatch::kInterleaved;
-  const std::size_t slots =
-      interleaved ? std::max<std::size_t>(1, n_cols) : 1;
-
+  // Work items: one per (scenario, point, sample), running every column.
   std::atomic<std::size_t> next{0};
   std::vector<std::atomic<std::size_t>> remaining(n_scen);
   for (std::size_t s = 0; s < n_scen; ++s)
-    remaining[s].store((offset[s + 1] - offset[s]) * slots);
+    remaining[s].store(offset[s + 1] - offset[s]);
   std::size_t scenarios_done = 0;  // guarded by progress_mutex
   std::mutex merge_mutex;
   std::mutex progress_mutex;
@@ -244,10 +228,8 @@ SweepResult run_sweep(const std::vector<Scenario>& scenarios,
     std::int64_t local_enums = 0, local_reenums = 0;
 
     for (;;) {
-      const std::size_t unit = next.fetch_add(1);
-      if (unit >= total_items * slots) break;
-      const std::size_t item = unit / slots;
-      const std::size_t slot = unit % slots;
+      const std::size_t item = next.fetch_add(1);
+      if (item >= total_items) break;
       const std::size_t s =
           static_cast<std::size_t>(
               std::upper_bound(offset.begin(), offset.end(), item) -
@@ -265,22 +247,14 @@ SweepResult run_sweep(const std::vector<Scenario>& scenarios,
       // Deterministic sub-stream per (scenario, point, sample): thread
       // assignment cannot change what any sample sees.
       Rng rng = Rng(seeds[s]).fork((point << 20) ^ sample);
-      // Generator health and sample counts are per coordinate, not per
-      // column: the interleaved schedule books them at slot 0 only.
-      const auto ts =
-          generate_taskset(rng, params, slot == 0 ? &local_gen : nullptr);
+      const auto ts = generate_taskset(rng, params, &local_gen);
       if (ts) {
-        if (slot == 0) ++local_samples[s][point];
+        ++local_samples[s][point];
         // One analysis session per generated task set, shared by every
         // analysis kind: partition-independent work (path signatures,
         // priority order) is computed once for the paired comparison.
-        // Under the interleaved schedule the session serves one column
-        // and the sharing is deliberately lost.
         AnalysisSession session(*ts);
-        const std::size_t a_begin = interleaved ? slot : 0;
-        const std::size_t a_end =
-            interleaved ? std::min(slot + 1, n_acol) : n_acol;
-        for (std::size_t a = a_begin; a < a_end; ++a) {
+        for (std::size_t a = 0; a < n_acol; ++a) {
           PartitionOutcome outcome;
           if (columns[a].optimize) {
             // The anytime partition search, on its own deterministic
@@ -343,7 +317,7 @@ SweepResult run_sweep(const std::vector<Scenario>& scenarios,
             local_failures.push_back(std::move(f));
           }
         }
-        if (sim_on && (!interleaved || slot == n_acol)) {
+        if (sim_on) {
           // The trailing "sim" column: observed schedulability on the
           // analysis-independent baseline partition under DPCP-p.
           SimPointStats& sp = local_sim[s][point];
@@ -411,9 +385,19 @@ SweepResult run_sweep(const std::vector<Scenario>& scenarios,
     result.budget_reenumerations += local_reenums;
   };
 
+  // Output is thread-count independent, so workers beyond the number of
+  // work items would only cost spawn time.  A host that refuses a thread
+  // (a huge --threads against the process limit) leaves the queue to the
+  // workers already running, or to this thread if none started.
+  const std::size_t workers = std::max<std::size_t>(
+      1, std::min(static_cast<std::size_t>(threads), total_items));
   std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(threads));
-  for (int t = 0; t < threads; ++t) pool.emplace_back(worker);
+  pool.reserve(workers);
+  try {
+    while (pool.size() < workers) pool.emplace_back(worker);
+  } catch (const std::system_error&) {
+    if (pool.empty()) worker();
+  }
   for (auto& t : pool) t.join();
 
   // Failures were appended in worker-merge order; sort them into the
@@ -511,17 +495,6 @@ SweepOptions sweep_options_from_env(int default_samples) {
   }
   if (const auto v = env_int("DPCP_THREADS", 0, 1 << 16))
     options.threads = static_cast<int>(*v);
-  if (const char* s = std::getenv("DPCP_BATCH"); s && *s != '\0') {
-    const auto b = parse_sweep_batch(s);
-    if (!b) {
-      std::fprintf(stderr,
-                   "DPCP_BATCH: invalid schedule '%s' "
-                   "(expected coordinate|interleaved)\n",
-                   s);
-      std::exit(2);
-    }
-    options.batch = *b;
-  }
   return options;
 }
 

@@ -20,37 +20,16 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/acceptance.hpp"
 #include "exp/validate.hpp"
 #include "gen/scenario.hpp"
+#include "gen/taskset_gen.hpp"
 #include "util/stats.hpp"
 
 namespace dpcp {
-
-/// Work-distribution schedule of the sweep's thread pool.
-enum class SweepBatch {
-  /// One work item per (scenario, point, sample) coordinate: the task set
-  /// is generated once and every column — analyses and the sim column —
-  /// runs on it back-to-back, sharing one AnalysisSession.  The default
-  /// and the fast schedule.
-  kCoordinate,
-  /// One work item per (coordinate, column): the historical pre-session
-  /// schedule, regenerating the task set and opening a fresh session for
-  /// every column.  Results are byte-identical to kCoordinate — generation
-  /// and every per-column RNG sub-stream are keyed by the coordinates
-  /// alone (Rng::fork derives from the construction seed, never from
-  /// consumed state) — only the wall time differs.  Kept as the A/B
-  /// baseline quantifying what coordinate batching buys.
-  kInterleaved,
-};
-
-/// Parses a --batch / DPCP_BATCH token ("coordinate" | "interleaved").
-std::optional<SweepBatch> parse_sweep_batch(const std::string& token);
-const char* to_string(SweepBatch batch);
 
 /// Knobs of one sweep; the defaults reproduce the paper's setup.
 struct SweepOptions {
@@ -59,7 +38,8 @@ struct SweepOptions {
   int samples_per_point = 100;
   /// Root seed of the whole sweep; see scenario_seed() for derivation.
   std::uint64_t seed = 42;
-  /// Worker threads; 0 = one per hardware core.
+  /// Worker threads; 0 = one per hardware core.  Never more are started
+  /// than there are work items.
   int threads = 0;
   /// Sec. VI extension: extra light tasks generated per task set.
   int light_tasks = 0;
@@ -96,9 +76,6 @@ struct SweepOptions {
   /// RNG sub-streams as generation, so results stay bit-identical at any
   /// thread count.
   SimBackendOptions sim;
-  /// Work-distribution schedule; see SweepBatch.  Output is byte-identical
-  /// across schedules, so this is a pure performance A/B axis.
-  SweepBatch batch = SweepBatch::kCoordinate;
   /// Invoked whenever a scenario finishes, as (scenarios done, total).
   /// Called from worker threads, serialized by the engine.
   std::function<void(std::size_t, std::size_t)> progress;
@@ -170,9 +147,9 @@ struct SweepResult {
 
 /// Base seed of scenario `index` within a sweep rooted at `base_seed`.
 /// Sample s of utilization point p of that scenario then draws from
-/// Rng(scenario_seed(...)).fork((p << 20) ^ s) -- the historical scheme of
-/// run_acceptance() (index 0 uses `base_seed` itself), kept so single-
-/// scenario sweeps reproduce pre-engine results bit-for-bit.
+/// Rng(scenario_seed(...)).fork((p << 20) ^ s).  Index 0 uses `base_seed`
+/// itself, so a single-scenario sweep at seed S draws exactly what the
+/// first scenario of any multi-scenario sweep at seed S draws.
 std::uint64_t scenario_seed(std::uint64_t base_seed, std::size_t index);
 
 /// Runs the full grid: every scenario x utilization point x sample, testing

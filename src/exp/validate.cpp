@@ -174,7 +174,6 @@ SimVerdict classify_sim(const SimResult& res) {
 SimConfig sample_sim_config(const SimBackendOptions& options,
                             const TaskSet& ts, Rng& rng) {
   SimConfig cfg;
-  cfg.backend = options.backend;
   cfg.horizon = options.horizon;
   // Overloaded sets stop accumulating backlog at the horizon, so the drain
   // phase is bounded; the hard stop only guards runaway scenarios.

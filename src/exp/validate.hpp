@@ -65,11 +65,6 @@ struct SimBackendOptions {
   /// its synchronous-release job even under short horizons.
   Time horizon = millis(100);
   SimSweepMode mode = SimSweepMode::kWorst;
-  /// Clock-advance backend for every sweep simulation (the sim column and
-  /// the --validate cross-checks).  Behavior-identical by construction
-  /// (see SimBackend), so flipping it never changes CSV/JSON output —
-  /// tests/test_golden.cpp pins the byte-identity.
-  SimBackend backend = SimBackend::kEvent;
 };
 
 /// The simulator protocol that faithfully executes what `kind` bounds;

@@ -15,20 +15,6 @@ const char* sim_event_kind_name(SimEventKind kind) {
   return "?";
 }
 
-const char* sim_backend_name(SimBackend backend) {
-  switch (backend) {
-    case SimBackend::kEvent:   return "event";
-    case SimBackend::kQuantum: return "quantum";
-  }
-  return "?";
-}
-
-std::optional<SimBackend> parse_sim_backend(const std::string& token) {
-  if (token == "event") return SimBackend::kEvent;
-  if (token == "quantum") return SimBackend::kQuantum;
-  return std::nullopt;
-}
-
 std::string trace_kind_name(TraceKind kind) {
   switch (kind) {
     case TraceKind::kJobRelease:     return "release";

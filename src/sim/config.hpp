@@ -3,34 +3,12 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "util/time.hpp"
 
 namespace dpcp {
-
-/// How the simulator advances its clock.  Both backends drain the same
-/// global EventQueue (sim/event_queue.hpp) through the same protocol state
-/// machine, so they are behavior-identical by construction — the
-/// differential suite (tests/test_sim_diff.cpp) pins this.
-enum class SimBackend {
-  /// Next-event clock: jump straight to the earliest pending event and
-  /// skip idle time entirely.  The default, and the fast path that makes
-  /// --sim/--validate sweeps scale (see bench/bench_sim.cpp).
-  kEvent,
-  /// Dense per-quantum clock: walk the clock one `quantum` at a time,
-  /// polling every processor each tick, and fire due events at their
-  /// exact timestamps.  The legacy reference backend — kept co-resident
-  /// so the event core stays differentially testable against it.
-  kQuantum,
-};
-
-/// "event" / "quantum" (the --sim-backend CLI tokens).
-const char* sim_backend_name(SimBackend backend);
-/// Inverse of sim_backend_name(); nullopt on any other string.
-std::optional<SimBackend> parse_sim_backend(const std::string& token);
 
 /// Which locking protocol the simulator executes.
 enum class SimProtocol {
@@ -50,15 +28,7 @@ enum class SimProtocol {
 
 struct SimConfig {
   SimProtocol protocol = SimProtocol::kDpcpP;
-  /// Clock-advance backend; behavior-identical by construction (see
-  /// SimBackend), so flipping it may only change runtime, never results.
-  SimBackend backend = SimBackend::kEvent;
-  /// Tick length of the kQuantum backend (must be positive there; the
-  /// kEvent backend ignores it).  1 us resolves the scenario grid's
-  /// shortest critical sections (15 us) with reasonable fidelity; events
-  /// still fire at their exact (ns) timestamps regardless.
-  Time quantum = micros(1);
-  /// Progress guard on both backends: processing more events than this
+  /// Progress guard: processing more events than this
   /// throws std::runtime_error instead of spinning forever — a protocol
   /// bug that schedules events without retiring workload (the class of
   /// failure behind the PR 3 FIFO-spin deadlock) must surface as an
@@ -114,17 +84,8 @@ struct SimResult {
   std::int64_t global_requests_issued = 0;
   std::int64_t global_requests_completed = 0;
   std::int64_t preemptions = 0;
-  /// Events retired from the global queue.  A pure function of the run's
-  /// behaviour, so identical across backends (the differential suite
-  /// asserts this).
+  /// Events retired from the global queue (one clock advance each).
   std::int64_t events_processed = 0;
-  /// Scheduler wake-ups: one per event under kEvent (the clock jumps),
-  /// one per tick under kQuantum (the clock walks).  The ratio between
-  /// backends is the idle time the event core skips.
-  std::int64_t clock_advances = 0;
-  /// kQuantum only: per-tick processor-occupancy polls (the dense loop's
-  /// cost model); always 0 under kEvent.
-  std::int64_t processor_polls = 0;
   Time end_time = 0;
   bool drained = false;  // every released job completed
 

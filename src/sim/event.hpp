@@ -6,8 +6,8 @@
 // those — vertex dispatch, lock grant/release, FIFO handoff, preemption —
 // is resolved immediately by the protocol state machine and recorded in
 // the trace (TraceKind), never queued: queuing zero-delay events would
-// only re-order the cascade and make the two clock backends harder to
-// prove equivalent.  Future event kinds that *do* advance time (e.g. the
+// only re-order the cascade and make its order harder to reason about.
+// Future event kinds that *do* advance time (e.g. the
 // ROADMAP's interconnect transit latency for remote DPCP requests) extend
 // this enum.
 #pragma once

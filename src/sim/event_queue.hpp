@@ -3,10 +3,9 @@
 // A thin, deterministic wrapper over a binary heap: events pop in
 // (time, seq) order, where seq is the schedule order — so two events
 // scheduled for the same instant always fire in the order the protocol
-// machine created them, independent of heap internals.  Both clock
-// backends (src/sim/simulator.cpp) drain one EventQueue: the event
-// backend jumps the clock to next_time(), the quantum backend walks the
-// clock densely up to it.
+// machine created them, independent of heap internals.  The simulator
+// (src/sim/simulator.cpp) drains one EventQueue, jumping its clock to each
+// popped event's time.
 #pragma once
 
 #include <cassert>

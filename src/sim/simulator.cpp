@@ -727,47 +727,20 @@ struct Simulator::Impl {
     for (int i = 0; i < ts.size(); ++i)
       push_event(0, SimEventKind::kJobRelease, i);
 
-    const bool truncated = cfg.backend == SimBackend::kQuantum
-                               ? run_quantum()
-                               : run_event();
-    result.end_time = now;
-    result.drained = truncated ? false : jobs.empty();
-    finalize();
-    return result;
-  }
-
-  /// kEvent driver: jump the clock straight to the next pending event.
-  /// Returns true when the run was truncated by `hard_stop`.
-  bool run_event() {
+    // Next-event clock: jump straight to the earliest pending event; a
+    // run cut short by `hard_stop` never counts as drained.
+    bool truncated = false;
     while (!events.empty()) {
-      if (events.next_time() > cfg.hard_stop) return true;
-      ++result.clock_advances;
-      process_event(events.pop());
-    }
-    return false;
-  }
-
-  /// kQuantum driver: walk the clock densely one quantum at a time,
-  /// polling every processor each tick; due events still fire at their
-  /// exact timestamps, so the protocol machine sees the identical
-  /// sequence of (time, event) pairs as under run_event().
-  bool run_quantum() {
-    if (cfg.quantum <= 0)
-      throw std::invalid_argument(
-          "SimConfig::quantum must be positive for the quantum backend");
-    Time clock = 0;
-    while (!events.empty()) {
-      const Time due = events.next_time();
-      if (due > cfg.hard_stop) return true;
-      while (clock < due) {
-        clock = std::min<Time>(clock + cfg.quantum, due);
-        ++result.clock_advances;
-        for (const Processor& p : procs)
-          result.processor_polls += (p.occ != Occupant::kIdle);
+      if (events.next_time() > cfg.hard_stop) {
+        truncated = true;
+        break;
       }
       process_event(events.pop());
     }
-    return false;
+    result.end_time = now;
+    result.drained = !truncated && jobs.empty();
+    finalize();
+    return result;
   }
 
   void process_event(const SimEvent& e) {
@@ -777,8 +750,7 @@ struct Simulator::Impl {
           "simulator progress guard tripped: more than " +
           std::to_string(cfg.max_events) +
           " events processed (simulated time " + std::to_string(e.time) +
-          " ns, backend " + sim_backend_name(cfg.backend) +
-          ") -- the protocol machine is scheduling events without "
+          " ns) -- the protocol machine is scheduling events without "
           "retiring workload");
     now = e.time;
     switch (e.kind) {

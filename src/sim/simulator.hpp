@@ -15,12 +15,9 @@
 // lower-priority request), mutual exclusion, the ceiling gate and
 // work-conservation on every run.
 //
-// One protocol state machine, two clock drivers (SimConfig::backend): the
-// default event backend jumps the clock between entries of the global
-// EventQueue (sim/event_queue.hpp); the legacy quantum backend walks the
-// clock densely one quantum at a time, firing the same events at the same
-// timestamps.  Results are identical by construction; only SimResult's
-// clock_advances / processor_polls throughput counters differ.
+// The clock is next-event: run() drains one global EventQueue
+// (sim/event_queue.hpp), jumping straight to each entry's timestamp, so
+// idle time costs nothing.
 #pragma once
 
 #include <vector>

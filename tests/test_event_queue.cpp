@@ -1,8 +1,7 @@
 // Contract tests of the simulator's global EventQueue: deterministic
 // (time, seq) ordering — same-time events pop in schedule order — plus the
-// pending/scheduled counters the simulator's throughput accounting builds
-// on.  These pin the tie-break rule the differential suite
-// (test_sim_diff.cpp) relies on for backend equivalence.
+// pending/scheduled counters.  These pin the tie-break rule the
+// simulator's behaviour golden (test_sim_golden.cpp) depends on.
 #include <gtest/gtest.h>
 
 #include <algorithm>

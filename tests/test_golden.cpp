@@ -115,15 +115,14 @@ TEST(Golden, OptimizerColumnAcceptanceCounts) {
   EXPECT_EQ(result.opt_stats[1][1][0].search_accepts, 0);
 }
 
-// The simulator's two clock backends are behavior-identical by
-// construction (one protocol machine, two clock drivers), so a full
-// --sim --validate sweep — the sim observation column, the cross-check
-// verdicts, the response-ratio gap statistics — must render to
-// byte-identical CSV and JSON whichever backend ran it.  Ditto for the
-// worker-thread count on the event backend: results are keyed by
-// (scenario, point, sample) sub-streams, never by scheduling order.
-TEST(Golden, SimValidateSweepByteIdenticalAcrossBackendsAndThreads) {
-  auto run_with = [](SimBackend backend, int threads) {
+// A full --sim --validate sweep — the sim observation column, the
+// cross-check verdicts, the response-ratio gap statistics — pinned by size
+// and hash of its CSV and JSON (recorded while a second, dense per-quantum
+// simulator clock still reproduced them byte for byte), and identical at
+// 1 and 8 worker threads: results are keyed by (scenario, point, sample)
+// sub-streams, never by scheduling order.
+TEST(Golden, SimValidateSweepBytesPinnedAtOneAndEightThreads) {
+  auto run_with = [](int threads) {
     SweepOptions options;
     options.samples_per_point = 4;
     options.seed = 42;
@@ -133,22 +132,22 @@ TEST(Golden, SimValidateSweepByteIdenticalAcrossBackendsAndThreads) {
     options.sim.validate = true;
     options.sim.horizon = millis(20);
     options.sim.mode = SimSweepMode::kRandom;  // jitter/scaling paths too
-    options.sim.backend = backend;
     const SweepResult result = run_sweep(
         {fig2_scenario('a'), fig2_scenario('c')},
         {AnalysisKind::kDpcpPEp, AnalysisKind::kSpinSon}, options);
     return std::make_pair(sweep_to_csv(result), sweep_to_json(result));
   };
 
-  const auto event = run_with(SimBackend::kEvent, /*threads=*/8);
-  const auto quantum = run_with(SimBackend::kQuantum, /*threads=*/8);
-  EXPECT_EQ(event.first, quantum.first) << "CSV differs across backends";
-  EXPECT_EQ(event.second, quantum.second) << "JSON differs across backends";
-
-  const auto single = run_with(SimBackend::kEvent, /*threads=*/1);
-  EXPECT_EQ(event.first, single.first) << "CSV differs across thread counts";
-  EXPECT_EQ(event.second, single.second)
+  const auto eight = run_with(8);
+  const auto single = run_with(1);
+  EXPECT_EQ(eight.first, single.first) << "CSV differs across thread counts";
+  EXPECT_EQ(eight.second, single.second)
       << "JSON differs across thread counts";
+
+  EXPECT_EQ(single.first.size(), 1857u);
+  EXPECT_EQ(fnv1a64(single.first), 0x0c878d9f428096c7ull);
+  EXPECT_EQ(single.second.size(), 2543u);
+  EXPECT_EQ(fnv1a64(single.second), 0xaf1a998d85c36f03ull);
 }
 
 // The full 216-scenario grid at 1 sample/point, seed 42: the long-format

@@ -6,8 +6,8 @@
 
 #include <cstdlib>
 
-#include "core/acceptance.hpp"
 #include "core/dominance.hpp"
+#include "exp/engine.hpp"
 
 namespace dpcp {
 namespace {
@@ -26,11 +26,12 @@ Scenario small_scenario() {
 }
 
 TEST(Acceptance, CurveShapeAndBookkeeping) {
-  AcceptanceOptions options;
+  SweepOptions options;
   options.samples_per_point = 8;
   options.seed = 3;
   const auto kinds = all_analysis_kinds();
-  const AcceptanceCurve curve = run_acceptance(small_scenario(), kinds, options);
+  const AcceptanceCurve curve =
+      run_sweep({small_scenario()}, kinds, options).curves.front();
 
   ASSERT_EQ(curve.names.size(), kinds.size());
   ASSERT_EQ(curve.accepted.size(), kinds.size());
@@ -50,16 +51,18 @@ TEST(Acceptance, CurveShapeAndBookkeeping) {
 }
 
 TEST(Acceptance, DeterministicAcrossRunsAndThreadCounts) {
-  AcceptanceOptions o1;
+  SweepOptions o1;
   o1.samples_per_point = 6;
   o1.seed = 11;
   o1.threads = 1;
-  AcceptanceOptions o4 = o1;
+  SweepOptions o4 = o1;
   o4.threads = 4;
   const std::vector<AnalysisKind> kinds{AnalysisKind::kDpcpPEn,
                                         AnalysisKind::kFedFp};
-  const AcceptanceCurve c1 = run_acceptance(small_scenario(), kinds, o1);
-  const AcceptanceCurve c4 = run_acceptance(small_scenario(), kinds, o4);
+  const AcceptanceCurve c1 =
+      run_sweep({small_scenario()}, kinds, o1).curves.front();
+  const AcceptanceCurve c4 =
+      run_sweep({small_scenario()}, kinds, o4).curves.front();
   EXPECT_EQ(c1.accepted, c4.accepted);
   EXPECT_EQ(c1.samples, c4.samples);
 }
@@ -68,13 +71,14 @@ TEST(Acceptance, PairedComparisonKeepsHeadlineOrdering) {
   // On a reduced sweep: EP accepts at least as many sets as EN at every
   // point (EP dominates EN by construction), and FED-FP is an upper bound
   // for all locking protocols.
-  AcceptanceOptions options;
+  SweepOptions options;
   options.samples_per_point = 8;
   options.seed = 5;
   const std::vector<AnalysisKind> kinds{
       AnalysisKind::kDpcpPEp, AnalysisKind::kDpcpPEn, AnalysisKind::kSpinSon,
       AnalysisKind::kLpp, AnalysisKind::kFedFp};
-  const AcceptanceCurve curve = run_acceptance(small_scenario(), kinds, options);
+  const AcceptanceCurve curve =
+      run_sweep({small_scenario()}, kinds, options).curves.front();
   for (std::size_t p = 0; p < curve.utilization.size(); ++p) {
     EXPECT_GE(curve.accepted[0][p], curve.accepted[1][p]) << "point " << p;
     for (std::size_t a = 0; a + 1 < kinds.size(); ++a)
@@ -86,14 +90,14 @@ TEST(Acceptance, OptionsFromEnv) {
   setenv("DPCP_SAMPLES", "17", 1);
   setenv("DPCP_SEED", "99", 1);
   setenv("DPCP_THREADS", "2", 1);
-  const AcceptanceOptions o = options_from_env(5);
+  const SweepOptions o = sweep_options_from_env(5);
   EXPECT_EQ(o.samples_per_point, 17);
   EXPECT_EQ(o.seed, 99u);
   EXPECT_EQ(o.threads, 2);
   unsetenv("DPCP_SAMPLES");
   unsetenv("DPCP_SEED");
   unsetenv("DPCP_THREADS");
-  const AcceptanceOptions d = options_from_env(5);
+  const SweepOptions d = sweep_options_from_env(5);
   EXPECT_EQ(d.samples_per_point, 5);
 }
 
@@ -151,7 +155,7 @@ TEST(Dominance, PairwiseAggregation) {
 }
 
 TEST(Dominance, RealSweepEpDominatesEnAndOutperformsAll) {
-  AcceptanceOptions options;
+  SweepOptions options;
   options.samples_per_point = 8;
   options.seed = 21;
   const std::vector<AnalysisKind> kinds{
@@ -163,8 +167,9 @@ TEST(Dominance, RealSweepEpDominatesEnAndOutperformsAll) {
   b.p_r = 1.0;
   b.cs_min = micros(50);
   b.cs_max = micros(100);
-  curves.push_back(run_acceptance(a, kinds, options));
-  curves.push_back(run_acceptance(b, kinds, options));
+  // One sweep per scenario, so both draw the seed-21 stream.
+  curves.push_back(run_sweep({a}, kinds, options).curves.front());
+  curves.push_back(run_sweep({b}, kinds, options).curves.front());
   const PairwiseStats stats = compute_pairwise(curves);
   // EP never loses to anyone (the paper's headline claim).
   for (std::size_t other = 1; other < kinds.size(); ++other) {
@@ -174,10 +179,11 @@ TEST(Dominance, RealSweepEpDominatesEnAndOutperformsAll) {
 }
 
 TEST(Acceptance, TableRendering) {
-  AcceptanceOptions options;
+  SweepOptions options;
   options.samples_per_point = 4;
-  const AcceptanceCurve curve = run_acceptance(
-      small_scenario(), {AnalysisKind::kFedFp}, options);
+  const AcceptanceCurve curve =
+      run_sweep({small_scenario()}, {AnalysisKind::kFedFp}, options)
+          .curves.front();
   const std::string table = curve.to_table();
   EXPECT_NE(table.find("norm-util"), std::string::npos);
   EXPECT_NE(table.find("FED-FP"), std::string::npos);

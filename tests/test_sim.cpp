@@ -439,87 +439,21 @@ TEST(Simulator, TraceRendering) {
   EXPECT_NE(text.find("local-lock"), std::string::npos);
 }
 
-// ---------- clock backends -------------------------------------------------------
-
-TEST(Fig1Schedule, QuantumBackendReproducesExactResponses) {
-  // The legacy dense-quantum driver must reproduce the paper's worked
-  // example to the nanosecond, including a quantum (1000 ns) far coarser
-  // than the schedule's 1 ns granularity: events fire at their exact
-  // timestamps, the tick size only paces the idle walk.
-  Fig1 f;
-  SimConfig cfg;
-  cfg.horizon = 19;
-  cfg.backend = SimBackend::kQuantum;
-  cfg.quantum = 1000;
-  Simulator sim(f.ts, f.part, cfg);
-  const SimResult res = sim.run();
-  EXPECT_EQ(res.task[0].max_response, 14);
-  EXPECT_EQ(res.task[1].max_response, 9);
-  EXPECT_TRUE(res.all_invariants_hold());
-  EXPECT_TRUE(res.drained);
-
-  // Throughput accounting: the same events retire on both backends, but
-  // the quantum driver wakes per tick and polls processors while the
-  // event driver wakes once per event and never polls.
-  cfg.backend = SimBackend::kEvent;
-  const SimResult ev = simulate(f.ts, f.part, cfg);
-  EXPECT_EQ(res.events_processed, ev.events_processed);
-  EXPECT_EQ(ev.clock_advances, ev.events_processed);
-  EXPECT_EQ(ev.processor_polls, 0);
-  EXPECT_GT(res.processor_polls, 0);
-}
-
-TEST(Simulator, QuantumBackendSingleShotContract) {
-  TaskSet ts(0);
-  DagTask& t = ts.add_task(100, 100);
-  t.add_vertex(10);
-  ts.assign_rm_priorities();
-  ts.finalize();
-  Partition part(1, 1, 0);
-  part.add_processor_to_task(0, 0);
-  SimConfig cfg;
-  cfg.horizon = 99;
-  cfg.backend = SimBackend::kQuantum;
-  Simulator sim(ts, part, cfg);
-  EXPECT_TRUE(sim.run().drained);
-  EXPECT_THROW(sim.run(), std::logic_error);
-}
-
-TEST(Simulator, QuantumBackendRejectsNonPositiveQuantum) {
-  TaskSet ts(0);
-  DagTask& t = ts.add_task(100, 100);
-  t.add_vertex(10);
-  ts.assign_rm_priorities();
-  ts.finalize();
-  Partition part(1, 1, 0);
-  part.add_processor_to_task(0, 0);
-  SimConfig cfg;
-  cfg.backend = SimBackend::kQuantum;
-  cfg.quantum = 0;
-  EXPECT_THROW(simulate(ts, part, cfg), std::invalid_argument);
-}
-
-TEST(Simulator, EmptyTaskSetDrainsImmediatelyOnBothBackends) {
+TEST(Simulator, EmptyTaskSetDrainsImmediately) {
   TaskSet ts(0);
   ts.finalize();
   Partition part(1, 0, 0);
-  for (const SimBackend backend : {SimBackend::kEvent, SimBackend::kQuantum}) {
-    SimConfig cfg;
-    cfg.backend = backend;
-    const SimResult res = simulate(ts, part, cfg);
-    EXPECT_TRUE(res.drained);
-    EXPECT_EQ(res.end_time, 0);
-    EXPECT_EQ(res.events_processed, 0);
-    EXPECT_EQ(res.clock_advances, 0);
-    EXPECT_EQ(res.total_deadline_misses(), 0);
-  }
+  const SimResult res = simulate(ts, part);
+  EXPECT_TRUE(res.drained);
+  EXPECT_EQ(res.end_time, 0);
+  EXPECT_EQ(res.events_processed, 0);
+  EXPECT_EQ(res.total_deadline_misses(), 0);
 }
 
-TEST(Simulator, ScaledAwaySegmentsStayObservableOnBothBackends) {
+TEST(Simulator, ScaledAwaySegmentsStayObservable) {
   // An extreme execution scale rounds every non-critical segment to zero
   // length; build_plans() then keeps each vertex observable via a 1 ns
-  // placeholder.  Both backends must agree on the resulting (tiny, but
-  // nonzero) schedule.
+  // placeholder, so the schedule is tiny but nonzero.
   TaskSet ts(0);
   DagTask& t = ts.add_task(millis(1), millis(1));
   t.add_vertex(micros(10));
@@ -532,13 +466,9 @@ TEST(Simulator, ScaledAwaySegmentsStayObservableOnBothBackends) {
   SimConfig cfg;
   cfg.horizon = millis(1) - 1;
   cfg.execution_scale = 1e-9;
-  const SimResult ev = simulate(ts, part, cfg);
-  cfg.backend = SimBackend::kQuantum;
-  const SimResult qu = simulate(ts, part, cfg);
-  EXPECT_TRUE(ev.drained && qu.drained);
-  EXPECT_EQ(ev.task[0].max_response, 2);  // two chained 1 ns placeholders
-  EXPECT_EQ(qu.task[0].max_response, 2);
-  EXPECT_EQ(ev.events_processed, qu.events_processed);
+  const SimResult res = simulate(ts, part, cfg);
+  EXPECT_TRUE(res.drained);
+  EXPECT_EQ(res.task[0].max_response, 2);  // two chained 1 ns placeholders
 }
 
 // ---------- progress guard -------------------------------------------------------
@@ -558,25 +488,19 @@ struct BrokenOracleFixture {
   }
 };
 
-TEST(Simulator, ProgressGuardThrowsOnBothBackends) {
+TEST(Simulator, ProgressGuardThrows) {
   BrokenOracleFixture f;
-  for (const SimBackend backend : {SimBackend::kEvent, SimBackend::kQuantum}) {
-    SimConfig cfg;
-    cfg.backend = backend;
-    cfg.horizon = millis(10);
-    cfg.hard_stop = kTimeInfinity;  // the guard, not the clock, must fire
-    cfg.max_events = 50;
-    try {
-      simulate(f.ts, f.part, cfg);
-      FAIL() << "progress guard did not fire on backend "
-             << sim_backend_name(backend);
-    } catch (const std::runtime_error& e) {
-      const std::string what = e.what();
-      EXPECT_NE(what.find("progress guard"), std::string::npos) << what;
-      EXPECT_NE(what.find("50"), std::string::npos) << what;
-      EXPECT_NE(what.find(sim_backend_name(backend)), std::string::npos)
-          << what;
-    }
+  SimConfig cfg;
+  cfg.horizon = millis(10);
+  cfg.hard_stop = kTimeInfinity;  // the guard, not the clock, must fire
+  cfg.max_events = 50;
+  try {
+    simulate(f.ts, f.part, cfg);
+    FAIL() << "progress guard did not fire";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("progress guard"), std::string::npos) << what;
+    EXPECT_NE(what.find("50"), std::string::npos) << what;
   }
 }
 

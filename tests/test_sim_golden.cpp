@@ -1,0 +1,207 @@
+// Behaviour golden of the event-clock simulator: ~200 generated task sets
+// across four scenario corners, under both protocols, folded into one
+// FNV-1a digest over every run's full trace (hence per-job response times
+// and lock-acquisition order), per-task statistics and events_processed.
+// Any change to what the protocol machine does — event order, dispatch
+// choice, lock handoff, jitter/scaling draws — moves the digest.  Plus the
+// directed PR 3 shared-processor spin regression.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstdio>
+#include <string>
+#include <vector>
+
+#include "gen/taskset_gen.hpp"
+#include "partition/federated.hpp"
+#include "partition/wfd.hpp"
+#include "sim/simulator.hpp"
+
+namespace dpcp {
+namespace {
+
+/// The corners of the paper's scenario grid (small/dense/mid/wide), same
+/// spread as the placement property suite.
+std::vector<Scenario> scenario_corners() {
+  Scenario small;
+  small.m = 8;
+  small.nr_min = 2;
+  small.nr_max = 4;
+  small.u_avg = 1.5;
+  small.p_r = 0.5;
+  small.n_req_max = 25;
+  small.cs_min = micros(15);
+  small.cs_max = micros(50);
+
+  Scenario dense = small;
+  dense.nr_min = 8;
+  dense.nr_max = 16;
+  dense.u_avg = 2.0;
+  dense.p_r = 1.0;
+  dense.n_req_max = 50;
+  dense.cs_min = micros(50);
+  dense.cs_max = micros(100);
+
+  Scenario mid;
+  mid.m = 16;
+  mid.nr_min = 4;
+  mid.nr_max = 8;
+  mid.u_avg = 1.5;
+  mid.p_r = 0.75;
+  mid.n_req_max = 50;
+  mid.cs_min = micros(50);
+  mid.cs_max = micros(100);
+
+  Scenario wide = mid;
+  wide.nr_min = 8;
+  wide.nr_max = 16;
+  wide.u_avg = 2.0;
+  wide.p_r = 0.5;
+  wide.n_req_max = 25;
+  wide.cs_min = micros(15);
+  wide.cs_max = micros(50);
+
+  return {small, dense, mid, wide};
+}
+
+struct TracedRun {
+  SimResult res;
+  std::vector<TraceEvent> trace;
+};
+
+TracedRun run_traced(const TaskSet& ts, const Partition& part, SimConfig cfg) {
+  cfg.record_trace = true;
+  Simulator sim(ts, part, cfg);
+  TracedRun out;
+  out.res = sim.run();
+  out.trace = sim.trace();
+  return out;
+}
+
+/// FNV-1a 64 over a stream of strings.
+struct Fnv1a {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  void add(const std::string& s) {
+    for (unsigned char c : s) {
+      h ^= c;
+      h *= 0x100000001b3ull;
+    }
+  }
+};
+
+/// Folds one run's observables into `digest`: the rendered trace, then one
+/// line per task, then events_processed.
+void add_run(Fnv1a& digest, const TracedRun& run) {
+  digest.add(trace_to_string(run.trace));
+  char line[160];
+  for (const TaskSimStats& t : run.res.task) {
+    std::snprintf(line, sizeof line, "%lld %lld %lld %lld %.17g\n",
+                  static_cast<long long>(t.jobs_released),
+                  static_cast<long long>(t.jobs_completed),
+                  static_cast<long long>(t.deadline_misses),
+                  static_cast<long long>(t.max_response), t.avg_response);
+    digest.add(line);
+  }
+  digest.add("events " + std::to_string(run.res.events_processed) + "\n");
+}
+
+// ---------- property: ~200 generated task sets, both protocols ------------
+
+TEST(SimGolden, TraceDigestOn200GeneratedTaskSets) {
+  const auto corners = scenario_corners();
+  Fnv1a digest;
+  int ran = 0;
+  for (std::size_t c = 0; c < corners.size(); ++c) {
+    for (int seed = 0; seed < 25; ++seed) {
+      Rng rng(40'000 + 1'000 * static_cast<std::uint64_t>(c) +
+              static_cast<std::uint64_t>(seed));
+      GenParams params;
+      params.scenario = corners[c];
+      // Spread over the utilization range, including overloaded points
+      // where deadline misses and backlogs appear.
+      params.total_utilization = (0.25 + 0.07 * (seed % 8)) * corners[c].m;
+      const auto ts = generate_taskset(rng, params);
+      ASSERT_TRUE(ts.has_value());
+      const auto part = initial_federated_partition(*ts, corners[c].m);
+      if (!part) continue;  // infeasible corner draw
+
+      SimConfig base;
+      base.horizon = millis(20);
+      base.hard_stop = millis(400);
+      // Exercise the sporadic/scaled configurations on a third of the
+      // seeds: jitter and execution scaling reschedule every event time.
+      if (seed % 3 == 1) {
+        base.release_jitter = micros(500);
+        base.execution_scale = 0.6;
+        base.seed = 99 + seed;
+      }
+
+      // DPCP-p needs a resource placement; skip draws WFD cannot place.
+      Partition placed = *part;
+      if (wfd_assign_resources(*ts, placed).feasible) {
+        base.protocol = SimProtocol::kDpcpP;
+        add_run(digest, run_traced(*ts, placed, base));
+        ++ran;
+      }
+
+      // FIFO spin locks run on the unplaced partition (local execution).
+      base.protocol = SimProtocol::kSpinFifo;
+      add_run(digest, run_traced(*ts, *part, base));
+      ++ran;
+    }
+  }
+  // Infeasible draws are skipped, but the pin is weak if too many are:
+  // insist most of the 200 configured runs actually executed.
+  EXPECT_GE(ran, 150) << "too many infeasible draws; corners need retuning";
+  // Recorded before the dense per-quantum clock was removed, when a
+  // differential suite held this run set identical across both clocks.
+  EXPECT_EQ(digest.h, 0xd00711e622aedf00ull)
+      << std::hex << "digest 0x" << digest.h;
+}
+
+// ---------- directed: the PR 3 shared-processor spin deadlock -------------
+
+TEST(SimGolden, SharedProcessorSpinRegression) {
+  // The PR 3 deadlock shape: proc 0 is shared by a high-priority spinner
+  // (tau_0) and a low-priority task (tau_2); tau_1 on proc 1 is a pure
+  // critical section holding the lock from t=0.  tau_0 requests while
+  // tau_1 holds, and must spin non-preemptably until the FIFO handoff —
+  // under the pre-fix semantics the spinner starved the holder's class
+  // forever.  The run must drain cleanly and never preempt a holder.
+  TaskSet ts(1);
+  DagTask& a = ts.add_task(100, 100);  // high priority, spins
+  a.add_vertex(6, {1});                // noncrit 2 + CS 4 + noncrit (plan)
+  a.set_cs_length(0, 4);
+  DagTask& b = ts.add_task(200, 200);  // pure CS, takes the lock at t=0
+  b.add_vertex(10, {1});
+  b.set_cs_length(0, 10);
+  DagTask& c = ts.add_task(400, 400);  // low priority, shares proc 0
+  c.add_vertex(3, {});
+  ts.assign_rm_priorities();
+  ts.finalize();
+
+  Partition part(2, 3, 1);
+  part.add_processor_to_task(0, 0);
+  part.add_processor_to_task(1, 1);
+  part.add_processor_to_task(2, 0);  // tau_2 shares proc 0 with tau_0
+
+  SimConfig cfg;
+  cfg.protocol = SimProtocol::kSpinFifo;
+  cfg.horizon = 99;
+
+  const TracedRun run = run_traced(ts, part, cfg);
+  EXPECT_TRUE(run.res.drained);
+  EXPECT_EQ(run.res.total_deadline_misses(), 0);
+  EXPECT_TRUE(run.res.all_invariants_hold());
+  // tau_1 holds [0,10]; tau_0 spins from its request until the handoff,
+  // then runs its CS in place — a lock holder is never preempted.
+  for (const TraceEvent& e : run.trace) {
+    if (e.kind == TraceKind::kVertexPreempt) {
+      EXPECT_NE(e.task, 1) << "lock holder preempted at " << e.time;
+    }
+  }
+  EXPECT_EQ(run.res.task[1].max_response, 10);
+}
+
+}  // namespace
+}  // namespace dpcp
