@@ -16,8 +16,11 @@ namespace {
 
 // ---------- rand_fixed_sum --------------------------------------------------
 
+// n is 8 bytes wide so the struct has no padding: gtest names each case by
+// the raw bytes of its parameter, and indeterminate padding bytes would make
+// the discovered ctest names differ from build to build.
 struct RfsCase {
-  int n;
+  std::int64_t n;
   double sum, lo, hi;
 };
 
@@ -28,8 +31,9 @@ TEST_P(RandFixedSumTest, SumAndBoundsHold) {
   Rng rng(17);
   RandFixedSumStats stats;
   for (int rep = 0; rep < 200; ++rep) {
-    const auto v = rand_fixed_sum(rng, c.n, c.sum, c.lo, c.hi, &stats);
-    ASSERT_EQ(static_cast<int>(v.size()), c.n);
+    const auto v =
+        rand_fixed_sum(rng, static_cast<int>(c.n), c.sum, c.lo, c.hi, &stats);
+    ASSERT_EQ(static_cast<std::int64_t>(v.size()), c.n);
     double total = 0;
     for (double x : v) {
       ASSERT_GE(x, c.lo - 1e-9);

@@ -100,6 +100,10 @@ struct BadInput {
   const char* expect_in_error;
 };
 
+// Names each case by its description. Without it gtest prints the three
+// pointers, so the discovered ctest names would change with every build.
+void PrintTo(const BadInput& in, std::ostream* os) { *os << in.description; }
+
 class TasksetIoRejectTest : public ::testing::TestWithParam<BadInput> {};
 
 TEST_P(TasksetIoRejectTest, RejectsWithLineDiagnostic) {
