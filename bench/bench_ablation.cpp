@@ -32,12 +32,7 @@ double acceptance(const Scenario& sc, double util, int samples,
   DpcpPOptions opt;
   opt.max_signatures = max_sigs;
   DpcpPAnalysis ep(DpcpPAnalysis::PathMode::kEnumerate, opt);
-  WcrtFn oracle = [&](const TaskSet& t, const Partition& p, int i,
-                          const std::vector<Time>& hint) {
-    return ep.wcrt(t, p, i, hint);
-  };
-  PartitionOptions options;
-  options.strategy = &placement_strategy(placement);
+  const PlacementStrategy& strategy = placement_strategy(placement);
   Rng root(99);
   int accepted = 0, total = 0;
   for (int s = 0; s < samples; ++s) {
@@ -48,8 +43,8 @@ double acceptance(const Scenario& sc, double util, int samples,
     const auto ts = generate_taskset(rng, params);
     if (!ts) continue;
     ++total;
-    if (partition_and_analyze(*ts, sc.m, oracle, options).schedulable)
-      ++accepted;
+    AnalysisSession session(*ts);
+    if (ep.test(session, sc.m, &strategy).schedulable) ++accepted;
   }
   return total ? static_cast<double>(accepted) / total : 0.0;
 }

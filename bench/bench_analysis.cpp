@@ -50,8 +50,8 @@ void BM_WcrtPerTask(benchmark::State& state) {
     return;
   }
   Partition part = *part0;
-  if (analysis->placement() == ResourcePlacement::kWfd)
-    wfd_assign_resources(ts, part);
+  if (analysis->placement() != ResourcePlacement::kNone)
+    placement_strategy(PlacementKind::kWfd).place_resources(ts, part);
   std::vector<Time> hints;
   for (int i = 0; i < ts.size(); ++i) hints.push_back(ts.task(i).deadline());
   for (auto _ : state) {

@@ -45,8 +45,8 @@ int main(int argc, char** argv) {
     params.total_utilization = 0.2 * sc.m;
     auto ts = generate_taskset(rng, params);
     if (!ts) continue;
-    auto part = initial_federated_partition(*ts, sc.m);
-    if (!part || !wfd_assign_resources(*ts, *part).feasible) continue;
+    auto part = baseline_partition(*ts, sc.m);
+    if (!part) continue;
     workloads.push_back(std::move(*ts));
     parts.push_back(std::move(*part));
   }

@@ -37,9 +37,8 @@ int main() {
       params.total_utilization = nu * sc.m;
       const auto ts = generate_taskset(rng, params);
       if (!ts) continue;
-      auto part = initial_federated_partition(*ts, sc.m);
+      const auto part = baseline_partition(*ts, sc.m);
       if (!part) continue;
-      if (!wfd_assign_resources(*ts, *part).feasible) continue;
       ++sets;
 
       SimConfig cfg;

@@ -37,9 +37,8 @@ std::vector<Workload> prepare(double util, int count, std::uint64_t seed) {
     params.total_utilization = util;
     auto ts = generate_taskset(rng, params);
     if (!ts) continue;
-    auto part = initial_federated_partition(*ts, 16);
+    auto part = baseline_partition(*ts, 16);
     if (!part) continue;
-    if (!wfd_assign_resources(*ts, *part).feasible) continue;
     out.push_back(Workload{std::move(*ts), std::move(*part)});
   }
   return out;

@@ -89,30 +89,6 @@ int usage(const char* argv0) {
   return 2;
 }
 
-bool parse_analyses(const std::string& list, std::vector<AnalysisKind>* out) {
-  if (list == "paper") {
-    *out = all_analysis_kinds();
-    return true;
-  }
-  if (list == "locking") {
-    *out = {AnalysisKind::kDpcpPEp, AnalysisKind::kDpcpPEn,
-            AnalysisKind::kSpinSon, AnalysisKind::kLpp};
-    return true;
-  }
-  for (const std::string& token : split(list, ',')) {
-    if (token == "ep") out->push_back(AnalysisKind::kDpcpPEp);
-    else if (token == "en") out->push_back(AnalysisKind::kDpcpPEn);
-    else if (token == "spin") out->push_back(AnalysisKind::kSpinSon);
-    else if (token == "lpp") out->push_back(AnalysisKind::kLpp);
-    else if (token == "fed") out->push_back(AnalysisKind::kFedFp);
-    else {
-      std::fprintf(stderr, "unknown analysis '%s'\n", token.c_str());
-      return false;
-    }
-  }
-  return !out->empty();
-}
-
 bool parse_doubles(const std::string& list, std::vector<double>* out) {
   for (const std::string& token : split(list, ',')) {
     const auto v = parse_double(token);
@@ -261,8 +237,12 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", error.empty() ? "no scenarios" : error.c_str());
     return usage(argv[0]);
   }
-  std::vector<AnalysisKind> kinds;
-  if (!parse_analyses(analysis_list, &kinds)) return usage(argv[0]);
+  const auto parsed_kinds = analyses_from_spec(analysis_list, &error);
+  if (!parsed_kinds) {
+    std::fprintf(stderr, "%s\n", error.c_str());
+    return usage(argv[0]);
+  }
+  const std::vector<AnalysisKind>& kinds = *parsed_kinds;
 
   // Optimizer columns exist only for placement-requiring analyses; an
   // --optimize request that cannot take effect must say so instead of

@@ -1,9 +1,12 @@
 #include "analysis/interface.hpp"
 
+#include <algorithm>
+
 #include "analysis/dpcp_p.hpp"
 #include "analysis/fed_fp.hpp"
 #include "analysis/lpp.hpp"
 #include "analysis/spin_son.hpp"
+#include "util/table.hpp"
 
 namespace dpcp {
 
@@ -22,14 +25,9 @@ PartitionOutcome SchedAnalysis::test(AnalysisSession& session, int m,
   options.placement = placement();
   options.priority_order = &session.priority_order();
   if (options.placement != ResourcePlacement::kNone) {
-    if (!strategy) {
-      strategy = &placement_strategy(
-          options.placement == ResourcePlacement::kFirstFitDecreasing
-              ? PlacementKind::kFirstFit
-              : PlacementKind::kWfd);
-    }
-    options.strategy = strategy;
-    options.placement_cache = &session.placement_cache(strategy->cache_key());
+    if (strategy) options.strategy = strategy;
+    options.placement_cache =
+        &session.placement_cache(options.strategy->cache_key());
   }
   auto prepared = prepare(session);
   return partition_and_analyze(session.taskset(), m, *prepared, options);
@@ -41,14 +39,12 @@ PartitionOutcome SchedAnalysis::test(const TaskSet& ts, int m) const {
 }
 
 std::vector<PartitionOptions> optimize_seed_options(
-    AnalysisSession& session, const std::vector<PlacementKind>& kinds,
-    ResourcePlacement placement) {
+    AnalysisSession& session, const std::vector<PlacementKind>& kinds) {
   std::vector<PartitionOptions> seed_options;
   seed_options.reserve(kinds.size());
   for (PlacementKind kind : kinds) {
     const PlacementStrategy& strategy = placement_strategy(kind);
     PartitionOptions options;
-    options.placement = placement;
     options.strategy = &strategy;
     options.priority_order = &session.priority_order();
     options.placement_cache = &session.placement_cache(strategy.cache_key());
@@ -68,9 +64,8 @@ OptimizeOutcome SchedAnalysis::optimize(AnalysisSession& session, int m,
   }
   auto prepared = prepare(session);
   return partition_and_optimize(session.taskset(), m, *prepared,
-                                optimize_seed_options(session, seeds,
-                                                      placement()),
-                                rng, opt);
+                                optimize_seed_options(session, seeds), rng,
+                                opt);
 }
 
 std::unique_ptr<SchedAnalysis> make_analysis(AnalysisKind kind,
@@ -128,6 +123,33 @@ bool analysis_kind_from_token(const std::string& token, AnalysisKind* out) {
     }
   }
   return false;
+}
+
+std::optional<std::vector<AnalysisKind>> analyses_from_spec(
+    const std::string& spec, std::string* error) {
+  std::vector<AnalysisKind> out;
+  const auto add = [&out](AnalysisKind kind) {
+    if (std::find(out.begin(), out.end(), kind) == out.end())
+      out.push_back(kind);
+  };
+  for (const std::string& token : split(spec, ',')) {
+    if (token == "paper" || token == "locking") {
+      for (AnalysisKind kind : all_analysis_kinds())
+        if (token == "paper" || kind != AnalysisKind::kFedFp) add(kind);
+      continue;
+    }
+    AnalysisKind kind = AnalysisKind::kDpcpPEp;
+    if (!analysis_kind_from_token(token, &kind)) {
+      if (error) *error = "unknown analysis '" + token + "'";
+      return std::nullopt;
+    }
+    add(kind);
+  }
+  if (out.empty()) {
+    if (error) *error = "empty analysis list";
+    return std::nullopt;
+  }
+  return out;
 }
 
 }  // namespace dpcp

@@ -63,9 +63,9 @@ class SchedAnalysis {
   /// End-to-end schedulability test: Algorithm 1 with this analysis,
   /// reusing `session`'s partition-independent caches.  `strategy`
   /// overrides the placement policy for placement-requiring protocols
-  /// (nullptr = the policy placement() maps to: WFD or FFD); analyses
-  /// with placement() == kNone ignore it — their protocols execute
-  /// resources locally, so there is nothing to place.
+  /// (nullptr = WFD); analyses with placement() == kNone ignore it —
+  /// their protocols execute resources locally, so there is nothing to
+  /// place.
   PartitionOutcome test(AnalysisSession& session, int m,
                         const PlacementStrategy* strategy = nullptr) const;
 
@@ -92,8 +92,7 @@ class SchedAnalysis {
 /// wires internally.  Exposed so benches and tests that drive a prepared
 /// oracle directly (for its diff telemetry) seed the identical pipeline.
 std::vector<PartitionOptions> optimize_seed_options(
-    AnalysisSession& session, const std::vector<PlacementKind>& kinds,
-    ResourcePlacement placement = ResourcePlacement::kWfd);
+    AnalysisSession& session, const std::vector<PlacementKind>& kinds);
 
 enum class AnalysisKind {
   kDpcpPEp,   // DPCP-p, enumerating complete paths (Sec. IV + VI)
@@ -127,5 +126,13 @@ const char* analysis_kind_token(AnalysisKind kind);
 /// Parses a token into `*out`; false (and `*out` untouched) on unknown
 /// input.
 bool analysis_kind_from_token(const std::string& token, AnalysisKind* out);
+
+/// Parses a command-line analysis list: comma-separated tokens, where
+/// "paper" stands for all five approaches and "locking" for the four
+/// locking protocols (all but FED-FP).  Repeated analyses are dropped
+/// (first occurrence keeps its place), so each yields one sweep column.
+/// Returns nullopt and sets `error` on an unknown token or an empty list.
+std::optional<std::vector<AnalysisKind>> analyses_from_spec(
+    const std::string& spec, std::string* error = nullptr);
 
 }  // namespace dpcp

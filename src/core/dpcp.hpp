@@ -52,7 +52,6 @@
 #include "partition/partition.hpp"
 #include "partition/partitioner.hpp"
 #include "partition/placement.hpp"
-#include "partition/wfd.hpp"
 #include "sim/config.hpp"
 #include "sim/segments.hpp"
 #include "sim/simulator.hpp"

@@ -68,8 +68,8 @@ struct OptOptions {
 /// deadline and always return nullopt on failure, so under them the
 /// secondary term reduces to the sum of the failing tasks' deadlines — a
 /// deterministic tie-break over *which* tasks fail; oracles that do
-/// report overshoot (hand-written WcrtFn oracles) get the finer
-/// miss-magnitude gradient.  Integer-only, so scores merge and compare
+/// report overshoot (e.g. hand-written WcrtOracle subclasses) get the
+/// finer miss-magnitude gradient.  Integer-only, so scores merge and compare
 /// identically on every platform.
 struct OptScore {
   std::int64_t failing = 0;

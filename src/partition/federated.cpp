@@ -4,7 +4,7 @@
 #include <cassert>
 #include <vector>
 
-#include "partition/wfd.hpp"
+#include "partition/placement.hpp"
 
 namespace dpcp {
 
@@ -71,7 +71,8 @@ std::optional<Partition> initial_federated_partition(const TaskSet& ts, int m) {
 std::optional<Partition> baseline_partition(const TaskSet& ts, int m) {
   auto part = initial_federated_partition(ts, m);
   if (!part) return std::nullopt;
-  if (!wfd_assign_resources(ts, *part).feasible) return std::nullopt;
+  if (!placement_strategy(PlacementKind::kWfd).place_resources(ts, *part))
+    return std::nullopt;
   return part;
 }
 

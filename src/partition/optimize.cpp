@@ -22,8 +22,7 @@ OptimizeOutcome partition_and_optimize(
       out.outcome = std::move(seed);
       out.outcome.oracle_calls = seed_oracle_calls;
       out.seed_schedulable = true;
-      out.seed_strategy =
-          options.strategy ? options.strategy->name() : std::string();
+      out.seed_strategy = options.strategy->name();
       return out;
     }
     seeds.push_back(std::move(seed));
@@ -43,9 +42,7 @@ OptimizeOutcome partition_and_optimize(
   PartitionOptimizer optimizer(ts, m, oracle, order, rng, opt);
   SearchResult found = optimizer.run(parts);
   out.stats = found.stats;
-  const PartitionOptions& seed_opts = seed_options[found.seed_index];
-  out.seed_strategy =
-      seed_opts.strategy ? seed_opts.strategy->name() : std::string();
+  out.seed_strategy = seed_options[found.seed_index].strategy->name();
 
   if (found.schedulable) {
     out.search_accepted = true;

@@ -13,50 +13,25 @@ PlacementCache::Outcome place_resources(const TaskSet& ts, Partition& part,
     part.clear_resource_assignment();
     return {true, {}};
   }
-  if (options.strategy) {
-    // A pluggable strategy's output is untrusted: gate every *freshly*
-    // computed placement on Partition::validate() before any analysis
-    // sees it.  Placement is a pure function of the cluster shape, so
-    // cache hits restore the recorded verdict instead of re-validating.
-    const auto compute = [&]() {
-      PlacementCache::Outcome outcome;
-      outcome.feasible = options.strategy->place_resources(ts, part);
-      if (outcome.feasible) {
-        if (const auto err = part.validate(ts)) {
-          outcome.feasible = false;
-          outcome.invalid = "placement strategy '" +
-                            options.strategy->name() +
-                            "' produced an invalid partition: " + *err;
-        }
-      }
-      return outcome;
-    };
-    if (options.placement_cache) {
-      if (const auto hit = options.placement_cache->try_restore(part))
-        return *hit;
-      const PlacementCache::Outcome outcome = compute();
-      options.placement_cache->store(part, outcome);
-      return outcome;
+  // A strategy's output is untrusted: gate every *freshly* computed
+  // placement on Partition::validate() before any analysis sees it.
+  // Placement is a pure function of the cluster shape, so cache hits
+  // restore the recorded verdict instead of re-validating.
+  if (options.placement_cache) {
+    if (const auto hit = options.placement_cache->try_restore(part))
+      return *hit;
+  }
+  PlacementCache::Outcome outcome;
+  outcome.feasible = options.strategy->place_resources(ts, part);
+  if (outcome.feasible) {
+    if (const auto err = part.validate(ts)) {
+      outcome.feasible = false;
+      outcome.invalid = "placement strategy '" + options.strategy->name() +
+                        "' produced an invalid partition: " + *err;
     }
-    return compute();
   }
-  switch (options.placement) {
-    case ResourcePlacement::kNone:
-      break;  // handled above
-    case ResourcePlacement::kWfd:
-      if (options.placement_cache) {
-        if (const auto hit = options.placement_cache->try_restore(part))
-          return *hit;
-        const PlacementCache::Outcome outcome{
-            wfd_assign_resources(ts, part).feasible, {}};
-        options.placement_cache->store(part, outcome);
-        return outcome;
-      }
-      return {wfd_assign_resources(ts, part).feasible, {}};
-    case ResourcePlacement::kFirstFitDecreasing:
-      return {ffd_assign_resources(ts, part).feasible, {}};
-  }
-  return {false, {}};
+  if (options.placement_cache) options.placement_cache->store(part, outcome);
+  return outcome;
 }
 
 }  // namespace
@@ -102,61 +77,6 @@ std::vector<int> analysis_priority_order(const TaskSet& ts) {
   return order;
 }
 
-WfdOutcome ffd_assign_resources(const TaskSet& ts, Partition& part) {
-  WfdOutcome out;
-  out.processor_load.assign(static_cast<std::size_t>(part.num_processors()),
-                            0.0);
-  part.clear_resource_assignment();
-
-  const int n = ts.size();
-  std::vector<double> capacity(static_cast<std::size_t>(n));
-  std::vector<double> load(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    capacity[static_cast<std::size_t>(i)] =
-        static_cast<double>(part.cluster_size(i));
-    load[static_cast<std::size_t>(i)] = ts.task(i).utilization();
-  }
-
-  std::vector<ResourceId> globals = ts.global_resources();
-  std::sort(globals.begin(), globals.end(), [&](ResourceId a, ResourceId b) {
-    const double ua = ts.resource_utilization(a);
-    const double ub = ts.resource_utilization(b);
-    if (ua != ub) return ua > ub;
-    return a < b;
-  });
-
-  for (ResourceId q : globals) {
-    const double uq = ts.resource_utilization(q);
-    int chosen = -1;
-    for (int i = 0; i < n; ++i) {
-      if (part.cluster_size(i) == 0) continue;
-      if (load[static_cast<std::size_t>(i)] + uq <=
-          capacity[static_cast<std::size_t>(i)]) {
-        chosen = i;
-        break;
-      }
-    }
-    if (chosen < 0) {
-      out.feasible = false;
-      return out;
-    }
-    ProcessorId target = Partition::kUnassigned;
-    double target_load = 0.0;
-    for (ProcessorId p : part.cluster(chosen)) {
-      const double lp = out.processor_load[static_cast<std::size_t>(p)];
-      if (target == Partition::kUnassigned || lp < target_load) {
-        target = p;
-        target_load = lp;
-      }
-    }
-    part.assign_resource(q, target);
-    out.processor_load[static_cast<std::size_t>(target)] += uq;
-    load[static_cast<std::size_t>(chosen)] += uq;
-  }
-  out.feasible = true;
-  return out;
-}
-
 PartitionOutcome partition_and_analyze(const TaskSet& ts, int m,
                                        WcrtOracle& oracle,
                                        const PartitionOptions& options) {
@@ -189,9 +109,8 @@ PartitionOutcome partition_and_analyze(const TaskSet& ts, int m,
   std::vector<std::optional<Time>> prev_result(n), result(n);
   bool have_prev = false;
 
-  const SparePolicy spare_policy = options.strategy
-                                       ? options.strategy->spare_policy()
-                                       : SparePolicy::kFirstFailure;
+  assert(options.strategy);
+  const SparePolicy spare_policy = options.strategy->spare_policy();
   // Grants one spare processor to task i (promoting partitioned light
   // tasks to a dedicated spare, growing dedicated clusters by one).
   // Returns false — with out.failure set — when no spare remains.
@@ -293,13 +212,6 @@ PartitionOutcome partition_and_analyze(const TaskSet& ts, int m,
     prev_result.swap(result);
     have_prev = true;
   }
-}
-
-PartitionOutcome partition_and_analyze(const TaskSet& ts, int m,
-                                       const WcrtFn& oracle,
-                                       const PartitionOptions& options) {
-  FunctionWcrtOracle adapted(ts, oracle);
-  return partition_and_analyze(ts, m, adapted, options);
 }
 
 }  // namespace dpcp

@@ -7,9 +7,9 @@
 //
 //   1. Give every task its minimum federated cluster; fail if they do not
 //      fit on m processors.
-//   2. Place global resources (protocols with remote execution only) —
-//      WFD per Algorithm 2 by default, or any PlacementStrategy
-//      (partition/placement.hpp) via PartitionOptions::strategy.
+//   2. Place global resources (protocols with remote execution only)
+//      with PartitionOptions::strategy — WFD per Algorithm 2 by default,
+//      or any other PlacementStrategy (partition/placement.hpp).
 //   3. Analyse tasks in decreasing priority order.  On failure, grant one
 //      spare processor (to the first failing task, or to the worst
 //      deadline miss under SparePolicy::kMaxMiss), roll the resource
@@ -23,7 +23,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <unordered_map>
 #include <utility>
@@ -33,7 +32,6 @@
 #include "partition/federated.hpp"
 #include "partition/partition.hpp"
 #include "partition/placement.hpp"
-#include "partition/wfd.hpp"
 
 namespace dpcp {
 
@@ -70,35 +68,10 @@ class WcrtOracle {
   const Partition* part_ = nullptr;
 };
 
-/// Stateless oracle signature kept for hand-written oracles (tests,
-/// ablations): (task set, partition, task index, hints) -> bound.
-using WcrtFn = std::function<std::optional<Time>(
-    const TaskSet& ts, const Partition& part, int task,
-    const std::vector<Time>& wcrt_hint)>;
-
-/// Adapts a stateless WcrtFn to the session interface.  Never reports
-/// task_unchanged, so every task is re-analysed every round — exactly the
-/// pre-session behavior.
-class FunctionWcrtOracle final : public WcrtOracle {
- public:
-  FunctionWcrtOracle(const TaskSet& ts, WcrtFn fn)
-      : ts_(ts), fn_(std::move(fn)) {}
-  std::optional<Time> wcrt(int task,
-                           const std::vector<Time>& wcrt_hint) override {
-    return fn_(ts_, partition(), task, wcrt_hint);
-  }
-
- private:
-  const TaskSet& ts_;
-  WcrtFn fn_;
-};
-
-/// Legacy resource-placement selector; kNone is still how local-execution
-/// protocols opt out of placement entirely, while kWfd/kFirstFitDecreasing
-/// are kept for direct callers.  New code selects a PlacementStrategy
-/// (partition/placement.hpp) through PartitionOptions::strategy, which
-/// overrides this enum for every placement-requiring run.
-enum class ResourcePlacement { kNone, kWfd, kFirstFitDecreasing };
+/// Whether Algorithm 1 places global resources at all.  kNone is how
+/// local-execution protocols opt out of placement; kWfd runs
+/// PartitionOptions::strategy (Algorithm 2's WFD unless overridden).
+enum class ResourcePlacement { kNone, kWfd };
 
 /// Memo of strategy placements keyed by the cluster shape — a placement's
 /// only partition-dependent input (the task set is fixed per session).
@@ -151,13 +124,13 @@ struct PartitionOutcome {
 
 struct PartitionOptions {
   ResourcePlacement placement = ResourcePlacement::kWfd;
-  /// Pluggable placement strategy; when set (and `placement` is not
-  /// kNone) it replaces the enum's hard-coded placement, selects the
-  /// spare-granting policy, and every placement it produces is checked
-  /// with Partition::validate() *before* any analysis runs — an invalid
-  /// partition rejects the task set with a "produced an invalid
-  /// partition" failure instead of feeding the oracle garbage.
-  const PlacementStrategy* strategy = nullptr;
+  /// Placement strategy (never null).  It selects the spare-granting
+  /// policy and, unless `placement` is kNone, places the resources; every
+  /// placement it produces is checked with Partition::validate() *before*
+  /// any analysis runs — an invalid partition rejects the task set with a
+  /// "produced an invalid partition" failure instead of feeding the
+  /// oracle garbage.
+  const PlacementStrategy* strategy = &placement_strategy(PlacementKind::kWfd);
   /// Task indices in decreasing base-priority order, precomputed by the
   /// caller (e.g. an AnalysisSession shared across analyses); must equal
   /// analysis_priority_order(ts).  nullptr = computed internally.
@@ -174,13 +147,5 @@ std::vector<int> analysis_priority_order(const TaskSet& ts);
 PartitionOutcome partition_and_analyze(const TaskSet& ts, int m,
                                        WcrtOracle& oracle,
                                        const PartitionOptions& options = {});
-
-/// Convenience overload for stateless oracles.
-PartitionOutcome partition_and_analyze(const TaskSet& ts, int m,
-                                       const WcrtFn& oracle,
-                                       const PartitionOptions& options = {});
-
-/// First-fit-decreasing placement used by the ablation study.
-WfdOutcome ffd_assign_resources(const TaskSet& ts, Partition& part);
 
 }  // namespace dpcp

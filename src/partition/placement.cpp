@@ -1,22 +1,28 @@
 #include "partition/placement.hpp"
 
 #include <algorithm>
+#include <cassert>
 
-#include "partition/partitioner.hpp"
-#include "partition/wfd.hpp"
 #include "util/table.hpp"
 
 namespace dpcp {
 namespace {
 
+/// Picks the cluster for global resource `q` (utilization `uq`) given each
+/// cluster's capacity (processor count) and current load (task utilization
+/// plus the resources already placed there); -1 when no capacity-respecting
+/// cluster exists.
+using Chooser = int (*)(const TaskSet& ts, const Partition& part, ResourceId q,
+                        double uq, const std::vector<double>& capacity,
+                        const std::vector<double>& load);
+
 /// Shared scaffolding of the decreasing-utilization placement family:
 /// per-cluster capacity/load bookkeeping, the global-resource ordering of
 /// Algorithm 2 (decreasing utilization, id tie-break), and the
-/// least-resource-load processor rule within the chosen cluster.  `choose`
-/// maps (resource utilization, capacity, load, request rates) to a cluster
-/// index, or -1 when no capacity-respecting cluster exists.
-template <typename Choose>
-bool place_decreasing(const TaskSet& ts, Partition& part, Choose choose) {
+/// least-resource-load processor rule within the chosen cluster.  (Algorithm
+/// 2 line 3 initialises the capacity; the cluster utilization definition is
+/// given in Sec. V.)
+bool place_decreasing(const TaskSet& ts, Partition& part, Chooser choose) {
   part.clear_resource_assignment();
 
   const int n = ts.size();
@@ -40,7 +46,7 @@ bool place_decreasing(const TaskSet& ts, Partition& part, Choose choose) {
 
   for (ResourceId q : globals) {
     const double uq = ts.resource_utilization(q);
-    const int chosen = choose(q, uq, capacity, load);
+    const int chosen = choose(ts, part, q, uq, capacity, load);
     if (chosen < 0) return false;
 
     ProcessorId target = Partition::kUnassigned;
@@ -52,6 +58,7 @@ bool place_decreasing(const TaskSet& ts, Partition& part, Choose choose) {
         target_load = lp;
       }
     }
+    assert(target != Partition::kUnassigned);
     part.assign_resource(q, target);
     proc_load[static_cast<std::size_t>(target)] += uq;
     load[static_cast<std::size_t>(chosen)] += uq;
@@ -59,111 +66,129 @@ bool place_decreasing(const TaskSet& ts, Partition& part, Choose choose) {
   return true;
 }
 
-class WfdStrategy final : public PlacementStrategy {
- public:
-  std::string name() const override { return "wfd"; }
-  bool place_resources(const TaskSet& ts, Partition& part) const override {
-    // Delegate to Algorithm 2 itself so the strategy path is
-    // call-for-call identical to the historical hard-coded one.
-    return wfd_assign_resources(ts, part).feasible;
+/// Worst-fit decreasing, Algorithm 2 of the paper: each resource, in
+/// decreasing utilization u^Phi_q = sum_j N_{j,q} L_{j,q} / T_j, goes to
+/// the cluster with the largest utilization slack (capacity m_x minus the
+/// task's utilization minus the resources already placed there).
+/// Placement is infeasible when that cluster would overflow its capacity.
+int choose_worst_fit(const TaskSet& ts, const Partition& part, ResourceId,
+                     double uq, const std::vector<double>& capacity,
+                     const std::vector<double>& load) {
+  int best = -1;
+  double best_slack = -1.0;
+  for (int i = 0; i < ts.size(); ++i) {
+    const std::size_t ui = static_cast<std::size_t>(i);
+    if (part.cluster_size(i) == 0) continue;
+    const double slack = capacity[ui] - load[ui];
+    if (slack > best_slack) {
+      best_slack = slack;
+      best = i;
+    }
   }
-};
+  if (best < 0 || load[static_cast<std::size_t>(best)] + uq >
+                      capacity[static_cast<std::size_t>(best)])
+    return -1;
+  return best;
+}
 
-class FfdStrategy final : public PlacementStrategy {
- public:
-  std::string name() const override { return "ffd"; }
-  bool place_resources(const TaskSet& ts, Partition& part) const override {
-    return ffd_assign_resources(ts, part).feasible;
+/// First-fit decreasing (ablation baseline): the lowest-index cluster that
+/// still fits the resource.
+int choose_first_fit(const TaskSet& ts, const Partition& part, ResourceId,
+                     double uq, const std::vector<double>& capacity,
+                     const std::vector<double>& load) {
+  for (int i = 0; i < ts.size(); ++i) {
+    const std::size_t ui = static_cast<std::size_t>(i);
+    if (part.cluster_size(i) == 0) continue;
+    if (load[ui] + uq <= capacity[ui]) return i;
   }
-};
+  return -1;
+}
 
-class BfdStrategy final : public PlacementStrategy {
- public:
-  std::string name() const override { return "bfd"; }
-  bool place_resources(const TaskSet& ts, Partition& part) const override {
-    // Best fit: the cluster whose remaining slack is smallest among those
-    // that still fit the resource (the bin-packing dual of WFD's
-    // max-slack spreading).
-    return place_decreasing(
-        ts, part,
-        [&](ResourceId, double uq, const std::vector<double>& capacity,
-            const std::vector<double>& load) {
-          int best = -1;
-          double best_slack = 0.0;
-          for (int i = 0; i < ts.size(); ++i) {
-            const std::size_t ui = static_cast<std::size_t>(i);
-            if (part.cluster_size(i) == 0) continue;
-            const double slack = capacity[ui] - load[ui];
-            if (load[ui] + uq > capacity[ui]) continue;
-            if (best < 0 || slack < best_slack) {
-              best = i;
-              best_slack = slack;
-            }
-          }
-          return best;
-        });
+/// Best fit: the cluster whose remaining slack is smallest among those that
+/// still fit the resource (the bin-packing dual of WFD's max-slack
+/// spreading).
+int choose_best_fit(const TaskSet& ts, const Partition& part, ResourceId,
+                    double uq, const std::vector<double>& capacity,
+                    const std::vector<double>& load) {
+  int best = -1;
+  double best_slack = 0.0;
+  for (int i = 0; i < ts.size(); ++i) {
+    const std::size_t ui = static_cast<std::size_t>(i);
+    if (part.cluster_size(i) == 0) continue;
+    const double slack = capacity[ui] - load[ui];
+    if (load[ui] + uq > capacity[ui]) continue;
+    if (best < 0 || slack < best_slack) {
+      best = i;
+      best_slack = slack;
+    }
   }
-};
+  return best;
+}
 
-class SyncAwareStrategy final : public PlacementStrategy {
- public:
-  std::string name() const override { return "sync"; }
-  bool place_resources(const TaskSet& ts, Partition& part) const override {
-    // Synchronization-aware: co-locate each resource with the cluster
-    // generating the most requests per unit time for it (N_{i,q} / T_i),
-    // so the heaviest requester's agent traffic stays cluster-local.
-    // Capacity still rules: among clusters that fit, highest request rate
-    // wins; rate ties (including rate 0) break toward the lower index.
-    return place_decreasing(
-        ts, part,
-        [&](ResourceId q, double uq, const std::vector<double>& capacity,
-            const std::vector<double>& load) {
-          int best = -1;
-          double best_rate = -1.0;
-          for (int i = 0; i < ts.size(); ++i) {
-            const std::size_t ui = static_cast<std::size_t>(i);
-            if (part.cluster_size(i) == 0) continue;
-            if (load[ui] + uq > capacity[ui]) continue;
-            const double rate =
-                static_cast<double>(ts.task(i).usage(q).max_requests) /
-                static_cast<double>(ts.task(i).period());
-            if (rate > best_rate) {
-              best = i;
-              best_rate = rate;
-            }
-          }
-          return best;
-        });
+/// Synchronization-aware: co-locate each resource with the cluster
+/// generating the most requests per unit time for it (N_{i,q} / T_i), so
+/// the heaviest requester's agent traffic stays cluster-local.  Capacity
+/// still rules: among clusters that fit, highest request rate wins; rate
+/// ties (including rate 0) break toward the lower index.
+int choose_sync_aware(const TaskSet& ts, const Partition& part, ResourceId q,
+                      double uq, const std::vector<double>& capacity,
+                      const std::vector<double>& load) {
+  int best = -1;
+  double best_rate = -1.0;
+  for (int i = 0; i < ts.size(); ++i) {
+    const std::size_t ui = static_cast<std::size_t>(i);
+    if (part.cluster_size(i) == 0) continue;
+    if (load[ui] + uq > capacity[ui]) continue;
+    const double rate =
+        static_cast<double>(ts.task(i).usage(q).max_requests) /
+        static_cast<double>(ts.task(i).period());
+    if (rate > best_rate) {
+      best = i;
+      best_rate = rate;
+    }
   }
-};
+  return best;
+}
 
-class WfdMaxMissStrategy final : public PlacementStrategy {
+/// A built-in strategy: one cluster chooser over place_decreasing(), plus
+/// the spare policy and placement-memo identity.
+class DecreasingStrategy final : public PlacementStrategy {
  public:
-  std::string name() const override { return "wfd-maxmiss"; }
+  DecreasingStrategy(const char* name, Chooser choose,
+                     SparePolicy spare = SparePolicy::kFirstFailure,
+                     const char* cache_key = nullptr)
+      : name_(name),
+        choose_(choose),
+        spare_(spare),
+        cache_key_(cache_key ? cache_key : name) {}
+
+  std::string name() const override { return name_; }
   bool place_resources(const TaskSet& ts, Partition& part) const override {
-    return wfd_assign_resources(ts, part).feasible;
+    return place_decreasing(ts, part, choose_);
   }
-  SparePolicy spare_policy() const override { return SparePolicy::kMaxMiss; }
-  /// Same placement function as plain WFD: share its cluster-shape memo.
-  std::string cache_key() const override { return "wfd"; }
+  SparePolicy spare_policy() const override { return spare_; }
+  std::string cache_key() const override { return cache_key_; }
+
+ private:
+  const char* name_;
+  Chooser choose_;
+  SparePolicy spare_;
+  const char* cache_key_;
 };
 
 }  // namespace
 
 const PlacementStrategy& placement_strategy(PlacementKind kind) {
-  static const WfdStrategy wfd;
-  static const FfdStrategy ffd;
-  static const BfdStrategy bfd;
-  static const SyncAwareStrategy sync;
-  static const WfdMaxMissStrategy maxmiss;
-  switch (kind) {
-    case PlacementKind::kWfd: return wfd;
-    case PlacementKind::kFirstFit: return ffd;
-    case PlacementKind::kBestFit: return bfd;
-    case PlacementKind::kSyncAware: return sync;
-    case PlacementKind::kWfdMaxMiss: return maxmiss;
-  }
-  return wfd;
+  // Indexed by PlacementKind.  The max-miss variant places exactly like
+  // plain WFD, so it shares WFD's cluster-shape memo.
+  static const DecreasingStrategy strategies[] = {
+      {"wfd", choose_worst_fit},
+      {"ffd", choose_first_fit},
+      {"bfd", choose_best_fit},
+      {"sync", choose_sync_aware},
+      {"wfd-maxmiss", choose_worst_fit, SparePolicy::kMaxMiss, "wfd"},
+  };
+  return strategies[static_cast<std::size_t>(kind)];
 }
 
 std::vector<PlacementKind> all_placement_kinds() {
@@ -186,10 +211,13 @@ std::optional<PlacementKind> placement_kind_from_token(
 std::optional<std::vector<PlacementKind>> placements_from_spec(
     const std::string& spec, std::string* error) {
   std::vector<PlacementKind> out;
+  const auto add = [&out](PlacementKind kind) {
+    if (std::find(out.begin(), out.end(), kind) == out.end())
+      out.push_back(kind);
+  };
   for (const std::string& token : split(spec, ',')) {
     if (token == "all") {
-      const auto kinds = all_placement_kinds();
-      out.insert(out.end(), kinds.begin(), kinds.end());
+      for (PlacementKind kind : all_placement_kinds()) add(kind);
       continue;
     }
     const auto kind = placement_kind_from_token(token);
@@ -201,7 +229,7 @@ std::optional<std::vector<PlacementKind>> placements_from_spec(
             token.c_str());
       return std::nullopt;
     }
-    out.push_back(*kind);
+    add(*kind);
   }
   if (out.empty()) {
     if (error) *error = "empty placement spec";

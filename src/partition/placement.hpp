@@ -65,7 +65,10 @@ class PlacementStrategy {
   virtual std::string cache_key() const { return name(); }
 };
 
-/// The built-in strategies, in sweep-axis display order.
+/// The built-in strategies, in sweep-axis display order.  All five share
+/// Algorithm 2's skeleton (resources in decreasing utilization, each to
+/// the least-loaded processor of a chosen cluster) and differ only in how
+/// they choose the cluster.
 enum class PlacementKind {
   kWfd,         // Algorithm 2: worst-fit decreasing (the paper's default)
   kFirstFit,    // first-fit decreasing (ablation baseline)
@@ -87,10 +90,12 @@ std::string placement_kind_token(PlacementKind kind);
 std::optional<PlacementKind> placement_kind_from_token(
     const std::string& token);
 
-/// Parses a driver-facing placement-axis spec: a comma-separated list of
-/// strategy tokens, or "all" for every built-in strategy.  Returns nullopt
-/// and sets `error` on an unknown token — drivers must treat that as a
-/// hard usage error, never a silent default.
+/// Parses a command-line placement-axis spec: a comma-separated list of
+/// strategy tokens, where "all" stands for every built-in strategy.
+/// Repeated strategies are dropped (first occurrence keeps its place), so
+/// each yields one sweep column.  Returns nullopt and sets `error` on an
+/// unknown token — callers must treat that as a hard usage error, never a
+/// silent default.
 std::optional<std::vector<PlacementKind>> placements_from_spec(
     const std::string& spec, std::string* error = nullptr);
 

@@ -11,7 +11,7 @@
 #include "analysis/spin_son.hpp"
 #include "gen/taskset_gen.hpp"
 #include "partition/federated.hpp"
-#include "partition/wfd.hpp"
+#include "partition/placement.hpp"
 
 namespace dpcp {
 namespace {
@@ -177,7 +177,8 @@ TEST_P(EpDominatesEnTest, PerTaskBoundNeverWorse) {
   auto part0 = initial_federated_partition(*ts, 16);
   ASSERT_TRUE(part0.has_value());
   Partition part = *part0;
-  if (!wfd_assign_resources(*ts, part).feasible) GTEST_SKIP();
+  if (!placement_strategy(PlacementKind::kWfd).place_resources(*ts, part))
+    GTEST_SKIP();
 
   DpcpPAnalysis ep(DpcpPAnalysis::PathMode::kEnumerate);
   DpcpPAnalysis en(DpcpPAnalysis::PathMode::kEnvelope);
@@ -367,6 +368,41 @@ TEST(Registry, EndToEndTestOnGeneratedSet) {
       }
     }
   }
+}
+
+// ---------- analysis spec parsing ---------------------------------------------
+
+TEST(AnalysisSpec, ParsesListsAndAliases) {
+  EXPECT_EQ(analyses_from_spec("paper"), all_analysis_kinds());
+  EXPECT_EQ(analyses_from_spec("locking"),
+            (std::vector<AnalysisKind>{
+                AnalysisKind::kDpcpPEp, AnalysisKind::kDpcpPEn,
+                AnalysisKind::kSpinSon, AnalysisKind::kLpp}));
+  EXPECT_EQ(analyses_from_spec("fed,ep"),
+            (std::vector<AnalysisKind>{AnalysisKind::kFedFp,
+                                       AnalysisKind::kDpcpPEp}));
+}
+
+TEST(AnalysisSpec, RepeatedTokensYieldOneColumnEach) {
+  // Each analysis appears once, at its first occurrence; an alias expands
+  // in place and absorbs analyses already listed.
+  EXPECT_EQ(analyses_from_spec("ep,ep"),
+            std::vector<AnalysisKind>{AnalysisKind::kDpcpPEp});
+  EXPECT_EQ(analyses_from_spec("paper,ep"), all_analysis_kinds());
+  EXPECT_EQ(analyses_from_spec("fed,locking,fed"),
+            (std::vector<AnalysisKind>{
+                AnalysisKind::kFedFp, AnalysisKind::kDpcpPEp,
+                AnalysisKind::kDpcpPEn, AnalysisKind::kSpinSon,
+                AnalysisKind::kLpp}));
+}
+
+TEST(AnalysisSpec, UnknownTokenIsAHardErrorWithAMessage) {
+  std::string error;
+  EXPECT_FALSE(analyses_from_spec("ep,bogus", &error).has_value());
+  EXPECT_EQ(error, "unknown analysis 'bogus'");
+  error.clear();
+  EXPECT_FALSE(analyses_from_spec("", &error).has_value());
+  EXPECT_FALSE(error.empty());
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include "partition/federated.hpp"
 #include "partition/partitioner.hpp"
 #include "sim/simulator.hpp"
+#include "test_support.hpp"
 
 namespace dpcp {
 namespace {
@@ -160,11 +161,11 @@ TEST(MixedPartitioner, FailingSharedTaskPromotedToDedicatedSpare) {
   ts.assign_rm_priorities();
   ts.finalize();
   // Oracle rejects task 1 while it shares a processor.
-  WcrtFn oracle = [&](const TaskSet&, const Partition& p, int i,
-                          const std::vector<Time>&) -> std::optional<Time> {
+  LambdaOracle oracle(ts, [](const TaskSet&, const Partition& p, int i,
+                             const std::vector<Time>&) -> std::optional<Time> {
     if (i == 1 && p.task_shares_processor(1)) return std::nullopt;
     return 1;
-  };
+  });
   const auto out =
       partition_and_analyze(ts, 4, oracle, {ResourcePlacement::kNone});
   ASSERT_TRUE(out.schedulable);

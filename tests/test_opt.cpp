@@ -23,54 +23,10 @@
 #include "partition/federated.hpp"
 #include "partition/optimize.hpp"
 #include "partition/placement.hpp"
+#include "test_support.hpp"
 
 namespace dpcp {
 namespace {
-
-// Scenario corners (as in test_placement.cpp): extremes of the paper
-// grid's processor count, resource count, utilization, request
-// probability, request count, and critical-section length.
-std::vector<Scenario> scenario_corners() {
-  Scenario small;
-  small.m = 8;
-  small.nr_min = 2;
-  small.nr_max = 4;
-  small.u_avg = 1.5;
-  small.p_r = 0.5;
-  small.n_req_max = 25;
-  small.cs_min = micros(15);
-  small.cs_max = micros(50);
-
-  Scenario dense = small;
-  dense.nr_min = 8;
-  dense.nr_max = 16;
-  dense.u_avg = 2.0;
-  dense.p_r = 1.0;
-  dense.n_req_max = 50;
-  dense.cs_min = micros(50);
-  dense.cs_max = micros(100);
-
-  Scenario mid;
-  mid.m = 16;
-  mid.nr_min = 4;
-  mid.nr_max = 8;
-  mid.u_avg = 1.5;
-  mid.p_r = 0.75;
-  mid.n_req_max = 50;
-  mid.cs_min = micros(50);
-  mid.cs_max = micros(100);
-
-  Scenario wide = mid;
-  wide.nr_min = 8;
-  wide.nr_max = 16;
-  wide.u_avg = 2.0;
-  wide.p_r = 0.5;
-  wide.n_req_max = 25;
-  wide.cs_min = micros(15);
-  wide.cs_max = micros(50);
-
-  return {small, dense, mid, wide};
-}
 
 std::string partition_fingerprint(const Partition& part) {
   return part.to_string();

@@ -5,25 +5,11 @@
 #include "gen/taskset_gen.hpp"
 #include "partition/federated.hpp"
 #include "partition/partitioner.hpp"
-#include "partition/wfd.hpp"
+#include "partition/placement.hpp"
+#include "test_support.hpp"
 
 namespace dpcp {
 namespace {
-
-/// A heavy task with C = `wcet`, L* = `lstar` (chain head + parallel body),
-/// T = D = `period`.
-DagTask& add_heavy_task(TaskSet& ts, Time period, Time wcet, Time lstar) {
-  DagTask& t = ts.add_task(period, period);
-  // Chain of 2 vertices making up L*, plus parallel slices, each strictly
-  // shorter than the chain so L* is exactly `lstar`.
-  const Time head = lstar / 2;
-  t.add_vertex(head);
-  t.add_vertex(lstar - head);
-  t.graph().add_edge(0, 1);
-  for (Time rest = wcet - lstar; rest > 0; rest -= std::min(rest, head))
-    t.add_vertex(std::min(rest, head));
-  return t;
-}
 
 // ---------- federated allocation --------------------------------------------
 
@@ -104,6 +90,11 @@ TEST(Partition, ResourceBookkeeping) {
 
 // ---------- WFD (Algorithm 2) -----------------------------------------------
 
+/// Algorithm 2's worst-fit-decreasing placement.
+bool place_wfd(const TaskSet& ts, Partition& part) {
+  return placement_strategy(PlacementKind::kWfd).place_resources(ts, part);
+}
+
 /// Two tasks sharing two resources; task 0's cluster has more slack.
 struct WfdFixture {
   TaskSet ts{2};
@@ -135,8 +126,7 @@ struct WfdFixture {
 
 TEST(Wfd, PlacesGlobalsOnMaxSlackCluster) {
   WfdFixture f;
-  const auto out = wfd_assign_resources(f.ts, f.part);
-  ASSERT_TRUE(out.feasible);
+  ASSERT_TRUE(place_wfd(f.ts, f.part));
   // Both resources are global; both fit in tau_0's larger slack.
   for (ResourceId q : f.ts.global_resources()) {
     const ProcessorId p = f.part.processor_of_resource(q);
@@ -147,8 +137,7 @@ TEST(Wfd, PlacesGlobalsOnMaxSlackCluster) {
 
 TEST(Wfd, SpreadsLoadWithinCluster) {
   WfdFixture f;
-  const auto out = wfd_assign_resources(f.ts, f.part);
-  ASSERT_TRUE(out.feasible);
+  ASSERT_TRUE(place_wfd(f.ts, f.part));
   // The two resources must land on two *different* processors of the
   // chosen cluster (min-resource-load processor rule).
   const ProcessorId p0 = f.part.processor_of_resource(0);
@@ -160,8 +149,7 @@ TEST(Wfd, SortsResourcesByUtilizationDescending) {
   WfdFixture f;
   // l_0 utilization: (1*2)/20 + (1*4)/20 = 0.3; l_1: (1+1)/20 = 0.1.
   EXPECT_GT(f.ts.resource_utilization(0), f.ts.resource_utilization(1));
-  const auto out = wfd_assign_resources(f.ts, f.part);
-  ASSERT_TRUE(out.feasible);
+  ASSERT_TRUE(place_wfd(f.ts, f.part));
   // Highest-utilization resource goes first to the emptiest processor; both
   // end up on cluster 0, l_0 on the first min-load processor.
   EXPECT_EQ(f.part.task_of_processor(f.part.processor_of_resource(0)), 0);
@@ -187,8 +175,7 @@ TEST(Wfd, InfeasibleWhenResourceUtilizationExceedsSlack) {
   part.add_processor_to_task(0, 1);
   part.add_processor_to_task(1, 2);
   part.add_processor_to_task(1, 3);
-  const auto out = wfd_assign_resources(ts, part);
-  EXPECT_FALSE(out.feasible);
+  EXPECT_FALSE(place_wfd(ts, part));
 }
 
 TEST(Wfd, LocalResourcesAreNotPlaced) {
@@ -203,8 +190,7 @@ TEST(Wfd, LocalResourcesAreNotPlaced) {
   Partition part(2, 2, 2);
   part.add_processor_to_task(0, 0);
   part.add_processor_to_task(1, 1);
-  const auto out = wfd_assign_resources(ts, part);
-  ASSERT_TRUE(out.feasible);
+  ASSERT_TRUE(place_wfd(ts, part));
   EXPECT_EQ(part.processor_of_resource(0), Partition::kUnassigned);
   EXPECT_EQ(part.processor_of_resource(1), Partition::kUnassigned);
 }
@@ -218,11 +204,11 @@ TEST(Partitioner, AcceptsWhenOracleAlwaysPasses) {
   ts.assign_rm_priorities();
   ts.finalize();
   int calls = 0;
-  WcrtFn oracle = [&](const TaskSet&, const Partition&, int,
-                          const std::vector<Time>&) -> std::optional<Time> {
+  LambdaOracle oracle(ts, [&](const TaskSet&, const Partition&, int,
+                              const std::vector<Time>&) -> std::optional<Time> {
     ++calls;
     return 1;
-  };
+  });
   const auto out = partition_and_analyze(ts, 8, oracle,
                                          {ResourcePlacement::kNone});
   EXPECT_TRUE(out.schedulable);
@@ -237,11 +223,11 @@ TEST(Partitioner, GrantsSpareProcessorOnFailure) {
   ts.assign_rm_priorities();
   ts.finalize();
   // Oracle fails until the cluster has 4 processors.
-  WcrtFn oracle = [&](const TaskSet& t, const Partition& p, int i,
-                          const std::vector<Time>&) -> std::optional<Time> {
+  LambdaOracle oracle(ts, [&](const TaskSet& t, const Partition& p, int i,
+                              const std::vector<Time>&) -> std::optional<Time> {
     return p.cluster_size(i) >= 4 ? std::optional<Time>(t.task(i).deadline())
                                   : std::nullopt;
-  };
+  });
   const auto out = partition_and_analyze(ts, 8, oracle,
                                          {ResourcePlacement::kNone});
   EXPECT_TRUE(out.schedulable);
@@ -254,10 +240,10 @@ TEST(Partitioner, FailsWhenNoSpareLeft) {
   add_heavy_task(ts, 20, 30, 10);  // needs 2 of 3; one spare
   ts.assign_rm_priorities();
   ts.finalize();
-  WcrtFn oracle = [](const TaskSet&, const Partition&, int,
-                         const std::vector<Time>&) -> std::optional<Time> {
+  LambdaOracle oracle(ts, [](const TaskSet&, const Partition&, int,
+                             const std::vector<Time>&) -> std::optional<Time> {
     return std::nullopt;
-  };
+  });
   const auto out = partition_and_analyze(ts, 3, oracle,
                                          {ResourcePlacement::kNone});
   EXPECT_FALSE(out.schedulable);
@@ -271,8 +257,9 @@ TEST(Partitioner, AnalyzesInDecreasingPriorityWithHints) {
   ts.assign_rm_priorities();
   ts.finalize();
   std::vector<int> order;
-  WcrtFn oracle = [&](const TaskSet& t, const Partition&, int i,
-                          const std::vector<Time>& hint) -> std::optional<Time> {
+  LambdaOracle oracle(ts, [&](const TaskSet& t, const Partition&, int i,
+                              const std::vector<Time>& hint)
+                              -> std::optional<Time> {
     order.push_back(i);
     if (i == 0) {
       // Higher-priority task 1 was analysed first; its hint must be the
@@ -282,7 +269,7 @@ TEST(Partitioner, AnalyzesInDecreasingPriorityWithHints) {
       EXPECT_EQ(hint[0], t.task(0).deadline());
     }
     return 7;
-  };
+  });
   const auto out = partition_and_analyze(ts, 8, oracle,
                                          {ResourcePlacement::kNone});
   EXPECT_TRUE(out.schedulable);
@@ -292,7 +279,7 @@ TEST(Partitioner, AnalyzesInDecreasingPriorityWithHints) {
 }
 
 TEST(Partitioner, RollsBackResourcePlacementEachRound) {
-  // With kWfd placement the resource map must be recomputed per round.
+  // With WFD placement the resource map must be recomputed per round.
   TaskSet ts(1);
   DagTask& a = ts.add_task(100, 100);
   a.add_vertex(60, {1});
@@ -305,12 +292,12 @@ TEST(Partitioner, RollsBackResourcePlacementEachRound) {
   ts.assign_rm_priorities();
   ts.finalize();
   std::vector<ProcessorId> placements;
-  WcrtFn oracle = [&](const TaskSet&, const Partition& p, int i,
-                          const std::vector<Time>&) -> std::optional<Time> {
+  LambdaOracle oracle(ts, [&](const TaskSet&, const Partition& p, int i,
+                              const std::vector<Time>&) -> std::optional<Time> {
     placements.push_back(p.processor_of_resource(0));
     EXPECT_NE(p.processor_of_resource(0), Partition::kUnassigned);
     return p.cluster_size(i) >= 3 ? std::optional<Time>(50) : std::nullopt;
-  };
+  });
   const auto out =
       partition_and_analyze(ts, 8, oracle, {ResourcePlacement::kWfd});
   EXPECT_TRUE(out.schedulable);
@@ -326,8 +313,8 @@ TEST(Partitioner, FirstFitAblationPlacesAllGlobals) {
   const auto part0 = initial_federated_partition(*ts, 16);
   ASSERT_TRUE(part0.has_value());
   Partition part = *part0;
-  const auto out = ffd_assign_resources(*ts, part);
-  if (out.feasible) {
+  const PlacementStrategy& ffd = placement_strategy(PlacementKind::kFirstFit);
+  if (ffd.place_resources(*ts, part)) {
     for (ResourceId q : ts->global_resources())
       EXPECT_NE(part.processor_of_resource(q), Partition::kUnassigned);
   }

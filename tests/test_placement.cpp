@@ -1,10 +1,9 @@
 // Tests for the pluggable placement strategies (partition/placement.hpp):
 // property-based partition invariants (every strategy, randomized task
-// sets across scenario corners, validity + determinism), differential
-// equivalence of the WFD/FFD strategies with the historical hard-coded
-// functions, the max-miss spare-granting policy, the engine's placement
-// axis (column layout, paired task sets, thread-count byte-identity), and
-// the --placement spec parser's error paths.
+// sets across scenario corners, validity + determinism), a digest pin over
+// every strategy's placements, the max-miss spare-granting policy, the
+// engine's placement axis (column layout, paired task sets, thread-count
+// byte-identity), and the --placement spec parser's error paths.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,55 +15,10 @@
 #include "partition/federated.hpp"
 #include "partition/partitioner.hpp"
 #include "partition/placement.hpp"
-#include "partition/wfd.hpp"
+#include "test_support.hpp"
 
 namespace dpcp {
 namespace {
-
-/// Scenario corners of the paper's grid: extremes of processor count,
-/// resource count, utilization, request probability, request count, and
-/// critical-section length.
-std::vector<Scenario> scenario_corners() {
-  Scenario small;
-  small.m = 8;
-  small.nr_min = 2;
-  small.nr_max = 4;
-  small.u_avg = 1.5;
-  small.p_r = 0.5;
-  small.n_req_max = 25;
-  small.cs_min = micros(15);
-  small.cs_max = micros(50);
-
-  Scenario dense = small;
-  dense.nr_min = 8;
-  dense.nr_max = 16;
-  dense.u_avg = 2.0;
-  dense.p_r = 1.0;
-  dense.n_req_max = 50;
-  dense.cs_min = micros(50);
-  dense.cs_max = micros(100);
-
-  Scenario mid;
-  mid.m = 16;
-  mid.nr_min = 4;
-  mid.nr_max = 8;
-  mid.u_avg = 1.5;
-  mid.p_r = 0.75;
-  mid.n_req_max = 50;
-  mid.cs_min = micros(50);
-  mid.cs_max = micros(100);
-
-  Scenario wide = mid;
-  wide.nr_min = 8;
-  wide.nr_max = 16;
-  wide.u_avg = 2.0;
-  wide.p_r = 0.5;
-  wide.n_req_max = 25;
-  wide.cs_min = micros(15);
-  wide.cs_max = micros(50);
-
-  return {small, dense, mid, wide};
-}
 
 // ---------- property: validity and determinism of every strategy ----------
 
@@ -119,8 +73,8 @@ TEST(PlacementProperty, EndToEndPartitionsValidAndDeterministic) {
   // bound plus a penalty per critical-section demand hosted on the
   // cluster.  Schedulable outcomes must carry valid partitions, and a
   // rerun must reproduce them exactly.
-  WcrtFn oracle = [](const TaskSet& ts, const Partition& p, int i,
-                     const std::vector<Time>&) -> std::optional<Time> {
+  const auto penalized = [](const TaskSet& ts, const Partition& p, int i,
+                            const std::vector<Time>&) -> std::optional<Time> {
     Time bound = federated_wcrt_bound(ts.task(i), p.cluster_size(i));
     for (ResourceId q : p.resources_on_cluster(i))
       bound += ts.resource_utilization(q) > 0.0
@@ -138,6 +92,7 @@ TEST(PlacementProperty, EndToEndPartitionsValidAndDeterministic) {
       params.total_utilization = 0.4 * sc.m;
       const auto ts = generate_taskset(rng, params);
       ASSERT_TRUE(ts.has_value());
+      LambdaOracle oracle(*ts, penalized);
       for (PlacementKind kind : all_placement_kinds()) {
         PartitionOptions options;
         options.strategy = &placement_strategy(kind);
@@ -191,36 +146,70 @@ TEST(PlacementProperty, ValidateBoundsResourceLoadOnSharedProcessors) {
   EXPECT_NE(err->find("over capacity"), std::string::npos) << *err;
 }
 
-// ---------- differential: strategies vs the historical functions ----------
+// ---------- golden: every strategy's placements, pinned ----------------------
 
-TEST(PlacementDifferential, WfdAndFfdStrategiesMatchLegacyFunctions) {
-  for (int seed = 0; seed < 20; ++seed) {
-    Rng rng(4'200 + static_cast<std::uint64_t>(seed));
-    GenParams params;
-    params.scenario.p_r = 0.75;
-    params.total_utilization = 6.0;
-    const auto ts = generate_taskset(rng, params);
-    ASSERT_TRUE(ts.has_value());
-    const auto initial = initial_federated_partition(*ts, 16);
-    ASSERT_TRUE(initial.has_value());
-
-    Partition via_strategy = *initial;
-    Partition via_function = *initial;
-    EXPECT_EQ(placement_strategy(PlacementKind::kWfd)
-                  .place_resources(*ts, via_strategy),
-              wfd_assign_resources(*ts, via_function).feasible);
-    EXPECT_EQ(via_strategy.resource_assignment(),
-              via_function.resource_assignment());
-
-    via_strategy = *initial;
-    via_function = *initial;
-    EXPECT_EQ(placement_strategy(PlacementKind::kFirstFit)
-                  .place_resources(*ts, via_strategy),
-              ffd_assign_resources(*ts, via_function).feasible);
-    EXPECT_EQ(via_strategy.resource_assignment(),
-              via_function.resource_assignment());
+TEST(PlacementGolden, DigestOverGrownClusterShapes) {
+  // One FNV-1a over place_resources()'s verdict and the full resource map
+  // of every built-in strategy, on generated Fig. 2 task sets (with and
+  // without light tasks) at up to four cluster shapes each: the minimum
+  // federated clusters, then one more spare processor granted per shape.
+  // Tight shapes make some placements infeasible, so the partial maps of
+  // rejected placements are pinned too.
+  Fnv1a digest;
+  int placements = 0, infeasible = 0;
+  for (char fig : {'a', 'b', 'c', 'd'}) {
+    const Scenario sc = fig2_scenario(fig);
+    for (int light : {0, 3}) {
+      for (double nu : {0.3, 0.5, 0.7}) {
+        for (int seed = 0; seed < 40; ++seed) {
+          Rng rng(60'000 + 1'000 * static_cast<std::uint64_t>(fig - 'a') +
+                  100 * static_cast<std::uint64_t>(light) +
+                  static_cast<std::uint64_t>(seed));
+          GenParams params;
+          params.scenario = sc;
+          params.total_utilization = nu * sc.m;
+          params.light_tasks = light;
+          const auto ts = generate_taskset(rng, params);
+          if (!ts) continue;
+          auto shape = initial_federated_partition(*ts, sc.m);
+          if (!shape) continue;
+          ProcessorId next_spare = shape->assigned_processors();
+          for (int grown = 0; grown < 4; ++grown) {
+            if (grown > 0) {
+              if (next_spare >= sc.m) break;
+              const int i = (seed + grown) % ts->size();
+              if (shape->task_shares_processor(i)) {
+                shape->set_cluster(i, {next_spare++});
+              } else {
+                shape->add_processor_to_task(i, next_spare++);
+              }
+            }
+            for (PlacementKind kind : all_placement_kinds()) {
+              Partition part = *shape;
+              const bool feasible =
+                  placement_strategy(kind).place_resources(*ts, part);
+              std::string line = placement_kind_token(kind) +
+                                 (feasible ? " 1" : " 0");
+              for (ProcessorId p : part.resource_assignment())
+                line += " " + std::to_string(p);
+              digest.add(line + "\n");
+              ++placements;
+              if (!feasible) ++infeasible;
+            }
+          }
+        }
+      }
+    }
   }
+  EXPECT_EQ(placements, 11'900);
+  EXPECT_EQ(infeasible, 98);
+  // Recorded while WFD and FFD were still standalone functions beside the
+  // strategy family.
+  EXPECT_EQ(digest.h, 0x6ec735772a843bc5ull)
+      << std::hex << "digest 0x" << digest.h;
 }
+
+// ---------- the default WFD through the placement axis --------------------
 
 TEST(PlacementDifferential, DefaultSweepUnchangedByExplicitWfdAxis) {
   // Routing the default WFD through the placement axis must not change a
@@ -253,18 +242,6 @@ TEST(PlacementDifferential, DefaultSweepUnchangedByExplicitWfdAxis) {
 
 // ---------- spare policy -----------------------------------------------------
 
-/// A heavy task with C = `wcet`, L* = `lstar`, T = D = `period`.
-DagTask& add_heavy_task(TaskSet& ts, Time period, Time wcet, Time lstar) {
-  DagTask& t = ts.add_task(period, period);
-  const Time head = lstar / 2;
-  t.add_vertex(head);
-  t.add_vertex(lstar - head);
-  t.graph().add_edge(0, 1);
-  for (Time rest = wcet - lstar; rest > 0; rest -= std::min(rest, head))
-    t.add_vertex(std::min(rest, head));
-  return t;
-}
-
 TEST(SparePolicy, MaxMissGrantsToLargestMissFirstFailureToFirst) {
   TaskSet ts(0);
   add_heavy_task(ts, 20, 30, 10);  // task 0: longer period, lower priority
@@ -275,12 +252,12 @@ TEST(SparePolicy, MaxMissGrantsToLargestMissFirstFailureToFirst) {
   // Any 2-processor cluster misses its deadline — task 0 by 50, task 1 by
   // 5 — and a 3-processor cluster is schedulable.
   std::vector<int> analysed;  // call trace across rounds
-  WcrtFn oracle = [&](const TaskSet& t, const Partition& p, int i,
-                      const std::vector<Time>&) -> std::optional<Time> {
+  LambdaOracle oracle(ts, [&](const TaskSet& t, const Partition& p, int i,
+                              const std::vector<Time>&) -> std::optional<Time> {
     analysed.push_back(i);
     if (p.cluster_size(i) >= 3) return t.task(i).deadline() - 1;
     return t.task(i).deadline() + (i == 0 ? 50 : 5);
-  };
+  });
 
   PartitionOptions first_failure;
   first_failure.strategy = &placement_strategy(PlacementKind::kWfd);
@@ -374,6 +351,22 @@ TEST(PlacementSpec, ParsesListsAndAll) {
   ASSERT_TRUE(pair.has_value());
   EXPECT_EQ(*pair, (std::vector<PlacementKind>{PlacementKind::kSyncAware,
                                                PlacementKind::kWfdMaxMiss}));
+}
+
+TEST(PlacementSpec, RepeatedTokensYieldOneColumnEach) {
+  // Each strategy appears once, at its first occurrence; "all" expands in
+  // place and absorbs strategies already listed.
+  EXPECT_EQ(placements_from_spec("wfd,wfd"),
+            std::vector<PlacementKind>{PlacementKind::kWfd});
+  EXPECT_EQ(placements_from_spec("bfd,ffd,bfd"),
+            (std::vector<PlacementKind>{PlacementKind::kBestFit,
+                                        PlacementKind::kFirstFit}));
+  EXPECT_EQ(placements_from_spec("all,wfd"), all_placement_kinds());
+  EXPECT_EQ(placements_from_spec("sync,all"),
+            (std::vector<PlacementKind>{
+                PlacementKind::kSyncAware, PlacementKind::kWfd,
+                PlacementKind::kFirstFit, PlacementKind::kBestFit,
+                PlacementKind::kWfdMaxMiss}));
 }
 
 TEST(PlacementSpec, UnknownTokenIsAHardErrorWithAMessage) {

@@ -10,7 +10,6 @@
 #include "gen/taskset_gen.hpp"
 #include "model/paths.hpp"
 #include "partition/federated.hpp"
-#include "partition/wfd.hpp"
 #include "sim/simulator.hpp"
 
 namespace dpcp {
@@ -52,9 +51,8 @@ TEST(SimDeterminism, IdenticalSeedsIdenticalResults) {
   params.total_utilization = 5.0;
   const auto ts = generate_taskset(rng, params);
   ASSERT_TRUE(ts.has_value());
-  auto part = initial_federated_partition(*ts, 16);
+  const auto part = baseline_partition(*ts, 16);
   ASSERT_TRUE(part.has_value());
-  ASSERT_TRUE(wfd_assign_resources(*ts, *part).feasible);
 
   SimConfig cfg;
   cfg.horizon = millis(150);

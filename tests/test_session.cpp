@@ -9,6 +9,7 @@
 #include "analysis/session.hpp"
 #include "gen/taskset_gen.hpp"
 #include "partition/partitioner.hpp"
+#include "test_support.hpp"
 
 namespace dpcp {
 namespace {
@@ -92,10 +93,10 @@ TEST_P(PreparedEquivalenceTest, OutcomeIdenticalToStatelessOracle) {
 
     // Pre-refactor semantics: a fresh stateless wcrt() per call, no
     // caches, no skipping.
-    WcrtFn stateless = [&](const TaskSet& t, const Partition& p, int i,
-                           const std::vector<Time>& hint) {
+    LambdaOracle stateless(*ts, [&](const TaskSet& t, const Partition& p,
+                                    int i, const std::vector<Time>& hint) {
       return analysis->wcrt(t, p, i, hint);
-    };
+    });
     PartitionOptions options;
     options.placement = analysis->placement();
     const PartitionOutcome via_stateless =
@@ -188,7 +189,8 @@ TEST(Partitioner, SkipsTasksWithUnchangedInputsAcrossRounds) {
 }
 
 TEST(Partitioner, FunctionOracleNeverSkips) {
-  // The WcrtFn adapter preserves the historical call pattern exactly.
+  // An oracle that never reports task_unchanged() is re-queried for every
+  // task every round: the historical call pattern, exactly.
   TaskSet ts(0);
   DagTask& a = ts.add_task(30, 30);
   a.add_vertex(10);
@@ -200,15 +202,15 @@ TEST(Partitioner, FunctionOracleNeverSkips) {
   ts.finalize();
 
   int calls = 0;
-  WcrtFn fn = [&](const TaskSet&, const Partition& p, int i,
-                  const std::vector<Time>&) -> std::optional<Time> {
+  LambdaOracle oracle(ts, [&](const TaskSet&, const Partition& p, int i,
+                              const std::vector<Time>&) -> std::optional<Time> {
     ++calls;
     if (i == 0)
       return p.cluster_size(i) >= 3 ? std::optional<Time>(1) : std::nullopt;
     return 1;
-  };
+  });
   const PartitionOutcome out =
-      partition_and_analyze(ts, 8, fn, {ResourcePlacement::kNone});
+      partition_and_analyze(ts, 8, oracle, {ResourcePlacement::kNone});
   ASSERT_TRUE(out.schedulable);
   EXPECT_EQ(out.rounds, 3);
   EXPECT_EQ(calls, 6);  // 2 tasks x 3 rounds, no skipping

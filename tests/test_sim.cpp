@@ -10,7 +10,7 @@
 #include "analysis/dpcp_p.hpp"
 #include "gen/taskset_gen.hpp"
 #include "partition/federated.hpp"
-#include "partition/wfd.hpp"
+#include "partition/placement.hpp"
 #include "sim/segments.hpp"
 #include "sim/simulator.hpp"
 
@@ -257,7 +257,8 @@ TEST_P(SimInvariantsTest, ProtocolInvariantsHoldUnderDpcpPartition) {
   auto part0 = initial_federated_partition(*ts, 16);
   if (!part0) GTEST_SKIP() << "does not fit initial federated allocation";
   Partition part = *part0;
-  if (!wfd_assign_resources(*ts, part).feasible) GTEST_SKIP();
+  if (!placement_strategy(PlacementKind::kWfd).place_resources(*ts, part))
+    GTEST_SKIP();
 
   SimConfig cfg;
   cfg.horizon = millis(300);

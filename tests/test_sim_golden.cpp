@@ -14,55 +14,12 @@
 
 #include "gen/taskset_gen.hpp"
 #include "partition/federated.hpp"
-#include "partition/wfd.hpp"
+#include "partition/placement.hpp"
 #include "sim/simulator.hpp"
+#include "test_support.hpp"
 
 namespace dpcp {
 namespace {
-
-/// The corners of the paper's scenario grid (small/dense/mid/wide), same
-/// spread as the placement property suite.
-std::vector<Scenario> scenario_corners() {
-  Scenario small;
-  small.m = 8;
-  small.nr_min = 2;
-  small.nr_max = 4;
-  small.u_avg = 1.5;
-  small.p_r = 0.5;
-  small.n_req_max = 25;
-  small.cs_min = micros(15);
-  small.cs_max = micros(50);
-
-  Scenario dense = small;
-  dense.nr_min = 8;
-  dense.nr_max = 16;
-  dense.u_avg = 2.0;
-  dense.p_r = 1.0;
-  dense.n_req_max = 50;
-  dense.cs_min = micros(50);
-  dense.cs_max = micros(100);
-
-  Scenario mid;
-  mid.m = 16;
-  mid.nr_min = 4;
-  mid.nr_max = 8;
-  mid.u_avg = 1.5;
-  mid.p_r = 0.75;
-  mid.n_req_max = 50;
-  mid.cs_min = micros(50);
-  mid.cs_max = micros(100);
-
-  Scenario wide = mid;
-  wide.nr_min = 8;
-  wide.nr_max = 16;
-  wide.u_avg = 2.0;
-  wide.p_r = 0.5;
-  wide.n_req_max = 25;
-  wide.cs_min = micros(15);
-  wide.cs_max = micros(50);
-
-  return {small, dense, mid, wide};
-}
 
 struct TracedRun {
   SimResult res;
@@ -77,17 +34,6 @@ TracedRun run_traced(const TaskSet& ts, const Partition& part, SimConfig cfg) {
   out.trace = sim.trace();
   return out;
 }
-
-/// FNV-1a 64 over a stream of strings.
-struct Fnv1a {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  void add(const std::string& s) {
-    for (unsigned char c : s) {
-      h ^= c;
-      h *= 0x100000001b3ull;
-    }
-  }
-};
 
 /// Folds one run's observables into `digest`: the rendered trace, then one
 /// line per task, then events_processed.
@@ -138,7 +84,8 @@ TEST(SimGolden, TraceDigestOn200GeneratedTaskSets) {
 
       // DPCP-p needs a resource placement; skip draws WFD cannot place.
       Partition placed = *part;
-      if (wfd_assign_resources(*ts, placed).feasible) {
+      if (placement_strategy(PlacementKind::kWfd)
+              .place_resources(*ts, placed)) {
         base.protocol = SimProtocol::kDpcpP;
         add_run(digest, run_traced(*ts, placed, base));
         ++ran;

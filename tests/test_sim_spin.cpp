@@ -6,7 +6,6 @@
 #include "analysis/dpcp_p.hpp"
 #include "gen/taskset_gen.hpp"
 #include "partition/federated.hpp"
-#include "partition/wfd.hpp"
 #include "sim/simulator.hpp"
 
 namespace dpcp {

@@ -12,6 +12,7 @@
 #include "exp/validate.hpp"
 #include "gen/taskset_gen.hpp"
 #include "partition/federated.hpp"
+#include "test_support.hpp"
 
 namespace dpcp {
 namespace {
@@ -204,11 +205,11 @@ TEST(Validate, CapacityViolatingStrategyRejectedBeforeAnalysis) {
   ts.finalize();
 
   int oracle_calls = 0;
-  WcrtFn oracle = [&](const TaskSet&, const Partition&, int,
-                      const std::vector<Time>&) -> std::optional<Time> {
+  LambdaOracle oracle(ts, [&](const TaskSet&, const Partition&, int,
+                              const std::vector<Time>&) -> std::optional<Time> {
     ++oracle_calls;
     return 1;
-  };
+  });
   const OverloadEverythingStrategy overload;
   PartitionOptions options;
   options.strategy = &overload;
