@@ -9,15 +9,14 @@
 //     the path every sweep actually runs.
 //
 // Usage: bench_memo [repeats] [--json]   (env: DPCP_SAMPLES, default 20)
-// With --json, a machine-readable report goes to stdout — including the
-// memo hit/miss counters and arena occupancy when the build has
-// -DDPCP_CACHE_INSTRUMENT=ON (zeros otherwise, flagged by "instrumented").
+// With --json, a machine-readable report goes to stdout, including the
+// prepared variant's memo hit/miss counters and arena occupancy.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "core/dpcp.hpp"
+#include "util/parse.hpp"
 
 using namespace dpcp;
 
@@ -27,8 +26,19 @@ int main(int argc, char** argv) {
   bool json = false;
   int repeats = 5;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) json = true;
-    else repeats = std::max(1, std::atoi(argv[i]));
+    if (std::strcmp(argv[i], "--json") == 0) {
+      json = true;
+      continue;
+    }
+    const auto v = parse_int(argv[i], 1, 1 << 20);
+    if (!v) {
+      std::fprintf(stderr,
+                   "repeats: invalid integer '%s' (expected 1..%d)\n"
+                   "usage: %s [repeats] [--json]\n",
+                   argv[i], 1 << 20, argv[0]);
+      return 2;
+    }
+    repeats = static_cast<int>(*v);
   }
 
   Scenario sc = fig2_scenario('b');
@@ -73,8 +83,8 @@ int main(int argc, char** argv) {
 
   // The prepared variant mirrors a sweep: one session per task set, one
   // bind, then the repeated queries hit the arena-backed tables and the
-  // epoch-cleared response memo.  Counters accumulate into `agg`.
-  std::uint64_t memo_hits = 0, memo_misses = 0;
+  // epoch-cleared response memo.  Counters accumulate into `memo`.
+  CacheStats memo;
   std::size_t arena_live = 0, arena_high = 0;
   const auto run_prepared = [&](Time* sink, std::size_t* calls) {
     const auto start = std::chrono::steady_clock::now();
@@ -93,8 +103,8 @@ int main(int argc, char** argv) {
           ++*calls;
         }
       }
-      memo_hits += session.stats().memo_hits();
-      memo_misses += session.stats().memo_misses();
+      memo.memo_hits += session.stats().memo_hits;
+      memo.memo_misses += session.stats().memo_misses;
       arena_live += session.arena().live_bytes();
       arena_high += session.arena().high_water();
     }
@@ -107,10 +117,7 @@ int main(int argc, char** argv) {
   std::size_t calls_a = 0, calls_b = 0;
   const double stateless_s = run_stateless(&sink_a, &calls_a);
   const double prepared_s = run_prepared(&sink_b, &calls_b);
-  const std::uint64_t probes = memo_hits + memo_misses;
-  const double hit_rate =
-      probes ? static_cast<double>(memo_hits) / static_cast<double>(probes)
-             : 0.0;
+  const double hit_rate = memo.memo_hit_rate();
 
   if (json) {
     std::printf(
@@ -119,7 +126,6 @@ int main(int argc, char** argv) {
         "  \"repeats\": %d,\n"
         "  \"stateless\": {\"wall_seconds\": %.6f, \"calls\": %zu},\n"
         "  \"prepared\": {\"wall_seconds\": %.6f, \"calls\": %zu},\n"
-        "  \"instrumented\": %s,\n"
         "  \"memo_hits\": %llu,\n"
         "  \"memo_misses\": %llu,\n"
         "  \"memo_hit_rate\": %.4f,\n"
@@ -128,10 +134,9 @@ int main(int argc, char** argv) {
         "  \"checksum\": %lld\n"
         "}\n",
         workloads.size(), repeats, stateless_s, calls_a, prepared_s, calls_b,
-        CacheStats::enabled() ? "true" : "false",
-        static_cast<unsigned long long>(memo_hits),
-        static_cast<unsigned long long>(memo_misses), hit_rate, arena_live,
-        arena_high, static_cast<long long>(sink_a ^ sink_b));
+        static_cast<unsigned long long>(memo.memo_hits),
+        static_cast<unsigned long long>(memo.memo_misses), hit_rate,
+        arena_live, arena_high, static_cast<long long>(sink_a ^ sink_b));
     return 0;
   }
 
@@ -143,12 +148,11 @@ int main(int argc, char** argv) {
   std::printf("prepared:  total %.3f s, %.3f ms/call (%zu calls)\n",
               prepared_s, 1e3 * prepared_s / (calls_b ? calls_b : 1),
               calls_b);
-  if (CacheStats::enabled())
-    std::printf("memo: %llu hits / %llu misses (%.1f%% hit rate), "
-                "arena high-water %zu bytes (summed over sessions)\n",
-                static_cast<unsigned long long>(memo_hits),
-                static_cast<unsigned long long>(memo_misses), 1e2 * hit_rate,
-                arena_high);
+  std::printf("memo: %llu hits / %llu misses (%.1f%% hit rate), "
+              "arena high-water %zu bytes (summed over sessions)\n",
+              static_cast<unsigned long long>(memo.memo_hits),
+              static_cast<unsigned long long>(memo.memo_misses),
+              1e2 * hit_rate, arena_high);
   std::printf("(checksum %lld)\n", static_cast<long long>(sink_a ^ sink_b));
   return 0;
 }

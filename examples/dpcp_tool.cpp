@@ -14,6 +14,7 @@
 
 #include "core/dpcp.hpp"
 #include "io/taskset_io.hpp"
+#include "util/parse.hpp"
 
 using namespace dpcp;
 
@@ -31,28 +32,44 @@ struct Args {
   bool trace = false;
 };
 
+/// Numeric flags parse strictly (util/parse.hpp): a garbled or
+/// out-of-range value prints `--<flag>: ...` and fails the whole command
+/// line before any file is read or written.
 bool parse_args(int argc, char** argv, Args* out) {
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     auto value = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
+    auto bad = [&a](const char* v, const char* expected) {
+      std::fprintf(stderr, "%s: invalid value '%s' (expected %s)\n",
+                   a.c_str(), v, expected);
+      return false;
+    };
     if (a == "--util") {
       const char* v = value();
       if (!v) return false;
-      out->util = std::atof(v);
+      const auto u = parse_double(v);
+      if (!u || *u <= 0.0) return bad(v, "a positive number");
+      out->util = *u;
     } else if (a == "--m") {
       const char* v = value();
       if (!v) return false;
-      out->m = std::atoi(v);
+      const auto m = parse_int(v, 1, 4096);
+      if (!m) return bad(v, "an integer in 1..4096");
+      out->m = static_cast<int>(*m);
     } else if (a == "--seed") {
       const char* v = value();
       if (!v) return false;
-      out->seed = static_cast<std::uint64_t>(std::atoll(v));
+      const auto seed = parse_uint(v);
+      if (!seed) return bad(v, "an unsigned 64-bit integer");
+      out->seed = *seed;
     } else if (a == "--pr") {
       const char* v = value();
       if (!v) return false;
-      out->pr = std::atof(v);
+      const auto pr = parse_double(v);
+      if (!pr || *pr < 0.0 || *pr > 1.0) return bad(v, "a value in [0,1]");
+      out->pr = *pr;
     } else if (a == "--protocol") {
       const char* v = value();
       if (!v) return false;
@@ -64,7 +81,9 @@ bool parse_args(int argc, char** argv, Args* out) {
     } else if (a == "--horizon-ms") {
       const char* v = value();
       if (!v) return false;
-      out->horizon = millis(std::atoll(v));
+      const auto ms = parse_int(v, 1, 10'000'000);
+      if (!ms) return bad(v, "an integer in 1..10000000");
+      out->horizon = millis(*ms);
     } else if (a == "--trace") {
       out->trace = true;
     } else if (!a.empty() && a[0] == '-') {

@@ -42,17 +42,13 @@ int usage(const char* argv0) {
                "  --retry-cap N       retry-queue capacity (default 16)\n"
                "  --seed S            stream seed (default 42)\n"
                "  --threads N         worker threads (default 1)\n"
-               "  --shards K          route replays through a K-shard\n"
-               "                      ShardRouter; CSV is byte-identical to\n"
-               "                      the unsharded path at any --threads\n"
                "  --validate          simulate every accept; exit 1 on any\n"
                "                      refuted accept\n"
                "  --csv FILE          write the CSV there instead of stdout\n"
                "  --metrics-json FILE write the merged controller metrics\n"
                "                      (obs/metrics.hpp registry + analysis\n"
                "                      cache counters) as one JSON line;\n"
-               "                      byte-identical at any --threads/\n"
-               "                      --shards combination\n"
+               "                      byte-identical at any --threads\n"
                "  --help              this text\n",
                argv0);
   return 2;
@@ -151,10 +147,6 @@ int main(int argc, char** argv) {
       const auto v = dpcp::parse_int(value(), 1, 1024);
       if (!v) return usage(argv[0]);
       options.threads = static_cast<int>(*v);
-    } else if (arg == "--shards") {
-      const auto v = dpcp::parse_int(value(), 1, 1024);
-      if (!v) return usage(argv[0]);
-      options.shards = static_cast<int>(*v);
     } else if (arg == "--validate") {
       options.validate = true;
     } else if (arg == "--csv") {

@@ -6,14 +6,25 @@
 //
 //   $ ./examples/sim_vs_analysis [num_tasksets]
 #include <cstdio>
-#include <cstdlib>
 
 #include "core/dpcp.hpp"
+#include "util/parse.hpp"
 
 using namespace dpcp;
 
 int main(int argc, char** argv) {
-  const int sets = argc > 1 ? std::atoi(argv[1]) : 20;
+  int sets = 20;
+  if (argc > 1) {
+    const auto v = parse_int(argv[1], 1, 1 << 20);
+    if (!v) {
+      std::fprintf(stderr,
+                   "num_tasksets: invalid integer '%s' (expected 1..%d)\n"
+                   "usage: %s [num_tasksets]\n",
+                   argv[1], 1 << 20, argv[0]);
+      return 2;
+    }
+    sets = static_cast<int>(*v);
+  }
 
   auto analysis = make_analysis(AnalysisKind::kDpcpPEp);
   Rng root(20'24);

@@ -7,7 +7,6 @@
 #include "analysis/rta_common.hpp"
 #include "model/paths.hpp"
 #include "util/fixed_point.hpp"
-#include "util/instrument.hpp"
 
 namespace dpcp {
 namespace {
@@ -156,7 +155,8 @@ struct ProcTermScratch {
 
 /// One wcrt() query: evaluates Theorem 1 path bounds against cached tables
 /// and a fixed hint vector, memoizing Lemma-2 responses across the query's
-/// path signatures.
+/// path signatures.  Memo probes are counted locally and added to the
+/// session's CacheStats once, when the query ends.
 class QueryContext {
  public:
   QueryContext(const TaskSet& ts, int i, const TaskTables& tables,
@@ -176,6 +176,12 @@ class QueryContext {
         proc_terms_(proc_terms) {
     memo_.new_query();
   }
+  QueryContext(const QueryContext&) = delete;
+  QueryContext& operator=(const QueryContext&) = delete;
+  ~QueryContext() {
+    stats_.memo_hits += memo_hits_;
+    stats_.memo_misses += memo_misses_;
+  }
 
   /// Lemma 2: response time of a request from tau_i to q, where
   /// `intra_ahead` = sum over globals co-hosted with q of the *off-path*
@@ -183,11 +189,11 @@ class QueryContext {
   std::optional<Time> request_response(const TaskTables::Proc& pc,
                                        ResourceId q, Time intra_ahead) {
     if (const Time* v = memo_.find(q, intra_ahead)) {
-      DPCP_STAT(stats_.memo_hits_n += 1);
+      ++memo_hits_;
       if (*v == kMissedDeadline) return std::nullopt;
       return *v;
     }
-    DPCP_STAT(stats_.memo_misses_n += 1);
+    ++memo_misses_;
     const Time own_cs = ti_.usage(q).cs_length;
     const std::size_t hn = pc.hend - pc.hbeg;
     auto f = [&](Time w) {
@@ -331,6 +337,8 @@ class QueryContext {
   ResponseMemoTable& memo_;
   CacheStats& stats_;
   std::vector<ProcTermScratch>& proc_terms_;  // per-prepared scratch, reused
+  std::uint64_t memo_hits_ = 0;
+  std::uint64_t memo_misses_ = 0;
 };
 
 class DpcpPPrepared final : public PreparedAnalysis {

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/instrument.hpp"
-
 namespace dpcp {
 
 PreparedAnalysis::PreparedAnalysis(AnalysisSession& session)
@@ -59,12 +57,10 @@ void PreparedAnalysis::bind(const Partition& part) {
     if (same) {
       unchanged_[ui] = 1;
       ++diffs_unchanged_;
-      DPCP_STAT(session_.stats().slab_reuses_n += 1);
     } else {
       unchanged_[ui] = 0;
       invalidate(i);
       ++diffs_invalidated_;
-      DPCP_STAT(session_.stats().slab_rebuilds_n += 1);
     }
   }
   prev_tokens_.swap(cur_tokens_);

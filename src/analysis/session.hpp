@@ -158,7 +158,7 @@ class AnalysisSession {
   /// share the session's lifetime (see util/arena.hpp).
   BumpArena& arena() { return arena_; }
 
-  /// Cache-instrumentation counters (no-op unless DPCP_CACHE_INSTRUMENT).
+  /// Response-memo counters, summed over every wcrt() on this session.
   CacheStats& stats() { return stats_; }
   const CacheStats& stats() const { return stats_; }
 

@@ -8,7 +8,6 @@
 #include "exp/validate.hpp"
 #include "gen/taskset_gen.hpp"
 #include "opt/admission.hpp"
-#include "serve/router.hpp"
 #include "util/rng.hpp"
 
 namespace dpcp {
@@ -133,7 +132,7 @@ OnlineStreamResult run_stream(const OnlineOptions& options, int scenario_idx,
   r.oracle_calls = ctrl.stats().oracle_calls;
   r.tasks_reused = ctrl.stats().tasks_reused;
   r.metrics = ctrl.metrics();
-  fold_cache_stats(ctrl.cache_stats(), r.metrics);
+  fold_cache_stats(ctrl.cache_stats(), ctrl.oracle(), r.metrics);
   return r;
 }
 
@@ -143,26 +142,6 @@ std::vector<OnlineStreamResult> run_online(const OnlineOptions& options) {
   const std::size_t total = options.scenarios.size() *
                             static_cast<std::size_t>(options.streams);
   std::vector<OnlineStreamResult> results(total);
-  if (options.shards > 0) {
-    // Sharded path: each replay is pinned to shard k mod shards and runs
-    // on the shard's owning worker.  Replays are self-contained and land
-    // in their slot by index, so this is output-equivalent to the pool
-    // below at every shard/thread combination.
-    ShardRouter router(options.shards, std::max(1, options.threads));
-    for (std::size_t k = 0; k < total; ++k) {
-      const int scenario = static_cast<int>(
-          k / static_cast<std::size_t>(options.streams));
-      const int stream = static_cast<int>(
-          k % static_cast<std::size_t>(options.streams));
-      router.post(static_cast<int>(k % static_cast<std::size_t>(
-                      options.shards)),
-                  [&options, &results, k, scenario, stream] {
-                    results[k] = run_stream(options, scenario, stream);
-                  });
-    }
-    router.drain();
-    return results;
-  }
   std::atomic<std::size_t> next{0};
   auto worker = [&] {
     for (std::size_t k = next.fetch_add(1); k < total;
@@ -174,12 +153,15 @@ std::vector<OnlineStreamResult> run_online(const OnlineOptions& options) {
       results[k] = run_stream(options, scenario, stream);
     }
   };
-  const int threads = std::max(1, options.threads);
-  if (threads == 1 || total <= 1) {
+  // Replays are self-contained and land in their slot by index, so
+  // workers beyond the number of replays would only cost spawn time.
+  const std::size_t workers = std::min(
+      static_cast<std::size_t>(std::max(1, options.threads)), total);
+  if (workers <= 1) {
     worker();
   } else {
     std::vector<std::thread> pool;
-    for (int t = 0; t < threads; ++t) pool.emplace_back(worker);
+    for (std::size_t t = 0; t < workers; ++t) pool.emplace_back(worker);
     for (auto& th : pool) th.join();
   }
   return results;
@@ -189,10 +171,6 @@ MetricsRegistry merge_online_metrics(
     const std::vector<OnlineStreamResult>& results) {
   MetricsRegistry merged;
   for (const OnlineStreamResult& r : results) merged.merge(r.metrics);
-  // Counter merging summed the per-stream 0/1 build-flavor flags; restore
-  // the gauge meaning (the flavor is a process-wide property).
-  merged.set(merged.counter("dpcp_analysis_instrumented"),
-             CacheStats::enabled() ? 1 : 0);
   return merged;
 }
 

@@ -43,13 +43,8 @@ struct OnlineOptions {
   std::int64_t repair_evals = 200;
   std::size_t retry_capacity = 16;
   std::uint64_t seed = 42;
+  /// Worker threads; at most one per (scenario, stream) replay starts.
   int threads = 1;
-  /// When > 0, replays are routed through a ShardRouter
-  /// (serve/router.hpp): stream k runs on shard k mod shards, drained by
-  /// `threads` workers.  Results (and the CSV) are byte-identical to the
-  /// unsharded path at any shard/thread combination — the property the
-  /// CMake gate `online_shard_thread_equivalence` pins.
-  int shards = 0;
   /// Simulate every accept under the analysis's protocol.
   bool validate = false;
 };
@@ -90,8 +85,7 @@ void write_online_csv(const std::vector<OnlineStreamResult>& results,
 
 /// Merges every stream's registry in (scenario, stream) order — the order
 /// results are already in — so the aggregate is byte-identical at any
-/// --threads/--shards combination.  The instrumented flag is re-set to
-/// 0/1 after the merge (counter merging sums it per stream otherwise).
+/// --threads value.
 MetricsRegistry merge_online_metrics(
     const std::vector<OnlineStreamResult>& results);
 

@@ -3,6 +3,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "analysis/prepared.hpp"
+
 namespace dpcp {
 namespace {
 
@@ -202,23 +204,16 @@ std::string MetricsRegistry::to_json() const {
   return os.str();
 }
 
-void fold_cache_stats(const CacheStats& stats, MetricsRegistry& reg) {
-  // The totals accumulate (inc, not set): folding several sessions' stats
-  // into one registry — or merging registries that each folded their own —
-  // sums them, which is the right semantics for *_total counters.  The
-  // instrumented flag is a 0/1 build-flavor gauge; merge() sums it like
-  // any counter, so aggregators re-set() it after merging (see
-  // merge_online_metrics).
-  reg.set(reg.counter("dpcp_analysis_instrumented"),
-          CacheStats::enabled() ? 1 : 0);
+void fold_cache_stats(const CacheStats& stats, const PreparedAnalysis& oracle,
+                      MetricsRegistry& reg) {
   reg.inc(reg.counter("dpcp_analysis_memo_hits_total"),
-          static_cast<std::int64_t>(stats.memo_hits()));
+          static_cast<std::int64_t>(stats.memo_hits));
   reg.inc(reg.counter("dpcp_analysis_memo_misses_total"),
-          static_cast<std::int64_t>(stats.memo_misses()));
+          static_cast<std::int64_t>(stats.memo_misses));
   reg.inc(reg.counter("dpcp_analysis_slab_reuses_total"),
-          static_cast<std::int64_t>(stats.slab_reuses()));
+          oracle.diffs_unchanged());
   reg.inc(reg.counter("dpcp_analysis_slab_rebuilds_total"),
-          static_cast<std::int64_t>(stats.slab_rebuilds()));
+          oracle.diffs_invalidated());
 }
 
 }  // namespace dpcp

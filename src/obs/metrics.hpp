@@ -39,6 +39,8 @@
 
 namespace dpcp {
 
+class PreparedAnalysis;  // analysis/prepared.hpp
+
 class MetricsRegistry {
  public:
   struct Counter {
@@ -123,11 +125,12 @@ class MetricsRegistry {
   std::vector<RollingQuantile> window_values_;
 };
 
-/// Folds the analysis-layer cache counters (util/instrument.hpp) into
-/// `reg` as gauge-style counters — the one reporting path instrumented
-/// (-DDPCP_CACHE_INSTRUMENT) and release builds share.  Release builds
-/// set every value to 0 and `analysis_instrumented` to 0, so consumers
-/// need no compile-time branches.
-void fold_cache_stats(const CacheStats& stats, MetricsRegistry& reg);
+/// Adds the analysis-layer cache counters to `reg`: a session's response
+/// memo hits/misses (`stats`) and a prepared oracle's bind() diffs, as
+/// slab reuses (inputs unchanged, cached tables kept) and rebuilds.
+/// Accumulating, so folding several sessions — or merging registries that
+/// each folded their own — sums them.
+void fold_cache_stats(const CacheStats& stats, const PreparedAnalysis& oracle,
+                      MetricsRegistry& reg);
 
 }  // namespace dpcp

@@ -32,9 +32,7 @@ AdmissionController::AdmissionController(int num_resources,
       analysis_(make_analysis(options.kind, options.analysis)),
       oracle_(analysis_->prepare(session_)),
       part_(options.m, 0, num_resources),
-      rng_root_(options.seed) {
-  register_metrics();
-}
+      rng_root_(options.seed) {}
 
 AdmissionController::AdmissionController(const ControllerSnapshot& snap)
     : options_(snap.options),
@@ -51,7 +49,6 @@ AdmissionController::AdmissionController(const ControllerSnapshot& snap)
       slo_percentile_(snap.slo_percentile),
       slo_budget_(snap.slo_budget),
       cost_hist_(snap.cost_hist) {
-  register_metrics();
   auto fail = [](const std::string& why) {
     throw std::invalid_argument("restore: " + why);
   };
@@ -85,54 +82,31 @@ AdmissionController::AdmissionController(const ControllerSnapshot& snap)
   // the live controller, leaving both sides' oracle-reuse state (and so
   // every future decision and cost) identical.
   if (!prime()) fail("resident set no longer certifies on its partition");
-  // The registry carries the snapshot's lifetime story; the decision
-  // ring restarts empty (it is bounded recent history, not state).
-  reseed_metrics();
-  update_gauges();
 }
 
-void AdmissionController::register_metrics() {
-  h_.submitted = metrics_.counter("dpcp_admit_submitted_total");
-  h_.accepted = metrics_.counter("dpcp_admit_accepted_total");
-  h_.rejected = metrics_.counter("dpcp_admit_rejected_total");
-  h_.departed = metrics_.counter("dpcp_admit_departed_total");
-  h_.delta = metrics_.counter("dpcp_admit_delta_total");
-  h_.replace = metrics_.counter("dpcp_admit_replace_total");
-  h_.repair = metrics_.counter("dpcp_admit_repair_total");
-  h_.readmits = metrics_.counter("dpcp_admit_readmit_total");
-  h_.evictions = metrics_.counter("dpcp_admit_evictions_total");
-  h_.degraded = metrics_.counter("dpcp_admit_degraded_total");
-  h_.streak_resets = metrics_.counter("dpcp_admit_streak_resets_total");
-  h_.oracle_calls = metrics_.counter("dpcp_oracle_calls_total");
-  h_.reused = metrics_.counter("dpcp_oracle_reused_total");
-  h_.resident = metrics_.counter("dpcp_resident_tasks");
-  h_.retry_depth = metrics_.counter("dpcp_retry_queue_depth");
-  h_.cost = metrics_.histogram("dpcp_admit_cost");
-  h_.cost_window = metrics_.window("dpcp_admit_cost_window", kSloWindow);
-}
-
-void AdmissionController::reseed_metrics() {
-  metrics_.set(h_.submitted, stats_.submitted);
-  metrics_.set(h_.accepted, stats_.accepted);
-  metrics_.set(h_.rejected, stats_.rejected);
-  metrics_.set(h_.departed, stats_.departed);
-  metrics_.set(h_.delta, stats_.delta_accepts);
-  metrics_.set(h_.replace, stats_.replace_accepts);
-  metrics_.set(h_.repair, stats_.repair_accepts);
-  metrics_.set(h_.readmits, stats_.readmits);
-  metrics_.set(h_.evictions, stats_.retry_evictions);
-  metrics_.set(h_.degraded, stats_.degraded_admits);
-  metrics_.set(h_.oracle_calls, stats_.oracle_calls);
-  metrics_.set(h_.reused, stats_.tasks_reused);
-  // Streak resets are not in AdmissionStats (they are pure telemetry);
-  // a restored controller restarts that counter at 0.
-  metrics_.fold(h_.cost, cost_hist_);
-  metrics_.fold(h_.cost_window, slo_window_);
-}
-
-void AdmissionController::update_gauges() {
-  metrics_.set(h_.resident, ts_.size());
-  metrics_.set(h_.retry_depth, static_cast<std::int64_t>(retry_.size()));
+MetricsRegistry AdmissionController::metrics() const {
+  MetricsRegistry reg;
+  const auto put = [&reg](const char* name, std::int64_t value) {
+    reg.set(reg.counter(name), value);
+  };
+  put("dpcp_admit_submitted_total", stats_.submitted);
+  put("dpcp_admit_accepted_total", stats_.accepted);
+  put("dpcp_admit_rejected_total", stats_.rejected);
+  put("dpcp_admit_departed_total", stats_.departed);
+  put("dpcp_admit_delta_total", stats_.delta_accepts);
+  put("dpcp_admit_replace_total", stats_.replace_accepts);
+  put("dpcp_admit_repair_total", stats_.repair_accepts);
+  put("dpcp_admit_readmit_total", stats_.readmits);
+  put("dpcp_admit_evictions_total", stats_.retry_evictions);
+  put("dpcp_admit_degraded_total", stats_.degraded_admits);
+  put("dpcp_admit_streak_resets_total", streak_resets_);
+  put("dpcp_oracle_calls_total", stats_.oracle_calls);
+  put("dpcp_oracle_reused_total", stats_.tasks_reused);
+  put("dpcp_resident_tasks", ts_.size());
+  put("dpcp_retry_queue_depth", static_cast<std::int64_t>(retry_.size()));
+  reg.fold(reg.histogram("dpcp_admit_cost"), cost_hist_);
+  reg.fold(reg.window("dpcp_admit_cost_window", kSloWindow), slo_window_);
+  return reg;
 }
 
 ControllerSnapshot AdmissionController::snapshot() {
@@ -206,8 +180,6 @@ std::int64_t AdmissionController::effective_repair_evals() const {
 void AdmissionController::note_cost(std::int64_t cost) {
   cost_hist_.add(cost);
   slo_window_.add(cost);
-  metrics_.observe(h_.cost, cost);
-  metrics_.observe(h_.cost_window, cost);
 }
 
 int AdmissionController::index_of(int external_id) const {
@@ -263,11 +235,9 @@ bool AdmissionController::evaluate(const Partition& part) {
          !oracle_->result_depends_on(i, deviated_scratch_))) {
       r = prev_result_[ui];
       ++stats_.tasks_reused;
-      metrics_.inc(h_.reused);
     } else {
       r = oracle_->wcrt(i, hint);
       ++stats_.oracle_calls;
-      metrics_.inc(h_.oracle_calls);
     }
     result_[ui] = r;
     if (comparable && r != prev_result_[ui]) {
@@ -397,9 +367,7 @@ AdmitDecision AdmissionController::admit_with_id(int external_id,
   // the deadline feasible, so reject outright and never queue.
   if (task.longest_path_length() >= task.deadline()) {
     ++stats_.rejected;
-    metrics_.inc(h_.rejected);
     note_cost(0);
-    update_gauges();
     trace_.push(rec);
     return d;
   }
@@ -409,7 +377,6 @@ AdmitDecision AdmissionController::admit_with_id(int external_id,
   const std::int64_t repair_budget = effective_repair_evals();
   if (repair_budget < options_.repair_evals) {
     ++stats_.degraded_admits;
-    metrics_.inc(h_.degraded);
     rec.degraded = true;
   }
 
@@ -430,7 +397,6 @@ AdmitDecision AdmissionController::admit_with_id(int external_id,
       accepted = true;
       d.rung = AdmitRung::kDelta;
       ++stats_.delta_accepts;
-      metrics_.inc(h_.delta);
     } else {
       seeds.push_back(part_);
     }
@@ -447,7 +413,6 @@ AdmitDecision AdmissionController::admit_with_id(int external_id,
         accepted = true;
         d.rung = AdmitRung::kReplace;
         ++stats_.replace_accepts;
-        metrics_.inc(h_.replace);
         break;
       }
       seeds.push_back(std::move(cand));
@@ -471,17 +436,14 @@ AdmitDecision AdmissionController::admit_with_id(int external_id,
       const SearchResult res = search.run(seed_ptrs);
       stats_.oracle_calls += res.stats.oracle_calls;
       stats_.tasks_reused += res.stats.tasks_reused;
-      metrics_.inc(h_.oracle_calls, res.stats.oracle_calls);
-      metrics_.inc(h_.reused, res.stats.tasks_reused);
       have_prev_ = false;  // the search's binds moved past our prev results
-      metrics_.inc(h_.streak_resets);
+      ++streak_resets_;
       rec.streak_reset = true;
       if (res.schedulable && evaluate(res.partition)) {
         part_ = res.partition;
         accepted = true;
         d.rung = AdmitRung::kRepair;
         ++stats_.repair_accepts;
-        metrics_.inc(h_.repair);
       }
     }
   }
@@ -489,7 +451,6 @@ AdmitDecision AdmissionController::admit_with_id(int external_id,
   if (accepted) {
     wcrt_ = bounds_scratch_;
     ++stats_.accepted;
-    metrics_.inc(h_.accepted);
     d.accepted = true;
   } else {
     // Roll back.  The new task holds the last index, so the survivors
@@ -500,14 +461,12 @@ AdmitDecision AdmissionController::admit_with_id(int external_id,
     if (prev_result_.size() > static_cast<std::size_t>(ts_.size()))
       prev_result_.resize(static_cast<std::size_t>(ts_.size()));
     ++stats_.rejected;
-    metrics_.inc(h_.rejected);
     retry_.push_back(Pending{external_id, std::move(retry_copy)});
     d.queued = true;
     if (retry_.size() > options_.retry_capacity) {
       d.evicted_id = retry_.front().id;
       retry_.pop_front();
       ++stats_.retry_evictions;
-      metrics_.inc(h_.evictions);
     }
   }
   d.cost = stats_.oracle_calls - calls_before;
@@ -519,13 +478,11 @@ AdmitDecision AdmissionController::admit_with_id(int external_id,
   rec.queued = d.queued;
   rec.evicted_id = d.evicted_id;
   trace_.push(rec);
-  update_gauges();
   return d;
 }
 
 AdmitDecision AdmissionController::admit(DagTask task) {
   ++stats_.submitted;
-  metrics_.inc(h_.submitted);
   task.finalize();  // idempotent; derived L*/N_{i,q} must be fresh
   return admit_with_id(next_ext_++, std::move(task), "admit");
 }
@@ -542,11 +499,9 @@ DepartOutcome AdmissionController::depart(int external_id) {
         retry_.erase(it);
         out.found = true;
         ++stats_.departed;
-        metrics_.inc(h_.departed);
         rec.seq = ++trace_seq_;
         rec.accepted = true;  // found and removed from the retry queue
         trace_.push(rec);
-        update_gauges();
         break;
       }
     }
@@ -555,7 +510,6 @@ DepartOutcome AdmissionController::depart(int external_id) {
   out.found = true;
   out.was_resident = true;
   ++stats_.departed;
-  metrics_.inc(h_.departed);
   const std::int64_t calls_before = stats_.oracle_calls;
 
   const bool was_last = idx == ts_.size() - 1;
@@ -574,7 +528,7 @@ DepartOutcome AdmissionController::depart(int external_id) {
     // and our cached bounds no longer line up with its diff state.
     have_prev_ = false;
     prev_result_.assign(static_cast<std::size_t>(ts_.size()), std::nullopt);
-    metrics_.inc(h_.streak_resets);
+    ++streak_resets_;
     rec.streak_reset = true;
   }
 
@@ -587,7 +541,6 @@ DepartOutcome AdmissionController::depart(int external_id) {
       AdmitDecision d = admit_with_id(p.id, std::move(p.task), "readmit");
       if (d.accepted) {
         ++stats_.readmits;
-        metrics_.inc(h_.readmits);
         out.readmitted.push_back(d);
       }
     }
@@ -598,7 +551,6 @@ DepartOutcome AdmissionController::depart(int external_id) {
   rec.cost = out.cost;
   rec.readmitted = static_cast<std::int64_t>(out.readmitted.size());
   trace_.push(rec);
-  update_gauges();
   return out;
 }
 

@@ -186,18 +186,17 @@ class AdmissionController {
   const IntHistogram& cost_histogram() const { return cost_hist_; }
 
   // --- telemetry ----------------------------------------------------------
-  /// The controller's metrics registry (obs/metrics.hpp), maintained on
-  /// the hot path through pre-registered handles and re-seeded from the
-  /// restored counters by the snapshot constructor.  Everything in it is
+  /// The controller's metrics registry (obs/metrics.hpp), built on each
+  /// call from stats(), cost_histogram(), the SLO window, the resident and
+  /// retry-queue gauges and the streak-reset count.  Everything in it is
   /// count-based, so rendering it is deterministic at any thread/shard
   /// count — the server's `metrics` command prints exactly this.
-  const MetricsRegistry& metrics() const { return metrics_; }
+  MetricsRegistry metrics() const;
   /// Bounded ring of per-event decision records (the `trace` command).
   /// Not part of the snapshot: a restored controller starts an empty
   /// ring, the counters above carry the lifetime story.
   const DecisionTrace& decision_trace() const { return trace_; }
-  /// Analysis-layer cache counters of the long-lived session (all zero
-  /// unless built with -DDPCP_CACHE_INSTRUMENT).
+  /// Response-memo counters of the long-lived session.
   const CacheStats& cache_stats() const { return session_.stats(); }
   /// Decision records the ring retains.
   static constexpr std::size_t kTraceCapacity = 64;
@@ -212,13 +211,6 @@ class AdmissionController {
                               const char* trace_kind);
   /// Records one event's cost into the SLO window and lifetime histogram.
   void note_cost(std::int64_t cost);
-  /// Registers every metric handle (both constructors).
-  void register_metrics();
-  /// Re-seeds the registry from stats_/cost_hist_/slo_window_ (the
-  /// restore path: handles carry the snapshot's lifetime counters).
-  void reseed_metrics();
-  /// Refreshes the resident/retry gauges after a decision event.
-  void update_gauges();
   /// Repair budget for the next admission: options_.repair_evals, or 0
   /// while the SLO window is over budget.
   std::int64_t effective_repair_evals() const;
@@ -266,22 +258,10 @@ class AdmissionController {
   RollingQuantile slo_window_{kSloWindow};
   IntHistogram cost_hist_;
 
-  // Telemetry: registry handles resolved once at construction (hot-path
-  // updates are vector-indexed adds), plus the decision ring.  Counters
-  // mirror AdmissionStats by design — stats_ is the functional/snapshot
-  // surface, the registry the merge/render surface; tests/test_obs.cpp
-  // pins the two against each other.
-  struct MetricHandles {
-    MetricsRegistry::Counter submitted, accepted, rejected, departed;
-    MetricsRegistry::Counter delta, replace, repair, readmits, evictions;
-    MetricsRegistry::Counter degraded, streak_resets;
-    MetricsRegistry::Counter oracle_calls, reused;
-    MetricsRegistry::Counter resident, retry_depth;
-    MetricsRegistry::Histogram cost;
-    MetricsRegistry::Window cost_window;
-  };
-  MetricsRegistry metrics_;
-  MetricHandles h_;
+  // Telemetry outside AdmissionStats: cross-event reuse streaks broken
+  // (repair search, index renumbering) and the decision ring.  Neither is
+  // in the snapshot, so a restored controller restarts both.
+  std::int64_t streak_resets_ = 0;
   DecisionTrace trace_{kTraceCapacity};
   std::int64_t trace_seq_ = 0;  // event number of the next trace record
 

@@ -283,16 +283,16 @@ void CommandSession::do_metrics(const std::vector<std::string>& cmd) {
     error("no workload loaded (use 'load')");
     return;
   }
-  // The registry is all integer counts maintained on the decision path,
-  // so this body is a pure function of the session's command history —
-  // golden transcripts pin it byte for byte, in both build flavors
-  // (instrument-dependent counters deliberately stay out of it; see
-  // online_tool --metrics-json for the folded cache stats).
+  // The registry is computed from the controller's integer decision
+  // counts, so this body is a pure function of the session's command
+  // history — golden transcripts pin it byte for byte.  The analysis
+  // cache counters stay out of it (online_tool --metrics-json folds them).
+  const MetricsRegistry metrics = ctrl_->metrics();
   if (json)
-    out_ << ctrl_->metrics().to_json() << "\n";
+    out_ << metrics.to_json() << "\n";
   else
-    out_ << ctrl_->metrics().to_prometheus();
-  out_ << "ok metrics count=" << ctrl_->metrics().num_metrics() << "\n";
+    out_ << metrics.to_prometheus();
+  out_ << "ok metrics count=" << metrics.num_metrics() << "\n";
 }
 
 void CommandSession::do_trace(const std::vector<std::string>& cmd) {

@@ -1,68 +1,25 @@
-// Zero-cost cache instrumentation, enabled with -DDPCP_CACHE_INSTRUMENT=ON.
+// Counters of the analysis-session response memo.
 //
-// The memo and slab layers sit on wcrt()'s innermost loops, so their
-// hit/miss accounting must cost literally nothing in production builds:
-// when the option is off, CacheStats has no fields and DPCP_STAT(...)
-// expands to an empty statement — no loads, no branches, no memory
-// traffic, and bit-identical sweep output either way (a ctest gate in the
-// instrumented CI job runs the golden suite to prove the "identical
-// output" half).
-//
-// Usage:
-//   DPCP_STAT(stats.memo_hits += 1);              // compiled out when off
-//   if (stats.enabled()) print(stats.memo_hits()); // accessors are 0 when off
+// The memo sits on wcrt()'s innermost loop, so probes are counted in
+// locals of the per-query context and added here once per wcrt() call.
+// Counting never changes a bound, so sweep and server output do not
+// depend on these values; they reach a report only through
+// fold_cache_stats() (obs/metrics.hpp) and bench_memo.
 #pragma once
 
 #include <cstdint>
 
-#ifdef DPCP_CACHE_INSTRUMENT
-#define DPCP_STAT(expr) \
-  do {                  \
-    expr;               \
-  } while (0)
-#else
-#define DPCP_STAT(expr) \
-  do {                  \
-  } while (0)
-#endif
-
 namespace dpcp {
 
-/// Counters for the analysis-session cache hierarchy.  One instance per
-/// AnalysisSession (sessions are single-threaded by the engine contract,
-/// so plain increments suffice).  Raw fields (inside DPCP_STAT only) are
-/// suffixed _n; the unsuffixed accessors compile in both build flavors.
+/// One instance per AnalysisSession (sessions are single-threaded by the
+/// engine contract, so plain increments suffice).
 struct CacheStats {
-#ifdef DPCP_CACHE_INSTRUMENT
-  std::uint64_t memo_hits_n = 0;      // response-memo probe found the key
-  std::uint64_t memo_misses_n = 0;    // probe inserted a fresh entry
-  std::uint64_t slab_reuses_n = 0;    // bind() diff kept a task's tables
-  std::uint64_t slab_rebuilds_n = 0;  // bind()/invalidate() dropped them
-#endif
-
-  static constexpr bool enabled() {
-#ifdef DPCP_CACHE_INSTRUMENT
-    return true;
-#else
-    return false;
-#endif
-  }
-
-#ifdef DPCP_CACHE_INSTRUMENT
-  std::uint64_t memo_hits() const { return memo_hits_n; }
-  std::uint64_t memo_misses() const { return memo_misses_n; }
-  std::uint64_t slab_reuses() const { return slab_reuses_n; }
-  std::uint64_t slab_rebuilds() const { return slab_rebuilds_n; }
-#else
-  std::uint64_t memo_hits() const { return 0; }
-  std::uint64_t memo_misses() const { return 0; }
-  std::uint64_t slab_reuses() const { return 0; }
-  std::uint64_t slab_rebuilds() const { return 0; }
-#endif
+  std::uint64_t memo_hits = 0;    // response-memo probe found the key
+  std::uint64_t memo_misses = 0;  // probe inserted a fresh entry
 
   double memo_hit_rate() const {
-    const std::uint64_t total = memo_hits() + memo_misses();
-    return total ? static_cast<double>(memo_hits()) /
+    const std::uint64_t total = memo_hits + memo_misses;
+    return total ? static_cast<double>(memo_hits) /
                        static_cast<double>(total)
                  : 0.0;
   }

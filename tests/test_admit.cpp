@@ -15,6 +15,7 @@
 #include "analysis/interface.hpp"
 #include "analysis/prepared.hpp"
 #include "analysis/session.hpp"
+#include "exp/online.hpp"
 #include "exp/validate.hpp"
 #include "gen/scenario.hpp"
 #include "gen/taskset_gen.hpp"
@@ -745,6 +746,26 @@ TEST(Router, MuxOutputIsIdenticalAcrossShardAndThreadCounts) {
     for (int threads : {1, 4, 8})
       EXPECT_EQ(run(shards, threads), reference)
           << "shards " << shards << " threads " << threads;
+}
+
+// ---------- online replay (exp/online) --------------------------------------
+
+TEST(OnlineReplay, OversizedThreadCountMatchesOneThread) {
+  // At most one worker per replay starts, so 1024 threads for two streams
+  // neither spawns idle workers nor changes a byte of either report.
+  OnlineOptions options;
+  options.scenarios = {fig2_scenario('a')};
+  options.streams = 2;
+  options.events = 10;
+  options.repair_evals = 10;
+  auto run = [&options](int threads) {
+    options.threads = threads;
+    const auto results = run_online(options);
+    std::ostringstream csv;
+    write_online_csv(results, options, csv);
+    return csv.str() + merge_online_metrics(results).to_json();
+  };
+  EXPECT_EQ(run(1024), run(1));
 }
 
 }  // namespace

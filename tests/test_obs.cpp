@@ -16,6 +16,8 @@
 #include <string>
 #include <vector>
 
+#include "analysis/fed_fp.hpp"
+#include "analysis/prepared.hpp"
 #include "gen/scenario.hpp"
 #include "gen/taskset_gen.hpp"
 #include "obs/chrome_trace.hpp"
@@ -135,14 +137,28 @@ TEST(MetricsRegistry, RenderGoldens) {
 }
 
 TEST(MetricsRegistry, FoldCacheStatsAccumulates) {
-  MetricsRegistry reg;
+  TaskSet ts(0);
+  ts.add_task(100, 100).add_vertex(10);
+  ts.assign_rm_priorities();
+  ts.finalize();
+  Partition part(2, 1, 0);
+  part.add_processor_to_task(0, 0);
+  AnalysisSession session(ts);
+  const FedFpAnalysis fed;
+  const auto oracle = fed.prepare(session);
+  oracle->bind(part);  // first bind: the task's tables are built
+  oracle->bind(part);  // same inputs: its tables are kept
+
   CacheStats stats;
-  fold_cache_stats(stats, reg);
-  fold_cache_stats(stats, reg);  // accumulating fold, idempotent flag
-  EXPECT_EQ(reg.counter_value("dpcp_analysis_instrumented"),
-            CacheStats::enabled() ? 1 : 0);
-  EXPECT_EQ(reg.counter_value("dpcp_analysis_memo_hits_total"),
-            static_cast<std::int64_t>(2 * stats.memo_hits()));
+  stats.memo_hits = 3;
+  stats.memo_misses = 1;
+  MetricsRegistry reg;
+  fold_cache_stats(stats, *oracle, reg);
+  fold_cache_stats(stats, *oracle, reg);  // accumulating fold
+  EXPECT_EQ(reg.counter_value("dpcp_analysis_memo_hits_total"), 6);
+  EXPECT_EQ(reg.counter_value("dpcp_analysis_memo_misses_total"), 2);
+  EXPECT_EQ(reg.counter_value("dpcp_analysis_slab_reuses_total"), 2);
+  EXPECT_EQ(reg.counter_value("dpcp_analysis_slab_rebuilds_total"), 2);
 }
 
 // ---------- histogram / window merge semantics ------------------------------
@@ -523,7 +539,7 @@ void expect_metrics_mirror_stats(const AdmissionController& ctrl) {
   EXPECT_EQ(m.counter_value("dpcp_resident_tasks"), ctrl.resident());
   EXPECT_EQ(m.counter_value("dpcp_retry_queue_depth"),
             static_cast<std::int64_t>(ctrl.retry_queue_size()));
-  // The cost histogram handle shadows the controller's lifetime histogram.
+  // The cost histogram renders the controller's lifetime histogram.
   EXPECT_EQ(m.values(MetricsRegistry::Histogram{0}).count(),
             ctrl.cost_histogram().count());
 }
@@ -611,6 +627,10 @@ TEST(AdmissionTelemetry, RestoreReseedsCountersAndStartsAnEmptyRing) {
   // The restored registry renders the original report except for
   // streak_resets, which is pure telemetry outside AdmissionStats and so
   // (like the ring) restarts at zero on a failover.
+  EXPECT_GT(ctrl.metrics().counter_value("dpcp_admit_streak_resets_total"),
+            0);
+  EXPECT_EQ(
+      restored.metrics().counter_value("dpcp_admit_streak_resets_total"), 0);
   std::string expected = ctrl.metrics().to_prometheus();
   const std::string live =
       "dpcp_admit_streak_resets_total " +
@@ -678,9 +698,8 @@ TEST(ServerTelemetry, MetricsAndTraceGrammar) {
   EXPECT_NE(ok.find("ok trace shown=0 recorded=1 capacity=64\n"),
             std::string::npos)
       << ok;
-  // The instrument-dependent cache counters stay off the wire: the reply
-  // must be byte-identical in release and -DDPCP_CACHE_INSTRUMENT builds
-  // (the golden transcripts run under both flavors in CI).
+  // The analysis cache counters stay off the wire: the server's registry
+  // holds decision counts only (the golden transcripts pin its bytes).
   EXPECT_EQ(ok.find("dpcp_analysis_"), std::string::npos) << ok;
 }
 

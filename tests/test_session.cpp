@@ -4,10 +4,12 @@
 // re-analysis skipping of partition_and_analyze().
 #include <gtest/gtest.h>
 
+#include "analysis/dpcp_p.hpp"
 #include "analysis/interface.hpp"
 #include "analysis/prepared.hpp"
 #include "analysis/session.hpp"
 #include "gen/taskset_gen.hpp"
+#include "partition/federated.hpp"
 #include "partition/partitioner.hpp"
 #include "test_support.hpp"
 
@@ -67,6 +69,40 @@ TEST(Session, PriorityOrderMatchesPartitioner) {
   ASSERT_TRUE(ts.has_value());
   AnalysisSession session(*ts);
   EXPECT_EQ(session.priority_order(), analysis_priority_order(*ts));
+}
+
+// Memo probes are counted in every build.  bench_memo's workload: EP
+// queries on fig. 2(b) task sets (p_r = 1), where some tasks re-probe the
+// Lemma-2 memo across many path classes and must register hits.
+TEST(Session, PreparedEpQueriesCountMemoHits) {
+  GenParams params;
+  params.scenario = fig2_scenario('b');
+  params.total_utilization = 0.2 * params.scenario.m;
+  const DpcpPAnalysis ep(DpcpPAnalysis::PathMode::kEnumerate);
+  CacheStats total;
+  for (std::uint64_t s = 0; s < 20; ++s) {
+    Rng rng = Rng(2024).fork(s);
+    const auto ts = generate_taskset(rng, params);
+    if (!ts) continue;
+    const auto part = baseline_partition(*ts, params.scenario.m);
+    if (!part) continue;
+    AnalysisSession session(*ts);
+    const auto prepared = ep.prepare(session);
+    prepared->bind(*part);
+    std::vector<Time> hint;
+    for (int i = 0; i < ts->size(); ++i)
+      hint.push_back(ts->task(i).deadline());
+    // Two Algorithm-1 style passes: the second re-queries with the first
+    // pass's bounds as hints.
+    for (int pass = 0; pass < 2; ++pass)
+      for (int i : session.priority_order())
+        if (const auto r = prepared->wcrt(i, hint))
+          hint[static_cast<std::size_t>(i)] = *r;
+    total.memo_hits += session.stats().memo_hits;
+    total.memo_misses += session.stats().memo_misses;
+  }
+  EXPECT_GT(total.memo_hits, 0u);
+  EXPECT_GT(total.memo_misses, 0u);
 }
 
 // ---------- prepared == stateless ------------------------------------------
