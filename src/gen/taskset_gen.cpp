@@ -63,10 +63,38 @@ void clamp_usage(UsageDraw& u, Time budget, GenStats& stats) {
   }
 }
 
+/// Buffers the attempts of one generate_taskset() call share.
+struct Scratch {
+  explicit Scratch(double edge_prob) : edge_test(edge_prob) {}
+  EdgeTest edge_test;
+  std::vector<Edge> edges;  // x-major forward edges of the current attempt
+  std::vector<Time> start;  // longest path ending just before each vertex
+};
+
+/// L* of the DAG whose edges are edges[0, count) in x-major order.  Edges
+/// run from lower to higher ids, so the pass meets every in-edge of x
+/// before x's out-edges: one pass over the list settles each start[x].
+Time longest_path(const std::vector<Time>& wcet,
+                  const std::vector<Edge>& edges, std::size_t count,
+                  std::vector<Time>& start) {
+  start.assign(wcet.size(), 0);
+  for (std::size_t e = 0; e < count; ++e) {
+    const auto [x, y] = edges[e];
+    start[y] = std::max(start[y], start[x] + wcet[x]);
+  }
+  Time lstar = 0;
+  for (std::size_t x = 0; x < wcet.size(); ++x)
+    lstar = std::max(lstar, start[x] + wcet[x]);
+  return lstar;
+}
+
 /// Builds one task with the given utilization; respects the plausibility
-/// constraints by bounded resampling.
-std::optional<DagTask> generate_task(Rng& rng, const GenParams& p,
-                                     int nr, double util, GenStats& stats) {
+/// constraints by bounded resampling.  Each attempt draws its structure
+/// and vertex WCETs into flat arrays and decides L* < D/2 there; only an
+/// attempt that passes builds its DagTask.
+std::optional<DagTask> generate_task(Rng& rng, const GenParams& p, int nr,
+                                     double util, Scratch& scratch,
+                                     GenStats& stats) {
   const Scenario& sc = p.scenario;
   const Time T = rng.log_uniform_time(p.period_min, p.period_max);
   const Time D = T;  // implicit deadline instance of the constrained model
@@ -91,7 +119,10 @@ std::optional<DagTask> generate_task(Rng& rng, const GenParams& p,
 
     // Last-resort structure: an edgeless DAG caps L* at the heaviest single
     // vertex, which the even spread below keeps < D/2.
-    Dag dag = last_resort ? Dag(nv) : erdos_renyi_dag(rng, nv, p.edge_prob);
+    const std::size_t num_edges =
+        last_resort ? 0
+                    : draw_forward_edges(rng, nv, scratch.edge_test,
+                                         scratch.edges);
 
     // Spread the N_{i,q} requests over vertices by uniform composition.
     std::vector<std::vector<std::int64_t>> req_of(usage.n.size());
@@ -100,45 +131,47 @@ std::optional<DagTask> generate_task(Rng& rng, const GenParams& p,
         req_of[q] = rng.composition(usage.n[q], static_cast<std::size_t>(nv));
 
     // Vertex WCET = own CS demand + min slice + share of the remaining C'.
+    // The share vector becomes the WCET vector in place.
     const Time spread = C - usage.demand() - floor_need;
-    std::vector<std::int64_t> share =
-        last_resort ? std::vector<std::int64_t>(
-                          static_cast<std::size_t>(nv), spread / nv)
+    std::vector<Time> wcet =
+        last_resort ? std::vector<Time>(static_cast<std::size_t>(nv),
+                                        spread / nv)
                     : rng.composition(spread, static_cast<std::size_t>(nv));
     if (last_resort) {
       // Hand the rounding remainder to vertex 0 to keep sum C exact.
-      share[0] += spread - (spread / nv) * nv;
+      wcet[0] += spread - (spread / nv) * nv;
     }
+    for (std::size_t x = 0; x < wcet.size(); ++x) {
+      Time cs_x = 0;
+      for (std::size_t q = 0; q < usage.n.size(); ++q)
+        if (usage.n[q] > 0) cs_x += req_of[q][x] * usage.len[q];
+      wcet[x] += cs_x + p.min_vertex_slice;
+    }
+
+    const Time lstar =
+        longest_path(wcet, scratch.edges, num_edges, scratch.start);
+    if (lstar >= D / 2) continue;  // L* < D/2 (paper)
 
     DagTask task(-1, T, D, nr);
     task.reserve_vertices(nv);
-    for (int x = 0; x < nv; ++x) {
+    for (std::size_t x = 0; x < wcet.size(); ++x) {
       // Allocated only when the vertex actually requests something — the
       // common all-zero case passes an empty vector (trailing zeros are
       // elided by add_vertex anyway).
       std::vector<int> reqs;
-      Time cs_x = 0;
       for (std::size_t q = 0; q < usage.n.size(); ++q) {
-        if (usage.n[q] == 0) continue;
-        const int r = static_cast<int>(req_of[q][static_cast<std::size_t>(x)]);
-        if (r == 0) continue;
+        if (usage.n[q] == 0 || req_of[q][x] == 0) continue;
         if (reqs.empty()) reqs.assign(usage.n.size(), 0);
-        reqs[q] = r;
-        cs_x += static_cast<Time>(r) * usage.len[q];
+        reqs[q] = static_cast<int>(req_of[q][x]);
       }
-      const Time wcet =
-          cs_x + p.min_vertex_slice + share[static_cast<std::size_t>(x)];
-      const VertexId v = task.add_vertex(wcet, std::move(reqs));
-      (void)v;
+      task.add_vertex(wcet[x], std::move(reqs));
     }
-    // add_vertex grew an edgeless graph of the right size; install the
-    // generated structure over it.
-    task.graph() = std::move(dag);
+    // add_vertex grew an edgeless graph of the right size.
+    task.graph().bulk_add_edges(scratch.edges.data(), num_edges);
     for (std::size_t q = 0; q < usage.len.size(); ++q)
       task.set_cs_length(static_cast<ResourceId>(q), usage.len[q]);
     task.finalize();
-
-    if (task.longest_path_length() >= D / 2) continue;  // L* < D/2 (paper)
+    assert(task.longest_path_length() == lstar);
     assert(task.wcet() == C);
     return task;
   }
@@ -163,9 +196,10 @@ std::optional<TaskSet> generate_taskset(Rng& rng, const GenParams& params,
   const std::vector<double> utils =
       rand_fixed_sum(rng, n, sum, 1.0, hi, &st.rfs);
 
+  Scratch scratch(params.edge_prob);
   TaskSet ts(nr);
   for (double u : utils) {
-    auto task = generate_task(rng, params, nr, u, st);
+    auto task = generate_task(rng, params, nr, u, scratch, st);
     if (!task) {
       ++st.failures;
       return std::nullopt;
@@ -175,7 +209,7 @@ std::optional<TaskSet> generate_taskset(Rng& rng, const GenParams& params,
   for (int k = 0; k < params.light_tasks; ++k) {
     const double u =
         rng.uniform_real(params.light_util_min, params.light_util_max);
-    auto task = generate_task(rng, params, nr, u, st);
+    auto task = generate_task(rng, params, nr, u, scratch, st);
     if (!task) {
       ++st.failures;
       return std::nullopt;
@@ -183,7 +217,6 @@ std::optional<TaskSet> generate_taskset(Rng& rng, const GenParams& params,
     ts.adopt_task(std::move(*task));
   }
   ts.assign_rm_priorities();
-  ts.finalize();
   assert(!ts.validate().has_value());
   return ts;
 }

@@ -108,7 +108,8 @@ std::optional<TaskSet> taskset_from_text(const std::string& text,
     return std::nullopt;
   }
   int nr = 0;
-  if (!parse_int(in.tokens()[1], &nr) || nr < 0) {
+  if (!parse_int(in.tokens()[1], &nr) || nr < 0 ||
+      nr > kMaxTasksetResources) {
     set_error(error, in.err("bad resource count"));
     return std::nullopt;
   }
@@ -128,6 +129,7 @@ std::optional<TaskSet> taskset_from_text(const std::string& text,
     }
     DagTask task(-1, period, deadline, nr);
     const int task_line = in.line();  // opening line, for error reports
+    Time wcet_sum = 0;                // C_i so far, checked per vertex
 
     bool ended = false;
     while (in.next()) {
@@ -156,6 +158,10 @@ std::optional<TaskSet> taskset_from_text(const std::string& text,
         std::int64_t wcet = 0;
         if (t.size() < 2 || !parse_i64(t[1], &wcet) || wcet <= 0) {
           set_error(error, in.err("bad 'vertex <wcet> ...'"));
+          return std::nullopt;
+        }
+        if (__builtin_add_overflow(wcet_sum, wcet, &wcet_sum)) {
+          set_error(error, in.err("task WCET sum exceeds int64"));
           return std::nullopt;
         }
         std::vector<int> requests(static_cast<std::size_t>(nr), 0);
@@ -205,7 +211,6 @@ std::optional<TaskSet> taskset_from_text(const std::string& text,
   }
 
   ts.assign_rm_priorities();
-  ts.finalize();
   if (auto err = ts.validate()) {
     set_error(error, "invalid task set: " + *err);
     return std::nullopt;

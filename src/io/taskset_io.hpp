@@ -30,12 +30,19 @@
 
 namespace dpcp {
 
+/// Largest resource count taskset_from_text() accepts.  Every task holds a
+/// usage row that wide, so the cap bounds what one `resources` line can
+/// make the parser allocate; the paper's scenarios use at most 16.
+inline constexpr int kMaxTasksetResources = 4096;
+
 /// Serializes a task set (priorities are not stored; they are re-derived
 /// by Rate-Monotonic assignment on load, matching the paper's setup).
 std::string taskset_to_text(const TaskSet& ts);
 
 /// Parses a task set; on failure returns nullopt and, when `error` is
-/// non-null, a line-numbered description of the first problem.
+/// non-null, a line-numbered description of the first problem.  Rejects a
+/// resource count above kMaxTasksetResources and a task whose vertex WCETs
+/// sum past INT64_MAX (C_i, and so L*_i <= C_i, must fit in Time).
 std::optional<TaskSet> taskset_from_text(const std::string& text,
                                          std::string* error = nullptr);
 

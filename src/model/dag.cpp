@@ -33,10 +33,10 @@ void Dag::add_edge(VertexId from, VertexId to) {
   pred_[to].push_back(from);
 }
 
-void Dag::bulk_add_edges(
-    const std::vector<std::pair<VertexId, VertexId>>& edges) {
+void Dag::bulk_add_edges(const Edge* edges, std::size_t count) {
   std::vector<int> out_deg(succ_.size(), 0), in_deg(pred_.size(), 0);
-  for (const auto& [from, to] : edges) {
+  for (std::size_t i = 0; i < count; ++i) {
+    const auto [from, to] = edges[i];
     assert(from >= 0 && from < size());
     assert(to >= 0 && to < size());
     assert(from != to);
@@ -49,7 +49,8 @@ void Dag::bulk_add_edges(
     if (in_deg[v] > 0)
       pred_[v].reserve(pred_[v].size() + static_cast<std::size_t>(in_deg[v]));
   }
-  for (const auto& [from, to] : edges) {
+  for (std::size_t i = 0; i < count; ++i) {
+    const auto [from, to] = edges[i];
     // Checked at insertion time so duplicates *within* the batch are
     // caught too, keeping the documented add_edge() equivalence honest.
     assert(!has_edge(from, to));
@@ -81,15 +82,12 @@ std::vector<VertexId> Dag::topological_order() const {
   std::vector<int> indegree(static_cast<std::size_t>(size()), 0);
   for (VertexId v = 0; v < size(); ++v)
     indegree[v] = static_cast<int>(pred_[v].size());
-  std::vector<VertexId> queue = heads();
-  std::vector<VertexId> order;
+  // Kahn's queue, never popped, is the order itself.
+  std::vector<VertexId> order = heads();
   order.reserve(static_cast<std::size_t>(size()));
-  for (std::size_t i = 0; i < queue.size(); ++i) {
-    const VertexId v = queue[i];
-    order.push_back(v);
-    for (VertexId w : succ_[v])
-      if (--indegree[w] == 0) queue.push_back(w);
-  }
+  for (std::size_t i = 0; i < order.size(); ++i)
+    for (VertexId w : succ_[order[i]])
+      if (--indegree[w] == 0) order.push_back(w);
   if (static_cast<int>(order.size()) != size()) return {};
   return order;
 }

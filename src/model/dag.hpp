@@ -16,6 +16,8 @@
 namespace dpcp {
 
 using VertexId = int;
+/// A precedence edge (from, to).
+using Edge = std::pair<VertexId, VertexId>;
 
 class Dag {
  public:
@@ -31,11 +33,11 @@ class Dag {
   /// Adds the precedence edge (from -> to).  Duplicate edges are ignored.
   void add_edge(VertexId from, VertexId to);
 
-  /// Adds a batch of edges known to be distinct and not yet present
+  /// Adds edges[0, count), known to be distinct and not yet present
   /// (asserted in debug builds), reserving exact adjacency capacity first.
   /// Equivalent to add_edge() per pair, in order; used by the generator's
   /// bulk construction path.
-  void bulk_add_edges(const std::vector<std::pair<VertexId, VertexId>>& edges);
+  void bulk_add_edges(const Edge* edges, std::size_t count);
 
   int size() const { return static_cast<int>(succ_.size()); }
   bool has_edge(VertexId from, VertexId to) const;

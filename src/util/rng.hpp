@@ -28,8 +28,9 @@ namespace dpcp {
 /// tempers one word per call, while this one twists and tempers all 312
 /// words into a flat output buffer in one pass, turning the per-draw cost
 /// into a buffered load.  Task-set synthesis draws ~10^8 words per full
-/// sweep, almost all through bernoulli(); see erdos_renyi.cpp for the
-/// matching integer-threshold fast path.
+/// sweep, almost all in the Erdos-Renyi pair loop, which reads them as raw
+/// words against an integer threshold through visit() (see
+/// erdos_renyi.cpp).
 class Mt64 {
  public:
   using result_type = std::uint64_t;
@@ -49,6 +50,23 @@ class Mt64 {
   result_type operator()() {
     if (next_ >= kN) refill();
     return out_[next_++];
+  }
+
+  /// Consumes the next `n` words of the stream, exactly the words n calls
+  /// of operator() would return, in order: `fn(words, count)` receives them
+  /// span by span straight from the output buffer, which is refilled
+  /// between spans.  `words` is valid only during that call, and `fn` must
+  /// not draw from this engine.
+  template <typename Fn>
+  void visit(std::size_t n, Fn&& fn) {
+    while (n > 0) {
+      if (next_ >= kN) refill();
+      const std::size_t count = std::min<std::size_t>(n, kN - next_);
+      const result_type* words = out_ + next_;
+      next_ += static_cast<unsigned>(count);
+      n -= count;
+      fn(words, count);
+    }
   }
 
  private:
@@ -91,8 +109,7 @@ class Rng {
   /// exact power-of-two scaling, >= 1 guard) bit-for-bit — verified
   /// against libstdc++ — while pinning the mapping in-repo, so the
   /// synthesis streams no longer depend on standard-library distribution
-  /// internals and the inlined fast path avoids their per-call overhead
-  /// (this is the hottest call of task-set generation, via bernoulli()).
+  /// internals and the inlined fast path avoids their per-call overhead.
   double canonical() {
     double c = static_cast<double>(engine_()) * 0x1p-64;
     if (c >= 1.0) c = std::nextafter(1.0, 0.0);
@@ -109,10 +126,9 @@ class Rng {
   bool bernoulli(double p) {
     assert(p >= 0.0 && p <= 1.0);
     // canonical() < p, algebraically rescaled by 2^64 (exact: power-of-two
-    // scaling) so the hot path — millions of edge draws per task set — is
-    // one convert + compare.  p == 1.0 needs the canonical guard's
-    // "always true" semantics and is hoisted out (it still consumes one
-    // draw, like the canonical form).
+    // scaling), so each trial is one convert + compare.  p == 1.0 needs the
+    // canonical guard's "always true" semantics and is hoisted out (it
+    // still consumes one draw, like the canonical form).
     const double x = static_cast<double>(engine_());
     if (p >= 1.0) return true;
     return x < p * 0x1p64;

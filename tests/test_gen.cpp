@@ -4,11 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
+#include "exp/engine.hpp"
 #include "gen/erdos_renyi.hpp"
 #include "gen/randfixedsum.hpp"
 #include "gen/scenario.hpp"
 #include "gen/taskset_gen.hpp"
+#include "io/taskset_io.hpp"
+#include "test_support.hpp"
 #include "util/stats.hpp"
 
 namespace dpcp {
@@ -281,6 +285,86 @@ TEST(TasksetGen, HeavyContentionStillGenerates) {
     ASSERT_TRUE(ts.has_value());
     EXPECT_FALSE(ts->validate().has_value());
   }
+}
+
+bool has_edgeless_task(const TaskSet& ts, int min_vertices) {
+  for (const DagTask& t : ts.tasks()) {
+    if (t.vertex_count() < min_vertices) continue;
+    bool edgeless = true;
+    for (VertexId v = 0; v < t.vertex_count() && edgeless; ++v)
+      edgeless = t.graph().successors(v).empty();
+    if (edgeless) return true;
+  }
+  return false;
+}
+
+// Behaviour pin of the generator's draw order: the text of every generated
+// task set and every GenStats counter after it, folded into one FNV-1a
+// value.  The grid is all 216 scenarios x the first, middle and last
+// utilization point x 2 samples seeded as the sweep engine seeds them, plus
+// corners on the fig. 2(b)/(d) scenarios that reach the other branches:
+// edge_prob 0 and 1, light tasks, and a retry budget of 4 (demand clamp and
+// edgeless last-resort DAG).  Any change to the draws or to what is kept
+// moves the digest.
+TEST(TasksetGen, DigestPinsTasksetsAndStats) {
+  Fnv1a digest;
+  GenStats stats;
+  // Engine seeding: Rng(scenario_seed(seed, s)).fork((point << 20) ^ sample).
+  auto draws = [&](std::uint64_t seed, const GenParams& base) {
+    std::vector<std::optional<TaskSet>> sets;
+    const std::vector<double> grid = utilization_grid(base.scenario);
+    for (const std::size_t point :
+         {std::size_t{0}, grid.size() / 2, grid.size() - 1})
+      for (std::uint64_t sample = 0; sample < 2; ++sample) {
+        GenParams params = base;
+        params.total_utilization = grid[point];
+        Rng rng = Rng(seed).fork((point << 20) ^ sample);
+        sets.push_back(generate_taskset(rng, params, &stats));
+        digest.add(sets.back() ? taskset_to_text(*sets.back()) : "failed\n");
+        digest.add(std::to_string(stats.rfs.attempts) + ' ' +
+                   std::to_string(stats.rfs.rejections) + ' ' +
+                   std::to_string(stats.rfs.fallbacks) + ' ' +
+                   std::to_string(stats.task_retries) + ' ' +
+                   std::to_string(stats.usage_downscales) + ' ' +
+                   std::to_string(stats.failures) + '\n');
+      }
+    return sets;
+  };
+
+  const std::vector<Scenario> scenarios = all_scenarios();
+  for (std::size_t s = 0; s < scenarios.size(); ++s) {
+    GenParams params;
+    params.scenario = scenarios[s];
+    draws(scenario_seed(42, s), params);
+  }
+  EXPECT_EQ(stats.failures, 0);
+
+  bool clamped = false, last_resort_kept = false;
+  std::uint64_t corner_seed = 4200;
+  for (const char fig : {'b', 'd'}) {
+    GenParams params;
+    params.scenario = fig2_scenario(fig);
+    GenParams no_edges = params, all_edges = params, light = params,
+              small_budget = params;
+    no_edges.edge_prob = 0.0;
+    all_edges.edge_prob = 1.0;
+    light.light_tasks = 3;
+    small_budget.max_task_retries = 4;
+
+    draws(++corner_seed, no_edges);
+    // A complete DAG has L* = C > D/2 for every heavy task, so each kept
+    // heavy task is the edgeless last-resort structure.
+    for (const auto& ts : draws(++corner_seed, all_edges))
+      last_resort_kept = last_resort_kept || (ts && has_edgeless_task(*ts, 10));
+    draws(++corner_seed, light);
+    const std::int64_t before = stats.usage_downscales;
+    draws(++corner_seed, small_budget);
+    clamped = clamped || stats.usage_downscales > before;
+  }
+  EXPECT_TRUE(clamped) << "clamp_usage never reached";
+  EXPECT_TRUE(last_resort_kept) << "edgeless last-resort DAG never kept";
+
+  EXPECT_EQ(digest.h, 0xf29a5ce8369f837dull) << std::hex << digest.h;
 }
 
 }  // namespace

@@ -143,7 +143,30 @@ INSTANTIATE_TEST_SUITE_P(
         BadInput{"deadline above period",
                  "dpcp-taskset v1\nresources 0\ntask period 10 deadline 20\n"
                  "  vertex 5\nend\n",
-                 "invalid task set"}));
+                 "invalid task set"},
+        // Each task would allocate a usage row this wide (bad_alloc).
+        BadInput{"resource count above cap",
+                 "dpcp-taskset v1\nresources 2000000000\n"
+                 "task period 10 deadline 10\n  vertex 5\nend\n",
+                 "line 2: bad resource count"},
+        // C_i would overflow int64 in DagTask::finalize().
+        BadInput{"vertex WCET sum overflows",
+                 "dpcp-taskset v1\nresources 0\ntask period 10 deadline 10\n"
+                 "  vertex 9223372036854775807\n"
+                 "  vertex 9223372036854775807\nend\n",
+                 "line 5: task WCET sum exceeds int64"}));
+
+TEST(TasksetIo, AcceptsResourceCountAtCapAndWcetSumAtInt64Max) {
+  const std::string text =
+      "dpcp-taskset v1\nresources " + std::to_string(kMaxTasksetResources) +
+      "\ntask period 9223372036854775807 deadline 9223372036854775807\n"
+      "  vertex 9223372036854775806\n  vertex 1\nend\n";
+  std::string error;
+  const auto ts = taskset_from_text(text, &error);
+  ASSERT_TRUE(ts.has_value()) << error;
+  EXPECT_EQ(ts->num_resources(), kMaxTasksetResources);
+  EXPECT_EQ(ts->task(0).wcet(), INT64_MAX);
+}
 
 TEST(TasksetIo, NestedTaskReportsOpeningLine) {
   // 'task' on line 5 while the task opened on line 3 is still unterminated:

@@ -187,6 +187,36 @@ TEST(Rng, Mt64MatchesStdMt19937_64) {
   }
 }
 
+TEST(Rng, Mt64VisitorMatchesOperatorCall) {
+  // visit(n, fn) must hand fn exactly the next n words that operator()
+  // (and so std::mt19937_64) yields, across refills: spans around the
+  // 312-word buffer size, interleaved with single draws, from a fresh
+  // buffer, partly consumed ones and an exactly drained one.  With 310
+  // consumed, the span of 1 starts with one buffered word left.
+  for (const int consumed : {0, 7, 310, 312}) {
+    Mt64 ours(42), single(42);
+    std::mt19937_64 ref(42);
+    for (int i = 0; i < consumed; ++i) {
+      single();
+      ASSERT_EQ(ours(), ref());
+    }
+    for (const std::size_t n : {0, 1, 311, 312, 313, 1000}) {
+      std::size_t seen = 0;
+      ours.visit(n, [&](const std::uint64_t* words, std::size_t count) {
+        ASSERT_GT(count, 0u);
+        for (std::size_t i = 0; i < count; ++i) {
+          ASSERT_EQ(words[i], single()) << "n=" << n << " at " << seen + i;
+          ASSERT_EQ(words[i], ref());
+        }
+        seen += count;
+      });
+      ASSERT_EQ(seen, n);
+      ASSERT_EQ(ours(), single()) << "single draw after a span of " << n;
+      ref();
+    }
+  }
+}
+
 TEST(Rng, BernoulliThresholdIsExact) {
   // raw() < bernoulli_threshold(p) must accept exactly the draws that
   // bernoulli(p) accepts, from the same stream position.  Check the edge
