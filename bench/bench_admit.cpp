@@ -7,27 +7,17 @@
 //    same resident set, evaluating every task on the same partition (what
 //    a non-incremental admission service would pay per event);
 //
-// and reports mean per-event wall latency for both, their ratio (the
-// PR's acceptance criterion: >= 5x on a >= 100-event stream), an
-// admissions/sec throughput, and the count-based p50/p99 admission cost
-// (oracle calls per arrival — machine-independent, unlike the wall
-// numbers).
+// and reports mean per-event wall latency for both, their ratio (>= 5x
+// on a >= 100-event stream), an admissions/sec throughput, and the
+// count-based p50/p99 admission cost (oracle calls per arrival —
+// machine-independent, unlike the wall numbers).
 //
-// A second section measures scale-out: the same 200-event stream sharded
-// round-robin across K independent shards (each its own controller and
-// platform) behind a ShardRouter, for K in {1,2,4,8}.  The win is NOT
-// thread parallelism (CI may pin one core) — it is that per-event
-// admission cost grows superlinearly with the resident-set size, so K
-// shards each holding ~1/K of the residents do strictly less total work
-// per event.  events/sec vs K lands in BENCH_sweep.json.
-//
-// Usage: bench_admit [--events N] [--json PATH]
+// Usage: bench_admit [--events N]
 //        (env: DPCP_SEED; default 200 events, scenario (a) + light mix,
 //        nr=24, DPCP-p-EP, delta rung only)
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -37,7 +27,6 @@
 #include "gen/scenario.hpp"
 #include "gen/taskset_gen.hpp"
 #include "opt/admission.hpp"
-#include "serve/router.hpp"
 #include "util/parse.hpp"
 #include "util/rng.hpp"
 
@@ -104,87 +93,12 @@ double scratch_certify(const AdmissionController& ctrl, AnalysisKind kind,
   return seconds_since(t0);
 }
 
-/// One shard of the scale-out section: an independent controller plus its
-/// event-stream state.  Only the shard's owning router worker touches it.
-struct Shard {
-  Shard(const Scenario& scenario, int nr, const AdmitOptions& options,
-        Rng pool_rng, Rng stream_rng)
-      : ctrl(nr, options), pool(scenario, nr, pool_rng), stream(stream_rng) {}
-  AdmissionController ctrl;
-  TaskPool pool;
-  Rng stream;
-  int arrivals = 0;
-  int accepts = 0;
-};
-
-struct ShardedPoint {
-  int shards = 0;
-  int arrivals = 0;
-  int accepts = 0;
-  double wall_s = 0.0;
-};
-
-/// Replays `events` total events round-robin over `k` shards through a
-/// ShardRouter.  The per-shard churn threshold scales as 1/k: the global
-/// offered load is the same, divided across shards, so shard residency
-/// settles near (total capacity)/k — the scale-out regime.
-ShardedPoint run_sharded(const Scenario& scenario, int nr,
-                         const AdmitOptions& options, std::uint64_t seed,
-                         int events, int k) {
-  const Rng root = Rng(seed).fork(77);
-  std::vector<std::unique_ptr<Shard>> shards;
-  shards.reserve(static_cast<std::size_t>(k));
-  for (int s = 0; s < k; ++s) {
-    AdmitOptions shard_options = options;
-    shard_options.seed =
-        root.fork(3000 + static_cast<std::uint64_t>(s)).raw();
-    shards.push_back(std::make_unique<Shard>(
-        scenario, nr, shard_options,
-        root.fork(1000 + static_cast<std::uint64_t>(s)),
-        root.fork(2000 + static_cast<std::uint64_t>(s))));
-  }
-  const double capacity = 60.0 / k;
-
-  ShardedPoint point;
-  point.shards = k;
-  const auto t0 = std::chrono::steady_clock::now();
-  {
-    ShardRouter router(k, k);
-    for (int ev = 0; ev < events; ++ev) {
-      Shard* shard = shards[static_cast<std::size_t>(ev % k)].get();
-      router.post(ev % k, [shard, capacity] {
-        AdmissionController& ctrl = shard->ctrl;
-        const double depart_prob = std::min(
-            0.85, static_cast<double>(ctrl.resident()) / capacity);
-        if (ctrl.resident() > 2 && shard->stream.bernoulli(depart_prob)) {
-          ctrl.depart(ctrl.external_id(ctrl.resident() - 1));
-        } else {
-          ++shard->arrivals;
-          if (ctrl.admit(shard->pool.next()).accepted) ++shard->accepts;
-        }
-      });
-    }
-    router.drain();
-  }
-  point.wall_s = seconds_since(t0);
-  for (const auto& s : shards) {
-    point.arrivals += s->arrivals;
-    point.accepts += s->accepts;
-  }
-  return point;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   int events = 200;
-  std::string json_path;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
-      continue;
-    }
     if (arg == "--events" && i + 1 < argc) {
       const auto v = parse_int(argv[++i], 1, 1 << 24);
       if (v) {
@@ -192,9 +106,7 @@ int main(int argc, char** argv) {
         continue;
       }
     }
-    std::fprintf(stderr,
-                 "bench_admit: expected --events N or --json PATH, got "
-                 "'%s'\n",
+    std::fprintf(stderr, "bench_admit: expected --events N, got '%s'\n",
                  arg.c_str());
     return 2;
   }
@@ -291,67 +203,5 @@ int main(int argc, char** argv) {
       costs.empty() ? 0ll : static_cast<long long>(costs.back()),
       static_cast<long long>(s.oracle_calls),
       static_cast<long long>(s.tasks_reused));
-
-  // Scale-out: the same event volume sharded across K controllers.
-  std::printf("=== Sharded throughput: %d events round-robin over K shards "
-              "===\n",
-              events);
-  std::vector<ShardedPoint> sharded;
-  double base_eps = 0.0;
-  for (int k : {1, 2, 4, 8}) {
-    const ShardedPoint p =
-        run_sharded(scenario, nr, options, seed, events, k);
-    sharded.push_back(p);
-    const double eps =
-        p.wall_s > 0 ? static_cast<double>(events) / p.wall_s : 0.0;
-    if (k == 1) base_eps = eps;
-    std::printf("K=%d  arrivals %d  accepts %d  wall %.1fms  "
-                "events/sec %.0f  speedup_vs_1 %.2fx\n",
-                k, p.arrivals, p.accepts, 1e3 * p.wall_s, eps,
-                base_eps > 0 ? eps / base_eps : 0.0);
-  }
-
-  if (!json_path.empty()) {
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    if (!f) {
-      std::fprintf(stderr, "cannot open '%s'\n", json_path.c_str());
-      return 1;
-    }
-    std::fprintf(
-        f,
-        "{\n"
-        " \"events\": %d,\n"
-        " \"arrivals\": %d,\n"
-        " \"accepts\": %d,\n"
-        " \"departs\": %d,\n"
-        " \"mean_event_us_incremental\": %.3f,\n"
-        " \"mean_event_us_scratch\": %.3f,\n"
-        " \"incremental_speedup\": %.3f,\n"
-        " \"admissions_per_sec\": %.1f,\n"
-        " \"cost_p50\": %lld,\n"
-        " \"cost_p99\": %lld,\n"
-        " \"oracle_calls\": %lld,\n"
-        " \"tasks_reused\": %lld,\n"
-        " \"sharded\": [\n",
-        events, arrivals, accepts, departs, mean_inc_us, mean_scr_us,
-        speedup, admissions_per_sec, pct(50), pct(99),
-        static_cast<long long>(s.oracle_calls),
-        static_cast<long long>(s.tasks_reused));
-    for (std::size_t i = 0; i < sharded.size(); ++i) {
-      const ShardedPoint& p = sharded[i];
-      const double eps =
-          p.wall_s > 0 ? static_cast<double>(events) / p.wall_s : 0.0;
-      std::fprintf(
-          f,
-          "  {\"shards\": %d, \"events\": %d, \"arrivals\": %d, "
-          "\"accepts\": %d, \"wall_ms\": %.3f, \"events_per_sec\": %.1f, "
-          "\"speedup_vs_1\": %.3f}%s\n",
-          p.shards, events, p.arrivals, p.accepts, 1e3 * p.wall_s, eps,
-          base_eps > 0 ? eps / base_eps : 0.0,
-          i + 1 < sharded.size() ? "," : "");
-    }
-    std::fprintf(f, " ]\n}\n");
-    std::fclose(f);
-  }
   return 0;
 }

@@ -8,12 +8,11 @@
 //   * prepared  — the session pipeline (arena slabs + epoch-cleared memo),
 //     the path every sweep actually runs.
 //
-// Usage: bench_memo [repeats] [--json]   (env: DPCP_SAMPLES, default 20)
-// With --json, a machine-readable report goes to stdout, including the
-// prepared variant's memo hit/miss counters and arena occupancy.
+// Usage: bench_memo [repeats]   (env: DPCP_SAMPLES, default 20)
+// Also prints the prepared variant's memo hit/miss counters and arena
+// occupancy.
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 
 #include "core/dpcp.hpp"
 #include "util/parse.hpp"
@@ -23,18 +22,13 @@ using namespace dpcp;
 int main(int argc, char** argv) {
   const SweepOptions env = sweep_options_from_env(/*default_samples=*/20);
   const int sets = env.samples_per_point;
-  bool json = false;
   int repeats = 5;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) {
-      json = true;
-      continue;
-    }
     const auto v = parse_int(argv[i], 1, 1 << 20);
     if (!v) {
       std::fprintf(stderr,
                    "repeats: invalid integer '%s' (expected 1..%d)\n"
-                   "usage: %s [repeats] [--json]\n",
+                   "usage: %s [repeats]\n",
                    argv[i], 1 << 20, argv[0]);
       return 2;
     }
@@ -85,7 +79,7 @@ int main(int argc, char** argv) {
   // bind, then the repeated queries hit the arena-backed tables and the
   // epoch-cleared response memo.  Counters accumulate into `memo`.
   CacheStats memo;
-  std::size_t arena_live = 0, arena_high = 0;
+  std::size_t arena_high = 0;
   const auto run_prepared = [&](Time* sink, std::size_t* calls) {
     const auto start = std::chrono::steady_clock::now();
     for (std::size_t w = 0; w < workloads.size(); ++w) {
@@ -105,7 +99,6 @@ int main(int argc, char** argv) {
       }
       memo.memo_hits += session.stats().memo_hits;
       memo.memo_misses += session.stats().memo_misses;
-      arena_live += session.arena().live_bytes();
       arena_high += session.arena().high_water();
     }
     return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -118,27 +111,6 @@ int main(int argc, char** argv) {
   const double stateless_s = run_stateless(&sink_a, &calls_a);
   const double prepared_s = run_prepared(&sink_b, &calls_b);
   const double hit_rate = memo.memo_hit_rate();
-
-  if (json) {
-    std::printf(
-        "{\n"
-        "  \"task_sets\": %zu,\n"
-        "  \"repeats\": %d,\n"
-        "  \"stateless\": {\"wall_seconds\": %.6f, \"calls\": %zu},\n"
-        "  \"prepared\": {\"wall_seconds\": %.6f, \"calls\": %zu},\n"
-        "  \"memo_hits\": %llu,\n"
-        "  \"memo_misses\": %llu,\n"
-        "  \"memo_hit_rate\": %.4f,\n"
-        "  \"arena_live_bytes\": %zu,\n"
-        "  \"arena_high_water_bytes\": %zu,\n"
-        "  \"checksum\": %lld\n"
-        "}\n",
-        workloads.size(), repeats, stateless_s, calls_a, prepared_s, calls_b,
-        static_cast<unsigned long long>(memo.memo_hits),
-        static_cast<unsigned long long>(memo.memo_misses), hit_rate,
-        arena_live, arena_high, static_cast<long long>(sink_a ^ sink_b));
-    return 0;
-  }
 
   std::printf("bench_memo: %zu task sets, %d repeats\n", workloads.size(),
               repeats);

@@ -41,9 +41,8 @@ class PreparedAnalysis : public WcrtOracle {
     return true;
   }
 
-  /// Telemetry of the cross-round diffing (read by bench_opt's
-  /// incremental-reuse report, test_opt's diff-contract test and
-  /// fold_cache_stats()' slab counters): how
+  /// Telemetry of the cross-round diffing (read by test_opt's
+  /// diff-contract test and fold_cache_stats()' slab counters): how
   /// many partitions were bound and, summed over binds, how many
   /// per-task diffs certified the inputs unchanged (re-analysis
   /// avoidable) vs. dropped cached state through invalidate().

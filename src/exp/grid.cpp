@@ -6,34 +6,6 @@
 
 namespace dpcp {
 
-std::size_t ScenarioGrid::size() const {
-  return m_values.size() * nr_ranges.size() * u_avg_values.size() *
-         p_r_values.size() * n_req_max_values.size() * cs_ranges.size();
-}
-
-std::vector<Scenario> ScenarioGrid::build() const {
-  std::vector<Scenario> out;
-  out.reserve(size());
-  for (int m : m_values)
-    for (const auto& nr : nr_ranges)
-      for (double ua : u_avg_values)
-        for (double pr : p_r_values)
-          for (int nq : n_req_max_values)
-            for (const auto& cs : cs_ranges) {
-              Scenario s;
-              s.m = m;
-              s.nr_min = nr.first;
-              s.nr_max = nr.second;
-              s.u_avg = ua;
-              s.p_r = pr;
-              s.n_req_max = nq;
-              s.cs_min = cs.first;
-              s.cs_max = cs.second;
-              out.push_back(s);
-            }
-  return out;
-}
-
 std::optional<std::vector<Scenario>> scenarios_from_spec(
     const std::string& spec, std::string* error) {
   std::vector<Scenario> out;

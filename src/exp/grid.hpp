@@ -1,47 +1,18 @@
-// Scenario-grid construction for the experiment engine.
+// Scenario-set parsing for the sweep and replay CLIs.
 //
 // The paper's space (Sec. VII-A) is the cross product of six parameter
-// axes, 216 combinations in all; gen/scenario.hpp hard-codes that exact
-// grid.  ScenarioGrid generalizes it: every axis is an editable value
-// list, so drivers can sweep custom sub-spaces (one axis densified, the
-// rest pinned) through the same engine.  The default-constructed grid
-// builds precisely all_scenarios(), in the same order.
+// axes, 216 combinations in all; gen/scenario.hpp builds that exact grid
+// (all_scenarios()) and the four Fig. 2 corners.  The CLIs select a
+// subset of it through one spec.
 #pragma once
 
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "gen/scenario.hpp"
-#include "util/time.hpp"
 
 namespace dpcp {
-
-/// Cross-product builder over the Scenario parameter axes.  Defaults are
-/// the paper's values; replace any axis list before build().
-struct ScenarioGrid {
-  /// Processor counts m.
-  std::vector<int> m_values{8, 16, 32};
-  /// Shared-resource count ranges [nr_min, nr_max].
-  std::vector<std::pair<int, int>> nr_ranges{{2, 4}, {4, 8}, {8, 16}};
-  /// Average per-task utilizations U_avg.
-  std::vector<double> u_avg_values{1.5, 2.0};
-  /// Resource-use probabilities p_r.
-  std::vector<double> p_r_values{0.5, 0.75, 1.0};
-  /// Maximum request counts (N_{i,q} ~ U[1, value]).
-  std::vector<int> n_req_max_values{25, 50};
-  /// Critical-section length ranges [cs_min, cs_max].
-  std::vector<std::pair<Time, Time>> cs_ranges{
-      {micros(15), micros(50)}, {micros(50), micros(100)}};
-
-  /// Number of scenarios build() will produce.
-  std::size_t size() const;
-
-  /// The cross product, nested in axis order (m outermost, L innermost) --
-  /// the same deterministic order as all_scenarios().
-  std::vector<Scenario> build() const;
-};
 
 /// Parses a driver-facing scenario-set spec.  Accepted tokens, comma
 /// separated and concatenated in order:

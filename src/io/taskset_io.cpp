@@ -130,6 +130,7 @@ std::optional<TaskSet> taskset_from_text(const std::string& text,
     DagTask task(-1, period, deadline, nr);
     const int task_line = in.line();  // opening line, for error reports
     Time wcet_sum = 0;                // C_i so far, checked per vertex
+    std::vector<int> request_sum(static_cast<std::size_t>(nr), 0);  // N_{i,q}
 
     bool ended = false;
     while (in.next()) {
@@ -182,6 +183,14 @@ std::optional<TaskSet> taskset_from_text(const std::string& text,
               return std::nullopt;
             }
             requests[static_cast<std::size_t>(q)] = n;
+          }
+          for (std::size_t q = 0; q < requests.size(); ++q) {
+            if (__builtin_add_overflow(request_sum[q], requests[q],
+                                       &request_sum[q])) {
+              set_error(error, in.err("task request count to resource " +
+                                      std::to_string(q) + " exceeds int32"));
+              return std::nullopt;
+            }
           }
         }
         task.add_vertex(wcet, std::move(requests));

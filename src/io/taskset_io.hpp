@@ -41,8 +41,10 @@ std::string taskset_to_text(const TaskSet& ts);
 
 /// Parses a task set; on failure returns nullopt and, when `error` is
 /// non-null, a line-numbered description of the first problem.  Rejects a
-/// resource count above kMaxTasksetResources and a task whose vertex WCETs
-/// sum past INT64_MAX (C_i, and so L*_i <= C_i, must fit in Time).
+/// resource count above kMaxTasksetResources, a task whose vertex WCETs
+/// sum past INT64_MAX (C_i, and so L*_i <= C_i, must fit in Time) and a
+/// task whose requests to one resource sum past INT32_MAX (N_{i,q} is an
+/// int).
 std::optional<TaskSet> taskset_from_text(const std::string& text,
                                          std::string* error = nullptr);
 

@@ -97,7 +97,17 @@ std::optional<std::string> DagTask::validate() const {
       err << "task " << id_ << " vertex " << x << ": non-positive WCET";
       return err.str();
     }
-    if (vertex_noncrit_wcet(x) < 0) {
+    // sum_q N_{i,x,q} L_{i,q} in checked arithmetic: a demand that
+    // overflows int64 exceeds every WCET.
+    Time demand = 0;
+    bool overflow = false;
+    for (ResourceId q = 0; q < num_resources() && !overflow; ++q) {
+      Time cs = 0;
+      overflow = __builtin_mul_overflow(static_cast<Time>(v.requests_to(q)),
+                                        usage_[q].cs_length, &cs) ||
+                 __builtin_add_overflow(demand, cs, &demand);
+    }
+    if (overflow || demand > v.wcet) {
       err << "task " << id_ << " vertex " << x
           << ": WCET smaller than its critical-section demand "
              "(violates C_{i,x} >= sum_q N_{i,x,q} L_{i,q})";

@@ -7,17 +7,6 @@
 
 namespace dpcp {
 
-std::string move_kind_token(MoveKind kind) {
-  switch (kind) {
-    case MoveKind::kRegrantSpare: return "regrant";
-    case MoveKind::kRelocateResource: return "relocate";
-    case MoveKind::kWidenCluster: return "widen";
-    case MoveKind::kNarrowCluster: return "narrow";
-    case MoveKind::kSwapResources: return "swap";
-  }
-  return "?";
-}
-
 Move Move::regrant(int from_task, int to_task) {
   return Move(MoveKind::kRegrantSpare, from_task, to_task,
               Partition::kUnassigned);

@@ -45,17 +45,6 @@ enum class MoveKind {
 
 inline constexpr int kNumMoveKinds = 5;
 
-/// Bit of `kind` in an OptOptions::move_mask.
-constexpr unsigned move_bit(MoveKind kind) {
-  return 1u << static_cast<int>(kind);
-}
-
-/// Every move class enabled (the optimizer default).
-inline constexpr unsigned kAllMoves = (1u << kNumMoveKinds) - 1u;
-
-/// CLI/report token of `kind`: regrant | relocate | widen | narrow | swap.
-std::string move_kind_token(MoveKind kind);
-
 class Move {
  public:
   /// Moves the last processor of `from_task`'s multi-processor (hence

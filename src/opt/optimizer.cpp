@@ -16,10 +16,6 @@ PartitionOptimizer::PartitionOptimizer(const TaskSet& ts, int m,
       rng_(rng),
       options_(options),
       globals_(ts.global_resources()) {
-  for (int k = 0; k < kNumMoveKinds; ++k) {
-    const MoveKind kind = static_cast<MoveKind>(k);
-    if (options_.move_mask & move_bit(kind)) enabled_kinds_.push_back(kind);
-  }
   const std::size_t n = static_cast<std::size_t>(ts_.size());
   prev_result_.resize(n);
   result_.resize(n);
@@ -88,8 +84,8 @@ std::vector<ProcessorId> PartitionOptimizer::spare_processors(
 
 std::optional<Move> PartitionOptimizer::propose(const Partition& part) {
   ++stats_.proposals;
-  if (enabled_kinds_.empty()) return std::nullopt;
-  const MoveKind kind = enabled_kinds_[rng_.index(enabled_kinds_.size())];
+  const MoveKind kind = static_cast<MoveKind>(
+      rng_.index(static_cast<std::size_t>(kNumMoveKinds)));
   const int n = ts_.size();
 
   // Tasks whose cluster can shed a processor (multi-processor clusters

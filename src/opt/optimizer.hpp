@@ -55,9 +55,6 @@ struct OptOptions {
   /// so the search terminates even when every neighbour is invalid);
   /// 0 = 32 * max_evals + 64.
   std::int64_t max_proposals = 0;
-  /// Enabled move classes, a bitmask of move_bit(MoveKind); the A5
-  /// ablation runs one class at a time.
-  unsigned move_mask = kAllMoves;
 };
 
 /// Lexicographic objective: fewer failing tasks first, then a smaller
@@ -137,7 +134,6 @@ class PartitionOptimizer {
   Rng rng_;
   const OptOptions options_;
   const std::vector<ResourceId> globals_;
-  std::vector<MoveKind> enabled_kinds_;
 
   // Cross-evaluation oracle-result cache (see evaluate()): the per-task
   // results of the previously bound candidate, reusable for a task when

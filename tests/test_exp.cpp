@@ -168,32 +168,6 @@ TEST(Report, JsonCarriesGenStats) {
 
 // ---------- grid -----------------------------------------------------------
 
-TEST(Grid, DefaultGridIsThePaperGrid) {
-  const ScenarioGrid grid;
-  EXPECT_EQ(grid.size(), 216u);
-  const auto built = grid.build();
-  const auto expected = all_scenarios();
-  ASSERT_EQ(built.size(), expected.size());
-  for (std::size_t i = 0; i < built.size(); ++i)
-    EXPECT_EQ(built[i].name(), expected[i].name()) << "index " << i;
-}
-
-TEST(Grid, CustomAxesCrossProduct) {
-  ScenarioGrid grid;
-  grid.m_values = {4};
-  grid.nr_ranges = {{1, 2}};
-  grid.u_avg_values = {1.5};
-  grid.p_r_values = {0.25, 0.5};
-  grid.n_req_max_values = {10};
-  grid.cs_ranges = {{micros(10), micros(20)}};
-  EXPECT_EQ(grid.size(), 2u);
-  const auto built = grid.build();
-  ASSERT_EQ(built.size(), 2u);
-  EXPECT_EQ(built[0].m, 4);
-  EXPECT_DOUBLE_EQ(built[0].p_r, 0.25);
-  EXPECT_DOUBLE_EQ(built[1].p_r, 0.5);
-}
-
 TEST(Grid, ScenarioSpecParsing) {
   EXPECT_EQ(scenarios_from_spec("all")->size(), 216u);
   EXPECT_EQ(scenarios_from_spec("fig2")->size(), 4u);

@@ -154,7 +154,22 @@ INSTANTIATE_TEST_SUITE_P(
                  "dpcp-taskset v1\nresources 0\ntask period 10 deadline 10\n"
                  "  vertex 9223372036854775807\n"
                  "  vertex 9223372036854775807\nend\n",
-                 "line 5: task WCET sum exceeds int64"}));
+                 "line 5: task WCET sum exceeds int64"},
+        // N_{i,x,q} * L_{i,q} = 10^6 * INT64_MAX: the demand must not
+        // wrap below the vertex WCET.
+        BadInput{"vertex cs demand overflows",
+                 "dpcp-taskset v1\nresources 1\ntask period 10 deadline 10\n"
+                 "  cs 0 9223372036854775807\n"
+                 "  vertex 5 requests 0:1000000\nend\n",
+                 "WCET smaller than its critical-section demand"},
+        // Each vertex is valid, but N_{i,q} = 4 * 10^9 does not fit in int.
+        BadInput{"request count sum overflows",
+                 "dpcp-taskset v1\nresources 1\n"
+                 "task period 100000000000 deadline 100000000000\n"
+                 "  cs 0 1\n"
+                 "  vertex 2000000000 requests 0:2000000000\n"
+                 "  vertex 2000000000 requests 0:2000000000\nend\n",
+                 "line 6: task request count to resource 0 exceeds int32"}));
 
 TEST(TasksetIo, AcceptsResourceCountAtCapAndWcetSumAtInt64Max) {
   const std::string text =
