@@ -10,6 +10,8 @@
 // Protocols: DPCP-p-EP (default), DPCP-p-EN, SPIN-SON, LPP, FED-FP.
 #include <cstdio>
 #include <cstring>
+#include <optional>
+#include <stdexcept>
 #include <string>
 
 #include "core/dpcp.hpp"
@@ -212,9 +214,15 @@ int cmd_simulate(const Args& args) {
   SimConfig cfg;
   cfg.horizon = args.horizon;
   cfg.record_trace = args.trace;
-  Simulator sim(*ts, *part, cfg);
-  const SimResult res = sim.run();
-  if (args.trace) std::fputs(trace_to_string(sim.trace()).c_str(), stdout);
+  std::optional<Simulator> sim;
+  try {
+    sim.emplace(*ts, *part, cfg);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 1;
+  }
+  const SimResult res = sim->run();
+  if (args.trace) std::fputs(trace_to_string(sim->trace()).c_str(), stdout);
   std::printf("simulated %s: %lld global requests, invariants %s\n",
               format_time(res.end_time).c_str(),
               static_cast<long long>(res.global_requests_completed),

@@ -7,9 +7,8 @@
 // is resolved immediately by the protocol state machine and recorded in
 // the trace (TraceKind), never queued: queuing zero-delay events would
 // only re-order the cascade and make its order harder to reason about.
-// Future event kinds that *do* advance time (e.g. the
-// ROADMAP's interconnect transit latency for remote DPCP requests) extend
-// this enum.
+// Future event kinds that *do* advance time (e.g. an interconnect
+// transit latency for remote DPCP requests) extend this enum.
 #pragma once
 
 #include <cstdint>

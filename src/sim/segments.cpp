@@ -7,75 +7,83 @@
 namespace dpcp {
 namespace {
 
-VertexPlan build_vertex_plan(const DagTask& task, VertexId x, double scale) {
+/// Appends the segments of vertex x of `task` to `out`.  `left` is a
+/// reused buffer of one request counter per resource.
+void append_vertex(const DagTask& task, VertexId x, double scale,
+                   std::vector<int>& left, std::vector<Segment>& out) {
   const Vertex& v = task.vertex(x);
-  VertexPlan plan;
-
-  // Gather this vertex's critical sections, round-robin over resources so
-  // repeated requests to the same resource are spread out.
-  std::vector<Segment> sections;
-  std::vector<int> left(static_cast<std::size_t>(task.num_resources()), 0);
-  int remaining = 0;
+  const std::size_t first = out.size();
+  int sections = 0;
   for (ResourceId q = 0; q < task.num_resources(); ++q) {
     left[static_cast<std::size_t>(q)] = v.requests_to(q);
-    remaining += v.requests_to(q);
-  }
-  while (remaining > 0) {
-    for (ResourceId q = 0; q < task.num_resources(); ++q) {
-      if (left[static_cast<std::size_t>(q)] == 0) continue;
-      --left[static_cast<std::size_t>(q)];
-      --remaining;
-      sections.push_back(
-          Segment{true, q, task.usage(q).cs_length});
-    }
+    sections += v.requests_to(q);
   }
 
   const Time noncrit = task.vertex_noncrit_wcet(x);
   assert(noncrit >= 0);
-  const std::size_t slots = sections.size() + 1;
-  const Time slice = noncrit / static_cast<Time>(slots);
-  Time leftover = noncrit - slice * static_cast<Time>(slots);
-
-  auto push_noncrit = [&](Time extra) {
-    const Time len = slice + extra;
-    if (len > 0) plan.segments.push_back(Segment{false, -1, len});
+  const Time slots = static_cast<Time>(sections) + 1;
+  const Time slice = noncrit / slots;
+  auto push_noncrit = [&](Time len) {
+    if (len > 0) out.push_back(Segment{false, -1, len});
   };
-  push_noncrit(leftover);  // fold the remainder into the first slice
-  for (const Segment& cs : sections) {
-    plan.segments.push_back(cs);
-    push_noncrit(0);
+  push_noncrit(slice + (noncrit - slice * slots));  // first slice: remainder
+  // Critical sections round-robin over resources, so repeated requests to
+  // the same resource are spread out; a non-critical slice follows each.
+  for (int remaining = sections; remaining > 0;) {
+    for (ResourceId q = 0; q < task.num_resources(); ++q) {
+      if (left[static_cast<std::size_t>(q)] == 0) continue;
+      --left[static_cast<std::size_t>(q)];
+      --remaining;
+      out.push_back(Segment{true, q, task.usage(q).cs_length});
+      push_noncrit(slice);
+    }
   }
 
   if (scale < 1.0) {
-    for (auto& s : plan.segments)
-      s.length = std::max<Time>(
-          s.critical ? 1 : 0,
-          static_cast<Time>(std::llround(static_cast<double>(s.length) * scale)));
-    plan.segments.erase(
-        std::remove_if(plan.segments.begin(), plan.segments.end(),
-                       [](const Segment& s) { return s.length == 0; }),
-        plan.segments.end());
+    const auto vbegin = out.begin() + static_cast<std::ptrdiff_t>(first);
+    for (auto s = vbegin; s != out.end(); ++s)
+      s->length = std::max<Time>(
+          s->critical ? 1 : 0,
+          static_cast<Time>(
+              std::llround(static_cast<double>(s->length) * scale)));
+    out.erase(std::remove_if(vbegin, out.end(),
+                             [](const Segment& s) { return s.length == 0; }),
+              out.end());
   }
-  if (plan.segments.empty())
-    plan.segments.push_back(Segment{false, -1, 1});  // keep vertex observable
-  return plan;
+  if (out.size() == first)
+    out.push_back(Segment{false, -1, 1});  // keep vertex observable
 }
 
 }  // namespace
 
-std::vector<TaskPlan> build_plans(const TaskSet& ts, double execution_scale) {
+SegmentPlan build_plan(const TaskSet& ts, double execution_scale) {
   assert(execution_scale > 0.0 && execution_scale <= 1.0);
-  std::vector<TaskPlan> plans;
-  plans.reserve(static_cast<std::size_t>(ts.size()));
-  for (int i = 0; i < ts.size(); ++i) {
-    const DagTask& t = ts.task(i);
-    TaskPlan tp;
-    tp.vertices.reserve(static_cast<std::size_t>(t.vertex_count()));
-    for (VertexId x = 0; x < t.vertex_count(); ++x)
-      tp.vertices.push_back(build_vertex_plan(t, x, execution_scale));
-    plans.push_back(std::move(tp));
+  SegmentPlan plan;
+  // Each critical section adds at most itself and one slice.
+  std::size_t vertices = 0;
+  std::size_t segments = 0;
+  for (const DagTask& t : ts.tasks()) {
+    vertices += static_cast<std::size_t>(t.vertex_count());
+    segments += static_cast<std::size_t>(t.vertex_count());
+    for (ResourceId q = 0; q < t.num_resources(); ++q)
+      segments += 2 * static_cast<std::size_t>(t.usage(q).max_requests);
   }
-  return plans;
+  plan.segments.reserve(segments);
+  plan.seg_begin.reserve(vertices + 1);
+  plan.task_begin.reserve(static_cast<std::size_t>(ts.size()) + 1);
+
+  std::vector<int> left;
+  for (const DagTask& t : ts.tasks()) {
+    plan.task_begin.push_back(static_cast<int>(plan.seg_begin.size()));
+    left.resize(static_cast<std::size_t>(t.num_resources()));
+    for (VertexId x = 0; x < t.vertex_count(); ++x) {
+      plan.seg_begin.push_back(static_cast<int>(plan.segments.size()));
+      append_vertex(t, x, execution_scale, left, plan.segments);
+    }
+  }
+  plan.task_begin.push_back(static_cast<int>(plan.seg_begin.size()));
+  plan.seg_begin.push_back(static_cast<int>(plan.segments.size()));
+  return plan;
 }
 
 }  // namespace dpcp

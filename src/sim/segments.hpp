@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "model/taskset.hpp"
-#include "util/rng.hpp"
 
 namespace dpcp {
 
@@ -23,23 +22,39 @@ struct Segment {
   Time length = 0;
 };
 
-struct VertexPlan {
+/// Every task's plan in flat arrays, built once per simulation run.
+/// Vertices are numbered task-major: vertex x of task i is plan vertex
+/// `vertex_index(i, x)`, and its segments are
+/// `segments[seg_begin[g] .. seg_begin[g + 1])` for that index g.  Every
+/// vertex has at least one segment.
+struct SegmentPlan {
   std::vector<Segment> segments;
-  Time total() const {
+  std::vector<int> seg_begin;    // per plan vertex, plus an end sentinel
+  std::vector<int> task_begin;   // first plan vertex per task, plus sentinel
+
+  int vertex_index(int task, VertexId x) const {
+    return task_begin[static_cast<std::size_t>(task)] + x;
+  }
+  const Segment* begin(int task, VertexId x) const {
+    return segments.data() +
+           seg_begin[static_cast<std::size_t>(vertex_index(task, x))];
+  }
+  const Segment* end(int task, VertexId x) const {
+    return segments.data() +
+           seg_begin[static_cast<std::size_t>(vertex_index(task, x)) + 1];
+  }
+  /// Sum of the segment lengths of one vertex.
+  Time vertex_total(int task, VertexId x) const {
     Time t = 0;
-    for (const auto& s : segments) t += s.length;
+    for (const Segment* s = begin(task, x); s != end(task, x); ++s)
+      t += s->length;
     return t;
   }
 };
 
-struct TaskPlan {
-  std::vector<VertexPlan> vertices;
-};
-
-/// Builds worst-case plans for every task.  `execution_scale` in (0, 1]
+/// Builds the worst-case plan of every task.  `execution_scale` in (0, 1]
 /// shortens all segments proportionally (zero-length segments are dropped;
 /// a vertex always keeps at least one segment so it remains observable).
-std::vector<TaskPlan> build_plans(const TaskSet& ts,
-                                  double execution_scale = 1.0);
+SegmentPlan build_plan(const TaskSet& ts, double execution_scale = 1.0);
 
 }  // namespace dpcp

@@ -31,8 +31,13 @@ namespace dpcp {
 
 class Simulator {
  public:
-  /// `part` must dedicate at least one processor to every task and place
-  /// every global resource on a processor.
+  /// `part` must have the shape of `ts` (one cluster per task, one
+  /// placement slot per resource), map every task to a non-empty cluster
+  /// of processors in 0..m-1, and, under SimProtocol::kDpcpP, place every
+  /// global resource on such a processor (kSpinFifo ignores placement).
+  /// Throws std::invalid_argument naming the first violation.  Capacity
+  /// is not checked: an over-utilized partition simulates (and misses
+  /// deadlines).
   Simulator(const TaskSet& ts, const Partition& part, SimConfig config);
 
   /// Runs to completion and returns the collected statistics.
@@ -57,7 +62,8 @@ class Simulator {
 };
 
 /// Convenience: simulate `ts` under `part` with default worst-case settings
-/// and return the result.
+/// and return the result.  Throws std::invalid_argument as the Simulator
+/// constructor does.
 SimResult simulate(const TaskSet& ts, const Partition& part,
                    const SimConfig& config = {});
 

@@ -242,7 +242,11 @@ TEST_P(MixedBoundCoversSimTest, ObservedResponseWithinBound) {
   Rng rng(5000 + GetParam());
   GenParams params;
   params.scenario.m = 16;
-  params.total_utilization = 4.0;
+  // At 1.1, seven of the eight seeds are schedulable (all but 6) and three
+  // of those (2, 4, 5) pack light tasks onto a shared processor.  At 4.0
+  // only seed 0 was, on dedicated processors only; from 1.5 up seed 0 is
+  // unschedulable.
+  params.total_utilization = 1.1;
   params.light_tasks = 3;
   const auto ts = generate_taskset(rng, params);
   ASSERT_TRUE(ts.has_value());

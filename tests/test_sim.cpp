@@ -26,8 +26,8 @@ TEST(Segments, InterleavesCriticalSectionsWithEvenSlices) {
   t.set_cs_length(0, 2);
   t.set_cs_length(1, 2);
   ts.finalize();
-  const auto plans = build_plans(ts);
-  const auto& segs = plans[0].vertices[0].segments;
+  const SegmentPlan plan = build_plan(ts);
+  const std::vector<Segment> segs(plan.begin(0, 0), plan.end(0, 0));
   // noncrit = 6 over 3 slots: [2][cs][2][cs][2].
   ASSERT_EQ(segs.size(), 5u);
   EXPECT_FALSE(segs[0].critical);
@@ -35,7 +35,7 @@ TEST(Segments, InterleavesCriticalSectionsWithEvenSlices) {
   EXPECT_FALSE(segs[2].critical);
   EXPECT_TRUE(segs[3].critical);
   EXPECT_FALSE(segs[4].critical);
-  EXPECT_EQ(plans[0].vertices[0].total(), 10);
+  EXPECT_EQ(plan.vertex_total(0, 0), 10);
   // Round-robin: the two resources alternate.
   EXPECT_NE(segs[1].resource, segs[3].resource);
 }
@@ -46,8 +46,8 @@ TEST(Segments, PureCriticalVertex) {
   t.add_vertex(4, {2});  // 2 requests x 2 = whole WCET
   t.set_cs_length(0, 2);
   ts.finalize();
-  const auto plans = build_plans(ts);
-  const auto& segs = plans[0].vertices[0].segments;
+  const SegmentPlan plan = build_plan(ts);
+  const std::vector<Segment> segs(plan.begin(0, 0), plan.end(0, 0));
   ASSERT_EQ(segs.size(), 2u);
   EXPECT_TRUE(segs[0].critical);
   EXPECT_TRUE(segs[1].critical);
@@ -59,10 +59,10 @@ TEST(Segments, WcetsPreservedAcrossTask) {
   params.total_utilization = 4.0;
   const auto ts = generate_taskset(rng, params);
   ASSERT_TRUE(ts.has_value());
-  const auto plans = build_plans(*ts);
+  const SegmentPlan plan = build_plan(*ts);
   for (int i = 0; i < ts->size(); ++i)
     for (VertexId v = 0; v < ts->task(i).vertex_count(); ++v)
-      EXPECT_EQ(plans[i].vertices[v].total(), ts->task(i).vertex(v).wcet);
+      EXPECT_EQ(plan.vertex_total(i, v), ts->task(i).vertex(v).wcet);
 }
 
 TEST(Segments, ScalingShrinksButKeepsStructure) {
@@ -71,12 +71,12 @@ TEST(Segments, ScalingShrinksButKeepsStructure) {
   t.add_vertex(100, {1});
   t.set_cs_length(0, 10);
   ts.finalize();
-  const auto plans = build_plans(ts, 0.5);
+  const SegmentPlan plan = build_plan(ts, 0.5);
   Time total = 0;
   bool has_cs = false;
-  for (const auto& s : plans[0].vertices[0].segments) {
-    total += s.length;
-    has_cs |= s.critical;
+  for (const Segment* s = plan.begin(0, 0); s != plan.end(0, 0); ++s) {
+    total += s->length;
+    has_cs |= s->critical;
   }
   EXPECT_TRUE(has_cs);
   EXPECT_LE(total, 60);
@@ -454,9 +454,107 @@ TEST(Simulator, EmptyTaskSetDrainsImmediately) {
   EXPECT_EQ(res.total_deadline_misses(), 0);
 }
 
+TEST(Simulator, ResumedAgentCountsOnceAsLowerPriorityBlocker) {
+  // tau_L's agent holds l_0 on sync processor 2 from t=0; tau_H requests
+  // l_0 at t=2 and is blocked by it.  tau_X's request to l_1 (t=4) clears
+  // the ceiling and preempts the agent, which resumes at t=7: the same
+  // lower-priority request blocks tau_H twice and must count once.
+  TaskSet ts(2);
+  DagTask& x = ts.add_task(50, 50);
+  x.add_vertex(11, {0, 1});  // [4][CS l_1 3][4]
+  x.set_cs_length(1, 3);
+  DagTask& h = ts.add_task(100, 100);
+  h.add_vertex(6, {1, 0});  // [2][CS l_0 2][2]
+  h.set_cs_length(0, 2);
+  DagTask& l = ts.add_task(200, 200);
+  l.add_vertex(10, {1, 0});  // CS l_0 10 from t=0
+  l.add_vertex(1, {0, 1});   // afterwards: makes l_1 global
+  l.graph().add_edge(0, 1);
+  l.set_cs_length(0, 10);
+  l.set_cs_length(1, 1);
+  ts.assign_rm_priorities();
+  ts.finalize();
+  Partition part(4, 3, 2);
+  part.add_processor_to_task(0, 0);
+  part.add_processor_to_task(1, 3);
+  part.add_processor_to_task(2, 1);
+  part.assign_resource(0, 2);
+  part.assign_resource(1, 2);
+
+  SimConfig cfg;
+  cfg.horizon = 49;
+  cfg.record_trace = true;
+  Simulator sim(ts, part, cfg);
+  const SimResult res = sim.run();
+  int agent_runs = 0;
+  for (const TraceEvent& e : sim.trace())
+    if (e.kind == TraceKind::kAgentDispatch && e.task == 2 && e.resource == 0)
+      ++agent_runs;
+  ASSERT_EQ(agent_runs, 2) << trace_to_string(sim.trace());
+  EXPECT_EQ(find_event(sim.trace(), TraceKind::kAgentPreempt, 2, 0), 4);
+  EXPECT_EQ(find_event(sim.trace(), TraceKind::kRequestGrant, 1, 0), 13);
+  EXPECT_EQ(res.max_lower_priority_blockers, 1);
+  EXPECT_TRUE(res.all_invariants_hold());
+  EXPECT_TRUE(res.drained);
+}
+
+TEST(Simulator, RejectsPartitionsItCannotRun) {
+  // Two tasks sharing global resource 0, on processors 0 and 1.
+  TaskSet ts(1);
+  for (int i = 0; i < 2; ++i) {
+    DagTask& t = ts.add_task(100, 100);
+    t.add_vertex(5, {1});
+    t.set_cs_length(0, 2);
+  }
+  ts.assign_rm_priorities();
+  ts.finalize();
+  auto placed = [] {
+    Partition part(2, 2, 1);
+    part.add_processor_to_task(0, 0);
+    part.add_processor_to_task(1, 1);
+    part.assign_resource(0, 1);
+    return part;
+  };
+  auto rejects = [&](const Partition& part, SimProtocol protocol,
+                     const std::string& expected) {
+    SimConfig cfg;
+    cfg.protocol = protocol;
+    try {
+      Simulator sim(ts, part, cfg);
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(expected), std::string::npos)
+          << e.what();
+      return;
+    }
+    ADD_FAILURE() << "accepted; expected: " << expected;
+  };
+
+  Partition three_tasks(2, 3, 1);
+  rejects(three_tasks, SimProtocol::kSpinFifo, "3 task clusters");
+  Partition two_resources(2, 2, 2);
+  rejects(two_resources, SimProtocol::kSpinFifo, "2 resources");
+  Partition empty_cluster(2, 2, 1);
+  empty_cluster.add_processor_to_task(0, 0);
+  empty_cluster.assign_resource(0, 0);
+  rejects(empty_cluster, SimProtocol::kDpcpP, "task 1 has an empty cluster");
+  Partition out_of_range = placed();
+  out_of_range.set_cluster(1, {2});
+  rejects(out_of_range, SimProtocol::kDpcpP, "processor 2 outside 0..1");
+  Partition unplaced = placed();
+  unplaced.clear_resource_assignment();
+  rejects(unplaced, SimProtocol::kDpcpP, "global resource 0 is not placed");
+
+  // FIFO spin locks execute every request locally: placement is ignored.
+  SimConfig one_job;
+  one_job.horizon = 99;
+  EXPECT_TRUE(simulate(ts, placed(), one_job).drained);
+  one_job.protocol = SimProtocol::kSpinFifo;
+  EXPECT_TRUE(simulate(ts, unplaced, one_job).drained);
+}
+
 TEST(Simulator, ScaledAwaySegmentsStayObservable) {
   // An extreme execution scale rounds every non-critical segment to zero
-  // length; build_plans() then keeps each vertex observable via a 1 ns
+  // length; build_plan() then keeps each vertex observable via a 1 ns
   // placeholder, so the schedule is tiny but nonzero.
   TaskSet ts(0);
   DagTask& t = ts.add_task(millis(1), millis(1));

@@ -1,9 +1,14 @@
-// Behaviour golden of the event-clock simulator: ~200 generated task sets
-// across four scenario corners, under both protocols, folded into one
-// FNV-1a digest over every run's full trace (hence per-job response times
-// and lock-acquisition order), per-task statistics and events_processed.
+// Behaviour goldens of the event-clock simulator:
+//  * ~200 generated heavy-only task sets across four scenario corners,
+//    under both protocols, folded into one FNV-1a digest over every run's
+//    full trace (hence per-job response times and lock-acquisition order),
+//    per-task statistics and events_processed;
+//  * generated mixed sets (2-4 light tasks) on the partitions Algorithm 1
+//    returns, which pack light tasks onto shared processors -- P-FP
+//    preemption, sequential light tasks and spinning on a shared processor
+//    -- folded over traces and every SimResult field, traced and untraced.
 // Any change to what the protocol machine does — event order, dispatch
-// choice, lock handoff, jitter/scaling draws — moves the digest.  Plus the
+// choice, lock handoff, jitter/scaling draws — moves a digest.  Plus the
 // directed PR 3 shared-processor spin regression.
 #include <gtest/gtest.h>
 
@@ -12,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/dpcp_p.hpp"
 #include "gen/taskset_gen.hpp"
 #include "partition/federated.hpp"
 #include "partition/placement.hpp"
@@ -49,6 +55,36 @@ void add_run(Fnv1a& digest, const TracedRun& run) {
     digest.add(line);
   }
   digest.add("events " + std::to_string(run.res.events_processed) + "\n");
+}
+
+/// Folds every SimResult field into `digest`: one line per task, then the
+/// run-wide checker counters, request counts, preemptions and clock.
+void add_result(Fnv1a& digest, const SimResult& res) {
+  char line[320];
+  for (const TaskSimStats& t : res.task) {
+    std::snprintf(line, sizeof line, "%lld %lld %lld %lld %.17g\n",
+                  static_cast<long long>(t.jobs_released),
+                  static_cast<long long>(t.jobs_completed),
+                  static_cast<long long>(t.deadline_misses),
+                  static_cast<long long>(t.max_response), t.avg_response);
+    digest.add(line);
+  }
+  std::snprintf(
+      line, sizeof line,
+      "blockers %d lemma1 %lld mutex %lld work %lld ceiling %lld "
+      "issued %lld completed %lld preempt %lld events %lld end %lld "
+      "drained %d\n",
+      res.max_lower_priority_blockers,
+      static_cast<long long>(res.lemma1_violations),
+      static_cast<long long>(res.mutual_exclusion_violations),
+      static_cast<long long>(res.work_conserving_violations),
+      static_cast<long long>(res.ceiling_violations),
+      static_cast<long long>(res.global_requests_issued),
+      static_cast<long long>(res.global_requests_completed),
+      static_cast<long long>(res.preemptions),
+      static_cast<long long>(res.events_processed),
+      static_cast<long long>(res.end_time), res.drained ? 1 : 0);
+  digest.add(line);
 }
 
 // ---------- property: ~200 generated task sets, both protocols ------------
@@ -103,6 +139,65 @@ TEST(SimGolden, TraceDigestOn200GeneratedTaskSets) {
   // Recorded before the dense per-quantum clock was removed, when a
   // differential suite held this run set identical across both clocks.
   EXPECT_EQ(digest.h, 0xd00711e622aedf00ull)
+      << std::hex << "digest 0x" << digest.h;
+}
+
+// ---------- property: light tasks on shared processors, both protocols ----
+
+TEST(SimGolden, ResultDigestOnSharedProcessors) {
+  // The heavy-only pin above runs on initial_federated_partition, so no
+  // processor is ever shared.  Here 2-4 light tasks ride along and
+  // Algorithm 1 (DPCP-p-EP) packs them onto shared processors: P-FP pass 3,
+  // sequential light tasks and spinning on a shared processor all run.
+  const auto corners = scenario_corners();
+  const DpcpPAnalysis ep(DpcpPAnalysis::PathMode::kEnumerate);
+  Fnv1a digest;
+  int runs = 0;
+  int shared_runs = 0;
+  for (std::size_t c = 0; c < corners.size(); ++c) {
+    for (int seed = 0; seed < 25; ++seed) {
+      Rng rng(60'000 + 1'000 * static_cast<std::uint64_t>(c) +
+              static_cast<std::uint64_t>(seed));
+      GenParams params;
+      params.scenario = corners[c];
+      params.light_tasks = 2 + seed % 3;
+      params.total_utilization = (0.15 + 0.05 * (seed % 4)) * corners[c].m;
+      const auto ts = generate_taskset(rng, params);
+      ASSERT_TRUE(ts.has_value());
+      const PartitionOutcome outcome = ep.test(*ts, corners[c].m);
+      if (!outcome.schedulable) continue;
+      const Partition& part = outcome.partition;
+      bool shared = false;
+      for (ProcessorId p = 0; p < part.num_processors(); ++p)
+        shared = shared || part.processor_shared(p);
+
+      SimConfig base;
+      base.horizon = millis(50);
+      base.hard_stop = millis(1000);
+      if (seed % 3 == 1) {
+        base.release_jitter = micros(700);
+        base.execution_scale = 0.7;
+        base.seed = 7 + seed;
+      }
+      for (const SimProtocol protocol :
+           {SimProtocol::kDpcpP, SimProtocol::kSpinFifo}) {
+        base.protocol = protocol;
+        const TracedRun traced = run_traced(*ts, part, base);
+        digest.add(trace_to_string(traced.trace));
+        add_result(digest, traced.res);
+        SimConfig untraced = base;
+        untraced.record_trace = false;
+        add_result(digest, simulate(*ts, part, untraced));
+        ++runs;
+        if (shared) ++shared_runs;
+      }
+    }
+  }
+  // The pin is vacuous unless many runs really share a processor (48 of
+  // 108 when it was recorded).
+  EXPECT_GE(shared_runs, 40) << "of " << runs << " runs";
+  // Recorded before the simulator's run state was flattened.
+  EXPECT_EQ(digest.h, 0xf081159fbecc8dd1ull)
       << std::hex << "digest 0x" << digest.h;
 }
 
