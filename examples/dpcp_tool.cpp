@@ -8,6 +8,12 @@
 //   dpcp_tool simulate <in.taskset> <in.partition> [--horizon-ms H] [--trace]
 //
 // Protocols: DPCP-p-EP (default), DPCP-p-EN, SPIN-SON, LPP, FED-FP.
+//
+// Exit status: 0 on success; 1 on a runtime failure (an unreadable or
+// malformed file, a partition `simulate` cannot run); 2 on a usage error
+// (a bad or unknown flag, a missing or unknown command) and when `analyze`
+// finds the set unschedulable; 3 when a simulated run violated a protocol
+// invariant.
 #include <cstdio>
 #include <cstring>
 #include <optional>
@@ -165,7 +171,7 @@ int cmd_analyze(const Args& args) {
   const auto kind = kind_by_name(args.protocol);
   if (!kind) {
     std::fprintf(stderr, "unknown protocol '%s'\n", args.protocol.c_str());
-    return 1;
+    return 2;
   }
   const auto analysis = make_analysis(*kind);
   const PartitionOutcome out = analysis->test(*ts, args.m);
@@ -194,10 +200,6 @@ int cmd_analyze(const Args& args) {
 }
 
 int cmd_simulate(const Args& args) {
-  if (args.positional.size() < 3) {
-    std::fputs("simulate needs <taskset> <partition>\n", stderr);
-    return 1;
-  }
   const auto ts = load_taskset(args.positional[1]);
   if (!ts) return 1;
   std::string error;
@@ -243,14 +245,15 @@ int main(int argc, char** argv) {
     std::fputs(
         "usage: dpcp_tool gen|show|analyze|simulate <files...> [flags]\n",
         stderr);
-    return 1;
+    return 2;
   }
   const std::string& cmd = args.positional[0];
   if (cmd == "gen" && args.positional.size() >= 2) return cmd_gen(args);
   if (cmd == "show" && args.positional.size() >= 2) return cmd_show(args);
   if (cmd == "analyze" && args.positional.size() >= 2)
     return cmd_analyze(args);
-  if (cmd == "simulate") return cmd_simulate(args);
+  if (cmd == "simulate" && args.positional.size() >= 3)
+    return cmd_simulate(args);
   std::fprintf(stderr, "unknown/incomplete command '%s'\n", cmd.c_str());
-  return 1;
+  return 2;
 }

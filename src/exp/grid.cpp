@@ -1,7 +1,6 @@
 #include "exp/grid.hpp"
 
-#include <cstdlib>
-
+#include "util/parse.hpp"
 #include "util/table.hpp"
 
 namespace dpcp {
@@ -18,15 +17,14 @@ std::optional<std::vector<Scenario>> scenarios_from_spec(
     } else if (token.size() == 1 && token[0] >= 'a' && token[0] <= 'd') {
       out.push_back(fig2_scenario(token[0]));
     } else if (token.rfind("first:", 0) == 0) {
-      char* rest = nullptr;
-      const long k = std::strtol(token.c_str() + 6, &rest, 10);
-      if (!rest || *rest || k <= 0) {
+      const auto k = parse_int(token.substr(6), 1);
+      if (!k) {
         if (error) *error = strfmt("bad scenario count in '%s'", token.c_str());
         return std::nullopt;
       }
       auto grid = all_scenarios();
-      if (static_cast<std::size_t>(k) < grid.size())
-        grid.resize(static_cast<std::size_t>(k));
+      if (static_cast<std::size_t>(*k) < grid.size())
+        grid.resize(static_cast<std::size_t>(*k));
       out.insert(out.end(), grid.begin(), grid.end());
     } else {
       if (error)

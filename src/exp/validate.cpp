@@ -178,7 +178,6 @@ SimConfig sample_sim_config(const SimBackendOptions& options,
   // Overloaded sets stop accumulating backlog at the horizon, so the drain
   // phase is bounded; the hard stop only guards runaway scenarios.
   cfg.hard_stop = std::max(options.horizon * 10, options.horizon + millis(1000));
-  cfg.run_checkers = true;
   if (options.mode == SimSweepMode::kRandom && ts.size() > 0) {
     Time min_period = ts.task(0).period();
     for (int i = 1; i < ts.size(); ++i)

@@ -6,6 +6,8 @@
 #include <sstream>
 #include <vector>
 
+#include "util/parse.hpp"
+
 namespace dpcp {
 namespace {
 
@@ -42,21 +44,6 @@ class LineReader {
   std::vector<std::string> tokens_;
   int line_no_ = 0;
 };
-
-bool parse_i64(const std::string& tok, std::int64_t* out) {
-  char* end = nullptr;
-  const long long v = std::strtoll(tok.c_str(), &end, 10);
-  if (end == tok.c_str() || *end != '\0') return false;
-  *out = v;
-  return true;
-}
-
-bool parse_int(const std::string& tok, int* out) {
-  std::int64_t v;
-  if (!parse_i64(tok, &v) || v < INT32_MIN || v > INT32_MAX) return false;
-  *out = static_cast<int>(v);
-  return true;
-}
 
 void set_error(std::string* error, const std::string& message) {
   if (error) *error = message;
@@ -108,8 +95,7 @@ std::optional<TaskSet> taskset_from_text(const std::string& text,
     return std::nullopt;
   }
   int nr = 0;
-  if (!parse_int(in.tokens()[1], &nr) || nr < 0 ||
-      nr > kMaxTasksetResources) {
+  if (!parse_into(in.tokens()[1], &nr, 0, kMaxTasksetResources)) {
     set_error(error, in.err("bad resource count"));
     return std::nullopt;
   }
@@ -123,7 +109,7 @@ std::optional<TaskSet> taskset_from_text(const std::string& text,
       return std::nullopt;
     }
     std::int64_t period = 0, deadline = 0;
-    if (!parse_i64(t0[2], &period) || !parse_i64(t0[4], &deadline)) {
+    if (!parse_into(t0[2], &period) || !parse_into(t0[4], &deadline)) {
       set_error(error, in.err("bad period/deadline"));
       return std::nullopt;
     }
@@ -149,15 +135,15 @@ std::optional<TaskSet> taskset_from_text(const std::string& text,
       if (t[0] == "cs") {
         int q = 0;
         std::int64_t len = 0;
-        if (t.size() != 3 || !parse_int(t[1], &q) || q < 0 || q >= nr ||
-            !parse_i64(t[2], &len) || len <= 0) {
+        if (t.size() != 3 || !parse_into(t[1], &q, 0, nr - 1) ||
+            !parse_into(t[2], &len, 1)) {
           set_error(error, in.err("bad 'cs <resource> <length>'"));
           return std::nullopt;
         }
         task.set_cs_length(q, len);
       } else if (t[0] == "vertex") {
         std::int64_t wcet = 0;
-        if (t.size() < 2 || !parse_i64(t[1], &wcet) || wcet <= 0) {
+        if (t.size() < 2 || !parse_into(t[1], &wcet, 1)) {
           set_error(error, in.err("bad 'vertex <wcet> ...'"));
           return std::nullopt;
         }
@@ -176,9 +162,8 @@ std::optional<TaskSet> taskset_from_text(const std::string& text,
             const auto colon = t[k].find(':');
             int q = 0, n = 0;
             if (colon == std::string::npos ||
-                !parse_int(t[k].substr(0, colon), &q) ||
-                !parse_int(t[k].substr(colon + 1), &n) || q < 0 || q >= nr ||
-                n <= 0) {
+                !parse_into(t[k].substr(0, colon), &q, 0, nr - 1) ||
+                !parse_into(t[k].substr(colon + 1), &n, 1)) {
               set_error(error, in.err("bad request entry '" + t[k] + "'"));
               return std::nullopt;
             }
@@ -196,9 +181,9 @@ std::optional<TaskSet> taskset_from_text(const std::string& text,
         task.add_vertex(wcet, std::move(requests));
       } else if (t[0] == "edge") {
         int from = 0, to = 0;
-        if (t.size() != 3 || !parse_int(t[1], &from) ||
-            !parse_int(t[2], &to) || from < 0 || to < 0 ||
-            from >= task.vertex_count() || to >= task.vertex_count()) {
+        if (t.size() != 3 ||
+            !parse_into(t[1], &from, 0, task.vertex_count() - 1) ||
+            !parse_into(t[2], &to, 0, task.vertex_count() - 1)) {
           set_error(error, in.err("bad 'edge <from> <to>' (vertices must be "
                                   "declared before edges)"));
           return std::nullopt;
@@ -255,7 +240,7 @@ std::optional<Partition> partition_from_text(const std::string& text,
   int m = 0, tasks = 0, nr = 0;
   auto read_scalar = [&](const char* key, int* out) {
     if (!in.next() || in.tokens().size() != 2 || in.tokens()[0] != key ||
-        !parse_int(in.tokens()[1], out) || *out < 0) {
+        !parse_into(in.tokens()[1], out, 0)) {
       set_error(error, in.err(std::string("expected '") + key + " <n>'"));
       return false;
     }
@@ -270,14 +255,13 @@ std::optional<Partition> partition_from_text(const std::string& text,
     const auto& t = in.tokens();
     if (t[0] == "cluster") {
       int task = 0;
-      if (t.size() < 2 || !parse_int(t[1], &task) || task < 0 ||
-          task >= tasks) {
+      if (t.size() < 2 || !parse_into(t[1], &task, 0, tasks - 1)) {
         set_error(error, in.err("bad 'cluster <task> <procs...>'"));
         return std::nullopt;
       }
       for (std::size_t k = 2; k < t.size(); ++k) {
         int p = 0;
-        if (!parse_int(t[k], &p) || p < 0 || p >= m) {
+        if (!parse_into(t[k], &p, 0, m - 1)) {
           set_error(error, in.err("bad processor id '" + t[k] + "'"));
           return std::nullopt;
         }
@@ -285,8 +269,8 @@ std::optional<Partition> partition_from_text(const std::string& text,
       }
     } else if (t[0] == "resource") {
       int q = 0, p = 0;
-      if (t.size() != 3 || !parse_int(t[1], &q) || q < 0 || q >= nr ||
-          !parse_int(t[2], &p) || p < 0 || p >= m) {
+      if (t.size() != 3 || !parse_into(t[1], &q, 0, nr - 1) ||
+          !parse_into(t[2], &p, 0, m - 1)) {
         set_error(error, in.err("bad 'resource <q> <proc>'"));
         return std::nullopt;
       }

@@ -188,16 +188,6 @@ int AdmissionController::index_of(int external_id) const {
   return -1;
 }
 
-std::vector<ProcessorId> AdmissionController::spare_processors() const {
-  std::vector<char> used(static_cast<std::size_t>(options_.m), 0);
-  for (int i = 0; i < ts_.size(); ++i)
-    for (ProcessorId p : part_.cluster(i)) used[static_cast<std::size_t>(p)] = 1;
-  std::vector<ProcessorId> out;
-  for (ProcessorId p = 0; p < options_.m; ++p)
-    if (!used[static_cast<std::size_t>(p)]) out.push_back(p);
-  return out;
-}
-
 bool AdmissionController::evaluate(const Partition& part) {
   oracle_->bind(part);
   const std::size_t n = static_cast<std::size_t>(ts_.size());
@@ -263,7 +253,7 @@ bool AdmissionController::evaluate(const Partition& part) {
 
 bool AdmissionController::delta_place(int idx) {
   const int need = min_federated_processors(ts_.task(idx));
-  const std::vector<ProcessorId> spares = spare_processors();
+  const std::vector<ProcessorId> spares = part_.spare_processors();
   if (static_cast<int>(spares.size()) >= need) {
     part_.set_cluster(
         idx, std::vector<ProcessorId>(spares.begin(), spares.begin() + need));
@@ -329,7 +319,7 @@ void AdmissionController::place_new_globals() {
 
 bool AdmissionController::steal_cluster(int idx) {
   const int need = min_federated_processors(ts_.task(idx));
-  std::vector<ProcessorId> cl = spare_processors();
+  std::vector<ProcessorId> cl = part_.spare_processors();
   if (static_cast<int>(cl.size()) > need) cl.resize(static_cast<std::size_t>(need));
   while (static_cast<int>(cl.size()) < need) {
     int donor = -1;

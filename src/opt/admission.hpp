@@ -223,7 +223,6 @@ class AdmissionController {
   /// Scores `part` for the whole resident set with the optimizer's
   /// cross-evaluation reuse rule; fills bounds_scratch_.
   bool evaluate(const Partition& part);
-  std::vector<ProcessorId> spare_processors() const;
   /// Rung 1: cluster from spares (or a shared light processor) + agents
   /// for newly global resources only.  Returns false when no cluster
   /// could be formed or the result fails validate().

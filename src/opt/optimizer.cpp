@@ -4,6 +4,12 @@
 #include <cassert>
 
 namespace dpcp {
+namespace {
+
+/// Consecutive non-improving proposals before a kick-and-restart.
+constexpr int kStallLimit = 20;
+
+}  // namespace
 
 PartitionOptimizer::PartitionOptimizer(const TaskSet& ts, int m,
                                        WcrtOracle& oracle,
@@ -71,17 +77,6 @@ OptScore PartitionOptimizer::evaluate(const Partition& part) {
   return score;
 }
 
-std::vector<ProcessorId> PartitionOptimizer::spare_processors(
-    const Partition& part) const {
-  std::vector<char> used(static_cast<std::size_t>(m_), 0);
-  for (int i = 0; i < ts_.size(); ++i)
-    for (ProcessorId p : part.cluster(i)) used[static_cast<std::size_t>(p)] = 1;
-  std::vector<ProcessorId> out;
-  for (ProcessorId p = 0; p < m_; ++p)
-    if (!used[static_cast<std::size_t>(p)]) out.push_back(p);
-  return out;
-}
-
 std::optional<Move> PartitionOptimizer::propose(const Partition& part) {
   ++stats_.proposals;
   const MoveKind kind = static_cast<MoveKind>(
@@ -122,7 +117,7 @@ std::optional<Move> PartitionOptimizer::propose(const Partition& part) {
     }
     case MoveKind::kWidenCluster: {
       if (n == 0) return std::nullopt;
-      const std::vector<ProcessorId> spares = spare_processors(part);
+      const std::vector<ProcessorId> spares = part.spare_processors();
       if (spares.empty()) return std::nullopt;
       const int task = static_cast<int>(rng_.index(static_cast<std::size_t>(n)));
       return Move::widen(task, spares[rng_.index(spares.size())]);
@@ -190,9 +185,9 @@ SearchResult PartitionOptimizer::run(
     Partition cur = best_part;
     OptScore cur_score = best_score;
     int stall = 0;
-    const std::int64_t proposal_cap =
-        options_.max_proposals > 0 ? options_.max_proposals
-                                   : 32 * options_.max_evals + 64;
+    // Caps proposals, rejected ones included, so the search ends even
+    // when every neighbour fails validate().
+    const std::int64_t proposal_cap = 32 * options_.max_evals + 64;
     while (stats_.evals < options_.max_evals &&
            stats_.proposals < proposal_cap) {
       std::optional<Move> mv = propose(cur);
@@ -219,7 +214,7 @@ SearchResult PartitionOptimizer::run(
         continue;
       }
       mv->undo(cur);
-      if (++stall < options_.stall_limit) continue;
+      if (++stall < kStallLimit) continue;
 
       // Restart: back to the best candidate, perturbed by a few random
       // (validate-gated, unscored) kick moves whose strength cycles

@@ -49,12 +49,6 @@ struct OptOptions {
   /// Candidate evaluations (full oracle scoring passes) the search may
   /// spend, including scoring the seeds themselves.  0 = seed-only.
   std::int64_t max_evals = 200;
-  /// Consecutive non-improving proposals before a kick-and-restart.
-  int stall_limit = 20;
-  /// Hard cap on move proposals (structural/validate rejections included,
-  /// so the search terminates even when every neighbour is invalid);
-  /// 0 = 32 * max_evals + 64.
-  std::int64_t max_proposals = 0;
 };
 
 /// Lexicographic objective: fewer failing tasks first, then a smaller
@@ -125,7 +119,6 @@ class PartitionOptimizer {
  private:
   OptScore evaluate(const Partition& part);
   std::optional<Move> propose(const Partition& part);
-  std::vector<ProcessorId> spare_processors(const Partition& part) const;
 
   const TaskSet& ts_;
   const int m_;

@@ -1,11 +1,11 @@
 #include "opt/snapshot.hpp"
 
-#include <cstdlib>
 #include <sstream>
 
 #include "analysis/interface.hpp"
 #include "io/taskset_io.hpp"
 #include "partition/placement.hpp"
+#include "util/parse.hpp"
 
 namespace dpcp {
 namespace {
@@ -15,30 +15,6 @@ constexpr const char* kPartitionMarker = "end-partition";
 
 void set_error(std::string* error, const std::string& message) {
   if (error) *error = message;
-}
-
-bool parse_i64(const std::string& tok, std::int64_t* out) {
-  char* end = nullptr;
-  const long long v = std::strtoll(tok.c_str(), &end, 10);
-  if (end == tok.c_str() || *end != '\0') return false;
-  *out = v;
-  return true;
-}
-
-bool parse_u64(const std::string& tok, std::uint64_t* out) {
-  if (tok.empty() || tok[0] == '-') return false;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(tok.c_str(), &end, 10);
-  if (end == tok.c_str() || *end != '\0') return false;
-  *out = v;
-  return true;
-}
-
-bool parse_int32(const std::string& tok, int* out) {
-  std::int64_t v;
-  if (!parse_i64(tok, &v) || v < INT32_MIN || v > INT32_MAX) return false;
-  *out = static_cast<int>(v);
-  return true;
 }
 
 /// Strict line/token cursor over the snapshot text.  Unlike the taskset
@@ -177,7 +153,7 @@ std::optional<ControllerSnapshot> snapshot_from_text(const std::string& text,
   }
 
   AdmitOptions& o = snap.options;
-  if (!expect("m", 1) || !parse_int32(in.tokens()[1], &o.m) || o.m < 1) {
+  if (!expect("m", 1) || !parse_into(in.tokens()[1], &o.m, 1)) {
     set_error(error, in.err("bad 'm'"));
     return std::nullopt;
   }
@@ -187,12 +163,12 @@ std::optional<ControllerSnapshot> snapshot_from_text(const std::string& text,
     return std::nullopt;
   }
   if (!expect("max-paths", 1) ||
-      !parse_i64(in.tokens()[1], &o.analysis.max_paths)) {
+      !parse_into(in.tokens()[1], &o.analysis.max_paths)) {
     set_error(error, in.err("bad 'max-paths'"));
     return std::nullopt;
   }
   if (!expect("max-signatures", 1) ||
-      !parse_i64(in.tokens()[1], &o.analysis.max_signatures)) {
+      !parse_into(in.tokens()[1], &o.analysis.max_signatures)) {
     set_error(error, in.err("bad 'max-signatures'"));
     return std::nullopt;
   }
@@ -207,46 +183,46 @@ std::optional<ControllerSnapshot> snapshot_from_text(const std::string& text,
     o.placements.push_back(*kind);
   }
   if (!expect("repair-evals", 1) ||
-      !parse_i64(in.tokens()[1], &o.repair_evals) || o.repair_evals < 0) {
+      !parse_into(in.tokens()[1], &o.repair_evals, 0)) {
     set_error(error, in.err("bad 'repair-evals'"));
     return std::nullopt;
   }
-  std::uint64_t cap = 0;
-  if (!expect("retry-cap", 1) || !parse_u64(in.tokens()[1], &cap)) {
+  if (!expect("retry-cap", 1) ||
+      !parse_into(in.tokens()[1], &o.retry_capacity)) {
     set_error(error, in.err("bad 'retry-cap'"));
     return std::nullopt;
   }
-  o.retry_capacity = static_cast<std::size_t>(cap);
-  if (!expect("seed", 1) || !parse_u64(in.tokens()[1], &o.seed)) {
+  if (!expect("seed", 1) || !parse_into(in.tokens()[1], &o.seed)) {
     set_error(error, in.err("bad 'seed'"));
     return std::nullopt;
   }
   int readmit = 0;
   if (!expect("readmit-on-depart", 1) ||
-      !parse_int32(in.tokens()[1], &readmit) || readmit < 0 || readmit > 1) {
+      !parse_into(in.tokens()[1], &readmit, 0, 1)) {
     set_error(error, in.err("bad 'readmit-on-depart'"));
     return std::nullopt;
   }
   o.readmit_on_depart = readmit == 1;
   if (!expect("next-ext", 1) ||
-      !parse_int32(in.tokens()[1], &snap.next_ext) || snap.next_ext < 0) {
+      !parse_into(in.tokens()[1], &snap.next_ext, 0)) {
     set_error(error, in.err("bad 'next-ext'"));
     return std::nullopt;
   }
-  if (!expect("admit-seq", 1) || !parse_u64(in.tokens()[1], &snap.admit_seq)) {
+  if (!expect("admit-seq", 1) ||
+      !parse_into(in.tokens()[1], &snap.admit_seq)) {
     set_error(error, in.err("bad 'admit-seq'"));
     return std::nullopt;
   }
-  if (!expect("slo", 2) || !parse_int32(in.tokens()[1], &snap.slo_percentile) ||
-      snap.slo_percentile < 0 || snap.slo_percentile > 100 ||
-      !parse_i64(in.tokens()[2], &snap.slo_budget) || snap.slo_budget < 0) {
+  if (!expect("slo", 2) ||
+      !parse_into(in.tokens()[1], &snap.slo_percentile, 0, 100) ||
+      !parse_into(in.tokens()[2], &snap.slo_budget, 0)) {
     set_error(error, in.err("bad 'slo <percentile> <budget>'"));
     return std::nullopt;
   }
   if (!expect("slo-window", 0)) return std::nullopt;
   for (std::size_t k = 1; k < in.tokens().size(); ++k) {
     std::int64_t v = 0;
-    if (!parse_i64(in.tokens()[k], &v) || v < 0) {
+    if (!parse_into(in.tokens()[k], &v, 0)) {
       set_error(error, in.err("bad slo-window sample"));
       return std::nullopt;
     }
@@ -257,8 +233,8 @@ std::optional<ControllerSnapshot> snapshot_from_text(const std::string& text,
     const auto colon = in.tokens()[k].find(':');
     std::int64_t value = 0, count = 0;
     if (colon == std::string::npos ||
-        !parse_i64(in.tokens()[k].substr(0, colon), &value) ||
-        !parse_i64(in.tokens()[k].substr(colon + 1), &count) || count <= 0) {
+        !parse_into(in.tokens()[k].substr(0, colon), &value) ||
+        !parse_into(in.tokens()[k].substr(colon + 1), &count, 1)) {
       set_error(error, in.err("bad cost-hist cell '" + in.tokens()[k] + "'"));
       return std::nullopt;
     }
@@ -273,7 +249,7 @@ std::optional<ControllerSnapshot> snapshot_from_text(const std::string& text,
     }
     for (std::size_t k = 0; k < slots.size(); ++k) {
       if (in.tokens()[1 + 2 * k] != kStatKeys[k] ||
-          !parse_i64(in.tokens()[2 + 2 * k], slots[k]) || *slots[k] < 0) {
+          !parse_into(in.tokens()[2 + 2 * k], slots[k], 0)) {
         set_error(error,
                   in.err(std::string("bad stats field '") + kStatKeys[k] + "'"));
         return std::nullopt;
@@ -283,7 +259,7 @@ std::optional<ControllerSnapshot> snapshot_from_text(const std::string& text,
   if (!expect("ext-ids", 0)) return std::nullopt;
   for (std::size_t k = 1; k < in.tokens().size(); ++k) {
     int id = 0;
-    if (!parse_int32(in.tokens()[k], &id) || id < 0) {
+    if (!parse_into(in.tokens()[k], &id, 0)) {
       set_error(error, in.err("bad ext-id"));
       return std::nullopt;
     }
@@ -314,14 +290,13 @@ std::optional<ControllerSnapshot> snapshot_from_text(const std::string& text,
   snap.partition = std::move(*part);
 
   std::int64_t retry_count = 0;
-  if (!expect("retry", 1) || !parse_i64(in.tokens()[1], &retry_count) ||
-      retry_count < 0) {
+  if (!expect("retry", 1) || !parse_into(in.tokens()[1], &retry_count, 0)) {
     set_error(error, in.err("bad 'retry <count>'"));
     return std::nullopt;
   }
   for (std::int64_t k = 0; k < retry_count; ++k) {
     int id = 0;
-    if (!expect("pending", 1) || !parse_int32(in.tokens()[1], &id) || id < 0) {
+    if (!expect("pending", 1) || !parse_into(in.tokens()[1], &id, 0)) {
       set_error(error, in.err("bad 'pending <id>'"));
       return std::nullopt;
     }

@@ -26,13 +26,14 @@ void Partition::set_cluster(int task, std::vector<ProcessorId> procs) {
   clusters_[static_cast<std::size_t>(task)] = std::move(procs);
 }
 
-int Partition::assigned_processors() const {
-  std::vector<bool> used(static_cast<std::size_t>(m_), false);
+std::vector<ProcessorId> Partition::spare_processors() const {
+  std::vector<char> used(static_cast<std::size_t>(m_), 0);
   for (const auto& c : clusters_)
-    for (ProcessorId p : c) used[static_cast<std::size_t>(p)] = true;
-  int total = 0;
-  for (bool u : used) total += u ? 1 : 0;
-  return total;
+    for (ProcessorId p : c) used[static_cast<std::size_t>(p)] = 1;
+  std::vector<ProcessorId> out;
+  for (ProcessorId p = 0; p < m_; ++p)
+    if (!used[static_cast<std::size_t>(p)]) out.push_back(p);
+  return out;
 }
 
 std::vector<ResourceId> Partition::resources_on_processor(ProcessorId p) const {

@@ -79,7 +79,11 @@ class Partition {
     clusters_.erase(clusters_.begin() + task);
   }
   /// Total processors currently hosting at least one task.
-  int assigned_processors() const;
+  int assigned_processors() const {
+    return m_ - static_cast<int>(spare_processors().size());
+  }
+  /// Processors hosting no task, in increasing id order.
+  std::vector<ProcessorId> spare_processors() const;
 
   // --- resource placement -------------------------------------------------
   ProcessorId processor_of_resource(ResourceId q) const {

@@ -9,8 +9,8 @@
 // pure function of that shard's input sequence.  Changing the thread
 // count only changes which worker runs a shard, never the order within
 // one, which is why the mux front below is byte-identical at any
-// --threads value (the CMake gate `server_mux_shard_equivalence` pins 1
-// vs 8).
+// --threads value (the ctest gate `server_mux_shard_equivalence` diffs
+// 1 vs 8 threads; `server_metrics_shard_count_equivalence` 1 vs 4 shards).
 //
 // run_mux_server() is the wire front: input lines are
 //

@@ -59,9 +59,6 @@ struct SimConfig {
   /// horizons with record_trace on are exactly the exporter's use case).
   /// 0 = unlimited (the default; record_trace already defaults off).
   std::int64_t max_trace_entries = 0;
-  /// Run the runtime invariant checkers (Lemma 1, mutual exclusion,
-  /// work-conservation) during simulation.
-  bool run_checkers = true;
 };
 
 struct TaskSimStats {

@@ -182,7 +182,6 @@ struct Simulator::Impl {
   const SimConfig& cfg;
   std::vector<TraceEvent>& trace;
   const bool record_trace;
-  const bool run_checkers;
   const bool spin;  // SimProtocol::kSpinFifo
   SimResult result;
   Rng rng;
@@ -233,7 +232,6 @@ struct Simulator::Impl {
         cfg(c),
         trace(tr),
         record_trace(c.record_trace),
-        run_checkers(c.run_checkers),
         spin(c.protocol == SimProtocol::kSpinFifo),
         rng(c.seed),
         plan(build_plan(t, c.execution_scale)) {
@@ -513,14 +511,12 @@ struct Simulator::Impl {
     // Lemma-1 bookkeeping: every agent dispatched so far predates this
     // request, except that a lower-priority agent already executing here
     // blocks it from its arrival.
-    if (run_checkers) {
-      req.blocker_floor = next_token - 1;
-      if (p.occ == Occupant::kAgent &&
-          priority_of(requests[static_cast<std::size_t>(p.request)].task) <
-              priority_of(req.task)) {
-        req.lower_blockers = 1;
-        req.blocker_floor = p.token - 1;
-      }
+    req.blocker_floor = next_token - 1;
+    if (p.occ == Occupant::kAgent &&
+        priority_of(requests[static_cast<std::size_t>(p.request)].task) <
+            priority_of(req.task)) {
+      req.lower_blockers = 1;
+      req.blocker_floor = p.token - 1;
     }
 
     try_grant_on_arrival(id);
@@ -548,7 +544,7 @@ struct Simulator::Impl {
     assert(!req.granted);
     if (global_locked[static_cast<std::size_t>(req.resource)])
       ++result.mutual_exclusion_violations;
-    if (run_checkers && priority_of(req.task) <= processor_ceiling(p))
+    if (priority_of(req.task) <= processor_ceiling(p))
       ++result.ceiling_violations;
     global_locked[static_cast<std::size_t>(req.resource)] = 1;
     const int ceiling = ceiling_of[static_cast<std::size_t>(req.resource)];
@@ -594,11 +590,9 @@ struct Simulator::Impl {
     record(TraceKind::kAgentComplete, req.task, req.job, req.vertex, req.proc,
            req.resource);
 
-    if (run_checkers) {
-      result.max_lower_priority_blockers =
-          std::max(result.max_lower_priority_blockers, req.lower_blockers);
-      if (req.lower_blockers > 1) ++result.lemma1_violations;
-    }
+    result.max_lower_priority_blockers =
+        std::max(result.max_lower_priority_blockers, req.lower_blockers);
+    if (req.lower_blockers > 1) ++result.lemma1_violations;
 
     const std::int64_t job_id = req.job;
     const int vertex = req.vertex;
@@ -725,17 +719,15 @@ struct Simulator::Impl {
     // request: it was counted already iff its previous dispatch came after
     // the request's blocker_floor (every live request on this processor
     // has seen every later dispatch here).
-    if (run_checkers) {
-      const int pr = priority_of(req.task);
-      for (int other_id : p.live_requests) {
-        if (other_id == req_id) continue;
-        GlobalRequest& other = requests[static_cast<std::size_t>(other_id)];
-        if (priority_of(other.task) > pr &&
-            req.last_dispatch <= other.blocker_floor)
-          ++other.lower_blockers;
-      }
-      req.last_dispatch = p.token;
+    const int pr = priority_of(req.task);
+    for (int other_id : p.live_requests) {
+      if (other_id == req_id) continue;
+      GlobalRequest& other = requests[static_cast<std::size_t>(other_id)];
+      if (priority_of(other.task) > pr &&
+          req.last_dispatch <= other.blocker_floor)
+        ++other.lower_blockers;
     }
+    req.last_dispatch = p.token;
   }
 
   void dispatch_vertex(ProcessorId pid, std::int64_t job_id, int vertex) {
@@ -811,12 +803,11 @@ struct Simulator::Impl {
     // idle processor while the owning task has ready vertices.  Shared
     // light-task processors are priority-scheduled, not work-conserving
     // per task, so they are excluded.
-    if (run_checkers)
-      for_each_in_both(idle, dedicated, [&](ProcessorId pid) {
-        const Processor& p = procs[static_cast<std::size_t>(pid)];
-        if (ready_of(p.cluster_tasks[0]).size > 0)
-          ++result.work_conserving_violations;
-      });
+    for_each_in_both(idle, dedicated, [&](ProcessorId pid) {
+      const Processor& p = procs[static_cast<std::size_t>(pid)];
+      if (ready_of(p.cluster_tasks[0]).size > 0)
+        ++result.work_conserving_violations;
+    });
   }
 
   /// Highest-priority task mapped to `p`, with priority above

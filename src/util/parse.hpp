@@ -1,4 +1,5 @@
-// Strict numeric parsing for CLI flags and environment knobs.
+// Strict numeric parsing for CLI flags, environment knobs and the text
+// formats (task sets, partitions, snapshots).
 //
 // std::atoi / std::atoll silently map garbage to 0 and wrap or saturate
 // out-of-range input, so "--samples abc" runs a sweep with a mangled knob
@@ -8,8 +9,10 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
+#include <type_traits>
 
 namespace dpcp {
 
@@ -34,5 +37,24 @@ std::optional<unsigned long long> parse_uint(const std::string& s,
 /// Whole-string finite double; nullopt on garbage, trailing characters,
 /// overflow, or non-finite results.
 std::optional<double> parse_double(const std::string& s);
+
+/// parse_int / parse_uint into an integer field of the text formats:
+/// stores the value and returns true when `s` is one base-10 number in
+/// [lo, hi], which defaults to T's whole range, so a number the field
+/// cannot hold is rejected, never clamped or narrowed.  *out is left
+/// untouched on failure.
+template <typename T>
+bool parse_into(const std::string& s, T* out,
+                std::common_type_t<T> lo = std::numeric_limits<T>::min(),
+                std::common_type_t<T> hi = std::numeric_limits<T>::max()) {
+  static_assert(std::is_integral_v<T>, "parse_into reads integers");
+  const auto v = [&] {
+    if constexpr (std::is_signed_v<T>) return parse_int(s, lo, hi);
+    else return parse_uint(s, lo, hi);
+  }();
+  if (!v) return false;
+  *out = static_cast<T>(*v);
+  return true;
+}
 
 }  // namespace dpcp

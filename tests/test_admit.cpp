@@ -546,6 +546,30 @@ TEST(Snapshot, TextParserRejectsTruncation) {
   }
 }
 
+TEST(Snapshot, TextParserRejectsNumbersBeyondTheFieldRange) {
+  AdmitOptions opt;
+  opt.m = 4;
+  opt.kind = AnalysisKind::kFedFp;
+  AdmissionController ctrl(0, opt);
+  ASSERT_TRUE(ctrl.admit(heavy_task(1, 0)).accepted);
+  const std::string text = snapshot_to_text(ctrl.snapshot());
+  // strtoull/strtoll clamped both to the type's maximum, so the restore
+  // succeeded with a different seed / path cap than the text said.
+  const std::string cases[][3] = {
+      {"seed", "42", "99999999999999999999999"},
+      {"max-paths", "100000", "9223372036854775808"}};
+  for (const auto& [key, value, beyond] : cases) {
+    const std::string line = "\n" + key + " " + value + "\n";
+    std::string mangled = text;
+    const auto at = mangled.find(line);
+    ASSERT_NE(at, std::string::npos) << line;
+    mangled.replace(at, line.size(), "\n" + key + " " + beyond + "\n");
+    std::string error;
+    EXPECT_FALSE(snapshot_from_text(mangled, &error).has_value()) << beyond;
+    EXPECT_NE(error.find("bad '" + key + "'"), std::string::npos) << error;
+  }
+}
+
 // ---------- server protocol fixes ------------------------------------------
 
 std::string serve(const std::string& input, const ServeOptions& options) {

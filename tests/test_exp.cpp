@@ -180,6 +180,10 @@ TEST(Grid, ScenarioSpecParsing) {
   EXPECT_FALSE(scenarios_from_spec("bogus", &error).has_value());
   EXPECT_NE(error.find("bogus"), std::string::npos);
   EXPECT_FALSE(scenarios_from_spec("first:0", &error).has_value());
+  // Beyond long long: strtol clamped this to LONG_MAX, i.e. every scenario.
+  EXPECT_FALSE(
+      scenarios_from_spec("first:99999999999999999999", &error).has_value());
+  EXPECT_NE(error.find("bad scenario count"), std::string::npos);
 }
 
 // ---------- report ---------------------------------------------------------

@@ -145,6 +145,17 @@ INSTANTIATE_TEST_SUITE_P(
                  "  vertex 5\nend\n",
                  "invalid task set"},
         // Each task would allocate a usage row this wide (bad_alloc).
+        // One past INT64_MAX: strtoll clamped these to INT64_MAX.
+        BadInput{"period above int64",
+                 "dpcp-taskset v1\nresources 0\n"
+                 "task period 99999999999999999999 deadline 10\n"
+                 "  vertex 5\nend\n",
+                 "line 3: bad period/deadline"},
+        BadInput{"vertex WCET above int64",
+                 "dpcp-taskset v1\nresources 0\n"
+                 "task period 10 deadline 10\n"
+                 "  vertex 9223372036854775808\nend\n",
+                 "line 4: bad 'vertex <wcet> ...'"},
         BadInput{"resource count above cap",
                  "dpcp-taskset v1\nresources 2000000000\n"
                  "task period 10 deadline 10\n  vertex 5\nend\n",
