@@ -111,14 +111,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   std::uint64_t seed = 42;
-  if (const char* s = std::getenv("DPCP_SEED"); s && *s != '\0') {
-    const auto v = parse_uint(s);
-    if (!v) {
-      std::fprintf(stderr, "DPCP_SEED: invalid unsigned integer '%s'\n", s);
-      return 2;
-    }
-    seed = *v;
-  }
+  if (!env_knob("DPCP_SEED", &seed, 0, UINT64_MAX)) return 2;
 
   // Scenario (a) platform with sparser resource sharing (more resources,
   // lower p_r): each arrival then perturbs a few user sets instead of all

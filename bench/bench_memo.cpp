@@ -24,15 +24,12 @@ int main(int argc, char** argv) {
   const int sets = env.samples_per_point;
   int repeats = 5;
   for (int i = 1; i < argc; ++i) {
-    const auto v = parse_int(argv[i], 1, 1 << 20);
+    const auto v = parse_knob("repeats", argv[i], 1, 1 << 20);
     if (!v) {
-      std::fprintf(stderr,
-                   "repeats: invalid integer '%s' (expected 1..%d)\n"
-                   "usage: %s [repeats]\n",
-                   argv[i], 1 << 20, argv[0]);
+      std::fprintf(stderr, "usage: %s [repeats]\n", argv[0]);
       return 2;
     }
-    repeats = static_cast<int>(*v);
+    repeats = *v;
   }
 
   Scenario sc = fig2_scenario('b');

@@ -40,8 +40,8 @@ int usage(const char* argv0) {
                "  --retry-cap N       retry-queue capacity (default 16)\n"
                "  --seed S            repair-search root seed (default 42)\n"
                "  --shards K          multiplexed front: '@<session> <line>'\n"
-               "                      input, K admission shards (default:\n"
-               "                      single-session mode)\n"
+               "                      input, sessions grouped into K shards\n"
+               "                      (default: single-session mode)\n"
                "  --threads T         workers draining the shards (default 1;\n"
                "                      output is identical for any T)\n"
                "  --strict            exit 2 at the first 'error' reply\n"
@@ -66,40 +66,17 @@ bool parse_analysis(const std::string& token, AnalysisKind* out) {
   return dpcp::analysis_kind_from_token(token, out);
 }
 
-/// Fatal-on-garbage environment integer, matching sweep_options_from_env.
-std::optional<long long> env_int(const char* name, long long lo,
-                                 long long hi) {
-  const char* s = std::getenv(name);
-  if (!s || *s == '\0') return std::nullopt;
-  const auto v = dpcp::parse_int(s, lo, hi);
-  if (!v) {
-    std::fprintf(stderr, "%s: invalid integer '%s' (expected %lld..%lld)\n",
-                 name, s, lo, hi);
-    std::exit(2);
-  }
-  return v;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   dpcp::ServeOptions options;
   int shards = 0;  // 0 = classic single-session mode
   int threads = 1;
-  if (const auto v = env_int("DPCP_M", 1, 4096))
-    options.m = static_cast<int>(*v);
-  if (const auto v = env_int("DPCP_REPAIR_EVALS", 0, 1 << 24))
-    options.repair_evals = *v;
-  if (const auto v = env_int("DPCP_RETRY_CAP", 0, 1 << 20))
-    options.retry_capacity = static_cast<std::size_t>(*v);
-  if (const char* s = std::getenv("DPCP_SEED"); s && *s != '\0') {
-    const auto v = dpcp::parse_uint(s);
-    if (!v) {
-      std::fprintf(stderr, "DPCP_SEED: invalid unsigned integer '%s'\n", s);
-      return 2;
-    }
-    options.seed = *v;
-  }
+  if (!dpcp::env_knob("DPCP_M", &options.m, 1, 4096) ||
+      !dpcp::env_knob("DPCP_REPAIR_EVALS", &options.repair_evals, 0, 1 << 24) ||
+      !dpcp::env_knob("DPCP_RETRY_CAP", &options.retry_capacity, 0, 1 << 20) ||
+      !dpcp::env_knob("DPCP_SEED", &options.seed, 0, UINT64_MAX))
+    return 2;
   if (const char* s = std::getenv("DPCP_ANALYSIS"); s && *s != '\0') {
     if (!parse_analysis(s, &options.kind)) {
       std::fprintf(stderr, "DPCP_ANALYSIS: unknown analysis '%s'\n", s);
@@ -116,10 +93,14 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // A bad number is named, then the usage text follows (exit 2).
+    auto number = [&](auto lo, auto hi) {
+      const auto v = dpcp::parse_knob(arg, value(), lo, hi);
+      if (!v) std::exit(usage(argv[0]));
+      return *v;
+    };
     if (arg == "--m") {
-      const auto v = dpcp::parse_int(value(), 1, 4096);
-      if (!v) return usage(argv[0]);
-      options.m = static_cast<int>(*v);
+      options.m = number(1, 4096);
     } else if (arg == "--analysis") {
       const std::string token = value();
       if (!parse_analysis(token, &options.kind)) {
@@ -127,25 +108,15 @@ int main(int argc, char** argv) {
         return usage(argv[0]);
       }
     } else if (arg == "--repair-evals") {
-      const auto v = dpcp::parse_int(value(), 0, 1 << 24);
-      if (!v) return usage(argv[0]);
-      options.repair_evals = *v;
+      options.repair_evals = number(0, 1 << 24);
     } else if (arg == "--retry-cap") {
-      const auto v = dpcp::parse_int(value(), 0, 1 << 20);
-      if (!v) return usage(argv[0]);
-      options.retry_capacity = static_cast<std::size_t>(*v);
+      options.retry_capacity = number(std::size_t{0}, std::size_t{1} << 20);
     } else if (arg == "--seed") {
-      const auto v = dpcp::parse_uint(value());
-      if (!v) return usage(argv[0]);
-      options.seed = *v;
+      options.seed = number(std::uint64_t{0}, UINT64_MAX);
     } else if (arg == "--shards") {
-      const auto v = dpcp::parse_int(value(), 1, 4096);
-      if (!v) return usage(argv[0]);
-      shards = static_cast<int>(*v);
+      shards = number(1, 4096);
     } else if (arg == "--threads") {
-      const auto v = dpcp::parse_int(value(), 1, 4096);
-      if (!v) return usage(argv[0]);
-      threads = static_cast<int>(*v);
+      threads = number(1, 4096);
     } else if (arg == "--strict") {
       options.strict = true;
     } else if (arg == "--help" || arg == "-h") {

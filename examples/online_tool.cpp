@@ -58,19 +58,6 @@ bool parse_analysis(const std::string& token, AnalysisKind* out) {
   return dpcp::analysis_kind_from_token(token, out);
 }
 
-std::optional<long long> env_int(const char* name, long long lo,
-                                 long long hi) {
-  const char* s = std::getenv(name);
-  if (!s || *s == '\0') return std::nullopt;
-  const auto v = dpcp::parse_int(s, lo, hi);
-  if (!v) {
-    std::fprintf(stderr, "%s: invalid integer '%s' (expected %lld..%lld)\n",
-                 name, s, lo, hi);
-    std::exit(2);
-  }
-  return v;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -78,16 +65,9 @@ int main(int argc, char** argv) {
   std::string scenario_spec = "a";
   std::string csv_path;
   std::string metrics_path;
-  if (const auto v = env_int("DPCP_THREADS", 1, 1024))
-    options.threads = static_cast<int>(*v);
-  if (const char* s = std::getenv("DPCP_SEED"); s && *s != '\0') {
-    const auto v = dpcp::parse_uint(s);
-    if (!v) {
-      std::fprintf(stderr, "DPCP_SEED: invalid unsigned integer '%s'\n", s);
-      return 2;
-    }
-    options.seed = *v;
-  }
+  if (!dpcp::env_knob("DPCP_THREADS", &options.threads, 1, 1024) ||
+      !dpcp::env_knob("DPCP_SEED", &options.seed, 0, UINT64_MAX))
+    return 2;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -98,16 +78,18 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // A bad number is named, then the usage text follows (exit 2).
+    auto number = [&](auto lo, auto hi) {
+      const auto v = dpcp::parse_knob(arg, value(), lo, hi);
+      if (!v) std::exit(usage(argv[0]));
+      return *v;
+    };
     if (arg == "--scenarios") {
       scenario_spec = value();
     } else if (arg == "--streams") {
-      const auto v = dpcp::parse_int(value(), 1, 1 << 16);
-      if (!v) return usage(argv[0]);
-      options.streams = static_cast<int>(*v);
+      options.streams = number(1, 1 << 16);
     } else if (arg == "--events") {
-      const auto v = dpcp::parse_int(value(), 1, 1 << 24);
-      if (!v) return usage(argv[0]);
-      options.events = static_cast<int>(*v);
+      options.events = number(1, 1 << 24);
     } else if (arg == "--depart-prob") {
       const auto v = dpcp::parse_double(value());
       if (!v || *v < 0.0 || *v >= 1.0) {
@@ -129,24 +111,13 @@ int main(int argc, char** argv) {
         return usage(argv[0]);
       }
     } else if (arg == "--repair-evals") {
-      const auto v = dpcp::parse_int(value(), 0, 1 << 24);
-      if (!v) return usage(argv[0]);
-      options.repair_evals = *v;
+      options.repair_evals = number(0, 1 << 24);
     } else if (arg == "--retry-cap") {
-      const auto v = dpcp::parse_int(value(), 0, 1 << 20);
-      if (!v) return usage(argv[0]);
-      options.retry_capacity = static_cast<std::size_t>(*v);
+      options.retry_capacity = number(std::size_t{0}, std::size_t{1} << 20);
     } else if (arg == "--seed") {
-      const auto v = dpcp::parse_uint(value());
-      if (!v) {
-        std::fprintf(stderr, "--seed: invalid unsigned integer\n");
-        return usage(argv[0]);
-      }
-      options.seed = *v;
+      options.seed = number(std::uint64_t{0}, UINT64_MAX);
     } else if (arg == "--threads") {
-      const auto v = dpcp::parse_int(value(), 1, 1024);
-      if (!v) return usage(argv[0]);
-      options.threads = static_cast<int>(*v);
+      options.threads = number(1, 1024);
     } else if (arg == "--validate") {
       options.validate = true;
     } else if (arg == "--csv") {

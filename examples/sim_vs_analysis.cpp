@@ -15,15 +15,12 @@ using namespace dpcp;
 int main(int argc, char** argv) {
   int sets = 20;
   if (argc > 1) {
-    const auto v = parse_int(argv[1], 1, 1 << 20);
+    const auto v = parse_knob("num_tasksets", argv[1], 1, 1 << 20);
     if (!v) {
-      std::fprintf(stderr,
-                   "num_tasksets: invalid integer '%s' (expected 1..%d)\n"
-                   "usage: %s [num_tasksets]\n",
-                   argv[1], 1 << 20, argv[0]);
+      std::fprintf(stderr, "usage: %s [num_tasksets]\n", argv[0]);
       return 2;
     }
-    sets = static_cast<int>(*v);
+    sets = *v;
   }
 
   auto analysis = make_analysis(AnalysisKind::kDpcpPEp);

@@ -165,30 +165,10 @@ int main(int argc, char** argv) {
     };
     // Numeric flags parse strictly: "--samples abc" (historically a silent
     // 1-sample sweep via atoi) and out-of-range values are hard errors.
-    auto int_value = [&](long long lo, long long hi) -> long long {
-      const char* raw = value();
-      const auto v = parse_int(raw, lo, hi);
-      if (!v) {
-        std::fprintf(stderr,
-                     "%s: invalid integer '%s' (expected %lld..%lld)\n",
-                     arg.c_str(), raw, lo, hi);
-        std::exit(usage(argv[0]));
-      }
-      return *v;
-    };
-    // For knobs documented as uint64 (the seed): parse_int's long long
-    // range would silently reject 2^63..2^64-1.
-    auto uint_value = [&](unsigned long long lo,
-                          unsigned long long hi) -> unsigned long long {
-      const char* raw = value();
-      const auto v = parse_uint(raw, lo, hi);
-      if (!v) {
-        std::fprintf(stderr,
-                     "%s: invalid unsigned integer '%s' (expected "
-                     "%llu..%llu)\n",
-                     arg.c_str(), raw, lo, hi);
-        std::exit(usage(argv[0]));
-      }
+    // The seed is uint64, so its bounds parse unsigned.
+    auto number = [&](auto lo, auto hi) {
+      const auto v = parse_knob(arg, value(), lo, hi);
+      if (!v) std::exit(usage(argv[0]));
       return *v;
     };
     if (arg == "--scenarios") scenario_spec = value();
@@ -204,17 +184,17 @@ int main(int argc, char** argv) {
       }
       options.placements = *placements;
     }
-    else if (arg == "--optimize") options.optimize_evals = int_value(1, 1 << 30);
-    else if (arg == "--samples") options.samples_per_point = static_cast<int>(int_value(1, 1 << 20));
-    else if (arg == "--seed") options.seed = static_cast<std::uint64_t>(uint_value(0, UINT64_MAX));
-    else if (arg == "--threads") options.threads = static_cast<int>(int_value(0, 1 << 16));
-    else if (arg == "--light") options.light_tasks = static_cast<int>(int_value(0, 1 << 20));
+    else if (arg == "--optimize") options.optimize_evals = number(1, 1 << 30);
+    else if (arg == "--samples") options.samples_per_point = number(1, 1 << 20);
+    else if (arg == "--seed") options.seed = number(std::uint64_t{0}, UINT64_MAX);
+    else if (arg == "--threads") options.threads = number(0, 1 << 16);
+    else if (arg == "--light") options.light_tasks = number(0, 1 << 20);
     else if (arg == "--utils") { options.norm_utilizations.clear(); if (!parse_doubles(value(), &options.norm_utilizations)) return usage(argv[0]); }
-    else if (arg == "--max-paths") options.analysis.max_paths = int_value(1, INT64_MAX);
-    else if (arg == "--max-signatures") options.analysis.max_signatures = int_value(1, INT64_MAX);
+    else if (arg == "--max-paths") options.analysis.max_paths = number(std::int64_t{1}, INT64_MAX);
+    else if (arg == "--max-signatures") options.analysis.max_signatures = number(std::int64_t{1}, INT64_MAX);
     else if (arg == "--sim") options.sim.enabled = true;
     else if (arg == "--validate") options.sim.validate = true;
-    else if (arg == "--horizon-ms") options.sim.horizon = millis(int_value(1, 10'000'000));
+    else if (arg == "--horizon-ms") options.sim.horizon = millis(number(1, 10'000'000));
     else if (arg == "--sim-mode") {
       const std::string mode = value();
       if (mode == "worst") options.sim.mode = SimSweepMode::kWorst;

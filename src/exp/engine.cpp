@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <memory>
 #include <mutex>
-#include <system_error>
 #include <thread>
 #include <tuple>
 
@@ -16,6 +15,7 @@
 #include "util/parse.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
+#include "util/workers.hpp"
 
 namespace dpcp {
 
@@ -28,6 +28,40 @@ namespace {
 constexpr std::uint64_t kSimColumnSalt = 0x53494D00ull;    // "SIM"
 constexpr std::uint64_t kValidateSalt = 0x56414C00ull;     // "VAL"
 constexpr std::uint64_t kOptimizeSalt = 0x4F505400ull;     // "OPT"
+
+// fold(): element-wise merge of two equally shaped (nested) vectors of
+// counts or of stats with a merge() member.
+void fold(std::int64_t& into, std::int64_t share) { into += share; }
+template <typename T>
+void fold(T& into, const T& share) {
+  into.merge(share);
+}
+template <typename T>
+void fold(std::vector<T>& into, const std::vector<T>& share) {
+  for (std::size_t i = 0; i < into.size(); ++i) fold(into[i], share[i]);
+}
+
+/// Adds one worker's share of a sweep to `into`.  Both are copies of the
+/// same zeroed skeleton, so every vector has the same shape, and the
+/// vectors a sweep does not fill are empty in both.
+void merge_share(SweepResult& into, const SweepResult& share) {
+  for (std::size_t s = 0; s < into.curves.size(); ++s) {
+    fold(into.curves[s].accepted, share.curves[s].accepted);
+    fold(into.curves[s].samples, share.curves[s].samples);
+  }
+  fold(into.sim_stats, share.sim_stats);
+  fold(into.validation_points, share.validation_points);
+  fold(into.opt_stats, share.opt_stats);
+  fold(into.validation.analyses, share.validation.analyses);
+  into.validation.failures.insert(into.validation.failures.end(),
+                                  share.validation.failures.begin(),
+                                  share.validation.failures.end());
+  // Generator stats are sweep-global (per-scenario attribution would
+  // require per-item stats plumbing for no analytical benefit).
+  into.gen_stats.merge(share.gen_stats);
+  into.path_enumerations += share.path_enumerations;
+  into.budget_reenumerations += share.budget_reenumerations;
+}
 
 }  // namespace
 
@@ -196,36 +230,14 @@ SweepResult run_sweep(const std::vector<Scenario>& scenarios,
   for (std::size_t s = 0; s < n_scen; ++s)
     seeds[s] = scenario_seed(options.seed, s);
 
+  // Every worker accumulates its share in a copy of the zeroed result and
+  // folds it into `result` once, under the merge mutex.
+  const SweepResult skeleton = result;
   auto worker = [&]() {
-    // Per-worker analysis instances (one per column) and per-scenario
-    // accumulators; the shared curves are touched only once, under the
-    // merge mutex.
-    std::vector<std::unique_ptr<SchedAnalysis>> analyses;
+    std::vector<std::unique_ptr<SchedAnalysis>> analyses;  // one per column
     for (const Column& c : columns)
       analyses.push_back(make_analysis(c.kind, options.analysis));
-
-    std::vector<std::vector<std::vector<std::int64_t>>> local_accepted(n_scen);
-    std::vector<std::vector<std::int64_t>> local_samples(n_scen);
-    std::vector<std::vector<SimPointStats>> local_sim(sim_on ? n_scen : 0);
-    std::vector<std::vector<std::vector<ValidationPointStats>>> local_val(
-        validate ? n_scen : 0);
-    std::vector<std::vector<std::vector<OptPointStats>>> local_opt(
-        opt_active ? n_scen : 0);
-    for (std::size_t s = 0; s < n_scen; ++s) {
-      const std::size_t points = result.curves[s].utilization.size();
-      local_accepted[s].assign(n_cols, std::vector<std::int64_t>(points, 0));
-      local_samples[s].assign(points, 0);
-      if (sim_on) local_sim[s].resize(points);
-      if (validate)
-        local_val[s].assign(n_acol,
-                            std::vector<ValidationPointStats>(points));
-      if (opt_active)
-        local_opt[s].assign(n_acol, std::vector<OptPointStats>(points));
-    }
-    std::vector<AnalysisValidation> local_av(validate ? n_acol : 0);
-    std::vector<UnsoundAccept> local_failures;
-    GenStats local_gen;
-    std::int64_t local_enums = 0, local_reenums = 0;
+    SweepResult share = skeleton;
 
     for (;;) {
       const std::size_t item = next.fetch_add(1);
@@ -238,7 +250,7 @@ SweepResult run_sweep(const std::vector<Scenario>& scenarios,
       const std::size_t within = item - offset[s];
       const std::size_t point = within / samples;
       const std::size_t sample = within % samples;
-      const AcceptanceCurve& curve = result.curves[s];
+      AcceptanceCurve& curve = share.curves[s];
 
       GenParams params;
       params.scenario = scenarios[s];
@@ -247,9 +259,9 @@ SweepResult run_sweep(const std::vector<Scenario>& scenarios,
       // Deterministic sub-stream per (scenario, point, sample): thread
       // assignment cannot change what any sample sees.
       Rng rng = Rng(seeds[s]).fork((point << 20) ^ sample);
-      const auto ts = generate_taskset(rng, params, &local_gen);
+      const auto ts = generate_taskset(rng, params, &share.gen_stats);
       if (ts) {
-        ++local_samples[s][point];
+        ++curve.samples[point];
         // One analysis session per generated task set, shared by every
         // analysis kind: partition-independent work (path signatures,
         // priority order) is computed once for the paired comparison.
@@ -271,7 +283,7 @@ SweepResult run_sweep(const std::vector<Scenario>& scenarios,
             OptimizeOutcome opt_out = analyses[a]->optimize(
                 session, scenarios[s].m, opt_seeds,
                 rng.fork(kOptimizeSalt + a), opt_options);
-            OptPointStats& op = local_opt[s][a][point];
+            OptPointStats& op = share.opt_stats[s][a][point];
             op.seed_accepts += opt_out.seed_schedulable ? 1 : 0;
             op.search_accepts += opt_out.search_accepted ? 1 : 0;
             op.evals += opt_out.stats.evals;
@@ -283,7 +295,7 @@ SweepResult run_sweep(const std::vector<Scenario>& scenarios,
                 analyses[a]->test(session, scenarios[s].m, columns[a].strategy);
           }
           if (!outcome.schedulable) continue;
-          ++local_accepted[s][a][point];
+          ++curve.accepted[a][point];
           if (!validate || !protocols[a]) continue;
           // Cross-check: execute this accept on its own partition under
           // the protocol the analysis models.  Fork order is fixed, so
@@ -292,8 +304,8 @@ SweepResult run_sweep(const std::vector<Scenario>& scenarios,
           const SimConfig cfg = sample_sim_config(sim_opts, *ts, check_rng);
           const CrossCheckResult cc =
               cross_check_accept(*ts, outcome, *protocols[a], cfg);
-          AnalysisValidation& av = local_av[a];
-          ValidationPointStats& vp = local_val[s][a][point];
+          AnalysisValidation& av = share.validation.analyses[a];
+          ValidationPointStats& vp = share.validation_points[s][a][point];
           ++av.accepts_checked;
           ++vp.checked;
           av.invariant_violations += cc.verdict.invariant_violations;
@@ -308,19 +320,19 @@ SweepResult run_sweep(const std::vector<Scenario>& scenarios,
             f.scenario = s;
             f.point = point;
             f.sample = sample;
-            f.analysis = result.validation.analyses[a].name;
+            f.analysis = av.name;
             f.deadline_misses = cc.verdict.deadline_misses;
             f.drained = cc.verdict.drained;
             f.worst_task = cc.worst_task;
             f.observed = cc.worst_observed;
             f.bound = cc.worst_bound;
-            local_failures.push_back(std::move(f));
+            share.validation.failures.push_back(std::move(f));
           }
         }
         if (sim_on) {
           // The trailing "sim" column: observed schedulability on the
           // analysis-independent baseline partition under DPCP-p.
-          SimPointStats& sp = local_sim[s][point];
+          SimPointStats& sp = share.sim_stats[s][point];
           const auto part = baseline_partition(*ts, scenarios[s].m);
           if (!part) {
             ++sp.unpartitionable;
@@ -336,11 +348,11 @@ SweepResult run_sweep(const std::vector<Scenario>& scenarios,
             sp.invariant_violations += v.invariant_violations;
             for (const auto& t : res.task)
               sp.max_response = std::max(sp.max_response, t.max_response);
-            if (v.schedulable) ++local_accepted[s][n_acol][point];
+            if (v.schedulable) ++curve.accepted[n_acol][point];
           }
         }
-        local_enums += session.path_enumerations();
-        local_reenums += session.budget_reenumerations();
+        share.path_enumerations += session.path_enumerations();
+        share.budget_reenumerations += session.budget_reenumerations();
       }
       if (remaining[s].fetch_sub(1) == 1 && options.progress) {
         // Count and report under one lock so `done` values reach the
@@ -351,54 +363,12 @@ SweepResult run_sweep(const std::vector<Scenario>& scenarios,
     }
 
     std::lock_guard<std::mutex> lock(merge_mutex);
-    for (std::size_t s = 0; s < n_scen; ++s) {
-      AcceptanceCurve& curve = result.curves[s];
-      const std::size_t points = curve.utilization.size();
-      for (std::size_t a = 0; a < n_cols; ++a)
-        for (std::size_t p = 0; p < points; ++p)
-          curve.accepted[a][p] += local_accepted[s][a][p];
-      for (std::size_t p = 0; p < points; ++p)
-        curve.samples[p] += local_samples[s][p];
-      if (sim_on)
-        for (std::size_t p = 0; p < points; ++p)
-          result.sim_stats[s][p].merge(local_sim[s][p]);
-      if (validate)
-        for (std::size_t a = 0; a < n_acol; ++a)
-          for (std::size_t p = 0; p < points; ++p)
-            result.validation_points[s][a][p].merge(local_val[s][a][p]);
-      if (opt_active)
-        for (std::size_t a = 0; a < n_acol; ++a)
-          for (std::size_t p = 0; p < points; ++p)
-            result.opt_stats[s][a][p].merge(local_opt[s][a][p]);
-    }
-    if (validate) {
-      for (std::size_t a = 0; a < n_acol; ++a)
-        result.validation.analyses[a].merge(local_av[a]);
-      result.validation.failures.insert(result.validation.failures.end(),
-                                        local_failures.begin(),
-                                        local_failures.end());
-    }
-    // Generator stats are sweep-global (per-scenario attribution would
-    // require per-item stats plumbing for no analytical benefit).
-    result.gen_stats.merge(local_gen);
-    result.path_enumerations += local_enums;
-    result.budget_reenumerations += local_reenums;
+    merge_share(result, share);
   };
-
   // Output is thread-count independent, so workers beyond the number of
-  // work items would only cost spawn time.  A host that refuses a thread
-  // (a huge --threads against the process limit) leaves the queue to the
-  // workers already running, or to this thread if none started.
-  const std::size_t workers = std::max<std::size_t>(
-      1, std::min(static_cast<std::size_t>(threads), total_items));
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  try {
-    while (pool.size() < workers) pool.emplace_back(worker);
-  } catch (const std::system_error&) {
-    if (pool.empty()) worker();
-  }
-  for (auto& t : pool) t.join();
+  // work items would only cost spawn time.
+  run_workers(std::min(static_cast<std::size_t>(threads), total_items),
+              worker);
 
   // Failures were appended in worker-merge order; sort them into the
   // canonical (scenario, point, sample, analysis) order so the report is
@@ -465,36 +435,13 @@ SweepOptions sweep_options_from_env(int default_samples) {
   options.samples_per_point = default_samples;
   // A set-but-garbled knob is a fatal error, not a silent fallback: the
   // historical atoi path turned "DPCP_SAMPLES=1O0" into a 1-sample sweep
-  // whose results looked plausible enough to trust.
-  const auto env_int = [](const char* name, long long lo,
-                          long long hi) -> std::optional<long long> {
-    const char* s = std::getenv(name);
-    if (!s || *s == '\0') return std::nullopt;
-    const auto v = parse_int(s, lo, hi);
-    if (!v) {
-      std::fprintf(stderr, "%s: invalid integer '%s' (expected %lld..%lld)\n",
-                   name, s, lo, hi);
-      std::exit(2);
-    }
-    return v;
-  };
-  if (const auto v = env_int("DPCP_SAMPLES", 1, 1 << 20))
-    options.samples_per_point = static_cast<int>(*v);
-  // The seed is documented as uint64, so it parses unsigned: routing it
-  // through parse_int would silently reject the upper half of its range.
-  if (const char* s = std::getenv("DPCP_SEED"); s && *s != '\0') {
-    const auto v = parse_uint(s);
-    if (!v) {
-      std::fprintf(stderr,
-                   "DPCP_SEED: invalid unsigned integer '%s' "
-                   "(expected 0..%llu)\n",
-                   s, static_cast<unsigned long long>(UINT64_MAX));
-      std::exit(2);
-    }
-    options.seed = *v;
-  }
-  if (const auto v = env_int("DPCP_THREADS", 0, 1 << 16))
-    options.threads = static_cast<int>(*v);
+  // whose results looked plausible enough to trust.  The seed is
+  // documented as uint64, so it parses unsigned: a signed parse would
+  // silently reject the upper half of its range.
+  if (!env_knob("DPCP_SAMPLES", &options.samples_per_point, 1, 1 << 20) ||
+      !env_knob("DPCP_SEED", &options.seed, 0, UINT64_MAX) ||
+      !env_knob("DPCP_THREADS", &options.threads, 0, 1 << 16))
+    std::exit(2);
   return options;
 }
 

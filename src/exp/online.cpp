@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <ostream>
-#include <thread>
 
 #include "exp/validate.hpp"
 #include "gen/taskset_gen.hpp"
 #include "opt/admission.hpp"
 #include "util/rng.hpp"
+#include "util/workers.hpp"
 
 namespace dpcp {
 namespace {
@@ -155,15 +155,9 @@ std::vector<OnlineStreamResult> run_online(const OnlineOptions& options) {
   };
   // Replays are self-contained and land in their slot by index, so
   // workers beyond the number of replays would only cost spawn time.
-  const std::size_t workers = std::min(
-      static_cast<std::size_t>(std::max(1, options.threads)), total);
-  if (workers <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    for (std::size_t t = 0; t < workers; ++t) pool.emplace_back(worker);
-    for (auto& th : pool) th.join();
-  }
+  run_workers(
+      std::min(static_cast<std::size_t>(std::max(1, options.threads)), total),
+      worker);
   return results;
 }
 

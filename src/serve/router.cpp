@@ -1,129 +1,92 @@
 #include "serve/router.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <istream>
 #include <map>
+#include <memory>
+#include <optional>
 #include <ostream>
 #include <sstream>
-#include <utility>
+#include <vector>
 
 #include "util/parse.hpp"
+#include "util/workers.hpp"
 
 namespace dpcp {
-
-ShardRouter::ShardRouter(int shards, int threads)
-    : shards_(std::max(1, shards)) {
-  const int n = std::max(1, std::min(threads, shards_));
-  workers_.reserve(static_cast<std::size_t>(n));
-  for (int w = 0; w < n; ++w) workers_.push_back(std::make_unique<Worker>());
-  threads_.reserve(static_cast<std::size_t>(n));
-  for (int w = 0; w < n; ++w)
-    threads_.emplace_back([this, w] { worker_loop(*workers_[w]); });
-}
-
-ShardRouter::~ShardRouter() {
-  for (auto& w : workers_) {
-    std::lock_guard<std::mutex> lock(w->mu);
-    w->stop = true;
-    w->cv.notify_all();
-  }
-  for (std::thread& t : threads_) t.join();
-}
-
-void ShardRouter::post(int shard, std::function<void()> fn) {
-  Worker& w = *workers_[static_cast<std::size_t>(shard) % workers_.size()];
-  {
-    std::lock_guard<std::mutex> lock(done_mu_);
-    ++outstanding_;
-  }
-  {
-    std::lock_guard<std::mutex> lock(w.mu);
-    w.queue.push_back(std::move(fn));
-  }
-  w.cv.notify_one();
-}
-
-void ShardRouter::drain() {
-  std::unique_lock<std::mutex> lock(done_mu_);
-  done_cv_.wait(lock, [this] { return outstanding_ == 0; });
-}
-
-void ShardRouter::worker_loop(Worker& w) {
-  for (;;) {
-    std::function<void()> fn;
-    {
-      std::unique_lock<std::mutex> lock(w.mu);
-      w.cv.wait(lock, [&w] { return w.stop || !w.queue.empty(); });
-      if (w.queue.empty()) return;  // stop, and nothing left to run
-      fn = std::move(w.queue.front());
-      w.queue.pop_front();
-    }
-    fn();
-    {
-      std::lock_guard<std::mutex> lock(done_mu_);
-      if (--outstanding_ == 0) done_cv_.notify_all();
-    }
-  }
-}
 
 namespace {
 
 /// One multiplexed client: a CommandSession writing into a private
-/// buffer, pinned to shard `id mod shards`.  Only the owning worker
-/// touches `session`/`buffer` (all access happens inside posted tasks),
-/// so no locks are needed beyond the router's queues.
+/// buffer.  Only the worker draining its shard's list touches
+/// `session`/`buffer`, and that list runs on one worker, so no locks
+/// are needed.
 struct MuxSession {
   explicit MuxSession(const ServeOptions& serve) : session(buffer, serve) {}
   std::ostringstream buffer;
   CommandSession session;
 };
 
+/// One entry of a shard's work list: feed `line` to `session`, or
+/// finish() it when there is no line.
+struct ShardStep {
+  MuxSession* session;
+  std::optional<std::string> line;
+};
+
 }  // namespace
 
 int run_mux_server(std::istream& in, std::ostream& out,
                    const MuxOptions& options) {
+  const int shards = std::max(1, options.shards);
   std::map<int, std::unique_ptr<MuxSession>> sessions;  // id -> session
+  std::vector<std::vector<ShardStep>> work(static_cast<std::size_t>(shards));
   bool mux_error = false;
-  {
-    ShardRouter router(options.shards, options.threads);
-    std::string line;
-    while (std::getline(in, line)) {
-      if (line.empty()) continue;
-      std::size_t space = line.find(' ');
-      if (space == std::string::npos) space = line.size();
-      int sid = -1;
-      if (line[0] == '@') {
-        const auto v = parse_int(line.substr(1, space - 1), 0, INT32_MAX);
-        if (v) sid = static_cast<int>(*v);
-      }
-      if (sid < 0) {
-        // Mux-layer framing errors are not any session's output; they are
-        // emitted immediately, which — since session replies only appear
-        // after the final drain — puts them deterministically first.
-        out << "error expected '@<session> <line>', got '" << line << "'\n";
-        mux_error = true;
-        if (options.serve.strict) break;
-        continue;
-      }
-      auto it = sessions.find(sid);
-      if (it == sessions.end())
-        it = sessions
-                 .emplace(sid, std::make_unique<MuxSession>(options.serve))
-                 .first;
-      MuxSession* s = it->second.get();
-      // The payload tail: everything after "@<sid> ", which may be empty
-      // (a blank payload line) — payload blocks go through verbatim.
-      std::string rest =
-          space < line.size() ? line.substr(space + 1) : std::string();
-      router.post(sid % router.shards(),
-                  [s, rest = std::move(rest)] { s->session.feed(rest); });
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty()) continue;
+    std::size_t space = line.find(' ');
+    if (space == std::string::npos) space = line.size();
+    int sid = -1;
+    if (line[0] == '@') {
+      const auto v = parse_int(line.substr(1, space - 1), 0, INT32_MAX);
+      if (v) sid = static_cast<int>(*v);
     }
-    for (auto& [sid, s] : sessions) {
-      MuxSession* raw = s.get();
-      router.post(sid % router.shards(), [raw] { raw->session.finish(); });
+    if (sid < 0) {
+      // Mux-layer framing errors are not any session's output; they are
+      // emitted immediately, which — since no session runs before EOF —
+      // puts them deterministically first.
+      out << "error expected '@<session> <line>', got '" << line << "'\n";
+      mux_error = true;
+      if (options.serve.strict) break;
+      continue;
     }
-    router.drain();
-  }  // workers joined; every buffer is complete and quiescent
+    std::unique_ptr<MuxSession>& s = sessions[sid];
+    if (!s) s = std::make_unique<MuxSession>(options.serve);
+    // The payload tail: everything after "@<sid> ", which may be empty
+    // (a blank payload line) — payload blocks go through verbatim.
+    work[static_cast<std::size_t>(sid % shards)].push_back(
+        {s.get(), space < line.size() ? line.substr(space + 1) : ""});
+  }
+  for (const auto& [sid, s] : sessions)
+    work[static_cast<std::size_t>(sid % shards)].push_back(
+        {s.get(), std::nullopt});
+
+  // Shards without a session are no work: they start no worker.
+  work.erase(std::remove_if(work.begin(), work.end(),
+                            [](const auto& steps) { return steps.empty(); }),
+             work.end());
+  std::atomic<std::size_t> next{0};
+  run_workers(
+      std::min(static_cast<std::size_t>(std::max(1, options.threads)),
+               work.size()),
+      [&] {
+        for (std::size_t k = next++; k < work.size(); k = next++)
+          for (const ShardStep& step : work[k]) {
+            if (step.line) step.session->session.feed(*step.line);
+            else step.session->session.finish();
+          }
+      });
 
   bool session_error = false;
   for (const auto& [sid, s] : sessions) {

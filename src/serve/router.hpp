@@ -1,87 +1,40 @@
-// Sharded multi-client front: N independent admission shards behind one
-// line-multiplexed stream.
-//
-// ShardRouter is the execution fabric: `shards` FIFO command queues,
-// drained by `threads` worker threads under a static ownership map
-// (worker w owns shards w, w+T, w+2T, ...).  A shard's tasks run in post
-// order on exactly one thread, so everything a shard owns — controller,
-// session, output buffer — is single-threaded state and every reply is a
-// pure function of that shard's input sequence.  Changing the thread
-// count only changes which worker runs a shard, never the order within
-// one, which is why the mux front below is byte-identical at any
-// --threads value (the ctest gate `server_mux_shard_equivalence` diffs
-// 1 vs 8 threads; `server_metrics_shard_count_equivalence` 1 vs 4 shards).
+// Sharded multi-client front: many independent admission sessions behind
+// one line-multiplexed stream.
 //
 // run_mux_server() is the wire front: input lines are
 //
 //   @<session> <command or payload line>
 //
 // Session ids are small non-negative integers; a session appears when
-// first mentioned, owns one CommandSession (serve/server.hpp) pinned to
-// shard  session mod shards,  and buffers its replies.  At EOF every
-// session is finished (open payloads become framing errors) and the
-// buffered replies are emitted grouped by session in ascending id order,
-// each line prefixed `@<session> `.
+// first mentioned, owns one CommandSession (serve/server.hpp) with its own
+// controller, and buffers its replies.  Session sid belongs to shard
+// sid mod shards.  The mux reads its input to EOF (or, under --strict, to
+// the first framing error), appending each session's lines and then its
+// finish() to its shard's work list.  The lists of the shards that hold a
+// session are then drained on util/workers.hpp's run_workers(), one
+// worker per list at a time, so the sessions of one shard run serially in
+// input order and everything a session owns is single-threaded state.
+// Every reply is a pure function of that session's input lines, which is
+// why the output is byte-identical at any --shards/--threads value (the
+// ctest gate `server_mux_shard_equivalence` diffs 1 vs 8 threads;
+// `server_metrics_shard_count_equivalence` 1 vs 4 shards).  The buffered
+// replies are emitted grouped by session in ascending id order, each line
+// prefixed `@<session> `.
 #pragma once
 
-#include <condition_variable>
-#include <cstdint>
-#include <deque>
-#include <functional>
 #include <iosfwd>
-#include <memory>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 #include "serve/server.hpp"
 
 namespace dpcp {
 
-class ShardRouter {
- public:
-  /// `shards` >= 1 FIFO queues, drained by min(threads, shards) workers.
-  ShardRouter(int shards, int threads);
-  /// Joins the workers; pending tasks are still executed first.
-  ~ShardRouter();
-  ShardRouter(const ShardRouter&) = delete;
-  ShardRouter& operator=(const ShardRouter&) = delete;
-
-  int shards() const { return shards_; }
-  int threads() const { return static_cast<int>(threads_.size()); }
-
-  /// Enqueues `fn` on `shard`'s queue.  Tasks of one shard run in post
-  /// order on the shard's owning worker; tasks of different shards run
-  /// concurrently.  Single-producer: post() and drain() are meant to be
-  /// called from one driving thread.
-  void post(int shard, std::function<void()> fn);
-
-  /// Blocks until every task posted so far has finished.
-  void drain();
-
- private:
-  struct Worker {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::deque<std::function<void()>> queue;
-    bool stop = false;
-  };
-
-  void worker_loop(Worker& w);
-
-  const int shards_;
-  std::vector<std::unique_ptr<Worker>> workers_;
-  std::vector<std::thread> threads_;
-  std::mutex done_mu_;
-  std::condition_variable done_cv_;
-  std::int64_t outstanding_ = 0;  // guarded by done_mu_
-};
-
 /// Options of the multiplexed front.
 struct MuxOptions {
   /// Per-session serve knobs (every session gets the same ones).
   ServeOptions serve;
+  /// Sessions are grouped into this many shards (>= 1).
   int shards = 1;
+  /// At most this many workers drain the shards that hold a session.
   int threads = 1;
 };
 

@@ -34,8 +34,9 @@
 //   * run_server(): one session over one stream pair (the classic
 //     single-client mode);
 //   * CommandSession: a push-based core (feed one line at a time) that
-//     the sharded multi-client front (serve/router.hpp) drives, one
-//     instance per client session, each bound to its own shard.
+//     the multi-client mux (serve/router.hpp) drives, one instance (and
+//     so one controller) per client session; a shard only groups
+//     sessions that run one after another.
 #pragma once
 
 #include <cstdint>

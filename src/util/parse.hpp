@@ -9,6 +9,8 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <limits>
 #include <optional>
 #include <string>
@@ -55,6 +57,43 @@ bool parse_into(const std::string& s, T* out,
   if (!v) return false;
   *out = static_cast<T>(*v);
   return true;
+}
+
+/// parse_into for a named knob (a CLI flag or an environment variable):
+/// the value of `text` when it is one base-10 number in [lo, hi];
+/// otherwise prints `<name>: invalid integer '<text>' (expected lo..hi)`
+/// (`invalid unsigned integer` for an unsigned T) to stderr and returns
+/// nullopt.
+template <typename T>
+std::optional<T> parse_knob(const std::string& name, const std::string& text,
+                            T lo, T hi) {
+  T v{};
+  if (parse_into(text, &v, lo, hi)) return v;
+  if constexpr (std::is_signed_v<T>)
+    std::fprintf(stderr, "%s: invalid integer '%s' (expected %lld..%lld)\n",
+                 name.c_str(), text.c_str(), static_cast<long long>(lo),
+                 static_cast<long long>(hi));
+  else
+    std::fprintf(stderr,
+                 "%s: invalid unsigned integer '%s' (expected %llu..%llu)\n",
+                 name.c_str(), text.c_str(),
+                 static_cast<unsigned long long>(lo),
+                 static_cast<unsigned long long>(hi));
+  return std::nullopt;
+}
+
+/// parse_knob for the environment variable `name`, stored into *field:
+/// true when the variable is unset, empty or valid; false, after
+/// parse_knob's message, when it is set to anything else.  A garbled
+/// knob must never silently run on the default.
+template <typename T>
+bool env_knob(const char* name, T* field, std::common_type_t<T> lo,
+              std::common_type_t<T> hi) {
+  const char* s = std::getenv(name);
+  if (!s || *s == '\0') return true;
+  const auto v = parse_knob(name, s, lo, hi);
+  if (v) *field = *v;
+  return v.has_value();
 }
 
 }  // namespace dpcp

@@ -184,11 +184,6 @@ class Rng {
     return static_cast<std::size_t>(uniform_int(0, static_cast<std::int64_t>(n) - 1));
   }
 
-  template <typename T>
-  void shuffle(std::vector<T>& v) {
-    std::shuffle(v.begin(), v.end(), engine_);
-  }
-
   /// Random composition: split `total` into `parts` non-negative integers
   /// summing to `total`, uniformly over compositions (stars-and-bars by
   /// sorting cut points).  Used to spread N_{i,q} requests over vertices.

@@ -27,9 +27,6 @@ class RunningStat {
   double mean() const { return n_ ? mean_ : 0.0; }
   double variance() const { return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0; }
   double stddev() const { return std::sqrt(variance()); }
-  double stderr_mean() const {
-    return n_ ? stddev() / std::sqrt(static_cast<double>(n_)) : 0.0;
-  }
   double min() const { return n_ ? min_ : 0.0; }
   double max() const { return n_ ? max_ : 0.0; }
 

@@ -712,25 +712,20 @@ TEST(Server, SloCommandValidatesAndReportsCostLine) {
   EXPECT_EQ(run_server(bad_in, bad_out, strict), 2);
 }
 
-// ---------- shard router ---------------------------------------------------
+// ---------- mux front --------------------------------------------------------
 
-TEST(Router, PerShardFifoAtAnyThreadCount) {
-  for (int threads : {1, 3, 8}) {
-    ShardRouter router(4, threads);
-    std::vector<std::vector<int>> seen(4);
-    for (int i = 0; i < 200; ++i) {
-      const int shard = i % 4;
-      // Only the owning worker touches seen[shard]: no lock needed.
-      router.post(shard, [&seen, shard, i] { seen[shard].push_back(i); });
-    }
-    router.drain();
-    for (int shard = 0; shard < 4; ++shard) {
-      ASSERT_EQ(seen[shard].size(), 50u) << "threads " << threads;
-      for (int k = 0; k < 50; ++k)
-        ASSERT_EQ(seen[shard][static_cast<std::size_t>(k)], 4 * k + shard)
-            << "threads " << threads;
-    }
-  }
+TEST(Router, StrictStopsReadingAtTheFirstFramingError) {
+  // The framing error comes out first, reading stops there, and the
+  // sessions opened before it still run: session 1 is never created.
+  MuxOptions options;
+  options.serve.strict = true;
+  options.shards = 2;
+  std::istringstream in("@0 stats\nbogus line\n@1 quit\n");
+  std::ostringstream out;
+  EXPECT_EQ(run_mux_server(in, out, options), 2);
+  EXPECT_EQ(out.str(),
+            "error expected '@<session> <line>', got 'bogus line'\n"
+            "@0 error no workload loaded (use 'load')\n");
 }
 
 TEST(Router, MuxOutputIsIdenticalAcrossShardAndThreadCounts) {

@@ -1,10 +1,17 @@
 // Unit tests for the util substrate: time formatting/arithmetic, RNG
-// distributions and substreams, the fixed-point solver, statistics and
-// table rendering.
+// distributions and substreams, the fixed-point solver, statistics, table
+// rendering and the worker pool.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <cstdlib>
 #include <set>
+#include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "util/arena.hpp"
 #include "util/fixed_point.hpp"
@@ -14,6 +21,7 @@
 #include "util/stats.hpp"
 #include "util/table.hpp"
 #include "util/time.hpp"
+#include "util/workers.hpp"
 
 namespace dpcp {
 namespace {
@@ -412,6 +420,64 @@ TEST(CacheStats, HitRateFromMemoCounts) {
   stats.memo_misses += 1;
   EXPECT_DOUBLE_EQ(stats.memo_hit_rate(), 0.75);
 }
+
+// ---------- worker pool ------------------------------------------------------
+
+struct Drained {
+  int once = 0;     // items that ran exactly once
+  int workers = 0;  // runs of the worker
+};
+
+/// Drains a queue of `items` work items, an atomic index as in every
+/// caller, on run_workers(n).
+Drained drain_queue(std::size_t n, std::size_t items) {
+  std::vector<std::atomic<int>> runs(items);
+  std::atomic<std::size_t> next{0};
+  std::atomic<int> workers{0};
+  run_workers(n, [&] {
+    ++workers;
+    for (std::size_t k = next++; k < items; k = next++) ++runs[k];
+  });
+  Drained d;
+  for (const std::atomic<int>& r : runs) d.once += r == 1 ? 1 : 0;
+  d.workers = workers;
+  return d;
+}
+
+TEST(Workers, EveryItemRunsOnceAndWorkerErrorsReachTheCaller) {
+  for (int n : {0, 1, 3, 16}) {
+    const std::size_t workers = static_cast<std::size_t>(n);
+    const Drained d = drain_queue(workers, 1000);
+    EXPECT_EQ(d.once, 1000) << "n " << n;
+    EXPECT_EQ(d.workers, std::max(n, 1)) << "n " << n;
+    EXPECT_THROW(run_workers(workers, [] { throw std::runtime_error("x"); }),
+                 std::runtime_error)
+        << "n " << n;
+  }
+}
+
+TEST(Workers, OneWorkerRunsOnTheCallingThread) {
+  std::thread::id ran_on;
+  run_workers(1, [&] { ran_on = std::this_thread::get_id(); });
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+}
+
+// ASan and TSan cannot run under an address-space limit (their shadow
+// memory alone is far larger), so sanitizer builds leave this test out.
+#if !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
+TEST(Workers, RefusedThreadsLeaveTheQueueToTheWorkersThatStarted) {
+  // 256 MiB of address space holds a few dozen 8 MiB thread stacks, not
+  // 64: std::thread throws for the rest, and the queue must still drain.
+  const auto child = [] {
+    rlimit limit{};
+    limit.rlim_cur = limit.rlim_max = 256u << 20;
+    setrlimit(RLIMIT_AS, &limit);
+    const Drained d = drain_queue(64, 1000);
+    std::exit(d.once == 1000 && d.workers < 64 ? 0 : 1);
+  };
+  EXPECT_EXIT(child(), ::testing::ExitedWithCode(0), "");
+}
+#endif
 
 }  // namespace
 }  // namespace dpcp
