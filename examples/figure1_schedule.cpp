@@ -30,17 +30,16 @@ int main() {
   ti.add_vertex(2);          // v_{i,6}
   ti.add_vertex(2);          // v_{i,7}
   ti.add_vertex(2);          // v_{i,8}
-  auto& gi = ti.graph();
-  gi.add_edge(0, 1);
-  gi.add_edge(0, 2);
-  gi.add_edge(0, 3);
-  gi.add_edge(0, 4);
-  gi.add_edge(1, 5);
-  gi.add_edge(2, 6);
-  gi.add_edge(4, 6);
-  gi.add_edge(3, 7);
-  gi.add_edge(5, 7);
-  gi.add_edge(6, 7);
+  ti.add_edge(0, 1);
+  ti.add_edge(0, 2);
+  ti.add_edge(0, 3);
+  ti.add_edge(0, 4);
+  ti.add_edge(1, 5);
+  ti.add_edge(2, 6);
+  ti.add_edge(4, 6);
+  ti.add_edge(3, 7);
+  ti.add_edge(5, 7);
+  ti.add_edge(6, 7);
   ti.set_cs_length(0, 3);
   ti.set_cs_length(1, 2);
 
@@ -52,10 +51,9 @@ int main() {
   tj.add_vertex(4);
   tj.add_vertex(4);
   tj.add_vertex(1);
-  auto& gj = tj.graph();
   for (VertexId v = 1; v <= 4; ++v) {
-    gj.add_edge(0, v);
-    gj.add_edge(v, 5);
+    tj.add_edge(0, v);
+    tj.add_edge(v, 5);
   }
   tj.set_cs_length(0, 3);
 

@@ -61,7 +61,7 @@ int usage(const char* argv0) {
       "  --light N         extra light tasks per set, Sec. VI (default: 0)\n"
       "  --utils LIST      normalized utilization points, e.g. 0.2,0.4,0.6\n"
       "                    (default: the paper's per-scenario grid)\n"
-      "  --max-paths N     EP path-enumeration DFS budget (default: 100000)\n"
+      "  --max-paths N     EP complete-path budget (default: 100000)\n"
       "  --max-signatures N  EP signature budget before the envelope\n"
       "                    fallback kicks in (default: 20000)\n"
       "  --sim             run the discrete-event simulator on every task\n"

@@ -344,7 +344,7 @@ class QueryContext {
 class DpcpPPrepared final : public PreparedAnalysis {
  public:
   DpcpPPrepared(AnalysisSession& session, DpcpPAnalysis::PathMode mode,
-                DpcpPOptions options)
+                AnalysisOptions options)
       : PreparedAnalysis(session),
         mode_(mode),
         options_(options),
@@ -546,7 +546,7 @@ class DpcpPPrepared final : public PreparedAnalysis {
   }
 
   const DpcpPAnalysis::PathMode mode_;
-  const DpcpPOptions options_;
+  const AnalysisOptions options_;
   std::vector<TaskTables> tables_;
   ResponseMemoTable memo_;
   std::vector<ProcTermScratch> proc_terms_;

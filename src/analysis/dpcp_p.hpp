@@ -29,25 +29,14 @@
 //    per query, as it depends on the hint vector.
 #pragma once
 
-#include <cstdint>
-
 #include "analysis/interface.hpp"
 
 namespace dpcp {
 
-struct DpcpPOptions {
-  /// DFS budget for path enumeration (EP).
-  std::int64_t max_paths = 100'000;
-  /// Signature budget for the per-signature fixed points (EP); when the
-  /// merged signature count exceeds this, EP falls back to the (sound)
-  /// EN envelope for that task.
-  std::int64_t max_signatures = 20'000;
-};
-
 class DpcpPAnalysis final : public SchedAnalysis {
  public:
   enum class PathMode { kEnumerate, kEnvelope };
-  using Options = DpcpPOptions;
+  using Options = AnalysisOptions;
 
   explicit DpcpPAnalysis(PathMode mode, Options options = Options())
       : mode_(mode), options_(options) {}

@@ -70,16 +70,13 @@ OptimizeOutcome SchedAnalysis::optimize(AnalysisSession& session, int m,
 
 std::unique_ptr<SchedAnalysis> make_analysis(AnalysisKind kind,
                                              const AnalysisOptions& options) {
-  DpcpPOptions dpcp_options;
-  dpcp_options.max_paths = options.max_paths;
-  dpcp_options.max_signatures = options.max_signatures;
   switch (kind) {
     case AnalysisKind::kDpcpPEp:
       return std::make_unique<DpcpPAnalysis>(DpcpPAnalysis::PathMode::kEnumerate,
-                                             dpcp_options);
+                                             options);
     case AnalysisKind::kDpcpPEn:
       return std::make_unique<DpcpPAnalysis>(DpcpPAnalysis::PathMode::kEnvelope,
-                                             dpcp_options);
+                                             options);
     case AnalysisKind::kSpinSon:
       return std::make_unique<SpinSonAnalysis>();
     case AnalysisKind::kLpp:

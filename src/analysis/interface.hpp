@@ -103,11 +103,12 @@ enum class AnalysisKind {
 };
 
 /// Cross-analysis tuning knobs forwarded by make_analysis(); today these
-/// reach only the DPCP-p-EP path enumeration (defaults == DpcpPOptions).
+/// reach only DPCP-p-EP, which falls back to the (sound) EN envelope for a
+/// task over either budget.
 struct AnalysisOptions {
-  /// DFS budget for EP path enumeration.
+  /// Complete-path budget for EP path enumeration.
   std::int64_t max_paths = 100'000;
-  /// Signature budget above which EP falls back to the EN envelope.
+  /// Signature budget for EP's per-signature fixed points.
   std::int64_t max_signatures = 20'000;
 };
 

@@ -112,9 +112,9 @@ class AnalysisSession {
     return resource_epochs_[static_cast<std::size_t>(q)];
   }
 
-  /// Complete-path signatures of `task`, enumerated with DFS budget
-  /// `max_paths` on first use and cached — keyed by (task, budget) — for
-  /// the session's lifetime.  Results are bit-identical to calling
+  /// Complete-path signatures of `task`, enumerated with complete-path
+  /// budget `max_paths` on first use and cached — keyed by (task,
+  /// budget) — for the session's lifetime.  Results are bit-identical to calling
   /// enumerate_path_signatures() directly.  In practice every caller in
   /// one session uses one budget; a second budget enumerates once and
   /// caches alongside (counted by budget_reenumerations(), not thrashing

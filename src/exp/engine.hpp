@@ -137,7 +137,7 @@ struct SweepResult {
       validation_points;
   /// Session telemetry summed over every AnalysisSession the sweep opened:
   /// path enumerations performed, and — of those — re-enumerations forced
-  /// by a mid-session DFS-budget change (AnalysisSession::
+  /// by a mid-session path-budget change (AnalysisSession::
   /// budget_reenumerations()).  Default sweeps run one budget, so any
   /// nonzero budget_reenumerations flags a caller silently thrashing the
   /// path cache.  Telemetry only: never emitted to CSV/JSON.

@@ -57,9 +57,7 @@ Dag erdos_renyi_dag(Rng& rng, int num_vertices, double edge_prob) {
   std::vector<Edge> edges;
   const std::size_t count =
       draw_forward_edges(rng, num_vertices, EdgeTest(edge_prob), edges);
-  Dag dag(num_vertices);
-  dag.bulk_add_edges(edges.data(), count);
-  return dag;
+  return Dag(num_vertices, edges.data(), count);
 }
 
 }  // namespace dpcp

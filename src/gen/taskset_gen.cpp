@@ -153,21 +153,19 @@ std::optional<DagTask> generate_task(Rng& rng, const GenParams& p, int nr,
     if (lstar >= D / 2) continue;  // L* < D/2 (paper)
 
     DagTask task(-1, T, D, nr);
-    task.reserve_vertices(nv);
+    std::vector<int> reqs;
     for (std::size_t x = 0; x < wcet.size(); ++x) {
-      // Allocated only when the vertex actually requests something — the
-      // common all-zero case passes an empty vector (trailing zeros are
-      // elided by add_vertex anyway).
-      std::vector<int> reqs;
+      // The common all-zero vertex passes an empty vector.
+      reqs.clear();
       for (std::size_t q = 0; q < usage.n.size(); ++q) {
         if (usage.n[q] == 0 || req_of[q][x] == 0) continue;
         if (reqs.empty()) reqs.assign(usage.n.size(), 0);
         reqs[q] = static_cast<int>(req_of[q][x]);
       }
-      task.add_vertex(wcet[x], std::move(reqs));
+      task.add_vertex(wcet[x], reqs);
     }
-    // add_vertex grew an edgeless graph of the right size.
-    task.graph().bulk_add_edges(scratch.edges.data(), num_edges);
+    for (std::size_t e = 0; e < num_edges; ++e)
+      task.add_edge(scratch.edges[e].first, scratch.edges[e].second);
     for (std::size_t q = 0; q < usage.len.size(); ++q)
       task.set_cs_length(static_cast<ResourceId>(q), usage.len[q]);
     task.finalize();

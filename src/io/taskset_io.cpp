@@ -63,13 +63,11 @@ std::string taskset_to_text(const TaskSet& ts) {
       if (t.usage(q).cs_length > 0)
         os << "  cs " << q << ' ' << t.usage(q).cs_length << "\n";
     for (VertexId v = 0; v < t.vertex_count(); ++v) {
-      os << "  vertex " << t.vertex(v).wcet;
-      bool any = false;
-      for (ResourceId q = 0; q < ts.num_resources(); ++q) {
-        if (t.vertex(v).requests_to(q) == 0) continue;
-        os << (any ? " " : " requests ") << q << ':'
-           << t.vertex(v).requests_to(q);
-        any = true;
+      os << "  vertex " << t.vertex_wcet(v);
+      const char* sep = " requests ";
+      for (const VertexRequest& r : t.requests(v)) {
+        os << sep << r.resource << ':' << r.count;
+        sep = " ";
       }
       os << "\n";
     }
@@ -151,13 +149,14 @@ std::optional<TaskSet> taskset_from_text(const std::string& text,
           set_error(error, in.err("task WCET sum exceeds int64"));
           return std::nullopt;
         }
-        std::vector<int> requests(static_cast<std::size_t>(nr), 0);
+        std::vector<int> requests;
         std::size_t k = 2;
         if (k < t.size()) {
           if (t[k] != "requests") {
             set_error(error, in.err("expected 'requests' after WCET"));
             return std::nullopt;
           }
+          requests.assign(static_cast<std::size_t>(nr), 0);
           for (++k; k < t.size(); ++k) {
             const auto colon = t[k].find(':');
             int q = 0, n = 0;
@@ -178,7 +177,7 @@ std::optional<TaskSet> taskset_from_text(const std::string& text,
             }
           }
         }
-        task.add_vertex(wcet, std::move(requests));
+        task.add_vertex(wcet, requests);
       } else if (t[0] == "edge") {
         int from = 0, to = 0;
         if (t.size() != 3 ||
@@ -188,7 +187,12 @@ std::optional<TaskSet> taskset_from_text(const std::string& text,
                                   "declared before edges)"));
           return std::nullopt;
         }
-        task.graph().add_edge(from, to);
+        if (from == to) {
+          set_error(error, in.err("self-loop 'edge " + t[1] + " " + t[2] +
+                                  "' (the graph must be acyclic)"));
+          return std::nullopt;
+        }
+        task.add_edge(from, to);
       } else {
         set_error(error, in.err("unknown directive '" + t[0] + "'"));
         return std::nullopt;
@@ -201,6 +205,11 @@ std::optional<TaskSet> taskset_from_text(const std::string& text,
       return std::nullopt;
     }
     task.finalize();
+    if (!task.graph().is_acyclic()) {
+      set_error(error, "line " + std::to_string(task_line) +
+                           ": task graph has a cycle");
+      return std::nullopt;
+    }
     ts.adopt_task(std::move(task));
   }
 

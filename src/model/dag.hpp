@@ -1,16 +1,19 @@
 // Directed-acyclic-graph structure G_i = <V_i, E_i> of a parallel task.
 //
-// Vertices are dense integer ids.  The class maintains forward and reverse
-// adjacency and offers the graph algorithms the analysis needs: validation
-// (acyclicity), topological order, head/tail vertex sets and weighted
-// longest paths (L* in the paper's notation).
+// Vertices are dense integer ids.  A Dag is built once from an edge list
+// and then frozen: successors in CSR form (each vertex keeps its
+// successors in edge-list order), in-degrees, heads and Kahn's topological
+// order are all computed by the constructor, so every reader -- L*, the
+// complete-path count, path enumeration, the simulator -- walks the same
+// arrays and no query recomputes the order.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <string>
 #include <utility>
 #include <vector>
 
+#include "util/arena.hpp"
 #include "util/time.hpp"
 
 namespace dpcp {
@@ -21,55 +24,47 @@ using Edge = std::pair<VertexId, VertexId>;
 
 class Dag {
  public:
-  Dag() = default;
-  explicit Dag(int vertex_count) { resize(vertex_count); }
+  /// The graph on `vertex_count` vertices with edges[0, count), every
+  /// endpoint in range.  A repeated edge is dropped.  A self-loop or a
+  /// cycle leaves the topological order empty (is_acyclic() is false).
+  explicit Dag(int vertex_count = 0, const Edge* edges = nullptr,
+               std::size_t count = 0);
 
-  void resize(int vertex_count);
-  VertexId add_vertex();
-  /// Pre-allocates adjacency storage for `vertex_count` vertices (the
-  /// generator knows |V| before building; avoids realloc churn).
-  void reserve(int vertex_count);
+  int size() const { return static_cast<int>(in_degree_.size()); }
 
-  /// Adds the precedence edge (from -> to).  Duplicate edges are ignored.
-  void add_edge(VertexId from, VertexId to);
+  Slab<const VertexId> successors(VertexId v) const {
+    const auto b = succ_begin_[static_cast<std::size_t>(v)];
+    return {succ_.data() + b, succ_begin_[static_cast<std::size_t>(v) + 1] - b};
+  }
+  int in_degree(VertexId v) const {
+    return in_degree_[static_cast<std::size_t>(v)];
+  }
 
-  /// Adds edges[0, count), known to be distinct and not yet present
-  /// (asserted in debug builds), reserving exact adjacency capacity first.
-  /// Equivalent to add_edge() per pair, in order; used by the generator's
-  /// bulk construction path.
-  void bulk_add_edges(const Edge* edges, std::size_t count);
+  /// Vertices with no predecessors, in id order.
+  Slab<const VertexId> heads() const { return {heads_.data(), heads_.size()}; }
 
-  int size() const { return static_cast<int>(succ_.size()); }
-  bool has_edge(VertexId from, VertexId to) const;
+  /// Kahn topological order (heads in id order, then each vertex as its
+  /// last predecessor is dequeued); empty if the graph has a cycle.
+  Slab<const VertexId> topological_order() const {
+    return {order_.data(), order_.size()};
+  }
 
-  const std::vector<VertexId>& successors(VertexId v) const { return succ_[v]; }
-  const std::vector<VertexId>& predecessors(VertexId v) const { return pred_[v]; }
-
-  /// Vertices with no predecessors / no successors.
-  std::vector<VertexId> heads() const;
-  std::vector<VertexId> tails() const;
-
-  /// Kahn topological order; empty if the graph has a cycle (or is empty).
-  std::vector<VertexId> topological_order() const;
-
-  bool is_acyclic() const;
+  bool is_acyclic() const { return order_.size() == in_degree_.size(); }
 
   /// Longest path weight where vertex v contributes weight[v]; edges are
-  /// free.  Requires acyclicity.  This is L*_i when weights are WCETs.
-  Time longest_path_weight(const std::vector<Time>& vertex_weight) const;
+  /// free.  This is L*_i when weights are WCETs.  0 on a cyclic graph.
+  Time longest_path_weight(Slab<const Time> weight) const;
 
-  /// Vertices of one longest path (useful for tests and traces).
-  std::vector<VertexId> longest_path(const std::vector<Time>& vertex_weight) const;
-
-  /// Number of distinct complete (head -> tail) paths, saturating at `cap`.
-  std::int64_t count_complete_paths(std::int64_t cap = INT64_MAX / 2) const;
-
-  /// Human-readable edge list, for error messages and traces.
-  std::string to_string() const;
+  /// Number of distinct complete (head -> tail) paths, saturating at `cap`
+  /// (any cap up to INT64_MAX).  0 on a cyclic graph.
+  std::int64_t count_complete_paths(std::int64_t cap = INT64_MAX) const;
 
  private:
-  std::vector<std::vector<VertexId>> succ_;
-  std::vector<std::vector<VertexId>> pred_;
+  std::vector<std::size_t> succ_begin_;  // CSR offsets, size() + 1
+  std::vector<VertexId> succ_;
+  std::vector<int> in_degree_;
+  std::vector<VertexId> heads_;
+  std::vector<VertexId> order_;
 };
 
 }  // namespace dpcp

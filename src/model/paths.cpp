@@ -1,269 +1,226 @@
 #include "model/paths.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cassert>
-#include <cstring>
-#include <unordered_map>
 
 namespace dpcp {
 namespace {
 
-struct VecHash {
-  std::size_t operator()(const std::vector<int>& v) const {
-    std::size_t h = 0x811C9DC5u;
-    for (int x : v) {
-      h ^= static_cast<std::size_t>(x) + 0x9E3779B9u + (h << 6) + (h >> 2);
-    }
-    return h;
-  }
-};
-
-/// Generic fallback for wide tasks (> 16 used resources or > 255 requests
-/// per resource): per-vertex request loop and a node-based class map.  Off
-/// the generated-workload path, so simplicity beats layout here.
-class Enumerator {
+/// The complete-path classes of a task whose complete-path count is below
+/// budget (the caller's saturating count guarantees it), built by a
+/// reverse-topological merge: states(v) = the distinct suffix request
+/// vectors from v with their max suffix length and exact suffix path
+/// count.  Shared suffixes collapse once instead of being re-walked per
+/// prefix, so the work is O(sum over edges of successor-state counts)
+/// rather than one step per complete path.  The counts sum to the exact
+/// complete-path total, which is paths_visited.
+///
+/// A request vector is the DP key: W 64-bit words of 8-, 16- or 32-bit
+/// lanes, one lane per used resource.  The lane width is the smallest
+/// that holds the task's largest N_{i,q}; a path's count never exceeds
+/// the task total, so a lane never overflows and adding keys word-wise
+/// adds them lane-wise.  Generated tasks (<= 16 used resources, N_{i,q}
+/// <= 50) need at most 2 words of 8-bit lanes.  Class order is the order
+/// in which a class first reaches the final merge; it does not depend on
+/// the key width or the hash.
+class ClassMerger {
  public:
-  Enumerator(const DagTask& task, std::int64_t max_paths)
-      : task_(task), max_paths_(max_paths) {
+  explicit ClassMerger(const DagTask& task) : task_(task) {
     result_.resource_index = task.used_resources();
-    current_.assign(result_.resource_index.size(), 0);
-  }
+    int max_requests = 0;
+    for (ResourceId q : result_.resource_index)
+      max_requests = std::max(max_requests, task.usage(q).max_requests);
+    bits_ = max_requests <= 0xFF ? 8 : max_requests <= 0xFFFF ? 16 : 32;
+    const std::size_t lanes = 64 / bits_;
+    words_ = (result_.stride() + lanes - 1) / lanes;
+    stride_ = words_ + 2;
 
-  PathEnumResult run() {
-    for (VertexId head : task_.graph().heads()) {
-      if (result_.truncated) break;
-      dfs(head, 0);
-    }
-    result_.lengths.reserve(classes_.size());
-    result_.requests.reserve(classes_.size() * result_.stride());
-    for (auto& [vec, len] : classes_) {
-      result_.lengths.push_back(len);
-      result_.requests.insert(result_.requests.end(), vec.begin(), vec.end());
-    }
-    return std::move(result_);
-  }
-
- private:
-  void dfs(VertexId v, Time length_so_far) {
-    if (result_.truncated) return;
-    const Vertex& vx = task_.vertex(v);
-    const Time length = length_so_far + vx.wcet;
-    for (std::size_t k = 0; k < result_.resource_index.size(); ++k)
-      current_[k] += vx.requests_to(result_.resource_index[k]);
-
-    if (task_.graph().successors(v).empty()) {
-      ++result_.paths_visited;
-      // find-before-emplace: most complete paths repeat an existing class,
-      // and a find avoids the node allocation + key copy of emplace.
-      if (auto it = classes_.find(current_); it != classes_.end()) {
-        if (length > it->second) it->second = length;
-      } else {
-        classes_.emplace(current_, length);
-      }
-      if (result_.paths_visited >= max_paths_) result_.truncated = true;
-    } else {
-      for (VertexId w : task_.graph().successors(v)) {
-        dfs(w, length);
-        if (result_.truncated) break;
-      }
-    }
-
-    for (std::size_t k = 0; k < result_.resource_index.size(); ++k)
-      current_[k] -= vx.requests_to(result_.resource_index[k]);
-  }
-
-  const DagTask& task_;
-  const std::int64_t max_paths_;
-  std::vector<int> current_;
-  std::unordered_map<std::vector<int>, Time, VecHash> classes_;
-  PathEnumResult result_;
-};
-
-/// Specialisation for the common case of <= 16 used resources with
-/// <= 255 requests each (every generated workload: n_req_max <= 50): the
-/// per-path request vector packs into two 64-bit words of 8-bit lanes
-/// (lane overflow is impossible because a path's count never exceeds the
-/// task total N_{i,q}).  This is the hot path of every EP sweep, and the
-/// caller's saturating-count shortcut guarantees run() is only reached
-/// when the complete-path count is below budget — so instead of walking
-/// every complete path, classes are built by a reverse-topological merge:
-/// states(v) = the distinct suffix request vectors from v with their max
-/// suffix length and exact suffix path count.  Shared suffixes collapse
-/// once instead of being re-walked per prefix, turning the exponential
-/// DFS into O(sum over edges of predecessor-state counts).  Produces the
-/// same classes, max lengths, and paths_visited (the counts sum to the
-/// exact complete-path total) as the DFS — only class order differs,
-/// which no consumer depends on (the EP analysis takes a max over them).
-class PackedEnumerator {
- public:
-  static bool applicable(const DagTask& task,
-                         const std::vector<ResourceId>& used) {
-    if (used.size() > 16) return false;
-    for (ResourceId q : used)
-      if (task.usage(q).max_requests > 255) return false;
-    return true;
-  }
-
-  explicit PackedEnumerator(const DagTask& task) {
-    result_.resource_index = task.used_resources();
-    const auto nv = static_cast<std::size_t>(task.vertex_count());
-    wcet_.resize(nv);
-    delta_.resize(nv);
-    succ_off_.resize(nv + 1);
-    std::size_t edges = 0;
-    for (VertexId v = 0; v < task.vertex_count(); ++v)
-      edges += task.graph().successors(v).size();
-    succ_.reserve(edges);
+    // Per-vertex key deltas: the nonzero words of each vertex's request
+    // vector, packed from its request pairs.  Pairs come in increasing
+    // resource order, so a vertex's words do too.  Storage follows the
+    // requests made, not vertices x words.
+    std::vector<int> lane(static_cast<std::size_t>(task.num_resources()), -1);
+    for (std::size_t k = 0; k < result_.stride(); ++k)
+      lane[static_cast<std::size_t>(result_.resource_index[k])] =
+          static_cast<int>(k);
+    delta_begin_.reserve(static_cast<std::size_t>(task.vertex_count()) + 1);
+    delta_begin_.push_back(0);
     for (VertexId v = 0; v < task.vertex_count(); ++v) {
-      const auto uv = static_cast<std::size_t>(v);
-      succ_off_[uv] = static_cast<std::uint32_t>(succ_.size());
-      for (VertexId w : task.graph().successors(v)) succ_.push_back(w);
-      wcet_[uv] = task.vertex(v).wcet;
-      Key d{{0, 0}};
-      for (std::size_t k = 0; k < result_.resource_index.size(); ++k) {
-        const std::uint64_t n = static_cast<std::uint64_t>(
-            task.vertex(v).requests_to(result_.resource_index[k]));
-        d.lane[k < 8 ? 0 : 1] += n << (8 * (k % 8));
+      for (const VertexRequest& r : task.requests(v)) {
+        const auto k = static_cast<std::size_t>(
+            lane[static_cast<std::size_t>(r.resource)]);
+        const Delta d{k / lanes, static_cast<std::uint64_t>(r.count)
+                                     << (bits_ * (k % lanes))};
+        if (delta_.size() > delta_begin_.back() && delta_.back().word == d.word)
+          delta_.back().add += d.add;
+        else
+          delta_.push_back(d);
       }
-      delta_[uv] = d;
+      delta_begin_.push_back(delta_.size());
     }
-    succ_off_[nv] = static_cast<std::uint32_t>(succ_.size());
-    heads_ = task.graph().heads();
-    topo_ = task.graph().topological_order();
   }
 
   PathEnumResult run() {
-    const std::size_t nv = wcet_.size();
-    // Per-vertex state ranges into the flat pool, filled in reverse
+    const Dag& g = task_.graph();
+    const auto nv = static_cast<std::size_t>(g.size());
+    // Per-vertex state ranges into the pool, filled in reverse
     // topological order so every successor's range exists first.
-    std::vector<std::uint32_t> sbeg(nv), send(nv);
-    for (auto it = topo_.rbegin(); it != topo_.rend(); ++it) {
-      const auto uv = static_cast<std::size_t>(*it);
-      const std::uint32_t b = succ_off_[uv], e = succ_off_[uv + 1];
-      sbeg[uv] = static_cast<std::uint32_t>(pool_.size());
-      if (b == e) {
-        // Tail vertex: one suffix class — itself.
-        pool_.push_back(State{delta_[uv], wcet_[uv], 1});
+    std::vector<std::size_t> sbeg(nv), send(nv);
+    const auto order = g.topological_order();
+    for (auto it = order.end(); it != order.begin();) {
+      const VertexId v = *--it;
+      const auto uv = static_cast<std::size_t>(v);
+      const Delta* db = delta_.data() + delta_begin_[uv];
+      const Delta* de = delta_.data() + delta_begin_[uv + 1];
+      const Time c = task_.vertex_wcet(v);
+      sbeg[uv] = states();
+      const auto succ = g.successors(v);
+      if (succ.empty()) {
+        // Tail vertex: one suffix class -- itself.
+        std::uint64_t* st = grow();
+        std::fill(st, st + words_, 0);
+        for (const Delta* d = db; d != de; ++d) st[d->word] = d->add;
+        st[words_] = static_cast<std::uint64_t>(c);
+        st[words_ + 1] = 1;
+        used_ += stride_;
       } else {
         std::size_t incoming = 0;
-        for (std::uint32_t ei = b; ei < e; ++ei) {
-          const auto uw = static_cast<std::size_t>(succ_[ei]);
-          incoming += send[uw] - sbeg[uw];
-        }
-        reset_scratch(incoming);
-        for (std::uint32_t ei = b; ei < e; ++ei) {
-          const auto uw = static_cast<std::size_t>(succ_[ei]);
-          for (std::uint32_t s = sbeg[uw]; s < send[uw]; ++s) {
-            State st = pool_[s];
-            st.key.lane[0] += delta_[uv].lane[0];
-            st.key.lane[1] += delta_[uv].lane[1];
-            st.len += wcet_[uv];
-            merge(st);
-          }
+        for (VertexId w : succ)
+          incoming += send[static_cast<std::size_t>(w)] -
+                      sbeg[static_cast<std::size_t>(w)];
+        reset_table(incoming);
+        for (VertexId w : succ) {
+          const auto uw = static_cast<std::size_t>(w);
+          for (std::size_t s = sbeg[uw]; s < send[uw]; ++s)
+            merge(s, db, de, c);
         }
       }
-      send[uv] = static_cast<std::uint32_t>(pool_.size());
+      send[uv] = states();
     }
 
     // Final merge across heads (distinct heads can reach equal classes).
     std::size_t incoming = 0;
-    for (VertexId h : heads_)
+    for (VertexId h : g.heads())
       incoming += send[static_cast<std::size_t>(h)] -
                   sbeg[static_cast<std::size_t>(h)];
-    reset_scratch(incoming);
-    const std::uint32_t final_beg = static_cast<std::uint32_t>(pool_.size());
-    for (VertexId h : heads_) {
+    reset_table(incoming);
+    const std::size_t final_beg = states();
+    for (VertexId h : g.heads()) {
       const auto uh = static_cast<std::size_t>(h);
-      for (std::uint32_t s = sbeg[uh]; s < send[uh]; ++s) merge(pool_[s]);
+      for (std::size_t s = sbeg[uh]; s < send[uh]; ++s)
+        merge(s, nullptr, nullptr, 0);
     }
 
-    const std::size_t classes = pool_.size() - final_beg;
+    const std::size_t lanes = 64 / bits_;
+    const std::uint64_t mask = (std::uint64_t{1} << bits_) - 1;
+    const std::size_t classes = states() - final_beg;
     result_.lengths.reserve(classes);
     result_.requests.reserve(classes * result_.stride());
-    for (std::size_t i = final_beg; i < pool_.size(); ++i) {
-      const State& st = pool_[i];
-      result_.paths_visited += st.cnt;
-      result_.lengths.push_back(st.len);
+    for (std::size_t i = final_beg; i < states(); ++i) {
+      const std::uint64_t* st = pool_.data() + i * stride_;
+      result_.lengths.push_back(static_cast<Time>(st[words_]));
+      result_.paths_visited += static_cast<std::int64_t>(st[words_ + 1]);
       for (std::size_t k = 0; k < result_.stride(); ++k)
-        result_.requests.push_back(static_cast<int>(
-            (st.key.lane[k < 8 ? 0 : 1] >> (8 * (k % 8))) & 0xFFu));
+        result_.requests.push_back(
+            static_cast<int>((st[k / lanes] >> (bits_ * (k % lanes))) & mask));
     }
     return std::move(result_);
   }
 
  private:
-  struct Key {
-    std::uint64_t lane[2];
-    bool operator==(const Key& o) const {
-      return lane[0] == o.lane[0] && lane[1] == o.lane[1];
-    }
+  /// One nonzero word of a vertex's request vector.
+  struct Delta {
+    std::size_t word;
+    std::uint64_t add;
   };
-  /// One suffix class: packed request vector, max suffix length, exact
-  /// suffix path count.  The count never overflows: every suffix path
-  /// extends to at least one complete path, and run() is only reached
-  /// when the complete-path count is below the (int64) budget.
-  struct State {
-    Key key;
-    Time len;
-    std::int64_t cnt;
+  /// One slot of the dedup table: live iff `epoch` is the current tag.
+  struct Slot {
+    std::uint32_t epoch = 0;
+    std::size_t state = 0;
   };
 
-  static std::size_t hash(const Key& k) {
-    std::uint64_t h = k.lane[0] * 0x9E3779B97F4A7C15ull;
-    h ^= k.lane[1] + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
-    h ^= h >> 29;
-    h *= 0xBF58476D1CE4E5B9ull;
-    return static_cast<std::size_t>(h ^ (h >> 32));
+  std::size_t states() const { return used_ / stride_; }
+
+  /// The free state slot at the pool's end, growing the pool if needed.
+  std::uint64_t* grow() {
+    if (used_ + stride_ > pool_.size())
+      pool_.resize(std::max(2 * pool_.size(), used_ + stride_));
+    return pool_.data() + used_;
   }
 
-  /// Prepares the scratch dedup table for one merge of up to `incoming`
-  /// states: sized >= 2x up front so merge() never grows mid-run, cleared
-  /// in O(1) by bumping the epoch.
-  void reset_scratch(std::size_t incoming) {
+  /// Prepares the dedup table for one merge of up to `incoming` states:
+  /// sized >= 2x up front so merge() never grows mid-merge, cleared in
+  /// O(1) by bumping the epoch.
+  void reset_table(std::size_t incoming) {
     std::size_t want = 64;
     while (want < incoming * 2) want *= 2;
-    if (want > epoch_.size() || epoch_tag_ == UINT32_MAX) {
-      epoch_.assign(std::max(want, epoch_.size()), 0);
-      skey_.resize(epoch_.size());
-      sidx_.resize(epoch_.size());
-      epoch_tag_ = 0;
+    if (want > table_.size() || epoch_ == UINT32_MAX) {
+      table_.assign(std::max(want, table_.size()), Slot{});
+      epoch_ = 0;
     }
-    mask_ = epoch_.size() - 1;
-    ++epoch_tag_;
+    mask_ = table_.size() - 1;
+    ++epoch_;
   }
 
-  /// Folds one state into the scratch table + pool: new classes append to
-  /// the pool, repeats take max length and sum counts.
-  void merge(const State& st) {
-    std::size_t i = hash(st.key) & mask_;
-    while (epoch_[i] == epoch_tag_) {
-      if (skey_[i] == st.key) {
-        State& dst = pool_[sidx_[i]];
-        if (st.len > dst.len) dst.len = st.len;
-        dst.cnt += st.cnt;
+  /// Folds pool state s, extended by a vertex with key delta [d, de) and
+  /// WCET c, into the current merge.  The candidate is built in the free
+  /// slot at the pool's end: a new class keeps it, a repeat leaves it free
+  /// after taking the max length and summing the counts.
+  void merge(std::size_t s, const Delta* d, const Delta* de, Time c) {
+    std::uint64_t* key = grow();
+    const std::uint64_t* src = pool_.data() + s * stride_;
+    // Key words through the 64-bit MurmurHash3 finalizer, so every key
+    // bit reaches the low bits that index the table.
+    std::uint64_t h = 0;
+    for (std::size_t i = 0; i < words_; ++i) {
+      std::uint64_t w = src[i];
+      if (d != de && d->word == i) w += (d++)->add;
+      key[i] = w;
+      h ^= w;
+      h ^= h >> 33;
+      h *= 0xFF51AFD7ED558CCDull;
+      h ^= h >> 33;
+      h *= 0xC4CEB9FE1A85EC53ull;
+      h ^= h >> 33;
+    }
+    const std::uint64_t len = src[words_] + static_cast<std::uint64_t>(c);
+    const std::uint64_t cnt = src[words_ + 1];
+    for (std::size_t i = h & mask_;; i = (i + 1) & mask_) {
+      Slot& slot = table_[i];
+      if (slot.epoch != epoch_) {
+        slot = Slot{epoch_, states()};
+        key[words_] = len;
+        key[words_ + 1] = cnt;
+        used_ += stride_;
         return;
       }
-      i = (i + 1) & mask_;
+      std::uint64_t* dst = pool_.data() + slot.state * stride_;
+      std::size_t k = 0;
+      while (k < words_ && dst[k] == key[k]) ++k;
+      if (k == words_) {
+        dst[words_] = std::max(dst[words_], len);
+        dst[words_ + 1] += cnt;
+        return;
+      }
     }
-    epoch_[i] = epoch_tag_;
-    skey_[i] = st.key;
-    sidx_[i] = static_cast<std::uint32_t>(pool_.size());
-    pool_.push_back(st);
   }
 
-  std::vector<Time> wcet_;
-  std::vector<Key> delta_;
-  std::vector<std::uint32_t> succ_off_;  // CSR offsets, vertex_count()+1
-  std::vector<VertexId> succ_;
-  std::vector<VertexId> heads_;
-  std::vector<VertexId> topo_;
-  std::vector<State> pool_;  // all vertices' states, ranges via sbeg/send
-  std::vector<std::uint32_t> epoch_;  // scratch dedup table (parallel)
-  std::vector<Key> skey_;
-  std::vector<std::uint32_t> sidx_;
+  const DagTask& task_;
+  std::size_t bits_ = 8;
+  std::size_t words_ = 0;
+  std::size_t stride_ = 2;
+  std::vector<Delta> delta_;  // vertex-major
+  std::vector<std::size_t> delta_begin_;  // per vertex, plus sentinel
+  // Every vertex's states in pool_[0, used_), stride_ words each: the key
+  // words, then the max suffix length and the exact suffix path count.
+  // Neither overflows: lengths are bounded by C_i, and every suffix path
+  // extends to at least one complete path, of which there are fewer than
+  // the int64 budget.
+  std::vector<std::uint64_t> pool_;
+  std::size_t used_ = 0;
+  std::vector<Slot> table_;
   std::size_t mask_ = 0;
-  std::uint32_t epoch_tag_ = 0;
+  std::uint32_t epoch_ = 0;
   PathEnumResult result_;
 };
 
@@ -283,20 +240,17 @@ PathEnumResult enumerate_path_signatures(const DagTask& task,
                                          std::int64_t max_paths) {
   assert(max_paths > 0);
   assert(task.graph().is_acyclic());
-  // The DFS truncates iff the complete-path count reaches max_paths, and a
-  // truncated result is discarded by every caller (EP falls back to the EN
-  // envelope).  The saturating DP count answers "would it truncate?" in
-  // O(V + E), skipping the exponential DFS exactly when its output would
-  // be thrown away.
+  // A task with max_paths or more complete paths is truncated, and every
+  // caller discards a truncated result (EP falls back to the EN
+  // envelope).  The saturating count decides that in O(V + E), before
+  // the DP does work that would be thrown away.
   if (task.graph().count_complete_paths(max_paths) >= max_paths) {
     PathEnumResult out;
     out.resource_index = task.used_resources();
     out.truncated = true;
     return out;
   }
-  if (PackedEnumerator::applicable(task, task.used_resources()))
-    return PackedEnumerator(task).run();
-  return Enumerator(task, max_paths).run();
+  return ClassMerger(task).run();
 }
 
 }  // namespace dpcp

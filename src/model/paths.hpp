@@ -40,12 +40,11 @@ struct PathEnumResult {
   std::vector<int> requests;  // flat, lengths.size() * stride() entries
   /// Resource ids corresponding to positions within a request vector.
   std::vector<ResourceId> resource_index;
-  /// Complete paths visited by the DFS (post-merging classes may be fewer).
-  /// 0 when truncation was decided by the path-count shortcut, in which
-  /// case the DFS never ran.
+  /// Complete paths the classes cover: the task's exact complete-path
+  /// count (the classes may be fewer).  0 when truncated.
   std::int64_t paths_visited = 0;
-  /// True iff the task has >= `max_paths` complete paths; classes are
-  /// then empty/partial and the caller must fall back to a sound
+  /// True iff the task has >= `max_paths` complete paths; there are then
+  /// no classes and the caller must fall back to a sound
   /// over-approximation (the EN bound).
   bool truncated = false;
 
@@ -58,8 +57,9 @@ struct PathEnumResult {
   std::vector<PathSignature> signatures() const;
 };
 
-/// Enumerates the complete (head -> tail) path signatures of `task`.
-/// `max_paths` bounds the DFS work.  The task must be finalized and valid.
+/// Enumerates the complete (head -> tail) path signatures of `task`, or
+/// reports it truncated when it has `max_paths` (the complete-path budget)
+/// or more complete paths.  The task must be finalized and valid.
 PathEnumResult enumerate_path_signatures(const DagTask& task,
                                          std::int64_t max_paths = 200'000);
 

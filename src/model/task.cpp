@@ -1,32 +1,22 @@
 #include "model/task.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <sstream>
 
 namespace dpcp {
 
-VertexId DagTask::add_vertex(Time wcet, std::vector<int> requests) {
+VertexId DagTask::add_vertex(Time wcet, const std::vector<int>& requests) {
   assert(wcet >= 0);
-  Vertex v;
-  v.wcet = wcet;
-  v.requests = std::move(requests);
-  // Trailing zeros need no storage: requests_to() reads past the stored
-  // size as zero, and most vertices request nothing at all.  Shrinking
-  // (never growing) also caps the vector at the resource arity, as the
-  // historical zero-extension did.
-  std::size_t n = std::min(v.requests.size(),
-                           static_cast<std::size_t>(num_resources()));
-  while (n > 0 && v.requests[n - 1] == 0) --n;
-  v.requests.resize(n);
-  vertices_.push_back(std::move(v));
-  const VertexId id = graph_.add_vertex();
-  assert(id == static_cast<VertexId>(vertices_.size()) - 1);
-  return id;
-}
-
-void DagTask::reserve_vertices(int count) {
-  vertices_.reserve(static_cast<std::size_t>(count));
-  graph_.reserve(count);
+  const std::size_t n =
+      std::min(requests.size(), static_cast<std::size_t>(num_resources()));
+  for (std::size_t q = 0; q < n; ++q)
+    if (requests[q] != 0)
+      requests_.push_back(
+          VertexRequest{static_cast<ResourceId>(q), requests[q]});
+  request_begin_.push_back(requests_.size());
+  vertex_wcet_.push_back(wcet);
+  return vertex_count() - 1;
 }
 
 std::vector<ResourceId> DagTask::used_resources() const {
@@ -37,16 +27,23 @@ std::vector<ResourceId> DagTask::used_resources() const {
 }
 
 void DagTask::finalize() {
-  assert(graph_.size() == vertex_count());
-  wcet_ = 0;
-  for (auto& u : usage_) u.max_requests = 0;
-  for (const Vertex& v : vertices_) {
-    wcet_ += v.wcet;
-    // v.requests never extends past num_resources() (see add_vertex).
-    for (std::size_t q = 0; q < v.requests.size(); ++q)
-      usage_[q].max_requests += v.requests[q];
+  if (!edges_.empty() || graph_.size() != vertex_count()) {
+    // A re-freeze puts the edges frozen before (vertex-major) ahead of the
+    // ones added since, so each vertex keeps its successors in the order
+    // they were added.
+    std::vector<Edge> frozen;
+    for (VertexId v = 0; v < graph_.size(); ++v)
+      for (VertexId w : graph_.successors(v)) frozen.emplace_back(v, w);
+    edges_.insert(edges_.begin(), frozen.begin(), frozen.end());
+    graph_ = Dag(vertex_count(), edges_.data(), edges_.size());
+    edges_ = std::vector<Edge>();
   }
-  lstar_ = graph_.longest_path_weight(vertex_weights());
+  wcet_ = 0;
+  for (Time c : vertex_wcet_) wcet_ += c;
+  for (auto& u : usage_) u.max_requests = 0;
+  for (const VertexRequest& r : requests_)
+    usage_[static_cast<std::size_t>(r.resource)].max_requests += r.count;
+  lstar_ = graph_.longest_path_weight(vertex_wcets());
 }
 
 Time DagTask::cs_demand() const {
@@ -57,16 +54,9 @@ Time DagTask::cs_demand() const {
 
 Time DagTask::vertex_noncrit_wcet(VertexId v) const {
   Time cs = 0;
-  for (ResourceId q = 0; q < num_resources(); ++q)
-    cs += static_cast<Time>(vertices_[v].requests_to(q)) * usage_[q].cs_length;
-  return vertices_[v].wcet - cs;
-}
-
-std::vector<Time> DagTask::vertex_weights() const {
-  std::vector<Time> w;
-  w.reserve(vertices_.size());
-  for (const Vertex& v : vertices_) w.push_back(v.wcet);
-  return w;
+  for (const VertexRequest& r : requests(v))
+    cs += static_cast<Time>(r.count) * usage_[r.resource].cs_length;
+  return vertex_wcet(v) - cs;
 }
 
 std::optional<std::string> DagTask::validate() const {
@@ -92,8 +82,7 @@ std::optional<std::string> DagTask::validate() const {
     return err.str();
   }
   for (VertexId x = 0; x < vertex_count(); ++x) {
-    const Vertex& v = vertices_[x];
-    if (v.wcet <= 0) {
+    if (vertex_wcet(x) <= 0) {
       err << "task " << id_ << " vertex " << x << ": non-positive WCET";
       return err.str();
     }
@@ -101,26 +90,27 @@ std::optional<std::string> DagTask::validate() const {
     // overflows int64 exceeds every WCET.
     Time demand = 0;
     bool overflow = false;
-    for (ResourceId q = 0; q < num_resources() && !overflow; ++q) {
+    for (const VertexRequest& r : requests(x)) {
       Time cs = 0;
-      overflow = __builtin_mul_overflow(static_cast<Time>(v.requests_to(q)),
-                                        usage_[q].cs_length, &cs) ||
+      overflow = __builtin_mul_overflow(static_cast<Time>(r.count),
+                                        usage_[r.resource].cs_length, &cs) ||
                  __builtin_add_overflow(demand, cs, &demand);
+      if (overflow) break;
     }
-    if (overflow || demand > v.wcet) {
+    if (overflow || demand > vertex_wcet(x)) {
       err << "task " << id_ << " vertex " << x
           << ": WCET smaller than its critical-section demand "
              "(violates C_{i,x} >= sum_q N_{i,x,q} L_{i,q})";
       return err.str();
     }
-    for (ResourceId q = 0; q < num_resources(); ++q) {
-      if (v.requests_to(q) < 0) {
+    for (const VertexRequest& r : requests(x)) {
+      if (r.count < 0) {
         err << "task " << id_ << " vertex " << x << ": negative request count";
         return err.str();
       }
-      if (v.requests_to(q) > 0 && usage_[q].cs_length <= 0) {
-        err << "task " << id_ << " vertex " << x << ": requests resource " << q
-            << " with non-positive critical-section length";
+      if (usage_[r.resource].cs_length <= 0) {
+        err << "task " << id_ << " vertex " << x << ": requests resource "
+            << r.resource << " with non-positive critical-section length";
         return err.str();
       }
     }

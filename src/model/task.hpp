@@ -1,9 +1,13 @@
 // The sporadic parallel (DAG) task model of Sec. II.
 //
-// A DagTask owns its graph structure, per-vertex WCETs and per-vertex
-// request counts, plus the per-task resource-usage table (N_{i,q}, L_{i,q}).
-// Derived quantities (C_i, L*_i, C'_i, U_i) are computed on demand; the
-// class validates the paper's structural invariants in validate().
+// A DagTask is the one builder of a task graph: add_vertex() and
+// add_edge() collect the structure, and finalize() freezes it into the
+// task's Dag.  Vertex WCETs live in one array and the per-vertex request
+// counts in one flat array of (resource, count) pairs, so storage grows
+// with the requests actually made.  The task also owns the per-task
+// resource-usage table (N_{i,q}, L_{i,q}).  Derived quantities (C_i,
+// L*_i, C'_i, U_i) are computed on demand; the class validates the
+// paper's structural invariants in validate().
 #pragma once
 
 #include <optional>
@@ -12,21 +16,15 @@
 
 #include "model/dag.hpp"
 #include "model/resource.hpp"
+#include "util/arena.hpp"
 #include "util/time.hpp"
 
 namespace dpcp {
 
-/// One DAG vertex v_{i,x}: WCET C_{i,x} (critical sections included) and the
-/// per-resource request counts N_{i,x,q}, indexed by resource id with
-/// trailing zeros elided (read through requests_to(), which zero-fills past
-/// the stored size; most vertices store nothing).
-struct Vertex {
-  Time wcet = 0;                   // C_{i,x}
-  std::vector<int> requests;       // requests[q] = N_{i,x,q}
-
-  int requests_to(ResourceId q) const {
-    return q < static_cast<int>(requests.size()) ? requests[q] : 0;
-  }
+/// One nonzero request count N_{i,x,q} of a vertex.
+struct VertexRequest {
+  ResourceId resource;  // q
+  int count;            // N_{i,x,q}
 };
 
 class DagTask {
@@ -48,19 +46,32 @@ class DagTask {
   void set_priority(int p) { priority_ = p; }
 
   // --- structure ---------------------------------------------------------
-  Dag& graph() { return graph_; }
+  /// The graph as frozen by the last finalize().
   const Dag& graph() const { return graph_; }
 
-  /// Appends a vertex; `requests` may be shorter than num_resources.
-  VertexId add_vertex(Time wcet, std::vector<int> requests = {});
+  /// Appends vertex x with WCET C_{i,x} and request counts
+  /// requests[q] = N_{i,x,q}; `requests` may be shorter than
+  /// num_resources(), and its zero entries are not stored.
+  VertexId add_vertex(Time wcet, const std::vector<int>& requests = {});
 
-  /// Pre-allocates vertex and adjacency storage (generator fast path).
-  void reserve_vertices(int count);
+  /// Appends the precedence edge (from -> to) to the edge list that the
+  /// next finalize() freezes.
+  void add_edge(VertexId from, VertexId to) { edges_.emplace_back(from, to); }
 
-  int vertex_count() const { return static_cast<int>(vertices_.size()); }
-  const Vertex& vertex(VertexId v) const { return vertices_[v]; }
-  Vertex& vertex(VertexId v) { return vertices_[v]; }
-  const std::vector<Vertex>& vertices() const { return vertices_; }
+  int vertex_count() const { return static_cast<int>(vertex_wcet_.size()); }
+  /// C_{i,x}.
+  Time vertex_wcet(VertexId x) const {
+    return vertex_wcet_[static_cast<std::size_t>(x)];
+  }
+  Slab<const Time> vertex_wcets() const {
+    return {vertex_wcet_.data(), vertex_wcet_.size()};
+  }
+  /// The nonzero N_{i,x,q} of vertex x, in increasing resource order.
+  Slab<const VertexRequest> requests(VertexId x) const {
+    const auto b = request_begin_[static_cast<std::size_t>(x)];
+    return {requests_.data() + b,
+            request_begin_[static_cast<std::size_t>(x) + 1] - b};
+  }
 
   // --- resource usage ----------------------------------------------------
   int num_resources() const { return static_cast<int>(usage_.size()); }
@@ -71,8 +82,10 @@ class DagTask {
   /// Resources with N_{i,q} > 0.
   std::vector<ResourceId> used_resources() const;
 
-  /// Recomputes cached aggregates (C_i, L*_i, N_{i,q}) from the vertices.
-  /// Call after the structure is complete and before analysis.
+  /// Freezes the vertices and edges added so far into graph() and
+  /// recomputes the cached aggregates (C_i, L*_i, N_{i,q}).  Call after
+  /// the structure is complete and before analysis; calling it again is
+  /// harmless, and picks up vertices and edges added since.
   void finalize();
 
   // --- derived quantities (valid after finalize()) -----------------------
@@ -89,9 +102,6 @@ class DagTask {
   /// C'_{i,x} = C_{i,x} - sum_q N_{i,x,q} L_{i,q}.
   Time vertex_noncrit_wcet(VertexId v) const;
 
-  /// Per-vertex WCETs in graph order (weights for path algorithms).
-  std::vector<Time> vertex_weights() const;
-
   /// Checks the structural invariants of Sec. II / Sec. VII-A:
   /// acyclic graph, positive parameters, D <= T,
   /// C_{i,x} >= sum_q N_{i,x,q} * L_{i,q} for every vertex.
@@ -104,7 +114,10 @@ class DagTask {
   Time deadline_ = 0;
   int priority_ = 0;
   Dag graph_;
-  std::vector<Vertex> vertices_;
+  std::vector<Edge> edges_;  // added since the last finalize()
+  std::vector<Time> vertex_wcet_;
+  std::vector<VertexRequest> requests_;  // vertex-major, increasing q
+  std::vector<std::size_t> request_begin_{0};  // per vertex, plus sentinel
   std::vector<ResourceUsage> usage_;
   Time wcet_ = 0;
   Time lstar_ = 0;

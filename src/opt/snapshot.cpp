@@ -163,12 +163,12 @@ std::optional<ControllerSnapshot> snapshot_from_text(const std::string& text,
     return std::nullopt;
   }
   if (!expect("max-paths", 1) ||
-      !parse_into(in.tokens()[1], &o.analysis.max_paths)) {
+      !parse_into(in.tokens()[1], &o.analysis.max_paths, 1)) {
     set_error(error, in.err("bad 'max-paths'"));
     return std::nullopt;
   }
   if (!expect("max-signatures", 1) ||
-      !parse_into(in.tokens()[1], &o.analysis.max_signatures)) {
+      !parse_into(in.tokens()[1], &o.analysis.max_signatures, 1)) {
     set_error(error, in.err("bad 'max-signatures'"));
     return std::nullopt;
   }

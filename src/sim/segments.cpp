@@ -8,15 +8,16 @@ namespace dpcp {
 namespace {
 
 /// Appends the segments of vertex x of `task` to `out`.  `left` is a
-/// reused buffer of one request counter per resource.
+/// reused buffer of the vertex's request counts still to place.
 void append_vertex(const DagTask& task, VertexId x, double scale,
                    std::vector<int>& left, std::vector<Segment>& out) {
-  const Vertex& v = task.vertex(x);
+  const auto requests = task.requests(x);
   const std::size_t first = out.size();
   int sections = 0;
-  for (ResourceId q = 0; q < task.num_resources(); ++q) {
-    left[static_cast<std::size_t>(q)] = v.requests_to(q);
-    sections += v.requests_to(q);
+  left.clear();
+  for (const VertexRequest& r : requests) {
+    left.push_back(r.count);
+    sections += r.count;
   }
 
   const Time noncrit = task.vertex_noncrit_wcet(x);
@@ -30,10 +31,11 @@ void append_vertex(const DagTask& task, VertexId x, double scale,
   // Critical sections round-robin over resources, so repeated requests to
   // the same resource are spread out; a non-critical slice follows each.
   for (int remaining = sections; remaining > 0;) {
-    for (ResourceId q = 0; q < task.num_resources(); ++q) {
-      if (left[static_cast<std::size_t>(q)] == 0) continue;
-      --left[static_cast<std::size_t>(q)];
+    for (std::size_t k = 0; k < requests.size(); ++k) {
+      if (left[k] == 0) continue;
+      --left[k];
       --remaining;
+      const ResourceId q = requests[k].resource;
       out.push_back(Segment{true, q, task.usage(q).cs_length});
       push_noncrit(slice);
     }
@@ -75,7 +77,6 @@ SegmentPlan build_plan(const TaskSet& ts, double execution_scale) {
   std::vector<int> left;
   for (const DagTask& t : ts.tasks()) {
     plan.task_begin.push_back(static_cast<int>(plan.seg_begin.size()));
-    left.resize(static_cast<std::size_t>(t.num_resources()));
     for (VertexId x = 0; x < t.vertex_count(); ++x) {
       plan.seg_begin.push_back(static_cast<int>(plan.segments.size()));
       append_vertex(t, x, execution_scale, left, plan.segments);

@@ -242,8 +242,7 @@ struct Simulator::Impl {
       const DagTask& task = ts.task(i);
       prio[static_cast<std::size_t>(i)] = task.priority();
       for (VertexId v = 0; v < task.vertex_count(); ++v)
-        in_degree.push_back(
-            static_cast<int>(task.graph().predecessors(v).size()));
+        in_degree.push_back(task.graph().in_degree(v));
     }
 
     const auto m = static_cast<std::size_t>(part.num_processors());

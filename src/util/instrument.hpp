@@ -4,7 +4,7 @@
 // locals of the per-query context and added here once per wcrt() call.
 // Counting never changes a bound, so sweep and server output do not
 // depend on these values; they reach a report only through
-// fold_cache_stats() (obs/metrics.hpp) and bench_memo.
+// fold_cache_stats() (obs/metrics.hpp).
 #pragma once
 
 #include <cstdint>

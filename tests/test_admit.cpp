@@ -141,7 +141,7 @@ DagTask heavy_task(int need, int num_resources) {
   t.add_vertex(10);
   for (int k = 0; k <= need; ++k) {
     t.add_vertex(45);
-    t.graph().add_edge(0, k + 1);
+    t.add_edge(0, k + 1);
   }
   t.finalize();
   return t;
@@ -557,7 +557,10 @@ TEST(Snapshot, TextParserRejectsNumbersBeyondTheFieldRange) {
   // succeeded with a different seed / path cap than the text said.
   const std::string cases[][3] = {
       {"seed", "42", "99999999999999999999999"},
-      {"max-paths", "100000", "9223372036854775808"}};
+      {"max-paths", "100000", "9223372036854775808"},
+      // Both budgets must be at least 1.
+      {"max-paths", "100000", "0"},
+      {"max-signatures", "20000", "0"}};
   for (const auto& [key, value, beyond] : cases) {
     const std::string line = "\n" + key + " " + value + "\n";
     std::string mangled = text;

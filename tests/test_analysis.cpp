@@ -39,7 +39,7 @@ struct HandFixture {
     DagTask& t0 = ts.add_task(100, 100);
     t0.add_vertex(10, {1});
     t0.add_vertex(10, {0});
-    t0.graph().add_edge(0, 1);
+    t0.add_edge(0, 1);
     t0.set_cs_length(0, 2);
     // tau_1, low priority (T=D=200): one vertex (C=10, one request, CS 4).
     DagTask& t1 = ts.add_task(200, 200);
@@ -128,7 +128,7 @@ TEST(DpcpP, NoResourcesReducesToFederatedBound) {
   t.add_vertex(30);
   t.add_vertex(30);
   t.add_vertex(30);
-  t.graph().add_edge(0, 1);
+  t.add_edge(0, 1);
   ts.assign_rm_priorities();
   ts.finalize();
   Partition part(4, 1, 0);
@@ -152,7 +152,7 @@ TEST(DpcpP, DeadlineExceededYieldsNullopt) {
   DagTask& t0 = ts.add_task(23, 23);
   t0.add_vertex(10, {1});
   t0.add_vertex(10, {0});
-  t0.graph().add_edge(0, 1);
+  t0.add_edge(0, 1);
   t0.set_cs_length(0, 2);
   DagTask& t1 = ts.add_task(200, 200);
   t1.add_vertex(10, {1});
@@ -218,7 +218,7 @@ TEST(DpcpP, EnSchedulableImpliesEpSchedulable) {
 TEST(DpcpP, PathBudgetFallbackIsEnvelope) {
   // With a 1-path budget EP must fall back to exactly the EN bound.
   HandFixture f;
-  DpcpPOptions tiny;
+  AnalysisOptions tiny;
   tiny.max_paths = 1;
   DpcpPAnalysis ep_tiny(DpcpPAnalysis::PathMode::kEnumerate, tiny);
   DpcpPAnalysis en(DpcpPAnalysis::PathMode::kEnvelope);
@@ -230,10 +230,10 @@ TEST(DpcpP, PathBudgetFallbackIsEnvelope) {
   t.add_vertex(10, {0});
   t.add_vertex(10, {0});
   t.add_vertex(10, {0});
-  t.graph().add_edge(0, 1);
-  t.graph().add_edge(0, 2);
-  t.graph().add_edge(1, 3);
-  t.graph().add_edge(2, 3);
+  t.add_edge(0, 1);
+  t.add_edge(0, 2);
+  t.add_edge(1, 3);
+  t.add_edge(2, 3);
   t.set_cs_length(0, 2);
   DagTask& other = ts.add_task(2000, 2000);
   other.add_vertex(10, {1});

@@ -66,7 +66,7 @@ TEST(Engine, OversizedThreadCountMatchesOneThread) {
 }
 
 TEST(Engine, DefaultSweepNeverReenumeratesPaths) {
-  // Every default sweep uses one DFS budget per session, so the
+  // Every default sweep uses one path budget per session, so the
   // budget-keyed path cache must never enumerate a task twice: a nonzero
   // count means a caller silently thrashes the cache by varying
   // max_paths mid-session (the regression AnalysisSession::

@@ -2,6 +2,8 @@
 // round-trips, format details, and rejection of malformed input.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "gen/taskset_gen.hpp"
 #include "io/taskset_io.hpp"
 #include "partition/federated.hpp"
@@ -15,8 +17,8 @@ TaskSet sample_set() {
   a.add_vertex(2);
   a.add_vertex(3, {1, 0});
   a.add_vertex(2, {0, 1});
-  a.graph().add_edge(0, 1);
-  a.graph().add_edge(0, 2);
+  a.add_edge(0, 1);
+  a.add_edge(0, 2);
   a.set_cs_length(0, 3);
   a.set_cs_length(1, 2);
   DagTask& b = ts.add_task(50, 50);
@@ -39,11 +41,16 @@ bool tasksets_equal(const TaskSet& a, const TaskSet& b) {
     if (x.longest_path_length() != y.longest_path_length()) return false;
     if (x.priority() != y.priority()) return false;
     for (VertexId v = 0; v < x.vertex_count(); ++v) {
-      if (x.vertex(v).wcet != y.vertex(v).wcet) return false;
-      for (ResourceId q = 0; q < a.num_resources(); ++q)
-        if (x.vertex(v).requests_to(q) != y.vertex(v).requests_to(q))
-          return false;
-      if (x.graph().successors(v) != y.graph().successors(v)) return false;
+      if (x.vertex_wcet(v) != y.vertex_wcet(v)) return false;
+      const auto xr = x.requests(v), yr = y.requests(v);
+      if (!std::equal(xr.begin(), xr.end(), yr.begin(), yr.end(),
+                      [](const VertexRequest& l, const VertexRequest& r) {
+                        return l.resource == r.resource && l.count == r.count;
+                      }))
+        return false;
+      const auto xs = x.graph().successors(v), ys = y.graph().successors(v);
+      if (!std::equal(xs.begin(), xs.end(), ys.begin(), ys.end()))
+        return false;
     }
     for (ResourceId q = 0; q < a.num_resources(); ++q) {
       if (x.usage(q).max_requests != y.usage(q).max_requests) return false;
@@ -180,7 +187,19 @@ INSTANTIATE_TEST_SUITE_P(
                  "  cs 0 1\n"
                  "  vertex 2000000000 requests 0:2000000000\n"
                  "  vertex 2000000000 requests 0:2000000000\nend\n",
-                 "line 6: task request count to resource 0 exceeds int32"}));
+                 "line 6: task request count to resource 0 exceeds int32"},
+        // A self-loop fails at its edge line, a cycle at its task's
+        // opening line.
+        BadInput{"self-loop edge",
+                 "dpcp-taskset v1\nresources 0\ntask period 10 deadline 10\n"
+                 "  vertex 5\n  edge 0 0\nend\n",
+                 "line 5: self-loop 'edge 0 0'"},
+        BadInput{"two-vertex cycle",
+                 "dpcp-taskset v1\nresources 0\n"
+                 "task period 10 deadline 10\n  vertex 5\nend\n"
+                 "task period 10 deadline 10\n  vertex 5\n  vertex 5\n"
+                 "  edge 0 1\n  edge 1 0\nend\n",
+                 "line 6: task graph has a cycle"}));
 
 TEST(TasksetIo, AcceptsResourceCountAtCapAndWcetSumAtInt64Max) {
   const std::string text =

@@ -20,7 +20,7 @@ DagTask& add_light_task(TaskSet& ts, Time period, Time wcet) {
   // Two-vertex chain so sequentialization is observable.
   t.add_vertex(wcet / 2);
   t.add_vertex(wcet - wcet / 2);
-  t.graph().add_edge(0, 1);
+  t.add_edge(0, 1);
   return t;
 }
 
@@ -125,7 +125,7 @@ TEST(MixedAnalysis, GlobalResourceBetweenHeavyAndLight) {
   DagTask& light = ts.add_task(400, 400);
   light.add_vertex(10, {1});
   light.add_vertex(10, {0});
-  light.graph().add_edge(0, 1);
+  light.add_edge(0, 1);
   light.set_cs_length(0, 4);
   DagTask& light2 = ts.add_task(300, 300);
   light2.add_vertex(5);

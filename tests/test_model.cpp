@@ -14,6 +14,14 @@ namespace {
 
 // ---------- Dag -------------------------------------------------------------
 
+Dag make_dag(int n, const std::vector<Edge>& edges) {
+  return Dag(n, edges.data(), edges.size());
+}
+
+std::vector<VertexId> ids(Slab<const VertexId> s) {
+  return {s.begin(), s.end()};
+}
+
 TEST(Dag, EmptyGraph) {
   Dag d;
   EXPECT_EQ(d.size(), 0);
@@ -22,31 +30,28 @@ TEST(Dag, EmptyGraph) {
 }
 
 TEST(Dag, AddVertexAndEdges) {
-  Dag d(3);
-  d.add_edge(0, 1);
-  d.add_edge(1, 2);
-  EXPECT_TRUE(d.has_edge(0, 1));
-  EXPECT_FALSE(d.has_edge(0, 2));
-  EXPECT_EQ(d.successors(0).size(), 1u);
-  EXPECT_EQ(d.predecessors(2).size(), 1u);
-  EXPECT_EQ(d.heads(), std::vector<VertexId>{0});
-  EXPECT_EQ(d.tails(), std::vector<VertexId>{2});
+  const Dag d = make_dag(3, {{0, 1}, {1, 2}});
+  EXPECT_EQ(d.size(), 3);
+  EXPECT_EQ(ids(d.successors(0)), std::vector<VertexId>{1});
+  EXPECT_TRUE(d.successors(2).empty());
+  EXPECT_EQ(d.in_degree(0), 0);
+  EXPECT_EQ(d.in_degree(2), 1);
+  EXPECT_EQ(ids(d.heads()), std::vector<VertexId>{0});
 }
 
 TEST(Dag, DuplicateEdgesIgnored) {
-  Dag d(2);
-  d.add_edge(0, 1);
-  d.add_edge(0, 1);
+  const Dag d = make_dag(2, {{0, 1}, {0, 1}});
   EXPECT_EQ(d.successors(0).size(), 1u);
+  EXPECT_EQ(d.in_degree(1), 1);
+  // Successors keep edge-list order; a repeat keeps its first position.
+  const Dag fan = make_dag(4, {{0, 3}, {0, 1}, {0, 3}, {0, 2}});
+  EXPECT_EQ(ids(fan.successors(0)), (std::vector<VertexId>{3, 1, 2}));
+  EXPECT_EQ(fan.in_degree(3), 1);
 }
 
 TEST(Dag, TopologicalOrderRespectsEdges) {
-  Dag d(5);
-  d.add_edge(0, 2);
-  d.add_edge(1, 2);
-  d.add_edge(2, 3);
-  d.add_edge(2, 4);
-  const auto order = d.topological_order();
+  const Dag d = make_dag(5, {{0, 2}, {1, 2}, {2, 3}, {2, 4}});
+  const auto order = ids(d.topological_order());
   ASSERT_EQ(order.size(), 5u);
   auto pos = [&](VertexId v) {
     return std::find(order.begin(), order.end(), v) - order.begin();
@@ -55,68 +60,93 @@ TEST(Dag, TopologicalOrderRespectsEdges) {
   EXPECT_LT(pos(1), pos(2));
   EXPECT_LT(pos(2), pos(3));
   EXPECT_LT(pos(2), pos(4));
+  // Kahn's order: heads in id order, then vertices as they are freed.
+  const Dag back = make_dag(4, {{3, 1}, {2, 1}, {1, 0}});
+  EXPECT_EQ(ids(back.topological_order()), (std::vector<VertexId>{2, 3, 1, 0}));
 }
 
 TEST(Dag, CycleDetection) {
-  Dag d(3);
-  d.add_edge(0, 1);
-  d.add_edge(1, 2);
-  EXPECT_TRUE(d.is_acyclic());
-  d.add_edge(2, 0);
-  EXPECT_FALSE(d.is_acyclic());
-  EXPECT_TRUE(d.topological_order().empty());
+  EXPECT_TRUE(make_dag(3, {{0, 1}, {1, 2}}).is_acyclic());
+  const Dag cycle = make_dag(3, {{0, 1}, {1, 2}, {2, 0}});
+  EXPECT_FALSE(cycle.is_acyclic());
+  EXPECT_TRUE(cycle.topological_order().empty());
+  // A self-loop is a cycle too.  The path algorithms answer 0 on a cyclic
+  // graph, so a parsed cycle reaches validation.
+  const Dag loop = make_dag(2, {{0, 1}, {1, 1}});
+  EXPECT_FALSE(loop.is_acyclic());
+  const std::vector<Time> w{1, 1};
+  EXPECT_EQ(loop.longest_path_weight({w.data(), w.size()}), 0);
+  EXPECT_EQ(loop.count_complete_paths(), 0);
 }
 
 TEST(Dag, LongestPathWeight) {
   // Diamond: 0 -> {1,2} -> 3 with weights 2, 3, 4, 2.
-  Dag d(4);
-  d.add_edge(0, 1);
-  d.add_edge(0, 2);
-  d.add_edge(1, 3);
-  d.add_edge(2, 3);
+  const Dag d = make_dag(4, {{0, 1}, {0, 2}, {1, 3}, {2, 3}});
   const std::vector<Time> w{2, 3, 4, 2};
-  EXPECT_EQ(d.longest_path_weight(w), 2 + 4 + 2);
-  const auto path = d.longest_path(w);
-  ASSERT_EQ(path.size(), 3u);
-  EXPECT_EQ(path[0], 0);
-  EXPECT_EQ(path[1], 2);
-  EXPECT_EQ(path[2], 3);
+  EXPECT_EQ(d.longest_path_weight({w.data(), w.size()}), 2 + 4 + 2);
 }
 
 TEST(Dag, LongestPathOnDisconnectedVertices) {
-  Dag d(3);  // no edges: longest path is the heaviest vertex
+  const Dag d = make_dag(3, {});  // no edges: the heaviest vertex
   const std::vector<Time> w{5, 9, 1};
-  EXPECT_EQ(d.longest_path_weight(w), 9);
+  EXPECT_EQ(d.longest_path_weight({w.data(), w.size()}), 9);
 }
 
 TEST(Dag, CountCompletePaths) {
-  Dag d(4);
-  d.add_edge(0, 1);
-  d.add_edge(0, 2);
-  d.add_edge(1, 3);
-  d.add_edge(2, 3);
-  EXPECT_EQ(d.count_complete_paths(), 2);
-  Dag chain(3);
-  chain.add_edge(0, 1);
-  chain.add_edge(1, 2);
-  EXPECT_EQ(chain.count_complete_paths(), 1);
-  Dag isolated(3);
-  EXPECT_EQ(isolated.count_complete_paths(), 3);
+  const Dag diamond = make_dag(4, {{0, 1}, {0, 2}, {1, 3}, {2, 3}});
+  EXPECT_EQ(diamond.count_complete_paths(), 2);
+  EXPECT_EQ(make_dag(3, {{0, 1}, {1, 2}}).count_complete_paths(), 1);
+  EXPECT_EQ(make_dag(3, {}).count_complete_paths(), 3);
+}
+
+/// A ladder of `diamonds` diamonds, 2^diamonds complete paths: junction
+/// 3k branches to 3k+1 (one request to resource 0) and 3k+2, which meet
+/// at junction 3k+3.
+DagTask diamond_ladder(int diamonds) {
+  DagTask t(0, 1'000'000, 1'000'000, 1);
+  t.add_vertex(1);
+  for (int k = 0; k < diamonds; ++k) {
+    const VertexId j = 3 * k;
+    t.add_vertex(2, {1});
+    t.add_vertex(1);
+    t.add_vertex(1);
+    t.add_edge(j, j + 1);
+    t.add_edge(j, j + 2);
+    t.add_edge(j + 1, j + 3);
+    t.add_edge(j + 2, j + 3);
+  }
+  t.set_cs_length(0, 1);
+  t.finalize();
+  return t;
 }
 
 TEST(Dag, CountCompletePathsSaturatesAtCap) {
-  // Ladder of diamonds: path count 2^10.
-  Dag d(21);
-  for (int k = 0; k < 10; ++k) {
-    const int base = 2 * k;
-    d.add_edge(base, base + 1);
-    d.add_edge(base, base + 2);
-    if (k < 9) {
-      d.add_edge(base + 1, base + 2 + 0);  // converge to next junction
-    }
-  }
-  // (structure detail irrelevant; just exercise the cap)
-  EXPECT_LE(d.count_complete_paths(100), 100);
+  const DagTask ten = diamond_ladder(10);
+  EXPECT_EQ(ten.graph().count_complete_paths(), 1 << 10);
+  EXPECT_EQ(ten.graph().count_complete_paths(100), 100);
+  EXPECT_EQ(ten.graph().count_complete_paths(1 << 10), 1 << 10);
+
+  // 64 diamonds: 193 vertices and 2^64 complete paths.  At cap INT64_MAX
+  // the count must saturate without overflowing int64, and the
+  // enumeration must report the task truncated.
+  const DagTask ladder = diamond_ladder(64);
+  ASSERT_EQ(ladder.vertex_count(), 193);
+  EXPECT_EQ(ladder.graph().count_complete_paths(INT64_MAX), INT64_MAX);
+  EXPECT_EQ(ladder.graph().count_complete_paths(INT64_MAX - 1), INT64_MAX - 1);
+  EXPECT_TRUE(enumerate_path_signatures(ladder, INT64_MAX).truncated);
+
+  // 62 diamonds: 2^62 paths fit the budget, so the class-merging DP runs
+  // and counts them exactly without walking them: one class per number
+  // of requesting branches taken.
+  const DagTask below = diamond_ladder(62);
+  EXPECT_EQ(below.graph().count_complete_paths(INT64_MAX),
+            std::int64_t{1} << 62);
+  const auto r = enumerate_path_signatures(below, INT64_MAX);
+  ASSERT_FALSE(r.truncated);
+  EXPECT_EQ(r.paths_visited, std::int64_t{1} << 62);
+  EXPECT_EQ(r.size(), 63u);
+  for (const auto& sig : r.signatures())
+    EXPECT_EQ(sig.length, 2 * 62 + 1 + sig.requests[0]);
 }
 
 // ---------- DagTask ---------------------------------------------------------
@@ -127,17 +157,16 @@ DagTask make_fig1_task_gi() {
   DagTask t(0, 100, 100, 2);
   const Time wcet[] = {2, 3, 2, 2, 4, 2, 2, 2};
   for (Time c : wcet) t.add_vertex(c);
-  auto& g = t.graph();
-  g.add_edge(0, 1);  // v_{i,1} -> v_{i,2}
-  g.add_edge(0, 2);
-  g.add_edge(0, 3);
-  g.add_edge(0, 4);  // -> v_{i,5}
-  g.add_edge(1, 5);
-  g.add_edge(2, 5);
-  g.add_edge(3, 6);
-  g.add_edge(4, 6);  // v_{i,5} -> v_{i,7}
-  g.add_edge(5, 7);
-  g.add_edge(6, 7);
+  t.add_edge(0, 1);  // v_{i,1} -> v_{i,2}
+  t.add_edge(0, 2);
+  t.add_edge(0, 3);
+  t.add_edge(0, 4);  // -> v_{i,5}
+  t.add_edge(1, 5);
+  t.add_edge(2, 5);
+  t.add_edge(3, 6);
+  t.add_edge(4, 6);  // v_{i,5} -> v_{i,7}
+  t.add_edge(5, 7);
+  t.add_edge(6, 7);
   t.finalize();
   return t;
 }
@@ -147,6 +176,18 @@ TEST(DagTask, AggregatesMatchPaperExample) {
   EXPECT_EQ(t.wcet(), 2 + 3 + 2 + 2 + 4 + 2 + 2 + 2);
   EXPECT_EQ(t.longest_path_length(), 10);  // (v1, v5, v7, v8) in the paper
   EXPECT_EQ(t.vertex_count(), 8);
+  // finalize() again is harmless, and a later one also freezes what was
+  // added since, behind the edges frozen before.
+  t.finalize();
+  EXPECT_EQ(t.longest_path_length(), 10);
+  t.add_vertex(5);
+  t.add_edge(0, 8);
+  t.add_edge(7, 8);
+  t.finalize();
+  EXPECT_EQ(t.longest_path_length(), 15);
+  EXPECT_EQ(ids(t.graph().successors(0)),
+            (std::vector<VertexId>{1, 2, 3, 4, 8}));
+  EXPECT_EQ(t.graph().in_degree(8), 2);
 }
 
 TEST(DagTask, RequestAggregation) {
@@ -196,9 +237,12 @@ TEST(DagTask, ValidateRejectsCycle) {
   DagTask t(0, 100, 100, 0);
   t.add_vertex(5);
   t.add_vertex(5);
-  t.graph().add_edge(0, 1);
-  t.graph().add_edge(1, 0);
-  EXPECT_TRUE(t.validate().has_value());
+  t.add_edge(0, 1);
+  t.add_edge(1, 0);
+  t.finalize();
+  const auto err = t.validate();
+  ASSERT_TRUE(err.has_value());
+  EXPECT_NE(err->find("cycle"), std::string::npos) << *err;
 }
 
 // ---------- TaskSet ---------------------------------------------------------
@@ -264,8 +308,8 @@ TEST(Paths, ChainHasSingleSignature) {
   t.add_vertex(5, {1, 0});
   t.add_vertex(5, {0, 2});
   t.add_vertex(5, {1, 0});
-  t.graph().add_edge(0, 1);
-  t.graph().add_edge(1, 2);
+  t.add_edge(0, 1);
+  t.add_edge(1, 2);
   t.set_cs_length(0, 1);
   t.set_cs_length(1, 1);
   t.finalize();
@@ -285,10 +329,10 @@ TEST(Paths, DiamondDistinguishesRequestVectors) {
   t.add_vertex(7, {1});  // branch A: 1 request
   t.add_vertex(3, {0});  // branch B: no requests
   t.add_vertex(5, {0});  // tail
-  t.graph().add_edge(0, 1);
-  t.graph().add_edge(0, 2);
-  t.graph().add_edge(1, 3);
-  t.graph().add_edge(2, 3);
+  t.add_edge(0, 1);
+  t.add_edge(0, 2);
+  t.add_edge(1, 3);
+  t.add_edge(2, 3);
   t.set_cs_length(0, 1);
   t.finalize();
   const auto r = enumerate_path_signatures(t);
@@ -310,10 +354,10 @@ TEST(Paths, EqualVectorsMergeKeepingMaxLength) {
   t.add_vertex(7, {0});
   t.add_vertex(3, {0});
   t.add_vertex(5, {0});
-  t.graph().add_edge(0, 1);
-  t.graph().add_edge(0, 2);
-  t.graph().add_edge(1, 3);
-  t.graph().add_edge(2, 3);
+  t.add_edge(0, 1);
+  t.add_edge(0, 2);
+  t.add_edge(1, 3);
+  t.add_edge(2, 3);
   t.set_cs_length(0, 1);
   t.finalize();
   const auto r = enumerate_path_signatures(t);
@@ -335,10 +379,10 @@ TEST(Paths, TruncationFlagOnPathExplosion) {
     const VertexId a = t.add_vertex(1, {1});  // distinct vectors per branch
     const VertexId b = t.add_vertex(1, {0});
     const VertexId tail = t.add_vertex(1, {0});
-    t.graph().add_edge(head, a);
-    t.graph().add_edge(head, b);
-    t.graph().add_edge(a, tail);
-    t.graph().add_edge(b, tail);
+    t.add_edge(head, a);
+    t.add_edge(head, b);
+    t.add_edge(a, tail);
+    t.add_edge(b, tail);
     prev_tail = tail;
   }
   t.set_cs_length(0, 1);
@@ -355,18 +399,18 @@ TEST(Paths, TruncationFlagOnPathExplosion) {
 
 TEST(Paths, TruncationBoundaryIsExactlyMaxPaths) {
   // Diamond: exactly 2 complete paths.  The budget marks a task truncated
-  // iff its path count REACHES max_paths (historical DFS semantics, now
-  // also decided by the saturating-count shortcut): a budget equal to the
-  // path count truncates, one above does not.
+  // iff its path count REACHES max_paths (decided by the saturating
+  // count): a budget equal to the path count truncates, one above does
+  // not.
   DagTask t(0, 1000, 1000, 1);
   t.add_vertex(5, {1});
   t.add_vertex(7, {0});
   t.add_vertex(3, {1});
   t.add_vertex(5, {0});
-  t.graph().add_edge(0, 1);
-  t.graph().add_edge(0, 2);
-  t.graph().add_edge(1, 3);
-  t.graph().add_edge(2, 3);
+  t.add_edge(0, 1);
+  t.add_edge(0, 2);
+  t.add_edge(1, 3);
+  t.add_edge(2, 3);
   t.set_cs_length(0, 1);
   t.finalize();
 
@@ -397,14 +441,14 @@ TEST(Paths, DiamondSharedAndDistinctSignaturesMixed) {
   const VertexId b1 = t.add_vertex(2, {0, 1});
   const VertexId b2 = t.add_vertex(6, {0, 0});
   const VertexId tl = t.add_vertex(1, {0, 0});
-  t.graph().add_edge(h, a1);
-  t.graph().add_edge(h, a2);
-  t.graph().add_edge(a1, m);
-  t.graph().add_edge(a2, m);
-  t.graph().add_edge(m, b1);
-  t.graph().add_edge(m, b2);
-  t.graph().add_edge(b1, tl);
-  t.graph().add_edge(b2, tl);
+  t.add_edge(h, a1);
+  t.add_edge(h, a2);
+  t.add_edge(a1, m);
+  t.add_edge(a2, m);
+  t.add_edge(m, b1);
+  t.add_edge(m, b2);
+  t.add_edge(b1, tl);
+  t.add_edge(b2, tl);
   t.set_cs_length(0, 1);
   t.set_cs_length(1, 1);
   t.finalize();
@@ -423,8 +467,8 @@ TEST(Paths, DiamondSharedAndDistinctSignaturesMixed) {
 }
 
 TEST(Paths, WideTasksUseTheGenericEnumerator) {
-  // 17 resources exceed the packed enumerator's 16-lane fast path; the
-  // generic fallback must produce the same kind of result.
+  // 17 resources take three words of 8-bit lanes, one more than any
+  // generated task.
   const int nr = 17;
   DagTask t(0, 10'000, 10'000, nr);
   std::vector<int> head_reqs(nr, 0);
@@ -435,10 +479,10 @@ TEST(Paths, WideTasksUseTheGenericEnumerator) {
   t.add_vertex(7, a_reqs);
   t.add_vertex(3);
   t.add_vertex(5);
-  t.graph().add_edge(0, 1);
-  t.graph().add_edge(0, 2);
-  t.graph().add_edge(1, 3);
-  t.graph().add_edge(2, 3);
+  t.add_edge(0, 1);
+  t.add_edge(0, 2);
+  t.add_edge(1, 3);
+  t.add_edge(2, 3);
   for (ResourceId q = 0; q < nr; ++q) t.set_cs_length(q, 1);
   t.finalize();
 
@@ -453,16 +497,16 @@ TEST(Paths, WideTasksUseTheGenericEnumerator) {
 }
 
 TEST(Paths, LargeRequestCountsUseTheGenericEnumerator) {
-  // Per-resource counts above 255 exceed the packed 8-bit lanes.
+  // Per-resource counts above 255 take 16-bit lanes.
   DagTask t(0, 100'000, 100'000, 1);
   t.add_vertex(1000, {300});
   t.add_vertex(500, {1});
   t.add_vertex(400, {0});
   t.add_vertex(100, {0});
-  t.graph().add_edge(0, 1);
-  t.graph().add_edge(0, 2);
-  t.graph().add_edge(1, 3);
-  t.graph().add_edge(2, 3);
+  t.add_edge(0, 1);
+  t.add_edge(0, 2);
+  t.add_edge(1, 3);
+  t.add_edge(2, 3);
   t.set_cs_length(0, 1);
   t.finalize();
 
@@ -482,8 +526,8 @@ TEST(Paths, MultiHeadMultiTail) {
   t.add_vertex(2);
   t.add_vertex(3);
   t.add_vertex(4);
-  t.graph().add_edge(0, 2);
-  t.graph().add_edge(1, 2);
+  t.add_edge(0, 2);
+  t.add_edge(1, 2);
   t.finalize();
   const auto r = enumerate_path_signatures(t);
   EXPECT_EQ(r.paths_visited, 2);  // 0->2 and 1->2

@@ -514,7 +514,7 @@ DagTask heavy_task(int need) {
   t.add_vertex(10);
   for (int k = 0; k <= need; ++k) {
     t.add_vertex(45);
-    t.graph().add_edge(0, k + 1);
+    t.add_edge(0, k + 1);
   }
   t.finalize();
   return t;

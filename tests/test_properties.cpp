@@ -4,6 +4,9 @@
 // every component at its documented failure boundaries.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+
 #include "analysis/dpcp_p.hpp"
 #include "gen/erdos_renyi.hpp"
 #include "gen/randfixedsum.hpp"
@@ -20,16 +23,18 @@ namespace {
 class PathCountConsistencyTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(PathCountConsistencyTest, DfsVisitsExactlyTheDpCount) {
-  // Dag::count_complete_paths (DP over the graph) and the signature
-  // enumerator's DFS (paths_visited) are independent implementations;
-  // they must agree on every generated structure.
+  // Dag::count_complete_paths (a forward count) and the signature
+  // enumerator's class-merging DP (paths_visited, a reverse merge) are
+  // independent implementations; they must agree on every generated
+  // structure.
   Rng rng(3000 + GetParam());
   const int nv = static_cast<int>(rng.uniform_int(10, 60));
   const Dag dag = erdos_renyi_dag(rng, nv, 0.1);
 
   DagTask t(0, 1'000'000, 1'000'000, 1);
   for (int x = 0; x < nv; ++x) t.add_vertex(1, {x % 3 == 0 ? 1 : 0});
-  t.graph() = dag;
+  for (VertexId v = 0; v < nv; ++v)
+    for (VertexId w : dag.successors(v)) t.add_edge(v, w);
   t.set_cs_length(0, 1);
   t.finalize();
 
@@ -38,6 +43,114 @@ TEST_P(PathCountConsistencyTest, DfsVisitsExactlyTheDpCount) {
   ASSERT_FALSE(r.truncated);
   EXPECT_EQ(r.paths_visited, dp);
   EXPECT_LE(static_cast<std::int64_t>(r.size()), dp);
+}
+
+/// Every complete path of a graph given as adjacency lists, walked one by
+/// one: (request vector over `used` -> max length), and the path count.
+struct BruteForcePaths {
+  std::map<std::vector<int>, Time> classes;
+  std::int64_t paths = 0;
+};
+
+void walk(const std::vector<std::vector<VertexId>>& succ,
+          const std::vector<Time>& wcet,
+          const std::vector<std::vector<int>>& requests,
+          const std::vector<ResourceId>& used, VertexId v, Time len,
+          std::vector<int>& on_path, BruteForcePaths& out) {
+  len += wcet[static_cast<std::size_t>(v)];
+  for (std::size_t k = 0; k < used.size(); ++k)
+    on_path[k] += requests[static_cast<std::size_t>(v)]
+                          [static_cast<std::size_t>(used[k])];
+  if (succ[static_cast<std::size_t>(v)].empty()) {
+    ++out.paths;
+    Time& best = out.classes[on_path];
+    best = std::max(best, len);
+  }
+  for (VertexId w : succ[static_cast<std::size_t>(v)])
+    walk(succ, wcet, requests, used, w, len, on_path, out);
+  for (std::size_t k = 0; k < used.size(); ++k)
+    on_path[k] -= requests[static_cast<std::size_t>(v)]
+                          [static_cast<std::size_t>(used[k])];
+}
+
+TEST_P(PathCountConsistencyTest, DpMatchesABruteForceWalkAtEveryLaneWidth) {
+  // The one enumeration DP packs request vectors into 8-, 16- or 32-bit
+  // lanes by the task's largest N_{i,q}, in as many words as the used
+  // resources need.  On random small DAGs with shuffled vertex ids, its
+  // classes and path count must equal a walk of every complete path, for
+  // 3 and 20 used resources at each lane width.
+  Rng rng(5000 + GetParam());
+  for (const int nr : {3, 20}) {
+    for (const int big : {0, 300, 70'000}) {  // 8-, 16-, 32-bit lanes
+      const int nv = static_cast<int>(rng.uniform_int(6, 14));
+      const Dag shape = erdos_renyi_dag(rng, nv, 0.3);
+      std::vector<VertexId> id(static_cast<std::size_t>(nv));
+      for (int x = 0; x < nv; ++x) id[static_cast<std::size_t>(x)] = x;
+      for (int x = nv - 1; x > 0; --x)
+        std::swap(id[static_cast<std::size_t>(x)],
+                  id[static_cast<std::size_t>(rng.uniform_int(0, x))]);
+
+      std::vector<Time> wcet(static_cast<std::size_t>(nv));
+      std::vector<std::vector<int>> requests(
+          static_cast<std::size_t>(nv),
+          std::vector<int>(static_cast<std::size_t>(nr), 0));
+      for (auto& row : requests)
+        for (int& n : row)
+          if (rng.bernoulli(0.3)) n = static_cast<int>(rng.uniform_int(1, 3));
+      // Every resource is used; one request count sets the lane width.
+      for (int q = 0; q < nr; ++q)
+        requests[static_cast<std::size_t>(rng.uniform_int(0, nv - 1))]
+                [static_cast<std::size_t>(q)] += 1;
+      if (big > 0)
+        requests[static_cast<std::size_t>(rng.uniform_int(0, nv - 1))]
+                [static_cast<std::size_t>(rng.uniform_int(0, nr - 1))] += big;
+
+      DagTask t(0, 1'000'000'000, 1'000'000'000, nr);
+      for (std::size_t x = 0; x < wcet.size(); ++x) {
+        wcet[x] = rng.uniform_int(1, 50);
+        for (int n : requests[x]) wcet[x] += n;
+        t.add_vertex(wcet[x], requests[x]);
+      }
+      std::vector<std::vector<VertexId>> succ(static_cast<std::size_t>(nv));
+      for (VertexId v = 0; v < nv; ++v)
+        for (VertexId w : shape.successors(v)) {
+          const VertexId from = id[static_cast<std::size_t>(v)];
+          const VertexId to = id[static_cast<std::size_t>(w)];
+          t.add_edge(from, to);
+          succ[static_cast<std::size_t>(from)].push_back(to);
+        }
+      for (ResourceId q = 0; q < nr; ++q) t.set_cs_length(q, 1);
+      t.finalize();
+      ASSERT_FALSE(t.validate().has_value()) << *t.validate();
+
+      int max_n = 0;
+      for (ResourceId q = 0; q < nr; ++q)
+        max_n = std::max(max_n, t.usage(q).max_requests);
+      EXPECT_EQ(max_n < 256, big == 0);
+      EXPECT_EQ(max_n < 65'536, big < 65'536);
+
+      const std::vector<ResourceId> used = t.used_resources();
+      ASSERT_EQ(used.size(), static_cast<std::size_t>(nr));
+      std::vector<int> in_degree(static_cast<std::size_t>(nv), 0);
+      for (const auto& row : succ)
+        for (VertexId w : row) ++in_degree[static_cast<std::size_t>(w)];
+      BruteForcePaths expect;
+      std::vector<int> on_path(used.size(), 0);
+      for (VertexId v = 0; v < nv; ++v)
+        if (in_degree[static_cast<std::size_t>(v)] == 0)
+          walk(succ, wcet, requests, used, v, 0, on_path, expect);
+
+      const auto r = enumerate_path_signatures(t, 1 << 30);
+      ASSERT_FALSE(r.truncated);
+      EXPECT_EQ(r.resource_index, used);
+      EXPECT_EQ(r.paths_visited, expect.paths);
+      std::map<std::vector<int>, Time> got;
+      for (const auto& sig : r.signatures())
+        EXPECT_TRUE(got.emplace(sig.requests, sig.length).second)
+            << "a request vector appears in two classes";
+      EXPECT_EQ(got, expect.classes) << "nr=" << nr << " big=" << big;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PathCountConsistencyTest,

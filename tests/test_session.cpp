@@ -25,10 +25,10 @@ TEST(Session, PathEnumerationRunsOncePerTask) {
   t.add_vertex(5, {0});
   t.add_vertex(5, {0});
   t.add_vertex(5, {0});
-  t.graph().add_edge(0, 1);
-  t.graph().add_edge(0, 2);
-  t.graph().add_edge(1, 3);
-  t.graph().add_edge(2, 3);
+  t.add_edge(0, 1);
+  t.add_edge(0, 2);
+  t.add_edge(1, 3);
+  t.add_edge(2, 3);
   t.set_cs_length(0, 1);
   ts.assign_rm_priorities();
   ts.finalize();
@@ -71,7 +71,7 @@ TEST(Session, PriorityOrderMatchesPartitioner) {
   EXPECT_EQ(session.priority_order(), analysis_priority_order(*ts));
 }
 
-// Memo probes are counted in every build.  bench_memo's workload: EP
+// Memo probes are counted in every build.  The workload: EP
 // queries on fig. 2(b) task sets (p_r = 1), where some tasks re-probe the
 // Lemma-2 memo across many path classes and must register hits.
 TEST(Session, PreparedEpQueriesCountMemoHits) {

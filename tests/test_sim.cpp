@@ -62,7 +62,7 @@ TEST(Segments, WcetsPreservedAcrossTask) {
   const SegmentPlan plan = build_plan(*ts);
   for (int i = 0; i < ts->size(); ++i)
     for (VertexId v = 0; v < ts->task(i).vertex_count(); ++v)
-      EXPECT_EQ(plan.vertex_total(i, v), ts->task(i).vertex(v).wcet);
+      EXPECT_EQ(plan.vertex_total(i, v), ts->task(i).vertex_wcet(v));
 }
 
 TEST(Segments, ScalingShrinksButKeepsStructure) {
@@ -102,17 +102,16 @@ struct Fig1 {
     ti.add_vertex(2);          // v_{i,6}
     ti.add_vertex(2);          // v_{i,7}
     ti.add_vertex(2);          // v_{i,8}
-    auto& gi = ti.graph();
-    gi.add_edge(0, 1);
-    gi.add_edge(0, 2);
-    gi.add_edge(0, 3);
-    gi.add_edge(0, 4);
-    gi.add_edge(1, 5);  // v_{i,2} -> v_{i,6}
-    gi.add_edge(2, 6);  // v_{i,3} -> v_{i,7}
-    gi.add_edge(4, 6);  // v_{i,5} -> v_{i,7}
-    gi.add_edge(3, 7);  // v_{i,4} -> v_{i,8}
-    gi.add_edge(5, 7);
-    gi.add_edge(6, 7);
+    ti.add_edge(0, 1);
+    ti.add_edge(0, 2);
+    ti.add_edge(0, 3);
+    ti.add_edge(0, 4);
+    ti.add_edge(1, 5);  // v_{i,2} -> v_{i,6}
+    ti.add_edge(2, 6);  // v_{i,3} -> v_{i,7}
+    ti.add_edge(4, 6);  // v_{i,5} -> v_{i,7}
+    ti.add_edge(3, 7);  // v_{i,4} -> v_{i,8}
+    ti.add_edge(5, 7);
+    ti.add_edge(6, 7);
     ti.set_cs_length(0, 3);
     ti.set_cs_length(1, 2);
 
@@ -123,10 +122,9 @@ struct Fig1 {
     tj.add_vertex(4);          // v_{j,4}
     tj.add_vertex(4);          // v_{j,5}
     tj.add_vertex(1);          // v_{j,6}
-    auto& gj = tj.graph();
     for (VertexId v = 1; v <= 4; ++v) {
-      gj.add_edge(0, v);
-      gj.add_edge(v, 5);
+      tj.add_edge(0, v);
+      tj.add_edge(v, 5);
     }
     tj.set_cs_length(0, 3);
 
@@ -469,7 +467,7 @@ TEST(Simulator, ResumedAgentCountsOnceAsLowerPriorityBlocker) {
   DagTask& l = ts.add_task(200, 200);
   l.add_vertex(10, {1, 0});  // CS l_0 10 from t=0
   l.add_vertex(1, {0, 1});   // afterwards: makes l_1 global
-  l.graph().add_edge(0, 1);
+  l.add_edge(0, 1);
   l.set_cs_length(0, 10);
   l.set_cs_length(1, 1);
   ts.assign_rm_priorities();
@@ -560,7 +558,7 @@ TEST(Simulator, ScaledAwaySegmentsStayObservable) {
   DagTask& t = ts.add_task(millis(1), millis(1));
   t.add_vertex(micros(10));
   t.add_vertex(micros(10));
-  t.graph().add_edge(0, 1);
+  t.add_edge(0, 1);
   ts.assign_rm_priorities();
   ts.finalize();
   Partition part(1, 1, 0);

@@ -91,7 +91,7 @@ inline DagTask& add_heavy_task(TaskSet& ts, Time period, Time wcet,
   const Time head = lstar / 2;
   t.add_vertex(head);
   t.add_vertex(lstar - head);
-  t.graph().add_edge(0, 1);
+  t.add_edge(0, 1);
   for (Time rest = wcet - lstar; rest > 0; rest -= std::min(rest, head))
     t.add_vertex(std::min(rest, head));
   return t;
