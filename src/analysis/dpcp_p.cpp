@@ -134,6 +134,10 @@ struct TaskTables {
 
   /// Phi^p(tau_i): global resources hosted by tau_i's own cluster.
   std::vector<ResourceId> cluster_globals;
+  /// tau_i's local resources (used by no other task).  A local<->global
+  /// flip changes a user set, whose epoch partition_inputs() tokenizes,
+  /// so the flip invalidates these tables.
+  std::vector<ResourceId> locals;
   /// Per-task agent demand those globals attract (Lemma 6).
   DemandSoA agent;
   /// P-FP preemption by co-located higher-priority tasks (Sec. VI).
@@ -160,15 +164,10 @@ struct ProcTermScratch {
 class QueryContext {
  public:
   QueryContext(const TaskSet& ts, int i, const TaskTables& tables,
-               const Slab<ResourceId>& my_locals,
-               const Slab<ResourceId>& used, const std::vector<Time>& hint,
-               ResponseMemoTable& memo, CacheStats& stats,
-               std::vector<ProcTermScratch>& proc_terms)
-      : ts_(ts),
-        ti_(ts.task(i)),
+               const std::vector<Time>& hint, ResponseMemoTable& memo,
+               CacheStats& stats, std::vector<ProcTermScratch>& proc_terms)
+      : ti_(ts.task(i)),
         tables_(tables),
-        my_locals_(my_locals),
-        used_(used),
         hint_(hint),
         deadline_(ts.task(i).deadline()),
         memo_(memo),
@@ -258,7 +257,7 @@ class QueryContext {
 
     // ---- local intra-task blocking b^L (Lemma 4).
     Time b_local = 0;
-    for (ResourceId q : my_locals_) {
+    for (ResourceId q : tables_.locals) {
       const auto& use = ti_.usage(q);
       if (envelope) {
         // max over x in [0, N] of min(1,x) (N-x) L  ->  x = 1.
@@ -280,15 +279,15 @@ class QueryContext {
       // every complete path.
       i_intra = ti_.noncrit_wcet() -
                 std::max<Time>(0, path_len - ti_.cs_demand());
-      for (ResourceId q : my_locals_)
+      for (ResourceId q : tables_.locals)
         i_intra += ti_.usage(q).demand();
     } else {
       Time cs_on_path = 0;
-      for (ResourceId q : used_)
+      for (ResourceId q : ti_.used_resources())
         cs_on_path += static_cast<Time>(nlam[static_cast<std::size_t>(q)]) *
                       ti_.usage(q).cs_length;
       i_intra = ti_.noncrit_wcet() - (path_len - cs_on_path);
-      for (ResourceId q : my_locals_)
+      for (ResourceId q : tables_.locals)
         i_intra += static_cast<Time>(ti_.usage(q).max_requests -
                                      nlam[static_cast<std::size_t>(q)]) *
                    ti_.usage(q).cs_length;
@@ -327,11 +326,8 @@ class QueryContext {
   }
 
  private:
-  const TaskSet& ts_;
   const DagTask& ti_;
   const TaskTables& tables_;
-  const Slab<ResourceId>& my_locals_;
-  const Slab<ResourceId>& used_;  // ti_.used_resources(), session slab
   const std::vector<Time>& hint_;
   const Time deadline_;
   ResponseMemoTable& memo_;
@@ -383,7 +379,7 @@ class DpcpPPrepared final : public PreparedAnalysis {
     // changes a user set without moving any resource still re-analyzes
     // exactly the tasks reading it.
     std::vector<char> mark(static_cast<std::size_t>(part.num_resources()), 0);
-    for (ResourceId q : session_.used_resources(task)) {
+    for (ResourceId q : ts_.task(task).used_resources()) {
       mark[static_cast<std::size_t>(q)] = 1;
       const ProcessorId p = part.processor_of_resource(q);
       if (p != Partition::kUnassigned)
@@ -430,8 +426,9 @@ class DpcpPPrepared final : public PreparedAnalysis {
     }
     // Append / remove-last keeps surviving indices, periods, and relative
     // priorities stable, and every cross-task input a table caches —
-    // contender membership per processor (user-set epochs of the marked
-    // resources), co-hosted preemptors, the placement map — is covered by
+    // contender membership per processor and the local/global split of
+    // tau_i's resources (user-set epochs of the marked resources),
+    // co-hosted preemptors, the placement map — is covered by
     // partition_inputs().  Keep the survivors' tables; the span diff
     // invalidates exactly the affected ones.  New slots start dirty.
     tables_.resize(n);
@@ -440,7 +437,6 @@ class DpcpPPrepared final : public PreparedAnalysis {
  private:
   void rebuild(int task, TaskTables& tb) {
     const Partition& part = partition();
-    const Time* periods = session_.periods();
     tb.mi = part.cluster_size(task);
     assert(tb.mi >= 1);
     tb.shares_processor = part.task_shares_processor(task);
@@ -463,11 +459,11 @@ class DpcpPPrepared final : public PreparedAnalysis {
       p.gend = static_cast<std::uint32_t>(tb.globals.size());
       p.hbeg = static_cast<std::uint32_t>(tb.hp.size());
       for (const auto& [j, d] : pc.higher_priority_demand)
-        tb.hp.add(j, d, periods[static_cast<std::size_t>(j)]);
+        tb.hp.add(j, d, ts_.task(j).period());
       p.hend = static_cast<std::uint32_t>(tb.hp.size());
       p.obeg = static_cast<std::uint32_t>(tb.other.size());
       for (const auto& [j, d] : pc.other_task_demand)
-        tb.other.add(j, d, periods[static_cast<std::size_t>(j)]);
+        tb.other.add(j, d, ts_.task(j).period());
       p.oend = static_cast<std::uint32_t>(tb.other.size());
       tb.procs.push_back(p);
     }
@@ -481,21 +477,26 @@ class DpcpPPrepared final : public PreparedAnalysis {
       Time demand = 0;
       for (ResourceId q : tb.cluster_globals)
         demand += ts_.task(j).usage(q).demand();
-      if (demand > 0)
-        tb.agent.add(j, demand, periods[static_cast<std::size_t>(j)]);
+      if (demand > 0) tb.agent.add(j, demand, ts_.task(j).period());
+    }
+    // TaskSet::is_local() without building the user list: rebuild() runs
+    // on most wcrt() calls of an admission stream.
+    tb.locals.clear();
+    for (ResourceId q : ts_.task(task).used_resources()) {
+      int users = 0;
+      for (const DagTask& tj : ts_.tasks()) users += tj.uses(q) ? 1 : 0;
+      if (users == 1) tb.locals.push_back(q);
     }
 
-    tb.preempt.assign(preemption_demand(ts_, part, task), periods);
+    tb.preempt.assign(preemption_demand(ts_, part, task), ts_);
     tb.dirty = false;
   }
 
   std::optional<Time> compute(int task, const TaskTables& tb,
                               const std::vector<Time>& hint) {
     const DagTask& ti = ts_.task(task);
-    const Slab<ResourceId>& used = session_.used_resources(task);
-    const Slab<ResourceId>& my_locals = session_.local_resources(task);
-    QueryContext ctx(ts_, task, tb, my_locals, used, hint, memo_,
-                     session_.stats(), proc_terms_);
+    QueryContext ctx(ts_, task, tb, hint, memo_, session_.stats(),
+                     proc_terms_);
     const std::vector<int> no_requests;  // envelope ignores nlam
 
     if (tb.shares_processor) {
@@ -507,7 +508,7 @@ class DpcpPPrepared final : public PreparedAnalysis {
       // outer recurrence.
       std::vector<int> all_requests(
           static_cast<std::size_t>(ti.num_resources()), 0);
-      for (ResourceId q : used)
+      for (ResourceId q : ti.used_resources())
         all_requests[static_cast<std::size_t>(q)] = ti.usage(q).max_requests;
       return ctx.path_bound(ti.wcet(), all_requests, /*envelope=*/false);
     }
@@ -517,7 +518,7 @@ class DpcpPPrepared final : public PreparedAnalysis {
                             /*envelope=*/true);
     }
 
-    const PathSlab& paths = session_.paths(task, options_.max_paths);
+    const PathEnumResult& paths = session_.paths(task, options_.max_paths);
     if (paths.truncated ||
         static_cast<std::int64_t>(paths.size()) > options_.max_signatures) {
       // Path space too large: fall back to the envelope, which dominates
@@ -528,10 +529,10 @@ class DpcpPPrepared final : public PreparedAnalysis {
 
     Time worst = 0;
     std::vector<int> nlam(static_cast<std::size_t>(ti.num_resources()), 0);
-    // Walk the SoA class slab: lengths sequentially, request vectors as
-    // one contiguous strided array (scattered into nlam's resource-id
+    // Walk the SoA classes: lengths sequentially, request vectors as one
+    // contiguous strided array (scattered into nlam's resource-id
     // positions, which the bound terms index by resource).
-    const std::size_t stride = paths.stride;
+    const std::size_t stride = paths.stride();
     for (std::size_t i = 0; i < paths.size(); ++i) {
       std::fill(nlam.begin(), nlam.end(), 0);
       const int* req = paths.requests_of(i);

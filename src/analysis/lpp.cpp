@@ -52,8 +52,7 @@ class LppPrepared final : public PreparedAnalysis {
     State& st = state_[static_cast<std::size_t>(task)];
     if (st.dirty) {
       st.mi = partition().cluster_size(task);
-      st.preempt.assign(preemption_demand(ts_, partition(), task),
-                        session_.periods());
+      st.preempt.assign(preemption_demand(ts_, partition(), task), ts_);
       st.dirty = false;
     }
 
@@ -111,7 +110,7 @@ class LppPrepared final : public PreparedAnalysis {
     // re-analyze exactly the affected tasks.
     append_cluster(part, task, out);
     append_cohosted(part, task, out);
-    for (ResourceId q : session_.used_resources(task))
+    for (ResourceId q : ts_.task(task).used_resources())
       append_users_epoch(q, out);
   }
 
@@ -154,25 +153,23 @@ class LppPrepared final : public PreparedAnalysis {
     TaskStatics& ps = statics_[static_cast<std::size_t>(task)];
     if (ps.ready) return ps;
     const DagTask& ti = ts_.task(task);
-    const Time* periods = session_.periods();
     ps.hoff.push_back(0);
     ps.coff.push_back(0);
-    for (ResourceId q : session_.used_resources(task)) {
+    for (ResourceId q : ti.used_resources()) {
       ps.q.push_back(q);
       ps.max_requests.push_back(ti.usage(q).max_requests);
       ps.cs_length.push_back(ti.usage(q).cs_length);
       Time beta = 0;
       for (int j = 0; j < ts_.size(); ++j) {
         if (j == task) continue;
-        const auto& use = ts_.task(j).usage(q);
+        const DagTask& tj = ts_.task(j);
+        const auto& use = tj.usage(q);
         if (!use.used()) continue;
-        if (ts_.task(j).priority() < ti.priority())
+        if (tj.priority() < ti.priority())
           beta = std::max(beta, use.cs_length);
-        else if (ts_.task(j).priority() > ti.priority())
-          ps.higher.add(j, use.demand(),
-                        periods[static_cast<std::size_t>(j)]);
-        ps.contenders.add(j, use.demand(),
-                          periods[static_cast<std::size_t>(j)]);
+        else if (tj.priority() > ti.priority())
+          ps.higher.add(j, use.demand(), tj.period());
+        ps.contenders.add(j, use.demand(), tj.period());
       }
       ps.beta.push_back(beta);
       ps.hoff.push_back(static_cast<std::uint32_t>(ps.higher.size()));

@@ -41,13 +41,12 @@ struct DemandSoA {
     demand.push_back(d);
     period.push_back(t);
   }
-  /// Rebuild from (task, demand) pairs, looking periods up in the flat
-  /// `periods` table (AnalysisSession::periods()).
+  /// Rebuild from (task, demand) pairs, reading each task's period from
+  /// `ts`.
   void assign(const std::vector<std::pair<int, Time>>& pairs,
-              const Time* periods) {
+              const TaskSet& ts) {
     clear();
-    for (const auto& [j, d] : pairs)
-      add(j, d, periods[static_cast<std::size_t>(j)]);
+    for (const auto& [j, d] : pairs) add(j, d, ts.task(j).period());
   }
 };
 

@@ -7,32 +7,15 @@
 
 namespace dpcp {
 
-const PathSlab& AnalysisSession::paths(int task, std::int64_t max_paths) {
-  const std::size_t ut = static_cast<std::size_t>(task);
-  if (paths_.size() < ts_.tasks().size()) paths_.resize(ts_.tasks().size());
-
-  for (const auto& entry : paths_[ut])
-    if (entry->budget == max_paths) return entry->slab;
-
-  // Miss: enumerate into temporary SoA vectors, then move the slabs into
-  // the arena (write-once: path results never change for a fixed budget).
-  if (!paths_[ut].empty()) ++budget_reenumerations_;
-  const PathEnumResult r =
-      enumerate_path_signatures(ts_.task(task), max_paths);
-  ++path_enumerations_;
-
-  auto entry = std::make_unique<PathsEntry>();
-  entry->budget = max_paths;
-  PathSlab& slab = entry->slab;
-  slab.lengths = arena_.copy(r.lengths).data;
-  slab.requests = arena_.copy(r.requests).data;
-  slab.resource_index = arena_.copy(r.resource_index).data;
-  slab.count = r.size();
-  slab.stride = r.stride();
-  slab.paths_visited = r.paths_visited;
-  slab.truncated = r.truncated;
-  paths_[ut].push_back(std::move(entry));
-  return paths_[ut].back()->slab;
+const PathEnumResult& AnalysisSession::paths(int task,
+                                             std::int64_t max_paths) {
+  PathsEntry& entry = paths_[static_cast<std::size_t>(task)];
+  if (entry.budget != max_paths) {
+    entry.result = enumerate_path_signatures(ts_.task(task), max_paths);
+    entry.budget = max_paths;
+    ++path_enumerations_;
+  }
+  return entry.result;
 }
 
 const std::vector<int>& AnalysisSession::priority_order() {
@@ -41,48 +24,6 @@ const std::vector<int>& AnalysisSession::priority_order() {
     order_ready_ = true;
   }
   return order_;
-}
-
-void AnalysisSession::ensure_task_tables() {
-  if (task_tables_ready_) return;
-  const std::size_t n = static_cast<std::size_t>(ts_.size());
-  periods_ = arena_.alloc<Time>(n);
-  used_.resize(n);
-  locals_.resize(n);
-  std::vector<ResourceId> locals_tmp;
-  for (int i = 0; i < ts_.size(); ++i) {
-    const std::size_t ui = static_cast<std::size_t>(i);
-    periods_[ui] = ts_.task(i).period();
-    used_[ui] = arena_.copy(ts_.task(i).used_resources());
-    locals_tmp.clear();
-    for (ResourceId q : used_[ui])
-      if (ts_.is_local(q)) locals_tmp.push_back(q);
-    locals_[ui] = arena_.copy(locals_tmp);
-  }
-  task_tables_ready_ = true;
-}
-
-const Time* AnalysisSession::periods() {
-  ensure_task_tables();
-  return periods_.data;
-}
-
-const Slab<ResourceId>& AnalysisSession::used_resources(int task) {
-  ensure_task_tables();
-  return used_[static_cast<std::size_t>(task)];
-}
-
-const Slab<ResourceId>& AnalysisSession::local_resources(int task) {
-  ensure_task_tables();
-  return locals_[static_cast<std::size_t>(task)];
-}
-
-void AnalysisSession::refresh_locals(int i) {
-  const std::size_t ui = static_cast<std::size_t>(i);
-  std::vector<ResourceId> tmp;
-  for (ResourceId q : used_[ui])
-    if (ts_.is_local(q)) tmp.push_back(q);
-  locals_[ui] = arena_.copy(tmp);
 }
 
 void AnalysisSession::priorities_from_order() {
@@ -103,22 +44,7 @@ int AnalysisSession::add_task(DagTask task) {
   for (ResourceId q : adopted.used_resources())
     ++resource_epochs_[static_cast<std::size_t>(q)];
 
-  if (task_tables_ready_) {
-    const std::size_t n = static_cast<std::size_t>(ts_.size());
-    Slab<Time> grown = arena_.alloc<Time>(n);
-    for (std::size_t i = 0; i + 1 < n; ++i) grown[i] = periods_[i];
-    grown[n - 1] = adopted.period();
-    periods_ = grown;
-    used_.push_back(arena_.copy(adopted.used_resources()));
-    locals_.emplace_back();
-    refresh_locals(idx);
-    // A resource with exactly two users just flipped local -> global for
-    // its previous sole user.
-    for (ResourceId q : adopted.used_resources()) {
-      const auto us = ts_.users(q);
-      if (us.size() == 2) refresh_locals(us[0] == idx ? us[1] : us[0]);
-    }
-  }
+  paths_.emplace_back();
 
   if (order_ready_) {
     // The order is increasing (period, id); the new id is the largest, so
@@ -141,7 +67,6 @@ void AnalysisSession::remove_task(int task) {
   if (!mutable_ts_)
     throw std::logic_error(
         "AnalysisSession::remove_task on an immutable session");
-  const std::size_t ut = static_cast<std::size_t>(task);
   const bool remap = task != ts_.size() - 1;
   ++mutation_seq_;
   if (remap) remap_seq_ = mutation_seq_;
@@ -156,33 +81,8 @@ void AnalysisSession::remove_task(int task) {
       ++resource_epochs_[static_cast<std::size_t>(q)];
   }
 
-  // Resources dropping to one user flip global -> local for the survivor;
-  // record survivors pre-removal, at their post-removal indices.
-  std::vector<int> flips;
-  if (task_tables_ready_) {
-    for (ResourceId q : ts_.task(task).used_resources()) {
-      const auto us = ts_.users(q);
-      if (us.size() == 2) {
-        const int other = us[0] == task ? us[1] : us[0];
-        flips.push_back(other > task ? other - 1 : other);
-      }
-    }
-  }
-
   mutable_ts_->remove_task(task);
-
-  if (task_tables_ready_) {
-    const std::size_t n = static_cast<std::size_t>(ts_.size());
-    Slab<Time> shrunk = arena_.alloc<Time>(n);
-    for (int i = 0; i < ts_.size(); ++i)
-      shrunk[static_cast<std::size_t>(i)] = ts_.task(i).period();
-    periods_ = shrunk;
-    used_.erase(used_.begin() + static_cast<std::ptrdiff_t>(ut));
-    locals_.erase(locals_.begin() + static_cast<std::ptrdiff_t>(ut));
-    for (int j : flips) refresh_locals(j);
-  }
-  if (ut < paths_.size())
-    paths_.erase(paths_.begin() + static_cast<std::ptrdiff_t>(ut));
+  paths_.erase(paths_.begin() + task);
 
   if (order_ready_) {
     order_.erase(std::find(order_.begin(), order_.end(), task));

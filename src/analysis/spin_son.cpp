@@ -62,8 +62,7 @@ class SpinSonPrepared final : public PreparedAnalysis {
         st.fifo_bound.push_back(
             static_cast<Time>(ps.max_requests[k]) *
             SpinSonAnalysis::spin_delay(ts_, partition(), task, ps.q[k]));
-      st.preempt.assign(preemption_demand(ts_, partition(), task),
-                        session_.periods());
+      st.preempt.assign(preemption_demand(ts_, partition(), task), ts_);
       st.arrival_blocking = 0;
       if (!st.preempt.empty() || partition().task_shares_processor(task)) {
         // Sec. VI shared processors: spinning and critical sections are
@@ -111,7 +110,7 @@ class SpinSonPrepared final : public PreparedAnalysis {
     // User-set epochs of tau_i's own resources: two contender sets with
     // equal sizes and cluster sizes can still carry different demand after
     // a session mutation swaps one contender for another.
-    for (ResourceId q : session_.used_resources(task))
+    for (ResourceId q : ts_.task(task).used_resources())
       append_users_epoch(q, out);
     // On shared processors the blocking/preemption terms evaluate
     // spin_delay() of co-located tasks, which reads the cluster size of
@@ -168,7 +167,7 @@ class SpinSonPrepared final : public PreparedAnalysis {
   /// bound per request, summed over its resources.
   Time job_spin_bound(int j) const {
     Time total = 0;
-    for (ResourceId q : session_.used_resources(j))
+    for (ResourceId q : ts_.task(j).used_resources())
       total += static_cast<Time>(ts_.task(j).usage(q).max_requests) *
                SpinSonAnalysis::spin_delay(ts_, partition(), j, q);
     return total;
@@ -186,7 +185,7 @@ class SpinSonPrepared final : public PreparedAnalysis {
         if (j == task || seen[static_cast<std::size_t>(j)]) continue;
         seen[static_cast<std::size_t>(j)] = 1;
         if (ts_.task(j).priority() >= ts_.task(task).priority()) continue;
-        for (ResourceId q : session_.used_resources(j))
+        for (ResourceId q : ts_.task(j).used_resources())
           worst = std::max(
               worst, SpinSonAnalysis::spin_delay(ts_, partition(), j, q) +
                          ts_.task(j).usage(q).cs_length);
@@ -198,10 +197,9 @@ class SpinSonPrepared final : public PreparedAnalysis {
   void build_statics(int task) {
     TaskStatics& ps = statics_[static_cast<std::size_t>(task)];
     const DagTask& ti = ts_.task(task);
-    const Time* periods = session_.periods();
     std::vector<char> seen(static_cast<std::size_t>(ts_.size()), 0);
     ps.coff.push_back(0);
-    for (ResourceId q : session_.used_resources(task)) {
+    for (ResourceId q : ti.used_resources()) {
       ps.q.push_back(q);
       ps.max_requests.push_back(ti.usage(q).max_requests);
       ps.own_window.push_back(
@@ -211,8 +209,7 @@ class SpinSonPrepared final : public PreparedAnalysis {
         if (j == task) continue;
         const auto& use = ts_.task(j).usage(q);
         if (!use.used()) continue;
-        ps.contenders.add(j, use.demand(),
-                          periods[static_cast<std::size_t>(j)]);
+        ps.contenders.add(j, use.demand(), ts_.task(j).period());
         if (!seen[static_cast<std::size_t>(j)]) {
           seen[static_cast<std::size_t>(j)] = 1;
           ps.contender_tasks.push_back(j);

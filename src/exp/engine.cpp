@@ -59,8 +59,6 @@ void merge_share(SweepResult& into, const SweepResult& share) {
   // Generator stats are sweep-global (per-scenario attribution would
   // require per-item stats plumbing for no analytical benefit).
   into.gen_stats.merge(share.gen_stats);
-  into.path_enumerations += share.path_enumerations;
-  into.budget_reenumerations += share.budget_reenumerations;
 }
 
 }  // namespace
@@ -351,8 +349,6 @@ SweepResult run_sweep(const std::vector<Scenario>& scenarios,
             if (v.schedulable) ++curve.accepted[n_acol][point];
           }
         }
-        share.path_enumerations += session.path_enumerations();
-        share.budget_reenumerations += session.budget_reenumerations();
       }
       if (remaining[s].fetch_sub(1) == 1 && options.progress) {
         // Count and report under one lock so `done` values reach the

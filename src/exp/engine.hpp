@@ -135,14 +135,6 @@ struct SweepResult {
   /// analysis index matching the input `kinds`; empty unless validated.
   std::vector<std::vector<std::vector<ValidationPointStats>>>
       validation_points;
-  /// Session telemetry summed over every AnalysisSession the sweep opened:
-  /// path enumerations performed, and — of those — re-enumerations forced
-  /// by a mid-session path-budget change (AnalysisSession::
-  /// budget_reenumerations()).  Default sweeps run one budget, so any
-  /// nonzero budget_reenumerations flags a caller silently thrashing the
-  /// path cache.  Telemetry only: never emitted to CSV/JSON.
-  std::int64_t path_enumerations = 0;
-  std::int64_t budget_reenumerations = 0;
 };
 
 /// Base seed of scenario `index` within a sweep rooted at `base_seed`.

@@ -111,6 +111,12 @@ std::optional<TaskSet> taskset_from_text(const std::string& text,
       set_error(error, in.err("bad period/deadline"));
       return std::nullopt;
     }
+    // Checked before the task's usage row is allocated.
+    if ((ts.size() + std::int64_t{1}) * nr > kMaxTasksetCells) {
+      set_error(error, in.err("tasks x resources exceeds " +
+                              std::to_string(kMaxTasksetCells)));
+      return std::nullopt;
+    }
     DagTask task(-1, period, deadline, nr);
     const int task_line = in.line();  // opening line, for error reports
     Time wcet_sum = 0;                // C_i so far, checked per vertex

@@ -22,6 +22,7 @@
 //   resource 0 1
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 
@@ -35,16 +36,22 @@ namespace dpcp {
 /// make the parser allocate; the paper's scenarios use at most 16.
 inline constexpr int kMaxTasksetResources = 4096;
 
+/// Largest tasks x resources product taskset_from_text() accepts: the
+/// usage rows of all tasks together, 16 MiB at this cap.  With the
+/// resource cap it bounds what a payload can make the parser allocate.
+inline constexpr std::int64_t kMaxTasksetCells = std::int64_t{1} << 20;
+
 /// Serializes a task set (priorities are not stored; they are re-derived
 /// by Rate-Monotonic assignment on load, matching the paper's setup).
 std::string taskset_to_text(const TaskSet& ts);
 
 /// Parses a task set; on failure returns nullopt and, when `error` is
 /// non-null, a line-numbered description of the first problem.  Rejects a
-/// resource count above kMaxTasksetResources, a task whose vertex WCETs
-/// sum past INT64_MAX (C_i, and so L*_i <= C_i, must fit in Time) and a
-/// task whose requests to one resource sum past INT32_MAX (N_{i,q} is an
-/// int).
+/// resource count above kMaxTasksetResources, a task that takes the
+/// tasks x resources product past kMaxTasksetCells, a task whose vertex
+/// WCETs sum past INT64_MAX (C_i, and so L*_i <= C_i, must fit in Time)
+/// and a task whose requests to one resource sum past INT32_MAX (N_{i,q}
+/// is an int).
 std::optional<TaskSet> taskset_from_text(const std::string& text,
                                          std::string* error = nullptr);
 

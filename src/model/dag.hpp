@@ -13,7 +13,7 @@
 #include <utility>
 #include <vector>
 
-#include "util/arena.hpp"
+#include "util/slab.hpp"
 #include "util/time.hpp"
 
 namespace dpcp {

@@ -19,13 +19,6 @@ VertexId DagTask::add_vertex(Time wcet, const std::vector<int>& requests) {
   return vertex_count() - 1;
 }
 
-std::vector<ResourceId> DagTask::used_resources() const {
-  std::vector<ResourceId> out;
-  for (ResourceId q = 0; q < num_resources(); ++q)
-    if (usage_[q].used()) out.push_back(q);
-  return out;
-}
-
 void DagTask::finalize() {
   if (!edges_.empty() || graph_.size() != vertex_count()) {
     // A re-freeze puts the edges frozen before (vertex-major) ahead of the
@@ -43,6 +36,9 @@ void DagTask::finalize() {
   for (auto& u : usage_) u.max_requests = 0;
   for (const VertexRequest& r : requests_)
     usage_[static_cast<std::size_t>(r.resource)].max_requests += r.count;
+  used_.clear();
+  for (ResourceId q = 0; q < num_resources(); ++q)
+    if (usage_[q].used()) used_.push_back(q);
   lstar_ = graph_.longest_path_weight(vertex_wcets());
 }
 

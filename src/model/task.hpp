@@ -16,7 +16,7 @@
 
 #include "model/dag.hpp"
 #include "model/resource.hpp"
-#include "util/arena.hpp"
+#include "util/slab.hpp"
 #include "util/time.hpp"
 
 namespace dpcp {
@@ -79,13 +79,15 @@ class DagTask {
   /// Sets L_{i,q}; N_{i,q} is derived from the vertices in finalize().
   void set_cs_length(ResourceId q, Time len) { usage_[q].cs_length = len; }
   bool uses(ResourceId q) const { return usage_[q].used(); }
-  /// Resources with N_{i,q} > 0.
-  std::vector<ResourceId> used_resources() const;
+  /// Resources with N_{i,q} > 0, in increasing order (valid after
+  /// finalize()).
+  const std::vector<ResourceId>& used_resources() const { return used_; }
 
   /// Freezes the vertices and edges added so far into graph() and
-  /// recomputes the cached aggregates (C_i, L*_i, N_{i,q}).  Call after
-  /// the structure is complete and before analysis; calling it again is
-  /// harmless, and picks up vertices and edges added since.
+  /// recomputes the cached aggregates (C_i, L*_i, N_{i,q} and the
+  /// used-resource list).  Call after the structure is complete and
+  /// before analysis; calling it again is harmless, and picks up vertices
+  /// and edges added since.
   void finalize();
 
   // --- derived quantities (valid after finalize()) -----------------------
@@ -119,6 +121,7 @@ class DagTask {
   std::vector<VertexRequest> requests_;  // vertex-major, increasing q
   std::vector<std::size_t> request_begin_{0};  // per vertex, plus sentinel
   std::vector<ResourceUsage> usage_;
+  std::vector<ResourceId> used_;  // q with N_{i,q} > 0
   Time wcet_ = 0;
   Time lstar_ = 0;
 };

@@ -524,7 +524,7 @@ DepartOutcome AdmissionController::depart(int external_id) {
 
   // Opportunistic re-admission: one FIFO pass over the queue; failures
   // re-queue at the back (admit_with_id does that itself).
-  if (options_.readmit_on_depart && !retry_.empty()) {
+  if (!retry_.empty()) {
     std::deque<Pending> waiting;
     waiting.swap(retry_);
     for (Pending& p : waiting) {

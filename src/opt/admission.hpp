@@ -6,8 +6,8 @@
 // already makes incremental:
 //
 //   * a mutable AnalysisSession (analysis/session.hpp): arrivals and
-//     departures extend/shrink the SoA slabs and bump user-set epochs
-//     instead of rebuilding the session;
+//     departures add or free one task's path entry and bump user-set
+//     epochs instead of rebuilding the session;
 //   * one PreparedAnalysis oracle held across events: its epoch-aware
 //     span diff re-analyzes only tasks whose partition inputs or
 //     contender sets actually changed;
@@ -68,8 +68,6 @@ struct AdmitOptions {
   std::size_t retry_capacity = 16;
   /// Root seed of the repair search streams.
   std::uint64_t seed = 42;
-  /// Run a re-admission pass over the retry queue after each departure.
-  bool readmit_on_depart = true;
 };
 
 /// Which rung of the escalation ladder decided an accepted admission.

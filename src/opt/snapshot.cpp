@@ -94,7 +94,7 @@ std::string snapshot_to_text(const ControllerSnapshot& snap) {
   os << "repair-evals " << o.repair_evals << "\n";
   os << "retry-cap " << o.retry_capacity << "\n";
   os << "seed " << o.seed << "\n";
-  os << "readmit-on-depart " << (o.readmit_on_depart ? 1 : 0) << "\n";
+  os << "readmit-on-depart 1\n";  // depart() always re-admits
   os << "next-ext " << snap.next_ext << "\n";
   os << "admit-seq " << snap.admit_seq << "\n";
   os << "slo " << snap.slo_percentile << ' ' << snap.slo_budget << "\n";
@@ -196,13 +196,10 @@ std::optional<ControllerSnapshot> snapshot_from_text(const std::string& text,
     set_error(error, in.err("bad 'seed'"));
     return std::nullopt;
   }
-  int readmit = 0;
-  if (!expect("readmit-on-depart", 1) ||
-      !parse_into(in.tokens()[1], &readmit, 0, 1)) {
+  if (!expect("readmit-on-depart", 1) || in.tokens()[1] != "1") {
     set_error(error, in.err("bad 'readmit-on-depart'"));
     return std::nullopt;
   }
-  o.readmit_on_depart = readmit == 1;
   if (!expect("next-ext", 1) ||
       !parse_into(in.tokens()[1], &snap.next_ext, 0)) {
     set_error(error, in.err("bad 'next-ext'"));

@@ -28,9 +28,10 @@ constexpr Time micros(std::int64_t us) { return us * kMicrosecond; }
 constexpr Time millis(std::int64_t ms) { return ms * kMillisecond; }
 
 /// Ceiling division for non-negative numerator and positive denominator.
-/// The eta() job-count bound of the analysis uses this.
+/// The eta() job-count bound of the analysis uses this.  No intermediate
+/// exceeds `a`, so a period near INT64_MAX cannot overflow it.
 constexpr std::int64_t div_ceil(std::int64_t a, std::int64_t b) {
-  return (a + b - 1) / b;
+  return a / b + (a % b != 0);
 }
 
 /// Render a time value with an auto-selected unit, e.g. "12.5ms" / "80us".

@@ -24,6 +24,7 @@
 #include "partition/federated.hpp"
 #include "serve/router.hpp"
 #include "serve/server.hpp"
+#include "test_support.hpp"
 #include "util/rng.hpp"
 
 namespace dpcp {
@@ -356,6 +357,49 @@ TEST(Admission, ReplayIsDeterministic) {
   EXPECT_EQ(run(), run());
 }
 
+// Sanitizer builds replace malloc, which mallinfo2() cannot see.
+#if !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
+TEST(Admission, HeapStaysFlatUnderAdmitDepartChurn) {
+  // A long-lived controller (one per server session) must not grow with
+  // the events it has served: a departed task's analysis state is freed.
+  const int kNumResources = 4;
+  AdmitOptions opt;
+  opt.repair_evals = 0;
+  AdmissionController ctrl(kNumResources, opt);
+  GenParams params;
+  params.scenario = fig2_scenario('a');
+  params.scenario.nr_min = params.scenario.nr_max = kNumResources;
+  params.total_utilization = 0.2 * params.scenario.m;
+  std::vector<DagTask> tasks;
+  Rng rng(2026);
+  for (std::uint64_t k = 0; tasks.size() < 64; ++k) {
+    Rng fork = rng.fork(k);
+    if (const auto ts = generate_taskset(fork, params))
+      tasks.insert(tasks.end(), ts->tasks().begin(), ts->tasks().end());
+  }
+
+  Rng stream(3);
+  std::size_t next = 0;
+  const auto event = [&] {
+    if (ctrl.resident() >= 5 ||
+        (ctrl.resident() > 0 && stream.canonical() < 0.5)) {
+      const int victim = stream.uniform_int(0, ctrl.resident() - 1);
+      ASSERT_TRUE(ctrl.depart(ctrl.external_id(victim)).found);
+    } else {
+      ctrl.admit(tasks[next++ % tasks.size()]);
+    }
+  };
+  for (int ev = 0; ev < 100; ++ev) event();
+  const std::size_t before = heap_in_use();
+  for (int ev = 0; ev < 1000; ++ev) event();
+  const std::size_t after = heap_in_use();
+
+  EXPECT_GT(ctrl.stats().accepted, 100);  // the stream kept tasks resident
+  EXPECT_LT(after, before + (256u << 10))
+      << "heap grew by " << (after - before) << " bytes";
+}
+#endif
+
 // ---------- retry-queue eviction surfacing ---------------------------------
 
 TEST(Admission, EvictionSurfacesTheEvictedId) {
@@ -560,7 +604,9 @@ TEST(Snapshot, TextParserRejectsNumbersBeyondTheFieldRange) {
       {"max-paths", "100000", "9223372036854775808"},
       // Both budgets must be at least 1.
       {"max-paths", "100000", "0"},
-      {"max-signatures", "20000", "0"}};
+      {"max-signatures", "20000", "0"},
+      // depart() always re-admits from the retry queue.
+      {"readmit-on-depart", "1", "0"}};
   for (const auto& [key, value, beyond] : cases) {
     const std::string line = "\n" + key + " " + value + "\n";
     std::string mangled = text;
@@ -608,6 +654,34 @@ TEST(Server, DepartAcceptsFullInt32RangeAndRejectsOverflow) {
             options);
   EXPECT_NE(over.find("error usage: depart <id>\n"), std::string::npos)
       << over;
+}
+
+TEST(Server, PeriodNearInt64MaxKeepsTheBlockingJobInTheBound) {
+  // One job of the lower-priority task can block the period-100 task
+  // (cs 2), so its bound is 10 + 2 = 12 whatever the blocker's period.
+  // The job count ceil(w / T) overflowed int64 at T = INT64_MAX and
+  // dropped the blocking term, certifying wcrt=10.
+  ServeOptions options;
+  options.m = 4;
+  const std::string out = serve(
+      "load\n"
+      "dpcp-taskset v1\n"
+      "resources 1\n"
+      "task period 9223372036854775807 deadline 100\n"
+      "  cs 0 2\n"
+      "  vertex 10 requests 0:1\n"
+      "end\n"
+      "task period 100 deadline 100\n"
+      "  cs 0 2\n"
+      "  vertex 10 requests 0:1\n"
+      "end\n"
+      ".\n"
+      "query\n"
+      "quit\n",
+      options);
+  EXPECT_NE(out.find("task id=1 period=100 deadline=100 wcrt=12 "),
+            std::string::npos)
+      << out;
 }
 
 TEST(Server, UnterminatedAdmitPayloadBeforeLoadIsAFramingError) {

@@ -65,18 +65,6 @@ TEST(Engine, OversizedThreadCountMatchesOneThread) {
   EXPECT_EQ(sweep_to_csv(one), sweep_to_csv(huge));
 }
 
-TEST(Engine, DefaultSweepNeverReenumeratesPaths) {
-  // Every default sweep uses one path budget per session, so the
-  // budget-keyed path cache must never enumerate a task twice: a nonzero
-  // count means a caller silently thrashes the cache by varying
-  // max_paths mid-session (the regression AnalysisSession::
-  // budget_reenumerations() exists to catch).
-  const SweepResult result =
-      run_sweep(tiny_scenarios(), kTinyKinds, tiny_options(2));
-  EXPECT_GT(result.path_enumerations, 0);  // EP enumerated something
-  EXPECT_EQ(result.budget_reenumerations, 0);
-}
-
 TEST(Engine, ScenarioSeedDerivation) {
   EXPECT_EQ(scenario_seed(42, 0), 42u);  // single-scenario sweeps == legacy
   EXPECT_EQ(scenario_seed(42, 1), 42u + 1000003u);

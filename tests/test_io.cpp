@@ -213,6 +213,25 @@ TEST(TasksetIo, AcceptsResourceCountAtCapAndWcetSumAtInt64Max) {
   EXPECT_EQ(ts->task(0).wcet(), INT64_MAX);
 }
 
+TEST(TasksetIo, RejectsTheTaskThatTakesTasksTimesResourcesPastTheCap) {
+  // Every task holds a usage row as wide as `resources`: at 4096
+  // resources the cap admits 256 tasks, and the 257th task line (line
+  // 2 + 256 * 3 + 1) is refused before its row is allocated.
+  std::string text = "dpcp-taskset v1\nresources 4096\n";
+  for (int k = 0; k < 256; ++k)
+    text += "task period 10 deadline 10\n  vertex 1\nend\n";
+  std::string error;
+  const auto at_cap = taskset_from_text(text, &error);
+  ASSERT_TRUE(at_cap.has_value()) << error;
+  EXPECT_EQ(at_cap->size() * at_cap->num_resources(), 1 << 20);
+
+  text += "task period 10 deadline 10\n  vertex 1\nend\n";
+  EXPECT_FALSE(taskset_from_text(text, &error).has_value());
+  EXPECT_NE(error.find("line 771: tasks x resources exceeds 1048576"),
+            std::string::npos)
+      << error;
+}
+
 TEST(TasksetIo, NestedTaskReportsOpeningLine) {
   // 'task' on line 5 while the task opened on line 3 is still unterminated:
   // the diagnostic must point back at the opening line.

@@ -34,31 +34,63 @@ TEST(Session, PathEnumerationRunsOncePerTask) {
   ts.finalize();
 
   AnalysisSession session(ts);
-  const PathSlab& first = session.paths(0, 1000);
-  const PathSlab& again = session.paths(0, 1000);
-  EXPECT_EQ(&first, &again);  // cached object, not a recomputation
+  const PathEnumResult& first = session.paths(0, 1000);
+  EXPECT_EQ(&session.paths(0, 1000), &first);  // cached, not recomputed
   EXPECT_EQ(session.path_enumerations(), 1);
-  EXPECT_EQ(session.budget_reenumerations(), 0);
 
-  // A different budget enumerates once more and caches alongside; the
-  // telemetry counter flags the budget churn.
-  const PathSlab& other = session.paths(0, 2000);
+  // Another budget enumerates again and replaces the task's one entry.
+  session.paths(0, 2000);
   EXPECT_EQ(session.path_enumerations(), 2);
-  EXPECT_EQ(session.budget_reenumerations(), 1);
-
-  // Both budgets now hit their own cache entries; the first slab's
-  // reference is still valid (pointer-stable entries).
-  EXPECT_EQ(&session.paths(0, 1000), &first);
-  EXPECT_EQ(&session.paths(0, 2000), &other);
+  const PathEnumResult& cached = session.paths(0, 2000);
   EXPECT_EQ(session.path_enumerations(), 2);
-  EXPECT_EQ(session.budget_reenumerations(), 1);
 
-  // Slab contents match a direct enumeration.
-  const PathEnumResult direct = enumerate_path_signatures(ts.task(0), 1000);
-  ASSERT_EQ(first.size(), direct.size());
-  for (std::size_t i = 0; i < first.size(); ++i)
-    EXPECT_EQ(first.lengths[i], direct.lengths[i]);
+  // The entry matches a direct enumeration.
+  const PathEnumResult direct = enumerate_path_signatures(ts.task(0), 2000);
+  EXPECT_EQ(cached.lengths, direct.lengths);
+  EXPECT_EQ(cached.requests, direct.requests);
+  EXPECT_EQ(cached.resource_index, direct.resource_index);
+  EXPECT_EQ(cached.paths_visited, direct.paths_visited);
+  EXPECT_EQ(cached.truncated, direct.truncated);
 }
+
+// Sanitizer builds replace malloc, which mallinfo2() cannot see.
+#if !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
+TEST(Session, HeapStaysFlatUnderAddEnumerateRemoveChurn) {
+  // A long-lived mutable session must free what a departed task held:
+  // each cycle adds a task, enumerates every resident task's paths and
+  // removes one task (the middle or the last, so both the renumbering and
+  // the fast path run).  Only the added task may enumerate: a survivor's
+  // entry follows it when the indices shift.
+  Rng rng(11);
+  GenParams params;
+  params.scenario = fig2_scenario('a');
+  params.total_utilization = 0.4 * params.scenario.m;
+  const auto pool = generate_taskset(rng, params);
+  ASSERT_TRUE(pool.has_value());
+  ASSERT_GE(pool->size(), 4);
+
+  TaskSet ts(pool->num_resources());
+  AnalysisSession session(ts, AllowMutation{});
+  for (int k = 0; k < 3; ++k) session.add_task(pool->task(k));
+  session.priority_order();
+  std::int64_t added = 3;
+  const auto cycle = [&](int c) {
+    session.add_task(pool->task(c % pool->size()));
+    ++added;
+    for (int i = 0; i < ts.size(); ++i) session.paths(i, 200'000);
+    session.remove_task(c % 2 == 0 ? 1 : ts.size() - 1);
+  };
+  for (int c = 0; c < 100; ++c) cycle(c);
+  const std::size_t before = heap_in_use();
+  for (int c = 0; c < 2000; ++c) cycle(c);
+  const std::size_t after = heap_in_use();
+
+  EXPECT_EQ(session.path_enumerations(), added);
+  EXPECT_EQ(ts.size(), 3);
+  EXPECT_LT(after, before + (64u << 10))
+      << "heap grew by " << (after - before) << " bytes";
+}
+#endif
 
 TEST(Session, PriorityOrderMatchesPartitioner) {
   Rng rng(7);

@@ -1,7 +1,9 @@
 // Helpers shared by the test suites: a WCRT oracle over a lambda, the
-// scenario corners of the paper's grid, a heavy-task factory, and an FNV-1a
-// digest for behaviour pins.
+// scenario corners of the paper's grid, a heavy-task factory, an FNV-1a
+// digest for behaviour pins, and a heap gauge for flat-memory pins.
 #pragma once
+
+#include <malloc.h>
 
 #include <algorithm>
 #include <cstdint>
@@ -95,6 +97,14 @@ inline DagTask& add_heavy_task(TaskSet& ts, Time period, Time wcet,
   for (Time rest = wcet - lstar; rest > 0; rest -= std::min(rest, head))
     t.add_vertex(std::min(rest, head));
   return t;
+}
+
+/// Heap bytes in use: glibc's allocated arena blocks plus its mmapped
+/// blocks.  Sanitizer builds replace malloc, so tests that read this are
+/// compiled out there.
+inline std::size_t heap_in_use() {
+  const struct mallinfo2 info = mallinfo2();
+  return info.uordblks + info.hblkhd;
 }
 
 /// FNV-1a 64 over a stream of strings.

@@ -13,7 +13,6 @@
 #include <thread>
 #include <vector>
 
-#include "util/arena.hpp"
 #include "util/fixed_point.hpp"
 #include "util/instrument.hpp"
 #include "util/parse.hpp"
@@ -106,6 +105,12 @@ TEST(Time, DivCeil) {
   EXPECT_EQ(div_ceil(5, 5), 1);
   EXPECT_EQ(div_ceil(6, 5), 2);
   EXPECT_EQ(div_ceil(10, 1), 10);
+  // A period near INT64_MAX must not overflow the numerator.
+  EXPECT_EQ(div_ceil(2, INT64_MAX), 1);
+  EXPECT_EQ(div_ceil(INT64_MAX, INT64_MAX), 1);
+  EXPECT_EQ(div_ceil(INT64_MAX - 1, INT64_MAX), 1);
+  EXPECT_EQ(div_ceil(0, INT64_MAX), 0);
+  EXPECT_EQ(div_ceil(INT64_MAX, 2), INT64_MAX / 2 + 1);
 }
 
 TEST(Time, FormatPicksUnits) {
@@ -359,58 +364,6 @@ TEST(Table, CsvEscapesSpecials) {
 TEST(Table, Strfmt) {
   EXPECT_EQ(strfmt("%d-%s", 5, "x"), "5-x");
   EXPECT_EQ(strfmt("%.2f", 1.239), "1.24");
-}
-
-// ---------- bump arena ------------------------------------------------------
-
-TEST(Arena, AllocZeroFillsAndAligns) {
-  BumpArena arena;
-  Slab<std::int64_t> a = arena.alloc<std::int64_t>(10);
-  ASSERT_EQ(a.size(), 10u);
-  for (std::int64_t v : a) EXPECT_EQ(v, 0);
-  // Mixed element sizes: the next allocation must still come back aligned.
-  Slab<char> c = arena.copy("xyz", 3);
-  Slab<std::int64_t> b = arena.alloc<std::int64_t>(1);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b.data) %
-                alignof(std::int64_t),
-            0u);
-  EXPECT_EQ(c[2], 'z');
-}
-
-TEST(Arena, CopyPreservesContentAndIsStable) {
-  BumpArena arena;
-  const std::vector<int> src{5, -3, 42};
-  Slab<int> first = arena.copy(src);
-  const int* data = first.data;
-  // Later allocations (incl. ones forcing new chunks) never move earlier
-  // slabs -- the session hands out long-lived pointers into the arena.
-  for (int i = 0; i < 64; ++i) arena.alloc<std::int64_t>(4096);
-  EXPECT_EQ(first.data, data);
-  EXPECT_EQ(std::vector<int>(first.begin(), first.end()), src);
-}
-
-TEST(Arena, LargeAllocationGetsDedicatedChunk) {
-  BumpArena arena;
-  // Larger than the default chunk: must still succeed, zero-filled.
-  Slab<std::int64_t> big = arena.alloc<std::int64_t>(100'000);
-  ASSERT_EQ(big.size(), 100'000u);
-  EXPECT_EQ(big[0], 0);
-  EXPECT_EQ(big[99'999], 0);
-  EXPECT_GE(arena.live_bytes(), 100'000u * sizeof(std::int64_t));
-  EXPECT_GE(arena.high_water(), arena.live_bytes());
-}
-
-TEST(Arena, ClearRetainsChunksAndTracksHighWater) {
-  BumpArena arena;
-  arena.alloc<std::int64_t>(1000);
-  const std::size_t peak = arena.live_bytes();
-  const std::size_t reserved = arena.reserved_bytes();
-  arena.clear();
-  EXPECT_EQ(arena.live_bytes(), 0u);
-  EXPECT_GE(arena.high_water(), peak);       // survives the clear
-  EXPECT_EQ(arena.reserved_bytes(), reserved);  // chunks are reused
-  Slab<int> again = arena.alloc<int>(8);
-  EXPECT_EQ(again[7], 0);  // reused memory is re-zeroed
 }
 
 TEST(CacheStats, HitRateFromMemoCounts) {
