@@ -111,34 +111,15 @@ constexpr Time kMissedDeadline = -1;  // encoded nullopt in the memo
 /// for the currently bound partition while !dirty.  All contender lists
 /// are flat SoA slabs with cached periods (see DemandSoA); the
 /// per-processor lists are ranges into shared arrays rather than
-/// per-processor heap vectors.
-struct TaskTables {
+/// per-processor heap vectors.  A local<->global flip of one of tau_i's
+/// resources changes a user set, whose epoch partition_inputs()
+/// tokenizes, so the flip invalidates these tables.
+struct TaskTables : ContentionTables {
   bool dirty = true;
   int mi = 1;
   bool shares_processor = false;
 
-  /// One entry per processor hosting globals (the ProcessorContention
-  /// flattening): beta/own_demand inline, globals and demand lists as
-  /// [begin, end) ranges into the arrays below.
-  struct Proc {
-    Time beta = 0;
-    Time own_demand = 0;
-    std::uint32_t gbeg = 0, gend = 0;  // range in globals
-    std::uint32_t hbeg = 0, hend = 0;  // range in hp
-    std::uint32_t obeg = 0, oend = 0;  // range in other
-  };
-  std::vector<Proc> procs;
-  std::vector<ResourceId> globals;
-  DemandSoA hp;     // higher-priority demand, all processors back-to-back
-  DemandSoA other;  // all-other-task demand, likewise
-
-  /// Phi^p(tau_i): global resources hosted by tau_i's own cluster.
-  std::vector<ResourceId> cluster_globals;
-  /// tau_i's local resources (used by no other task).  A local<->global
-  /// flip changes a user set, whose epoch partition_inputs() tokenizes,
-  /// so the flip invalidates these tables.
-  std::vector<ResourceId> locals;
-  /// Per-task agent demand those globals attract (Lemma 6).
+  /// Per-task agent demand the cluster globals attract (Lemma 6).
   DemandSoA agent;
   /// P-FP preemption by co-located higher-priority tasks (Sec. VI).
   DemandSoA preempt;
@@ -209,9 +190,11 @@ class QueryContext {
 
   /// Theorem 1 for one path class.  `nlam[q]` = on-path request count;
   /// for the EN envelope pass envelope=true (nlam is then ignored where the
-  /// per-term maximisation dictates).
+  /// per-term maximisation dictates).  `worst` is the largest bound of the
+  /// classes already visited (0 before the first); a class it already
+  /// bounds returns `worst` without iterating.
   std::optional<Time> path_bound(Time path_len, const std::vector<int>& nlam,
-                                 bool envelope) {
+                                 bool envelope, Time worst) {
     // ---- per-processor epsilon (Lemma 3) and global intra blocking b^G
     // (Lemma 4) -- constants w.r.t. the outer recurrence.
     std::vector<ProcTermScratch>& proc_terms = proc_terms_;
@@ -252,7 +235,9 @@ class QueryContext {
                                      pc.hend - pc.hbeg, hint_, *w));
       }
       if (sigma) b_global += off_path;
-      proc_terms.push_back(term);
+      // min(0, zeta) = 0 for non-negative hints (every caller passes D_j
+      // or a computed bound), so a term with no epsilon adds nothing.
+      if (term.eps > 0) proc_terms.push_back(term);
     }
 
     // ---- local intra-task blocking b^L (Lemma 4).
@@ -322,6 +307,14 @@ class QueryContext {
              div_ceil(i_intra + ia, tables_.mi) +
              window_demand(tables_.preempt, hint_, r);
     };
+    // Skip a class the running maximum already bounds: f is monotone and
+    // Kleene iteration starts at path_len <= worst, so every iterate stays
+    // at or below f(worst) <= worst and this class cannot raise the max.
+    // The request_response() probes above still ran, so memo counts do not
+    // depend on the skip.  One verdict differs: a class whose iteration
+    // would have hit solve_fixed_point()'s iteration cap is bounded by
+    // `worst` here instead of failing.
+    if (path_len <= worst && f(worst) <= worst) return worst;
     return solve_fixed_point(f, path_len, deadline_).value;
   }
 
@@ -377,22 +370,29 @@ class DpcpPPrepared final : public PreparedAnalysis {
     // cluster (agent demand).  The placement map above pins *where* these
     // sets live; the epochs pin *who* is in them — a session mutation that
     // changes a user set without moving any resource still re-analyzes
-    // exactly the tasks reading it.
-    std::vector<char> mark(static_cast<std::size_t>(part.num_resources()), 0);
+    // exactly the tasks reading it.  mark_ flags processors first (the
+    // hosts of tau_i's resources, and its cluster), then resources (tau_i's
+    // own, and every resource on a flagged processor).
+    const std::size_t m = static_cast<std::size_t>(part.num_processors());
+    mark_.assign(m + static_cast<std::size_t>(part.num_resources()), 0);
     for (ResourceId q : ts_.task(task).used_resources()) {
-      mark[static_cast<std::size_t>(q)] = 1;
+      mark_[m + static_cast<std::size_t>(q)] = 1;
       const ProcessorId p = part.processor_of_resource(q);
-      if (p != Partition::kUnassigned)
-        for (ResourceId r : part.resources_on_processor(p))
-          mark[static_cast<std::size_t>(r)] = 1;
+      if (p != Partition::kUnassigned) mark_[static_cast<std::size_t>(p)] = 1;
     }
-    for (ResourceId r : part.resources_on_cluster(task))
-      mark[static_cast<std::size_t>(r)] = 1;
+    for (ProcessorId p : part.cluster(task))
+      mark_[static_cast<std::size_t>(p)] = 1;
     std::size_t marked = 0;
-    for (char c : mark) marked += static_cast<std::size_t>(c);
+    for (ResourceId q = 0; q < part.num_resources(); ++q) {
+      const ProcessorId p = part.processor_of_resource(q);
+      char& flag = mark_[m + static_cast<std::size_t>(q)];
+      flag = flag || (p != Partition::kUnassigned &&
+                      mark_[static_cast<std::size_t>(p)]);
+      marked += static_cast<std::size_t>(flag);
+    }
     out->push_back(static_cast<Time>(marked));
     for (ResourceId q = 0; q < part.num_resources(); ++q)
-      if (mark[static_cast<std::size_t>(q)]) append_users_epoch(q, out);
+      if (mark_[m + static_cast<std::size_t>(q)]) append_users_epoch(q, out);
   }
 
   void invalidate(int task) override {
@@ -435,42 +435,15 @@ class DpcpPPrepared final : public PreparedAnalysis {
   }
 
  private:
+  // Runs whenever bind() reported changed inputs for the task.  The
+  // inputs include the whole placement map, so in an admission stream
+  // that is about 96% of wcrt() calls: the tables are filled in place.
   void rebuild(int task, TaskTables& tb) {
     const Partition& part = partition();
     tb.mi = part.cluster_size(task);
     assert(tb.mi >= 1);
     tb.shares_processor = part.task_shares_processor(task);
-
-    // Flatten the per-processor contention views into the shared SoA
-    // arrays (rebuild is rare — only when bind() reports changed inputs —
-    // so the intermediate AoS from build_processor_contention is fine).
-    tb.procs.clear();
-    tb.globals.clear();
-    tb.hp.clear();
-    tb.other.clear();
-    for (const ProcessorContention& pc :
-         build_processor_contention(ts_, part, task)) {
-      TaskTables::Proc p;
-      p.beta = pc.beta;
-      p.own_demand = pc.own_demand;
-      p.gbeg = static_cast<std::uint32_t>(tb.globals.size());
-      tb.globals.insert(tb.globals.end(), pc.globals.begin(),
-                        pc.globals.end());
-      p.gend = static_cast<std::uint32_t>(tb.globals.size());
-      p.hbeg = static_cast<std::uint32_t>(tb.hp.size());
-      for (const auto& [j, d] : pc.higher_priority_demand)
-        tb.hp.add(j, d, ts_.task(j).period());
-      p.hend = static_cast<std::uint32_t>(tb.hp.size());
-      p.obeg = static_cast<std::uint32_t>(tb.other.size());
-      for (const auto& [j, d] : pc.other_task_demand)
-        tb.other.add(j, d, ts_.task(j).period());
-      p.oend = static_cast<std::uint32_t>(tb.other.size());
-      tb.procs.push_back(p);
-    }
-
-    tb.cluster_globals.clear();
-    for (ResourceId q : part.resources_on_cluster(task))
-      if (ts_.is_global(q)) tb.cluster_globals.push_back(q);
+    tb.fill(ts_, part, task);
     tb.agent.clear();
     for (int j = 0; j < ts_.size(); ++j) {
       if (j == task) continue;
@@ -479,16 +452,11 @@ class DpcpPPrepared final : public PreparedAnalysis {
         demand += ts_.task(j).usage(q).demand();
       if (demand > 0) tb.agent.add(j, demand, ts_.task(j).period());
     }
-    // TaskSet::is_local() without building the user list: rebuild() runs
-    // on most wcrt() calls of an admission stream.
-    tb.locals.clear();
-    for (ResourceId q : ts_.task(task).used_resources()) {
-      int users = 0;
-      for (const DagTask& tj : ts_.tasks()) users += tj.uses(q) ? 1 : 0;
-      if (users == 1) tb.locals.push_back(q);
-    }
-
-    tb.preempt.assign(preemption_demand(ts_, part, task), ts_);
+    // Only a task on a shared processor has co-hosted preemptors.
+    if (tb.shares_processor)
+      tb.preempt.assign(preemption_demand(ts_, part, task), ts_);
+    else
+      tb.preempt.clear();
     tb.dirty = false;
   }
 
@@ -497,7 +465,6 @@ class DpcpPPrepared final : public PreparedAnalysis {
     const DagTask& ti = ts_.task(task);
     QueryContext ctx(ts_, task, tb, hint, memo_, session_.stats(),
                      proc_terms_);
-    const std::vector<int> no_requests;  // envelope ignores nlam
 
     if (tb.shares_processor) {
       // Partitioned light task (Sec. VI): executed sequentially, so the
@@ -506,16 +473,15 @@ class DpcpPPrepared final : public PreparedAnalysis {
       // blocking and agent interference are analysed by the same
       // machinery, and P-FP preemption by co-located tasks enters the
       // outer recurrence.
-      std::vector<int> all_requests(
-          static_cast<std::size_t>(ti.num_resources()), 0);
+      nlam_.assign(static_cast<std::size_t>(ti.num_resources()), 0);
       for (ResourceId q : ti.used_resources())
-        all_requests[static_cast<std::size_t>(q)] = ti.usage(q).max_requests;
-      return ctx.path_bound(ti.wcet(), all_requests, /*envelope=*/false);
+        nlam_[static_cast<std::size_t>(q)] = ti.usage(q).max_requests;
+      return ctx.path_bound(ti.wcet(), nlam_, /*envelope=*/false, 0);
     }
 
     if (mode_ == DpcpPAnalysis::PathMode::kEnvelope) {
-      return ctx.path_bound(ti.longest_path_length(), no_requests,
-                            /*envelope=*/true);
+      return ctx.path_bound(ti.longest_path_length(), nlam_,
+                            /*envelope=*/true, 0);
     }
 
     const PathEnumResult& paths = session_.paths(task, options_.max_paths);
@@ -523,23 +489,23 @@ class DpcpPPrepared final : public PreparedAnalysis {
         static_cast<std::int64_t>(paths.size()) > options_.max_signatures) {
       // Path space too large: fall back to the envelope, which dominates
       // every per-path bound (sound, possibly pessimistic).
-      return ctx.path_bound(ti.longest_path_length(), no_requests,
-                            /*envelope=*/true);
+      return ctx.path_bound(ti.longest_path_length(), nlam_,
+                            /*envelope=*/true, 0);
     }
 
     Time worst = 0;
-    std::vector<int> nlam(static_cast<std::size_t>(ti.num_resources()), 0);
+    nlam_.resize(static_cast<std::size_t>(ti.num_resources()));
     // Walk the SoA classes: lengths sequentially, request vectors as one
     // contiguous strided array (scattered into nlam's resource-id
     // positions, which the bound terms index by resource).
     const std::size_t stride = paths.stride();
     for (std::size_t i = 0; i < paths.size(); ++i) {
-      std::fill(nlam.begin(), nlam.end(), 0);
+      std::fill(nlam_.begin(), nlam_.end(), 0);
       const int* req = paths.requests_of(i);
       for (std::size_t k = 0; k < stride; ++k)
-        nlam[static_cast<std::size_t>(paths.resource_index[k])] = req[k];
+        nlam_[static_cast<std::size_t>(paths.resource_index[k])] = req[k];
       const auto r =
-          ctx.path_bound(paths.lengths[i], nlam, /*envelope=*/false);
+          ctx.path_bound(paths.lengths[i], nlam_, /*envelope=*/false, worst);
       if (!r) return std::nullopt;
       worst = std::max(worst, *r);
     }
@@ -551,6 +517,8 @@ class DpcpPPrepared final : public PreparedAnalysis {
   std::vector<TaskTables> tables_;
   ResponseMemoTable memo_;
   std::vector<ProcTermScratch> proc_terms_;
+  std::vector<int> nlam_;           // on-path request counts, per class
+  mutable std::vector<char> mark_;  // partition_inputs() flags, per task
 };
 
 }  // namespace

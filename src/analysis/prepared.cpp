@@ -82,9 +82,13 @@ void PreparedAnalysis::append_cluster(const Partition& part, int i,
 void PreparedAnalysis::append_cohosted(const Partition& part, int i,
                                        std::vector<Time>* out) {
   for (ProcessorId p : part.cluster(i)) {
-    const auto tasks = part.tasks_on_processor(p);
-    out->push_back(static_cast<Time>(tasks.size()));
-    for (int j : tasks) out->push_back(j);
+    const std::size_t count_at = out->size();
+    out->push_back(0);
+    for (int j = 0; j < part.num_tasks(); ++j) {
+      const std::vector<ProcessorId>& c = part.cluster(j);
+      if (std::find(c.begin(), c.end(), p) != c.end()) out->push_back(j);
+    }
+    (*out)[count_at] = static_cast<Time>(out->size() - count_at - 1);
   }
 }
 

@@ -1,62 +1,93 @@
 #include "analysis/rta_common.hpp"
 
 #include <algorithm>
+#include <climits>
 
 namespace dpcp {
 
-std::vector<ProcessorContention> build_processor_contention(
-    const TaskSet& ts, const Partition& part, int i) {
+void ContentionTables::fill(const TaskSet& ts, const Partition& part, int i) {
   const DagTask& ti = ts.task(i);
-  std::vector<ProcessorContention> out;
+  const int m = part.num_processors();
+  const std::size_t nr = static_cast<std::size_t>(ts.num_resources());
 
-  for (ProcessorId p = 0; p < part.num_processors(); ++p) {
-    std::vector<ResourceId> globals;
-    for (ResourceId q : part.resources_on_processor(p))
-      if (ts.is_global(q)) globals.push_back(q);
-    if (globals.empty()) continue;
-
-    ProcessorContention pc;
-    pc.proc = p;
-    pc.globals = globals;
-
-    for (ResourceId q : globals)
-      pc.own_demand += ti.usage(q).demand();
-
-    // beta: longest critical section of a *lower-priority* task on any
-    // global here whose ceiling can block tau_i (some user has priority
-    // >= pi_i).
-    for (ResourceId q : globals) {
-      if (ts.ceiling_priority(q) < ti.priority()) continue;
-      for (int j = 0; j < ts.size(); ++j) {
-        if (j == i || ts.task(j).priority() >= ti.priority()) continue;
-        if (!ts.task(j).uses(q)) continue;
-        pc.beta = std::max(pc.beta, ts.task(j).usage(q).cs_length);
-      }
+  users_.assign(nr, 0);
+  ceiling_.assign(nr, INT_MIN);
+  for (const DagTask& tj : ts.tasks())
+    for (ResourceId q : tj.used_resources()) {
+      const std::size_t uq = static_cast<std::size_t>(q);
+      ++users_[uq];
+      ceiling_[uq] = std::max(ceiling_[uq], tj.priority());
     }
+  // The processor hosting q if q is global, else kUnassigned.
+  const auto global_host = [&](ResourceId q) {
+    return users_[static_cast<std::size_t>(q)] > 1
+               ? part.processor_of_resource(q)
+               : Partition::kUnassigned;
+  };
 
+  // Counting sort of the globals by host: cursor_[p] ends as the end of
+  // processor p's bucket, which is also where bucket p + 1 begins.
+  cursor_.assign(static_cast<std::size_t>(m) + 1, 0);
+  for (ResourceId q = 0; q < ts.num_resources(); ++q) {
+    const ProcessorId p = global_host(q);
+    if (p != Partition::kUnassigned) ++cursor_[static_cast<std::size_t>(p) + 1];
+  }
+  for (std::size_t p = 1; p <= static_cast<std::size_t>(m); ++p)
+    cursor_[p] += cursor_[p - 1];
+  globals.resize(cursor_[static_cast<std::size_t>(m)]);
+  const std::vector<ProcessorId>& cluster = part.cluster(i);
+  cluster_globals.clear();
+  for (ResourceId q = 0; q < ts.num_resources(); ++q) {
+    const ProcessorId p = global_host(q);
+    if (p == Partition::kUnassigned) continue;
+    globals[cursor_[static_cast<std::size_t>(p)]++] = q;
+    if (std::find(cluster.begin(), cluster.end(), p) != cluster.end())
+      cluster_globals.push_back(q);
+  }
+
+  procs.clear();
+  hp.clear();
+  other.clear();
+  std::uint32_t gbeg = 0;
+  for (ProcessorId p = 0; p < m; ++p) {
+    const std::uint32_t gend = cursor_[static_cast<std::size_t>(p)];
+    if (gbeg == gend) continue;
+    Proc pc;
+    pc.proc = p;
+    pc.gbeg = gbeg;
+    pc.gend = gend;
+    for (std::uint32_t g = gbeg; g < gend; ++g)
+      pc.own_demand += ti.usage(globals[g]).demand();
+    pc.hbeg = static_cast<std::uint32_t>(hp.size());
+    pc.obeg = static_cast<std::uint32_t>(other.size());
     for (int j = 0; j < ts.size(); ++j) {
       if (j == i) continue;
+      const DagTask& tj = ts.task(j);
+      // beta: a lower-priority task's critical section on a global here
+      // whose ceiling can block tau_i (some user has priority >= pi_i).
+      const bool lower = tj.priority() < ti.priority();
       Time demand = 0;
-      for (ResourceId q : globals) demand += ts.task(j).usage(q).demand();
+      for (std::uint32_t g = gbeg; g < gend; ++g) {
+        const ResourceId q = globals[g];
+        const ResourceUsage& use = tj.usage(q);
+        demand += use.demand();
+        if (lower && use.used() &&
+            ceiling_[static_cast<std::size_t>(q)] >= ti.priority())
+          pc.beta = std::max(pc.beta, use.cs_length);
+      }
       if (demand == 0) continue;
-      pc.other_task_demand.emplace_back(j, demand);
-      if (ts.task(j).priority() > ti.priority())
-        pc.higher_priority_demand.emplace_back(j, demand);
+      other.add(j, demand, tj.period());
+      if (tj.priority() > ti.priority()) hp.add(j, demand, tj.period());
     }
-    out.push_back(std::move(pc));
+    pc.hend = static_cast<std::uint32_t>(hp.size());
+    pc.oend = static_cast<std::uint32_t>(other.size());
+    procs.push_back(pc);
+    gbeg = gend;
   }
-  return out;
-}
 
-Time gamma(const ProcessorContention& pc, const TaskSet& ts,
-           const std::vector<Time>& hint, Time window) {
-  Time total = 0;
-  for (const auto& [j, demand] : pc.higher_priority_demand) {
-    total += eta(window, hint[static_cast<std::size_t>(j)],
-                 ts.task(j).period()) *
-             demand;
-  }
-  return total;
+  locals.clear();
+  for (ResourceId q : ti.used_resources())
+    if (users_[static_cast<std::size_t>(q)] == 1) locals.push_back(q);
 }
 
 std::vector<std::pair<int, Time>> preemption_demand(const TaskSet& ts,
@@ -73,17 +104,6 @@ std::vector<std::pair<int, Time>> preemption_demand(const TaskSet& ts,
     }
   }
   return out;
-}
-
-Time preemption(const std::vector<std::pair<int, Time>>& demand,
-                const TaskSet& ts, const std::vector<Time>& hint,
-                Time window) {
-  Time total = 0;
-  for (const auto& [j, wcet] : demand)
-    total += eta(window, hint[static_cast<std::size_t>(j)],
-                 ts.task(j).period()) *
-             wcet;
-  return total;
 }
 
 }  // namespace dpcp

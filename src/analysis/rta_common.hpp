@@ -68,35 +68,48 @@ inline Time window_demand(const DemandSoA& d, const std::vector<Time>& hint,
                        d.size(), hint, window);
 }
 
-/// Per-processor view of the global resources relevant to one task's
-/// analysis: who else contends there and with how much demand.
-struct ProcessorContention {
-  ProcessorId proc = Partition::kUnassigned;
-  /// Global resources placed on this processor.
+/// The per-processor contention one task's analysis reads (Lemmas 2-6),
+/// flat: one Proc per processor hosting a global resource, in increasing
+/// processor order, whose globals and demand lists are [begin, end) ranges
+/// into arrays shared by all processors.  Globals are in increasing
+/// resource order and demand lists in increasing task order.
+struct ContentionTables {
+  struct Proc {
+    ProcessorId proc = Partition::kUnassigned;
+    /// beta_{i,q} for every q on this processor (identical across them): the
+    /// longest lower-priority critical section on a resource whose priority
+    /// ceiling is >= pi_i (Lemma 2).
+    Time beta = 0;
+    /// Task i's own per-job demand on this processor's globals:
+    /// sum_u N_{i,u} * L_{i,u}.
+    Time own_demand = 0;
+    std::uint32_t gbeg = 0, gend = 0;  // range in globals
+    std::uint32_t hbeg = 0, hend = 0;  // range in hp
+    std::uint32_t obeg = 0, oend = 0;  // range in other
+  };
+  std::vector<Proc> procs;
   std::vector<ResourceId> globals;
-  /// beta_{i,q} for every q on this processor (identical across them): the
-  /// longest lower-priority critical section on a resource whose priority
-  /// ceiling is >= pi_i (Lemma 2).
-  Time beta = 0;
-  /// Per other task j: (task index, sum over globals on this processor of
-  /// N_{j,u} * L_{j,u}).  Split by priority for gamma (higher) and zeta
-  /// (all others).
-  std::vector<std::pair<int, Time>> higher_priority_demand;
-  std::vector<std::pair<int, Time>> other_task_demand;
-  /// Task i's own per-job demand on this processor's globals:
-  /// sum_u N_{i,u} * L_{i,u}.
-  Time own_demand = 0;
+  /// Per processor, each other task j with nonzero demand on its globals:
+  /// (j, sum_u N_{j,u} * L_{j,u}, T_j).  `hp` keeps the higher-priority
+  /// tasks (gamma, Eq. 2), `other` all of them (zeta).
+  DemandSoA hp;
+  DemandSoA other;
+  /// Phi^p(tau_i): global resources hosted by tau_i's own cluster.
+  std::vector<ResourceId> cluster_globals;
+  /// tau_i's local resources (used by no other task).
+  std::vector<ResourceId> locals;
+
+  /// Rebuilds every table above for task `i` under `part`, reusing the
+  /// arrays' capacity.  Each resource's users and priority ceiling are
+  /// counted once; one pass over the placement map buckets the globals by
+  /// processor.
+  void fill(const TaskSet& ts, const Partition& part, int i);
+
+ private:
+  std::vector<int> users_;    // per resource: number of tasks using it
+  std::vector<int> ceiling_;  // per resource: highest user priority
+  std::vector<std::uint32_t> cursor_;  // per processor: bucket offset
 };
-
-/// Builds the per-processor contention tables for task `i` under `part`.
-/// Only processors hosting at least one global resource appear.
-std::vector<ProcessorContention> build_processor_contention(
-    const TaskSet& ts, const Partition& part, int i);
-
-/// gamma_{i,q}(L) for any q on processor `pc` (Eq. 2): cumulative
-/// higher-priority request workload on that processor within a window L.
-Time gamma(const ProcessorContention& pc, const TaskSet& ts,
-           const std::vector<Time>& hint, Time window);
 
 /// Higher-priority tasks sharing a processor with tau_i, as (task, C_h)
 /// pairs.  Non-empty only for light tasks on shared processors (Sec. VI
@@ -105,10 +118,5 @@ Time gamma(const ProcessorContention& pc, const TaskSet& ts,
 std::vector<std::pair<int, Time>> preemption_demand(const TaskSet& ts,
                                                     const Partition& part,
                                                     int i);
-
-/// The P-FP preemption term  sum_h eta_h(window) * C_h.
-Time preemption(const std::vector<std::pair<int, Time>>& demand,
-                const TaskSet& ts, const std::vector<Time>& hint,
-                Time window);
 
 }  // namespace dpcp

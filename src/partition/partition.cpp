@@ -22,6 +22,14 @@ std::vector<int> Partition::tasks_on_processor(ProcessorId p) const {
   return out;
 }
 
+bool Partition::processor_shared(ProcessorId p) const {
+  int hosts = 0;
+  for (const auto& c : clusters_)
+    if (std::find(c.begin(), c.end(), p) != c.end() && ++hosts > 1)
+      return true;
+  return false;
+}
+
 void Partition::set_cluster(int task, std::vector<ProcessorId> procs) {
   clusters_[static_cast<std::size_t>(task)] = std::move(procs);
 }
@@ -50,12 +58,11 @@ std::vector<ResourceId> Partition::resources_colocated_with(ResourceId q) const 
 }
 
 std::vector<ResourceId> Partition::resources_on_cluster(int task) const {
+  const std::vector<ProcessorId>& c = cluster(task);
   std::vector<ResourceId> out;
-  for (ProcessorId p : cluster(task)) {
-    const auto on_p = resources_on_processor(p);
-    out.insert(out.end(), on_p.begin(), on_p.end());
-  }
-  std::sort(out.begin(), out.end());
+  for (ResourceId q = 0; q < num_resources(); ++q)
+    if (std::find(c.begin(), c.end(), processor_of_resource(q)) != c.end())
+      out.push_back(q);
   return out;
 }
 

@@ -52,9 +52,7 @@ class Partition {
   /// light-task processors, Sec. VI).
   std::vector<int> tasks_on_processor(ProcessorId p) const;
   /// True when more than one task is mapped to p.
-  bool processor_shared(ProcessorId p) const {
-    return tasks_on_processor(p).size() > 1;
-  }
+  bool processor_shared(ProcessorId p) const;
   /// True when any processor of task i's cluster is shared with another
   /// task.  Shared tasks are the partitioned light tasks of Sec. VI and
   /// are treated as sequential by analysis and simulator alike.
@@ -111,7 +109,8 @@ class Partition {
   std::vector<ResourceId> resources_on_processor(ProcessorId p) const;
   /// Resources placed on the same processor as q (including q itself).
   std::vector<ResourceId> resources_colocated_with(ResourceId q) const;
-  /// Phi^p(tau_i): resources placed on any processor of task i's cluster.
+  /// Phi^p(tau_i): resources placed on any processor of task i's cluster,
+  /// in increasing order.
   std::vector<ResourceId> resources_on_cluster(int task) const;
 
   /// Checks the structural invariants every placement strategy and the

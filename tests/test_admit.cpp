@@ -864,5 +864,22 @@ TEST(OnlineReplay, OversizedThreadCountMatchesOneThread) {
   EXPECT_EQ(run(1024), run(1));
 }
 
+TEST(OnlineReplay, MetricsJsonPinned) {
+  // The admission service's cost counters -- memo hits and misses, oracle
+  // calls, slab reuse and rebuild counts -- pinned byte for byte, so a
+  // change that makes one oracle call cheaper cannot also move how many
+  // calls or memo probes an event costs.
+  OnlineOptions options;
+  options.scenarios = {fig2_scenario('a')};
+  options.streams = 2;
+  options.events = 40;
+  options.repair_evals = 20;
+  const std::string json = merge_online_metrics(run_online(options)).to_json();
+  Fnv1a digest;
+  digest.add(json);
+  EXPECT_EQ(json.size(), 831u) << json;
+  EXPECT_EQ(digest.h, 0xe6a706292ea4148dull) << std::hex << digest.h;
+}
+
 }  // namespace
 }  // namespace dpcp

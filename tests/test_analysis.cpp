@@ -3,15 +3,21 @@
 // formulas, and cross-analysis consistency on resource-free task sets.
 #include <gtest/gtest.h>
 
+#include <atomic>
+
 #include "analysis/dpcp_p.hpp"
 #include "analysis/fed_fp.hpp"
 #include "analysis/interface.hpp"
 #include "analysis/lpp.hpp"
 #include "analysis/rta_common.hpp"
 #include "analysis/spin_son.hpp"
+#include "exp/engine.hpp"
+#include "gen/scenario.hpp"
 #include "gen/taskset_gen.hpp"
 #include "partition/federated.hpp"
 #include "partition/placement.hpp"
+#include "test_support.hpp"
+#include "util/workers.hpp"
 
 namespace dpcp {
 namespace {
@@ -58,24 +64,40 @@ struct HandFixture {
 TEST(RtaCommon, ContentionTablesMatchHandComputation) {
   HandFixture f;
   // View of tau_0.
-  const auto pcs0 = build_processor_contention(f.ts, f.part, 0);
-  ASSERT_EQ(pcs0.size(), 1u);  // only processor 1 hosts a global
-  EXPECT_EQ(pcs0[0].proc, 1);
-  EXPECT_EQ(pcs0[0].globals, std::vector<ResourceId>{0});
-  EXPECT_EQ(pcs0[0].beta, 4);        // tau_1's CS, ceiling >= pi_0
-  EXPECT_EQ(pcs0[0].own_demand, 2);  // 1 x 2
-  EXPECT_TRUE(pcs0[0].higher_priority_demand.empty());
-  ASSERT_EQ(pcs0[0].other_task_demand.size(), 1u);
-  EXPECT_EQ(pcs0[0].other_task_demand[0], (std::pair<int, Time>{1, 4}));
+  ContentionTables t0;
+  t0.fill(f.ts, f.part, 0);
+  ASSERT_EQ(t0.procs.size(), 1u);  // only processor 1 hosts a global
+  const ContentionTables::Proc& pc0 = t0.procs[0];
+  EXPECT_EQ(pc0.proc, 1);
+  EXPECT_EQ(t0.globals, std::vector<ResourceId>{0});
+  EXPECT_EQ(pc0.gbeg, 0u);
+  EXPECT_EQ(pc0.gend, 1u);
+  EXPECT_EQ(pc0.beta, 4);        // tau_1's CS, ceiling >= pi_0
+  EXPECT_EQ(pc0.own_demand, 2);  // 1 x 2
+  EXPECT_EQ(pc0.hbeg, pc0.hend);
+  ASSERT_EQ(pc0.oend - pc0.obeg, 1u);
+  EXPECT_EQ(t0.other.task[pc0.obeg], 1);
+  EXPECT_EQ(t0.other.demand[pc0.obeg], 4);
+  EXPECT_EQ(t0.other.period[pc0.obeg], 200);
+  EXPECT_TRUE(t0.cluster_globals.empty());  // l_0 is not on processor 0
+  EXPECT_TRUE(t0.locals.empty());
 
   // View of tau_1: the higher-priority tau_0 contributes gamma demand.
-  const auto pcs1 = build_processor_contention(f.ts, f.part, 1);
-  ASSERT_EQ(pcs1.size(), 1u);
-  EXPECT_EQ(pcs1[0].beta, 0);  // nobody below tau_1
-  ASSERT_EQ(pcs1[0].higher_priority_demand.size(), 1u);
-  EXPECT_EQ(pcs1[0].higher_priority_demand[0], (std::pair<int, Time>{0, 2}));
+  ContentionTables t1;
+  t1.fill(f.ts, f.part, 1);
+  ASSERT_EQ(t1.procs.size(), 1u);
+  const ContentionTables::Proc& pc1 = t1.procs[0];
+  EXPECT_EQ(pc1.beta, 0);  // nobody below tau_1
+  ASSERT_EQ(pc1.hend - pc1.hbeg, 1u);
+  EXPECT_EQ(t1.hp.task[pc1.hbeg], 0);
+  EXPECT_EQ(t1.hp.demand[pc1.hbeg], 2);
+  EXPECT_EQ(t1.cluster_globals, std::vector<ResourceId>{0});
   // gamma over a window of 8 with R_0 hint 100: ceil(108/100)*2 = 4.
-  EXPECT_EQ(gamma(pcs1[0], f.ts, {100, 200}, 8), 4);
+  EXPECT_EQ(window_demand(t1.hp.task.data() + pc1.hbeg,
+                          t1.hp.demand.data() + pc1.hbeg,
+                          t1.hp.period.data() + pc1.hbeg,
+                          pc1.hend - pc1.hbeg, {100, 200}, 8),
+            4);
 }
 
 // ---------- DPCP-p hand-computed bounds ---------------------------------------
@@ -246,6 +268,67 @@ TEST(DpcpP, PathBudgetFallbackIsEnvelope) {
   part.assign_resource(0, 1);
   const std::vector<Time> hints{1000, 2000};
   EXPECT_EQ(ep_tiny.wcrt(ts, part, 0, hints), en.wcrt(ts, part, 0, hints));
+}
+
+// Behaviour pin of the DPCP-p oracle: every EP and EN outcome Algorithm 1
+// returns over the 216-scenario grid (1 set per point, seeded as the sweep
+// engine seeds them) plus the Fig. 2 scenarios with two light tasks, so the
+// shared-processor path runs.  Each outcome folds in its verdict, every
+// per-task bound, its round and oracle-call counts, its failure text and
+// its partition, so a change to any bound, to the cross-round skip, or to
+// the partition queries the oracle tokenizes moves the digest.  Scenarios
+// run on 4 workers; their texts fold in scenario order.
+TEST(DpcpP, BoundsDigestPinnedOverTheGrid) {
+  std::vector<std::pair<std::uint64_t, GenParams>> items;
+  const std::vector<Scenario> scenarios = all_scenarios();
+  for (std::size_t s = 0; s < scenarios.size(); ++s) {
+    GenParams params;
+    params.scenario = scenarios[s];
+    items.emplace_back(scenario_seed(42, s), params);
+  }
+  for (const char fig : {'a', 'b', 'c', 'd'}) {
+    GenParams params;
+    params.scenario = fig2_scenario(fig);
+    params.light_tasks = 2;
+    items.emplace_back(4200 + static_cast<std::uint64_t>(fig), params);
+  }
+
+  std::vector<std::string> texts(items.size());
+  std::atomic<bool> shared{false};
+  std::atomic<std::size_t> next{0};
+  run_workers(4, [&] {
+    const std::unique_ptr<SchedAnalysis> analyses[] = {
+        make_analysis(AnalysisKind::kDpcpPEp),
+        make_analysis(AnalysisKind::kDpcpPEn)};
+    for (std::size_t k; (k = next.fetch_add(1)) < items.size();) {
+      const auto& [seed, base] = items[k];
+      const std::vector<double> grid = utilization_grid(base.scenario);
+      for (std::size_t point = 0; point < grid.size(); ++point) {
+        GenParams params = base;
+        params.total_utilization = grid[point];
+        Rng rng = Rng(seed).fork(point << 20);
+        const auto ts = generate_taskset(rng, params);
+        if (!ts) continue;
+        AnalysisSession session(*ts);
+        for (const auto& analysis : analyses) {
+          const PartitionOutcome out =
+              analysis->test(session, base.scenario.m);
+          std::string& text = texts[k];
+          text += out.schedulable ? "1" : "0";
+          for (Time w : out.wcrt) text += ' ' + std::to_string(w);
+          text += ' ' + std::to_string(out.rounds) + ' ' +
+                  std::to_string(out.oracle_calls) + ' ' + out.failure + ' ' +
+                  out.partition.to_string() + '\n';
+          for (int i = 0; i < ts->size(); ++i)
+            if (out.partition.task_shares_processor(i)) shared = true;
+        }
+      }
+    }
+  });
+  Fnv1a digest;
+  for (const std::string& text : texts) digest.add(text);
+  EXPECT_TRUE(shared) << "no light task shared a processor";
+  EXPECT_EQ(digest.h, 0xe428223863a728f2ull) << std::hex << digest.h;
 }
 
 // ---------- SPIN-SON ---------------------------------------------------------

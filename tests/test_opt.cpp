@@ -166,7 +166,9 @@ TEST(OptimizerProperty, NeverWorseThanSeedOn200Sets) {
       EXPECT_TRUE(!any_strategy || out.outcome.schedulable);
       EXPECT_EQ(out.seed_schedulable, any_strategy);
       // A seed accept costs zero search evaluations.
-      if (out.seed_schedulable) EXPECT_EQ(out.stats.evals, 0);
+      if (out.seed_schedulable) {
+        EXPECT_EQ(out.stats.evals, 0);
+      }
       // An optimizer accept must carry a valid partition and per-task
       // bounds within deadlines.
       if (out.outcome.schedulable) {
