@@ -11,13 +11,16 @@
 namespace dpcp {
 namespace {
 
-/// Open-addressed (resource, intra-ahead) -> response memo for Lemma 2.
-/// One table per prepared analysis, cleared per wcrt() query by bumping an
-/// epoch (slots whose epoch tag is stale read as empty, so a clear is O(1)
-/// and the table's flat parallel arrays stay hot across queries instead of
-/// being reallocated like the per-query unordered_map they replace).
-/// Values encode "request misses the deadline" (nullopt) as -1; real
-/// response times are always >= 0.
+/// Open-addressed (resource, intra-ahead) -> Lemma-3 unit memo: the value
+/// is beta + the higher-priority demand over the Lemma-2 response W of a
+/// request to q, i.e. what each on-path request to q adds to epsilon.
+/// The hint is fixed for a query and q fixes its processor, so the key
+/// determines the unit.  One table per prepared analysis, cleared per
+/// wcrt() query by bumping an epoch (slots whose epoch tag is stale read
+/// as empty, so a clear is O(1) and the table's flat parallel arrays stay
+/// hot across queries instead of being reallocated like the per-query
+/// unordered_map they replace).  Values encode "request misses the
+/// deadline" (nullopt) as -1; real units are always >= 0.
 class ResponseMemoTable {
  public:
   ResponseMemoTable() { rebuild(kInitialSlots); }
@@ -131,30 +134,57 @@ struct TaskTables : ContentionTables {
   std::optional<Time> last_result;
 };
 
-/// Per-processor Lemma-3 eps term, rebuilt per path_bound() call in a
-/// scratch vector owned by the prepared object (reused across queries).
+/// Per-processor Lemma-3 eps term of one path class, rebuilt per
+/// path_bound() call in a scratch vector owned by the prepared object
+/// (reused across queries).  `proc` indexes tables.procs.
 struct ProcTermScratch {
   Time eps = 0;
-  const TaskTables::Proc* pc = nullptr;
+  std::uint32_t proc = 0;
+};
+
+/// Window terms of the outer recurrence at the last window r they were
+/// evaluated for.  No window is negative, so r = -1 marks an empty slot.
+struct ZetaSlot {
+  Time r = -1;
+  Time zeta = 0;
+};
+struct OwnWindowSlot {
+  Time r = -1;
+  Time agent = 0;    // agent demand on tau_i's cluster (Lemma 6)
+  Time preempt = 0;  // P-FP preemption by co-hosted tasks (Sec. VI)
+};
+
+/// Scratch a wcrt() query reuses, owned by the prepared object: the
+/// current class's processor terms, and per contention processor zeta_k
+/// at the last window asked for.  Window terms depend on r alone within
+/// a query (tables and hint are fixed), so a skip test or Kleene step at
+/// the previous r reads them back.
+struct QueryScratch {
+  std::vector<ProcTermScratch> proc_terms;
+  std::vector<ZetaSlot> zeta;  // per tables.procs entry
 };
 
 /// One wcrt() query: evaluates Theorem 1 path bounds against cached tables
-/// and a fixed hint vector, memoizing Lemma-2 responses across the query's
-/// path signatures.  Memo probes are counted locally and added to the
-/// session's CacheStats once, when the query ends.
+/// and a fixed hint vector.  What does not depend on the path class is
+/// computed once per query: C'_i, the Lemma-3 unit per memo key, and the
+/// zeta / agent / preemption demand per distinct window.  Memo probes are
+/// counted locally and added to the session's CacheStats once, when the
+/// query ends.
 class QueryContext {
  public:
   QueryContext(const TaskSet& ts, int i, const TaskTables& tables,
                const std::vector<Time>& hint, ResponseMemoTable& memo,
-               CacheStats& stats, std::vector<ProcTermScratch>& proc_terms)
+               CacheStats& stats, QueryScratch& scratch)
       : ti_(ts.task(i)),
         tables_(tables),
         hint_(hint),
         deadline_(ts.task(i).deadline()),
+        noncrit_wcet_(ts.task(i).noncrit_wcet()),
         memo_(memo),
         stats_(stats),
-        proc_terms_(proc_terms) {
+        scratch_(scratch) {
     memo_.new_query();
+    scratch_.zeta.assign(tables_.procs.size(), ZetaSlot{});
   }
   QueryContext(const QueryContext&) = delete;
   QueryContext& operator=(const QueryContext&) = delete;
@@ -163,11 +193,13 @@ class QueryContext {
     stats_.memo_misses += memo_misses_;
   }
 
-  /// Lemma 2: response time of a request from tau_i to q, where
-  /// `intra_ahead` = sum over globals co-hosted with q of the *off-path*
-  /// request demand (N_{i,u} - N^lambda_{i,u}) L_{i,u}.
-  std::optional<Time> request_response(const TaskTables::Proc& pc,
-                                       ResourceId q, Time intra_ahead) {
+  /// Lemma 3's unit for one request from tau_i to q: beta plus the
+  /// higher-priority demand on q's processor over the request's Lemma-2
+  /// response time W, where `intra_ahead` = sum over globals co-hosted
+  /// with q of the *off-path* request demand (N_{i,u} - N^lambda_{i,u})
+  /// L_{i,u}.  nullopt when W misses the deadline.
+  std::optional<Time> request_unit(const TaskTables::Proc& pc, ResourceId q,
+                                   Time intra_ahead) {
     if (const Time* v = memo_.find(q, intra_ahead)) {
       ++memo_hits_;
       if (*v == kMissedDeadline) return std::nullopt;
@@ -176,16 +208,19 @@ class QueryContext {
     ++memo_misses_;
     const Time own_cs = ti_.usage(q).cs_length;
     const std::size_t hn = pc.hend - pc.hbeg;
-    auto f = [&](Time w) {
-      return own_cs + intra_ahead + pc.beta +
-             window_demand(tables_.hp.task.data() + pc.hbeg,
+    auto hp_demand = [&](Time w) {
+      return window_demand(tables_.hp.task.data() + pc.hbeg,
                            tables_.hp.demand.data() + pc.hbeg,
                            tables_.hp.period.data() + pc.hbeg, hn, hint_, w);
     };
-    const auto fp = solve_fixed_point(f, f(0), deadline_);
-    const std::optional<Time> w = fp.value;
-    memo_.insert(q, intra_ahead, w ? *w : kMissedDeadline);
-    return w;
+    auto f = [&](Time w) {
+      return own_cs + intra_ahead + pc.beta + hp_demand(w);
+    };
+    const std::optional<Time> w = solve_fixed_point(f, f(0), deadline_).value;
+    const Time unit = w ? pc.beta + hp_demand(*w) : kMissedDeadline;
+    memo_.insert(q, intra_ahead, unit);
+    if (!w) return std::nullopt;
+    return unit;
   }
 
   /// Theorem 1 for one path class.  `nlam[q]` = on-path request count;
@@ -197,10 +232,11 @@ class QueryContext {
                                  bool envelope, Time worst) {
     // ---- per-processor epsilon (Lemma 3) and global intra blocking b^G
     // (Lemma 4) -- constants w.r.t. the outer recurrence.
-    std::vector<ProcTermScratch>& proc_terms = proc_terms_;
+    std::vector<ProcTermScratch>& proc_terms = scratch_.proc_terms;
     proc_terms.clear();
     Time b_global = 0;
-    for (const TaskTables::Proc& pc : tables_.procs) {
+    for (std::uint32_t k = 0; k < tables_.procs.size(); ++k) {
+      const TaskTables::Proc& pc = tables_.procs[k];
       // Off-path demand of tau_i on this processor's globals, and
       // sigma_{i,k}: does the path request a global on this processor?
       Time off_path = 0;
@@ -217,7 +253,7 @@ class QueryContext {
       if (envelope) sigma = pc.own_demand > 0;
 
       ProcTermScratch term;
-      term.pc = &pc;
+      term.proc = k;
       for (std::uint32_t g = pc.gbeg; g < pc.gend; ++g) {
         const ResourceId q = tables_.globals[g];
         const auto& use = ti_.usage(q);
@@ -225,14 +261,9 @@ class QueryContext {
         const int mult =
             envelope ? use.max_requests : nlam[static_cast<std::size_t>(q)];
         if (mult == 0) continue;
-        const auto w = request_response(pc, q, off_path);
-        if (!w) return std::nullopt;  // a single request misses the deadline
-        term.eps +=
-            static_cast<Time>(mult) *
-            (pc.beta + window_demand(tables_.hp.task.data() + pc.hbeg,
-                                     tables_.hp.demand.data() + pc.hbeg,
-                                     tables_.hp.period.data() + pc.hbeg,
-                                     pc.hend - pc.hbeg, hint_, *w));
+        const auto unit = request_unit(pc, q, off_path);
+        if (!unit) return std::nullopt;  // a single request misses the deadline
+        term.eps += static_cast<Time>(mult) * *unit;
       }
       if (sigma) b_global += off_path;
       // min(0, zeta) = 0 for non-negative hints (every caller passes D_j
@@ -262,8 +293,7 @@ class QueryContext {
       // sum_{v not on lambda} C' <= C' - max(0, L* - sum_q N_q L_q); see
       // DESIGN.md for the monotonicity argument that makes this sound for
       // every complete path.
-      i_intra = ti_.noncrit_wcet() -
-                std::max<Time>(0, path_len - ti_.cs_demand());
+      i_intra = noncrit_wcet_ - std::max<Time>(0, path_len - ti_.cs_demand());
       for (ResourceId q : tables_.locals)
         i_intra += ti_.usage(q).demand();
     } else {
@@ -271,7 +301,7 @@ class QueryContext {
       for (ResourceId q : ti_.used_resources())
         cs_on_path += static_cast<Time>(nlam[static_cast<std::size_t>(q)]) *
                       ti_.usage(q).cs_length;
-      i_intra = ti_.noncrit_wcet() - (path_len - cs_on_path);
+      i_intra = noncrit_wcet_ - (path_len - cs_on_path);
       for (ResourceId q : tables_.locals)
         i_intra += static_cast<Time>(ti_.usage(q).max_requests -
                                      nlam[static_cast<std::size_t>(q)]) *
@@ -293,24 +323,20 @@ class QueryContext {
     // ---- outer recurrence (Theorem 1).
     auto f = [&](Time r) {
       Time blocking = 0;
-      for (const auto& term : proc_terms) {
-        const TaskTables::Proc& pc = *term.pc;
-        const Time zeta =
-            window_demand(tables_.other.task.data() + pc.obeg,
-                          tables_.other.demand.data() + pc.obeg,
-                          tables_.other.period.data() + pc.obeg,
-                          pc.oend - pc.obeg, hint_, r);
-        blocking += std::min(term.eps, zeta);
+      for (const auto& term : proc_terms)
+        blocking += std::min(term.eps, zeta(term.proc, r));
+      if (own_.r != r) {
+        own_ = {r, window_demand(tables_.agent, hint_, r),
+                window_demand(tables_.preempt, hint_, r)};
       }
-      const Time ia = ia_const + window_demand(tables_.agent, hint_, r);
       return path_len + blocking + b_local + b_global +
-             div_ceil(i_intra + ia, tables_.mi) +
-             window_demand(tables_.preempt, hint_, r);
+             div_ceil(i_intra + ia_const + own_.agent, tables_.mi) +
+             own_.preempt;
     };
     // Skip a class the running maximum already bounds: f is monotone and
     // Kleene iteration starts at path_len <= worst, so every iterate stays
     // at or below f(worst) <= worst and this class cannot raise the max.
-    // The request_response() probes above still ran, so memo counts do not
+    // The request_unit() probes above still ran, so memo counts do not
     // depend on the skip.  One verdict differs: a class whose iteration
     // would have hit solve_fixed_point()'s iteration cap is bounded by
     // `worst` here instead of failing.
@@ -319,13 +345,29 @@ class QueryContext {
   }
 
  private:
+  /// zeta_k(r): demand of every other user of processor k's globals over
+  /// a window r (Lemma 3's min(eps, zeta) cap).
+  Time zeta(std::uint32_t k, Time r) {
+    ZetaSlot& slot = scratch_.zeta[k];
+    if (slot.r != r) {
+      const TaskTables::Proc& pc = tables_.procs[k];
+      slot = {r, window_demand(tables_.other.task.data() + pc.obeg,
+                               tables_.other.demand.data() + pc.obeg,
+                               tables_.other.period.data() + pc.obeg,
+                               pc.oend - pc.obeg, hint_, r)};
+    }
+    return slot.zeta;
+  }
+
   const DagTask& ti_;
   const TaskTables& tables_;
   const std::vector<Time>& hint_;
   const Time deadline_;
+  const Time noncrit_wcet_;  // C'_i
   ResponseMemoTable& memo_;
   CacheStats& stats_;
-  std::vector<ProcTermScratch>& proc_terms_;  // per-prepared scratch, reused
+  QueryScratch& scratch_;  // per-prepared, reused
+  OwnWindowSlot own_;      // tau_i's agent and preemption demand
   std::uint64_t memo_hits_ = 0;
   std::uint64_t memo_misses_ = 0;
 };
@@ -463,8 +505,7 @@ class DpcpPPrepared final : public PreparedAnalysis {
   std::optional<Time> compute(int task, const TaskTables& tb,
                               const std::vector<Time>& hint) {
     const DagTask& ti = ts_.task(task);
-    QueryContext ctx(ts_, task, tb, hint, memo_, session_.stats(),
-                     proc_terms_);
+    QueryContext ctx(ts_, task, tb, hint, memo_, session_.stats(), scratch_);
 
     if (tb.shares_processor) {
       // Partitioned light task (Sec. VI): executed sequentially, so the
@@ -516,7 +557,7 @@ class DpcpPPrepared final : public PreparedAnalysis {
   const AnalysisOptions options_;
   std::vector<TaskTables> tables_;
   ResponseMemoTable memo_;
-  std::vector<ProcTermScratch> proc_terms_;
+  QueryScratch scratch_;
   std::vector<int> nlam_;           // on-path request counts, per class
   mutable std::vector<char> mark_;  // partition_inputs() flags, per task
 };

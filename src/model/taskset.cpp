@@ -40,6 +40,13 @@ std::vector<int> TaskSet::users(ResourceId q) const {
   return out;
 }
 
+int TaskSet::count_users_to_two(ResourceId q) const {
+  int n = 0;
+  for (const auto& t : tasks_)
+    if (t.uses(q) && ++n == 2) break;
+  return n;
+}
+
 std::vector<ResourceId> TaskSet::global_resources() const {
   std::vector<ResourceId> out;
   for (ResourceId q = 0; q < num_resources_; ++q)
@@ -50,7 +57,7 @@ std::vector<ResourceId> TaskSet::global_resources() const {
 std::vector<ResourceId> TaskSet::local_resources() const {
   std::vector<ResourceId> out;
   for (ResourceId q = 0; q < num_resources_; ++q)
-    if (!users(q).empty() && is_local(q)) out.push_back(q);
+    if (count_users_to_two(q) == 1) out.push_back(q);
   return out;
 }
 

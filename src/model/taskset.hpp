@@ -41,8 +41,8 @@ class TaskSet {
 
   /// A resource is local iff used by the vertices of a single task
   /// (Sec. III-A); global iff used by more than one task.
-  bool is_local(ResourceId q) const { return users(q).size() <= 1; }
-  bool is_global(ResourceId q) const { return users(q).size() > 1; }
+  bool is_local(ResourceId q) const { return count_users_to_two(q) <= 1; }
+  bool is_global(ResourceId q) const { return count_users_to_two(q) > 1; }
   std::vector<ResourceId> global_resources() const;
   std::vector<ResourceId> local_resources() const;
 
@@ -64,6 +64,9 @@ class TaskSet {
   std::optional<std::string> validate() const;
 
  private:
+  /// Number of tasks using q, counted no further than 2.
+  int count_users_to_two(ResourceId q) const;
+
   int num_resources_ = 0;
   std::vector<DagTask> tasks_;
 };

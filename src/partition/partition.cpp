@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <sstream>
 
+#include "util/table.hpp"
+
 namespace dpcp {
 
 int Partition::task_of_processor(ProcessorId p) const {
@@ -67,47 +69,50 @@ std::vector<ResourceId> Partition::resources_on_cluster(int task) const {
 }
 
 std::optional<std::string> Partition::validate(const TaskSet& ts) const {
-  std::ostringstream err;
   if (ts.size() != num_tasks() || ts.num_resources() != num_resources()) {
-    err << "partition shape (" << num_tasks() << " tasks, " << num_resources()
-        << " resources) does not match the task set (" << ts.size() << ", "
-        << ts.num_resources() << ")";
-    return err.str();
+    return strfmt("partition shape (%d tasks, %d resources) does not match "
+                  "the task set (%d, %d)",
+                  num_tasks(), num_resources(), ts.size(), ts.num_resources());
   }
 
-  // Cluster well-formedness, plus the per-processor host lists.
-  std::vector<std::vector<int>> hosts(static_cast<std::size_t>(m_));
+  // Cluster well-formedness, plus one record per processor: how many
+  // clusters list it, whether one of them is wide, and the utilization of
+  // its tasks (in task order) and of its resources (in resource order).
+  struct ProcRecord {
+    int hosts = 0;
+    bool wide_host = false;
+    double task_util = 0.0;
+    double res_util = 0.0;
+  };
+  std::vector<ProcRecord> procs(static_cast<std::size_t>(m_));
   for (int i = 0; i < num_tasks(); ++i) {
     const auto& c = cluster(i);
-    if (c.empty()) {
-      err << "task " << i << " has an empty cluster";
-      return err.str();
-    }
-    for (std::size_t k = 0; k < c.size(); ++k) {
-      const ProcessorId p = c[k];
-      if (p < 0 || p >= m_) {
-        err << "task " << i << " maps to out-of-range processor " << p;
-        return err.str();
-      }
-      if (std::find(c.begin(), c.begin() + static_cast<long>(k), p) !=
-          c.begin() + static_cast<long>(k)) {
-        err << "task " << i << " lists processor " << p << " twice";
-        return err.str();
-      }
-      hosts[static_cast<std::size_t>(p)].push_back(i);
+    if (c.empty()) return strfmt("task %d has an empty cluster", i);
+    const double util = ts.task(i).utilization();
+    for (auto it = c.begin(); it != c.end(); ++it) {
+      const ProcessorId p = *it;
+      if (p < 0 || p >= m_)
+        return strfmt("task %d maps to out-of-range processor %d", i, p);
+      if (std::find(c.begin(), it, p) != it)
+        return strfmt("task %d lists processor %d twice", i, p);
+      ProcRecord& rec = procs[static_cast<std::size_t>(p)];
+      ++rec.hosts;
+      rec.wide_host = rec.wide_host || c.size() != 1;
+      rec.task_util += util;
     }
   }
 
   // Sharing discipline: a shared processor hosts only single-processor
   // clusters (partitioned light tasks); parallel clusters are dedicated.
   for (ProcessorId p = 0; p < m_; ++p) {
-    const auto& on_p = hosts[static_cast<std::size_t>(p)];
-    if (on_p.size() <= 1) continue;
-    for (int i : on_p) {
-      if (cluster_size(i) != 1) {
-        err << "processor " << p << " is shared but task " << i
-            << " spans a " << cluster_size(i) << "-processor cluster";
-        return err.str();
+    const ProcRecord& rec = procs[static_cast<std::size_t>(p)];
+    if (rec.hosts <= 1 || !rec.wide_host) continue;
+    for (int i = 0; i < num_tasks(); ++i) {  // name the first wide host
+      const auto& c = cluster(i);
+      if (c.size() != 1 && std::find(c.begin(), c.end(), p) != c.end()) {
+        return strfmt("processor %d is shared but task %d spans a "
+                      "%d-processor cluster",
+                      p, i, cluster_size(i));
       }
     }
   }
@@ -115,56 +120,49 @@ std::optional<std::string> Partition::validate(const TaskSet& ts) const {
   // Resource placement: every global resource on exactly one in-range
   // processor (the map representation makes "at most once" structural;
   // unplaced is the failure mode to catch here).
-  std::vector<double> proc_res_util(static_cast<std::size_t>(m_), 0.0);
   for (ResourceId q = 0; q < num_resources(); ++q) {
     const ProcessorId p = processor_of_resource(q);
     if (p == kUnassigned) {
-      if (ts.is_global(q)) {
-        err << "global resource " << q << " is unplaced";
-        return err.str();
-      }
+      if (ts.is_global(q)) return strfmt("global resource %d is unplaced", q);
       continue;
     }
-    if (p < 0 || p >= m_) {
-      err << "resource " << q << " placed on out-of-range processor " << p;
-      return err.str();
-    }
-    proc_res_util[static_cast<std::size_t>(p)] += ts.resource_utilization(q);
+    if (p < 0 || p >= m_)
+      return strfmt("resource %d placed on out-of-range processor %d", q, p);
+    procs[static_cast<std::size_t>(p)].res_util += ts.resource_utilization(q);
   }
 
   // Capacity.  The epsilon absorbs summation-order differences against
   // the strategies' own incremental bookkeeping.
   constexpr double kEps = 1e-9;
+  const auto shared = [&procs](ProcessorId p) {
+    return procs[static_cast<std::size_t>(p)].hosts > 1;
+  };
   for (int i = 0; i < num_tasks(); ++i) {
-    if (task_shares_processor(i)) continue;
+    const auto& c = cluster(i);
+    if (std::any_of(c.begin(), c.end(), shared)) continue;
     double load = ts.task(i).utilization();
-    for (ProcessorId p : cluster(i))
-      load += proc_res_util[static_cast<std::size_t>(p)];
-    if (load > static_cast<double>(cluster_size(i)) + kEps) {
-      err << "cluster of task " << i << " over capacity: load " << load
-          << " on " << cluster_size(i) << " processor(s)";
-      return err.str();
+    for (ProcessorId p : c) load += procs[static_cast<std::size_t>(p)].res_util;
+    if (load > static_cast<double>(c.size()) + kEps) {
+      return strfmt("cluster of task %d over capacity: load %g on %d "
+                    "processor(s)",
+                    i, load, cluster_size(i));
     }
   }
   for (ProcessorId p = 0; p < m_; ++p) {
-    const auto& on_p = hosts[static_cast<std::size_t>(p)];
-    if (on_p.size() <= 1) continue;
-    double load = 0.0;
-    for (int i : on_p) load += ts.task(i).utilization();
-    if (load > 1.0 + kEps) {
-      err << "shared processor " << p << " over capacity: task load " << load;
-      return err.str();
+    const ProcRecord& rec = procs[static_cast<std::size_t>(p)];
+    if (rec.hosts <= 1) continue;
+    if (rec.task_util > 1.0 + kEps) {
+      return strfmt("shared processor %d over capacity: task load %g", p,
+                    rec.task_util);
     }
     // Resources on a shared processor are attributed per *cluster* by the
     // placement strategies (each single-processor cluster's load stays
     // <= 1), so the per-processor bound they jointly guarantee is the
     // aggregate one: total task + resource load <= co-hosted task count.
-    if (load + proc_res_util[static_cast<std::size_t>(p)] >
-        static_cast<double>(on_p.size()) + kEps) {
-      err << "shared processor " << p << " over capacity: task load " << load
-          << " + resource load " << proc_res_util[static_cast<std::size_t>(p)]
-          << " exceeds its " << on_p.size() << " unit cluster(s)";
-      return err.str();
+    if (rec.task_util + rec.res_util > static_cast<double>(rec.hosts) + kEps) {
+      return strfmt("shared processor %d over capacity: task load %g + "
+                    "resource load %g exceeds its %d unit cluster(s)",
+                    p, rec.task_util, rec.res_util, rec.hosts);
     }
   }
   return std::nullopt;

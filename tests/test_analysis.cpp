@@ -276,8 +276,10 @@ TEST(DpcpP, PathBudgetFallbackIsEnvelope) {
 // shared-processor path runs.  Each outcome folds in its verdict, every
 // per-task bound, its round and oracle-call counts, its failure text and
 // its partition, so a change to any bound, to the cross-round skip, or to
-// the partition queries the oracle tokenizes moves the digest.  Scenarios
-// run on 4 workers; their texts fold in scenario order.
+// the partition queries the oracle tokenizes moves the digest.  The
+// sessions' Lemma-2 memo hits and misses are summed and pinned beside it:
+// a change that makes a probe cheaper must not move them.  Scenarios run
+// on 4 workers; their texts fold in scenario order.
 TEST(DpcpP, BoundsDigestPinnedOverTheGrid) {
   std::vector<std::pair<std::uint64_t, GenParams>> items;
   const std::vector<Scenario> scenarios = all_scenarios();
@@ -295,6 +297,7 @@ TEST(DpcpP, BoundsDigestPinnedOverTheGrid) {
 
   std::vector<std::string> texts(items.size());
   std::atomic<bool> shared{false};
+  std::atomic<std::uint64_t> memo_hits{0}, memo_misses{0};
   std::atomic<std::size_t> next{0};
   run_workers(4, [&] {
     const std::unique_ptr<SchedAnalysis> analyses[] = {
@@ -322,6 +325,8 @@ TEST(DpcpP, BoundsDigestPinnedOverTheGrid) {
           for (int i = 0; i < ts->size(); ++i)
             if (out.partition.task_shares_processor(i)) shared = true;
         }
+        memo_hits += session.stats().memo_hits;
+        memo_misses += session.stats().memo_misses;
       }
     }
   });
@@ -329,6 +334,8 @@ TEST(DpcpP, BoundsDigestPinnedOverTheGrid) {
   for (const std::string& text : texts) digest.add(text);
   EXPECT_TRUE(shared) << "no light task shared a processor";
   EXPECT_EQ(digest.h, 0xe428223863a728f2ull) << std::hex << digest.h;
+  EXPECT_EQ(memo_hits.load(), 18437692u);
+  EXPECT_EQ(memo_misses.load(), 630259u);
 }
 
 // ---------- SPIN-SON ---------------------------------------------------------

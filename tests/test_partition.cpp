@@ -88,6 +88,75 @@ TEST(Partition, ResourceBookkeeping) {
   EXPECT_EQ(part.processor_of_resource(0), Partition::kUnassigned);
 }
 
+// Every validate() verdict, byte for byte: one row per failure branch in
+// check order, plus a valid partition.  Utilizations are fractional, so
+// the messages exercise the double formatting.
+TEST(Partition, ValidateMessagesPinned) {
+  // tau_0: C=57, T=40 (U=1.425); tau_1: U=0.35; tau_2: U=0.45.  Both
+  // resources are global: u(l_0) = 30/40 + 10/100 + 20/100 = 1.05 and
+  // u(l_1) = 20/100 + 20/100 = 0.4.
+  TaskSet ts(2);
+  DagTask& t0 = ts.add_task(40, 40);
+  t0.add_vertex(30, {6, 0});
+  t0.add_vertex(27);
+  t0.set_cs_length(0, 5);
+  DagTask& t1 = ts.add_task(100, 100);
+  t1.add_vertex(35, {1, 1});
+  t1.set_cs_length(0, 10);
+  t1.set_cs_length(1, 20);
+  DagTask& t2 = ts.add_task(100, 100);
+  t2.add_vertex(45, {2, 1});
+  t2.set_cs_length(0, 10);
+  t2.set_cs_length(1, 20);
+  ts.assign_rm_priorities();
+  ts.finalize();
+
+  // Valid: tau_0 on {0, 1}; tau_1 and tau_2 share processor 2, which also
+  // hosts l_1 (0.8 + 0.4 <= 2); l_0 sits on the spare processor 3.
+  Partition valid(4, 3, 2);
+  valid.set_cluster(0, {0, 1});
+  valid.set_cluster(1, {2});
+  valid.set_cluster(2, {2});
+  valid.restore_resource_assignment({3, 2});
+
+  const auto with_cluster = [&](int task, std::vector<ProcessorId> procs) {
+    Partition part = valid;
+    part.set_cluster(task, std::move(procs));
+    return part;
+  };
+  const auto with_placement = [&](std::vector<ProcessorId> map) {
+    Partition part = valid;
+    part.restore_resource_assignment(map);
+    return part;
+  };
+  Partition all_shared = with_cluster(0, {2});
+
+  const std::vector<std::pair<Partition, std::string>> rows = {
+      {valid, "valid"},
+      {Partition(4, 2, 2),
+       "partition shape (2 tasks, 2 resources) does not match the task set "
+       "(3, 2)"},
+      {with_cluster(1, {}), "task 1 has an empty cluster"},
+      {with_cluster(2, {4}), "task 2 maps to out-of-range processor 4"},
+      {with_cluster(0, {0, 1, 0}), "task 0 lists processor 0 twice"},
+      {with_cluster(2, {1}),
+       "processor 1 is shared but task 0 spans a 2-processor cluster"},
+      {with_placement({3, Partition::kUnassigned}),
+       "global resource 1 is unplaced"},
+      {with_placement({3, 9}), "resource 1 placed on out-of-range processor 9"},
+      {with_placement({1, 2}),
+       "cluster of task 0 over capacity: load 2.475 on 2 processor(s)"},
+      {all_shared, "shared processor 2 over capacity: task load 2.225"},
+      {with_placement({2, 2}),
+       "shared processor 2 over capacity: task load 0.8 + resource load 1.45 "
+       "exceeds its 2 unit cluster(s)"},
+  };
+  for (std::size_t k = 0; k < rows.size(); ++k) {
+    const auto& [part, want] = rows[k];
+    EXPECT_EQ(part.validate(ts).value_or("valid"), want) << "row " << k;
+  }
+}
+
 // ---------- WFD (Algorithm 2) -----------------------------------------------
 
 /// Algorithm 2's worst-fit-decreasing placement.
