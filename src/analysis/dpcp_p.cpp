@@ -193,20 +193,20 @@ class QueryContext {
     stats_.memo_misses += memo_misses_;
   }
 
-  /// Lemma 3's unit for one request from tau_i to q: beta plus the
-  /// higher-priority demand on q's processor over the request's Lemma-2
-  /// response time W, where `intra_ahead` = sum over globals co-hosted
-  /// with q of the *off-path* request demand (N_{i,u} - N^lambda_{i,u})
-  /// L_{i,u}.  nullopt when W misses the deadline.
+  /// Lemma 3's unit for one request from tau_i to q (critical section
+  /// `own_cs`): beta plus the higher-priority demand on q's processor over
+  /// the request's Lemma-2 response time W, where `intra_ahead` = sum over
+  /// globals co-hosted with q of the *off-path* request demand
+  /// (N_{i,u} - N^lambda_{i,u}) L_{i,u}.  nullopt when W misses the
+  /// deadline.
   std::optional<Time> request_unit(const TaskTables::Proc& pc, ResourceId q,
-                                   Time intra_ahead) {
+                                   Time own_cs, Time intra_ahead) {
     if (const Time* v = memo_.find(q, intra_ahead)) {
       ++memo_hits_;
       if (*v == kMissedDeadline) return std::nullopt;
       return *v;
     }
     ++memo_misses_;
-    const Time own_cs = ti_.usage(q).cs_length;
     const std::size_t hn = pc.hend - pc.hbeg;
     auto hp_demand = [&](Time w) {
       return window_demand(tables_.hp.task.data() + pc.hbeg,
@@ -223,45 +223,46 @@ class QueryContext {
     return unit;
   }
 
-  /// Theorem 1 for one path class.  `nlam[q]` = on-path request count;
-  /// for the EN envelope pass envelope=true (nlam is then ignored where the
-  /// per-term maximisation dictates).  `worst` is the largest bound of the
+  /// Theorem 1 for one path class.  `req[k]` = on-path request count
+  /// N^lambda of tau_i's k-th used resource (a class's request row); for
+  /// the EN envelope pass envelope=true and req=nullptr (the per-term
+  /// maximisation fixes every count).  `worst` is the largest bound of the
   /// classes already visited (0 before the first); a class it already
   /// bounds returns `worst` without iterating.
-  std::optional<Time> path_bound(Time path_len, const std::vector<int>& nlam,
-                                 bool envelope, Time worst) {
+  std::optional<Time> path_bound(Time path_len, const int* req, bool envelope,
+                                 Time worst) {
+    const auto on_path = [&](const TaskTables::Request& r) {
+      return envelope ? 0 : req[r.slot];
+    };
     // ---- per-processor epsilon (Lemma 3) and global intra blocking b^G
-    // (Lemma 4) -- constants w.r.t. the outer recurrence.
+    // (Lemma 4) -- constants w.r.t. the outer recurrence.  A processor
+    // where tau_i requests nothing adds nothing: its off-path demand is 0,
+    // sigma is false and epsilon is 0.
     std::vector<ProcTermScratch>& proc_terms = scratch_.proc_terms;
     proc_terms.clear();
     Time b_global = 0;
     for (std::uint32_t k = 0; k < tables_.procs.size(); ++k) {
       const TaskTables::Proc& pc = tables_.procs[k];
+      if (pc.rbeg == pc.rend) continue;
+      const TaskTables::Request* rb = tables_.requests.data() + pc.rbeg;
+      const TaskTables::Request* re = tables_.requests.data() + pc.rend;
       // Off-path demand of tau_i on this processor's globals, and
       // sigma_{i,k}: does the path request a global on this processor?
       Time off_path = 0;
       bool sigma = false;
-      for (std::uint32_t g = pc.gbeg; g < pc.gend; ++g) {
-        const ResourceId u = tables_.globals[g];
-        const auto& use = ti_.usage(u);
-        if (!use.used()) continue;
-        const int on_path = envelope ? 0 : nlam[static_cast<std::size_t>(u)];
-        off_path += static_cast<Time>(use.max_requests - on_path) *
-                    use.cs_length;
-        if (!envelope && on_path > 0) sigma = true;
+      for (const TaskTables::Request* r = rb; r != re; ++r) {
+        const int on = on_path(*r);
+        off_path += static_cast<Time>(r->max_requests - on) * r->cs_length;
+        sigma = sigma || on > 0;
       }
       if (envelope) sigma = pc.own_demand > 0;
 
       ProcTermScratch term;
       term.proc = k;
-      for (std::uint32_t g = pc.gbeg; g < pc.gend; ++g) {
-        const ResourceId q = tables_.globals[g];
-        const auto& use = ti_.usage(q);
-        if (!use.used()) continue;
-        const int mult =
-            envelope ? use.max_requests : nlam[static_cast<std::size_t>(q)];
+      for (const TaskTables::Request* r = rb; r != re; ++r) {
+        const int mult = envelope ? r->max_requests : req[r->slot];
         if (mult == 0) continue;
-        const auto unit = request_unit(pc, q, off_path);
+        const auto unit = request_unit(pc, r->q, r->cs_length, off_path);
         if (!unit) return std::nullopt;  // a single request misses the deadline
         term.eps += static_cast<Time>(mult) * *unit;
       }
@@ -273,17 +274,13 @@ class QueryContext {
 
     // ---- local intra-task blocking b^L (Lemma 4).
     Time b_local = 0;
-    for (ResourceId q : tables_.locals) {
-      const auto& use = ti_.usage(q);
+    for (const TaskTables::Request& r : tables_.locals) {
       if (envelope) {
         // max over x in [0, N] of min(1,x) (N-x) L  ->  x = 1.
-        if (use.max_requests >= 1)
-          b_local += static_cast<Time>(use.max_requests - 1) * use.cs_length;
-      } else {
-        const int on_path = nlam[static_cast<std::size_t>(q)];
-        if (on_path > 0)
-          b_local += static_cast<Time>(use.max_requests - on_path) *
-                     use.cs_length;
+        b_local += static_cast<Time>(r.max_requests - 1) * r.cs_length;
+      } else if (req[r.slot] > 0) {
+        b_local += static_cast<Time>(r.max_requests - req[r.slot]) *
+                   r.cs_length;
       }
     }
 
@@ -294,31 +291,20 @@ class QueryContext {
       // DESIGN.md for the monotonicity argument that makes this sound for
       // every complete path.
       i_intra = noncrit_wcet_ - std::max<Time>(0, path_len - ti_.cs_demand());
-      for (ResourceId q : tables_.locals)
-        i_intra += ti_.usage(q).demand();
     } else {
       Time cs_on_path = 0;
-      for (ResourceId q : ti_.used_resources())
-        cs_on_path += static_cast<Time>(nlam[static_cast<std::size_t>(q)]) *
-                      ti_.usage(q).cs_length;
+      for (std::size_t k = 0; k < tables_.slot_cs.size(); ++k)
+        cs_on_path += static_cast<Time>(req[k]) * tables_.slot_cs[k];
       i_intra = noncrit_wcet_ - (path_len - cs_on_path);
-      for (ResourceId q : tables_.locals)
-        i_intra += static_cast<Time>(ti_.usage(q).max_requests -
-                                     nlam[static_cast<std::size_t>(q)]) *
-                   ti_.usage(q).cs_length;
     }
+    for (const TaskTables::Request& r : tables_.locals)
+      i_intra += static_cast<Time>(r.max_requests - on_path(r)) * r.cs_length;
     assert(i_intra >= 0);
 
     // ---- agent interference constants (Lemma 6, breve term).
     Time ia_const = 0;
-    for (ResourceId q : tables_.cluster_globals) {
-      const auto& use = ti_.usage(q);
-      if (!use.used()) continue;
-      const int on_path =
-          envelope ? 0 : nlam[static_cast<std::size_t>(q)];
-      ia_const += static_cast<Time>(use.max_requests - on_path) *
-                  use.cs_length;
-    }
+    for (const TaskTables::Request& r : tables_.cluster_requests)
+      ia_const += static_cast<Time>(r.max_requests - on_path(r)) * r.cs_length;
 
     // ---- outer recurrence (Theorem 1).
     auto f = [&](Time r) {
@@ -479,24 +465,34 @@ class DpcpPPrepared final : public PreparedAnalysis {
  private:
   // Runs whenever bind() reported changed inputs for the task.  The
   // inputs include the whole placement map, so in an admission stream
-  // that is about 96% of wcrt() calls: the tables are filled in place.
+  // that is about 96% of wcrt() calls: the tables are filled in place
+  // from one PlacedGlobals per bind, built by its first rebuild.
   void rebuild(int task, TaskTables& tb) {
     const Partition& part = partition();
+    if (placed_bind_ != binds()) {
+      placed_.build(ts_, part);
+      placed_bind_ = binds();
+    }
     tb.mi = part.cluster_size(task);
     assert(tb.mi >= 1);
-    tb.shares_processor = part.task_shares_processor(task);
-    tb.fill(ts_, part, task);
+    tb.shares_processor = shares_processor(task);
+    tb.fill(ts_, part, placed_, task);
+    // Agent demand (Lemma 6): every other task's demand on the globals its
+    // cluster hosts, summed over the cluster's host rows.
     tb.agent.clear();
-    for (int j = 0; j < ts_.size(); ++j) {
-      if (j == task) continue;
+    for (std::size_t j = 0; j < placed_.tasks(); ++j) {
+      if (j == static_cast<std::size_t>(task)) continue;
       Time demand = 0;
-      for (ResourceId q : tb.cluster_globals)
-        demand += ts_.task(j).usage(q).demand();
-      if (demand > 0) tb.agent.add(j, demand, ts_.task(j).period());
+      for (ProcessorId p : part.cluster(task)) {
+        const int h = placed_.slot_of[static_cast<std::size_t>(p)];
+        if (h >= 0) demand += placed_.demand_row(static_cast<std::size_t>(h))[j];
+      }
+      if (demand > 0)
+        tb.agent.add(static_cast<int>(j), demand, placed_.period[j]);
     }
     // Only a task on a shared processor has co-hosted preemptors.
     if (tb.shares_processor)
-      tb.preempt.assign(preemption_demand(ts_, part, task), ts_);
+      preemption_demand(task, &tb.preempt);
     else
       tb.preempt.clear();
     tb.dirty = false;
@@ -514,14 +510,15 @@ class DpcpPPrepared final : public PreparedAnalysis {
       // blocking and agent interference are analysed by the same
       // machinery, and P-FP preemption by co-located tasks enters the
       // outer recurrence.
-      nlam_.assign(static_cast<std::size_t>(ti.num_resources()), 0);
+      all_requests_.clear();
       for (ResourceId q : ti.used_resources())
-        nlam_[static_cast<std::size_t>(q)] = ti.usage(q).max_requests;
-      return ctx.path_bound(ti.wcet(), nlam_, /*envelope=*/false, 0);
+        all_requests_.push_back(ti.usage(q).max_requests);
+      return ctx.path_bound(ti.wcet(), all_requests_.data(),
+                            /*envelope=*/false, 0);
     }
 
     if (mode_ == DpcpPAnalysis::PathMode::kEnvelope) {
-      return ctx.path_bound(ti.longest_path_length(), nlam_,
+      return ctx.path_bound(ti.longest_path_length(), nullptr,
                             /*envelope=*/true, 0);
     }
 
@@ -530,23 +527,18 @@ class DpcpPPrepared final : public PreparedAnalysis {
         static_cast<std::int64_t>(paths.size()) > options_.max_signatures) {
       // Path space too large: fall back to the envelope, which dominates
       // every per-path bound (sound, possibly pessimistic).
-      return ctx.path_bound(ti.longest_path_length(), nlam_,
+      return ctx.path_bound(ti.longest_path_length(), nullptr,
                             /*envelope=*/true, 0);
     }
 
+    // Walk the SoA classes: lengths sequentially, request rows as one
+    // contiguous strided array whose positions are the used_resources()
+    // slots the tables' request records name.
+    assert(paths.resource_index == ti.used_resources());
     Time worst = 0;
-    nlam_.resize(static_cast<std::size_t>(ti.num_resources()));
-    // Walk the SoA classes: lengths sequentially, request vectors as one
-    // contiguous strided array (scattered into nlam's resource-id
-    // positions, which the bound terms index by resource).
-    const std::size_t stride = paths.stride();
     for (std::size_t i = 0; i < paths.size(); ++i) {
-      std::fill(nlam_.begin(), nlam_.end(), 0);
-      const int* req = paths.requests_of(i);
-      for (std::size_t k = 0; k < stride; ++k)
-        nlam_[static_cast<std::size_t>(paths.resource_index[k])] = req[k];
-      const auto r =
-          ctx.path_bound(paths.lengths[i], nlam_, /*envelope=*/false, worst);
+      const auto r = ctx.path_bound(paths.lengths[i], paths.requests_of(i),
+                                    /*envelope=*/false, worst);
       if (!r) return std::nullopt;
       worst = std::max(worst, *r);
     }
@@ -556,9 +548,11 @@ class DpcpPPrepared final : public PreparedAnalysis {
   const DpcpPAnalysis::PathMode mode_;
   const AnalysisOptions options_;
   std::vector<TaskTables> tables_;
+  PlacedGlobals placed_;           // of the bind numbered placed_bind_
+  std::int64_t placed_bind_ = 0;   // binds() count; 0 = never built
   ResponseMemoTable memo_;
   QueryScratch scratch_;
-  std::vector<int> nlam_;           // on-path request counts, per class
+  std::vector<int> all_requests_;   // a light task's N_{i,q}, per slot
   mutable std::vector<char> mark_;  // partition_inputs() flags, per task
 };
 

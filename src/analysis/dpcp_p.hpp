@@ -24,7 +24,8 @@
 //    local-resource list, both partition-independent;
 //  * per partition — contention/agent/preemption tables (Lemmas 2-6
 //    inputs), cached per task and rebuilt only when bind() reports that a
-//    processor grant or resource re-placement changed the task's inputs;
+//    processor grant or resource re-placement changed the task's inputs,
+//    each rebuild copying rows of one per-bind PlacedGlobals index;
 //    the per-(resource, intra-ahead) request-response memo of Lemma 2 is
 //    per query, as it depends on the hint vector.
 #pragma once

@@ -19,7 +19,7 @@ class FedFpPrepared final : public PreparedAnalysis {
     const DagTask& ti = ts_.task(task);
     if (st.dirty) {
       st.base = federated_wcrt_bound(ti, partition().cluster_size(task));
-      st.preempt.assign(preemption_demand(ts_, partition(), task), ts_);
+      preemption_demand(task, &st.preempt);
       st.dirty = false;
     }
     // Heavy tasks own their cluster: the preemption demand is empty and the

@@ -52,7 +52,7 @@ class LppPrepared final : public PreparedAnalysis {
     State& st = state_[static_cast<std::size_t>(task)];
     if (st.dirty) {
       st.mi = partition().cluster_size(task);
-      st.preempt.assign(preemption_demand(ts_, partition(), task), ts_);
+      preemption_demand(task, &st.preempt);
       st.dirty = false;
     }
 

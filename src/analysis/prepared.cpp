@@ -1,6 +1,7 @@
 #include "analysis/prepared.hpp"
 
 #include <algorithm>
+#include <cassert>
 
 namespace dpcp {
 
@@ -28,6 +29,7 @@ void PreparedAnalysis::bind(const Partition& part) {
     on_taskset_changed(remap);
     seen_mutation_seq_ = session_.mutation_seq();
   }
+  index_hosts(part);
 
   ++binds_;
   const std::size_t n = static_cast<std::size_t>(ts_.size());
@@ -72,6 +74,51 @@ bool PreparedAnalysis::task_unchanged(int task) const {
   return unchanged_[static_cast<std::size_t>(task)] != 0;
 }
 
+void PreparedAnalysis::index_hosts(const Partition& part) {
+  // Counting sort: host_off_[p] counts p's hosts, then (prefix sums) ends
+  // its bucket; filling each bucket from its end in decreasing task index
+  // leaves it in increasing index and moves host_off_[p] to its start.
+  const std::size_t m = static_cast<std::size_t>(part.num_processors());
+  host_off_.assign(m + 1, 0);
+  for (int j = 0; j < part.num_tasks(); ++j)
+    for (ProcessorId p : part.cluster(j)) {
+      assert(p >= 0 && static_cast<std::size_t>(p) < m);
+      ++host_off_[static_cast<std::size_t>(p)];
+    }
+  for (std::size_t p = 1; p <= m; ++p) host_off_[p] += host_off_[p - 1];
+  host_tasks_.resize(host_off_[m]);
+  for (int j = part.num_tasks() - 1; j >= 0; --j)
+    for (ProcessorId p : part.cluster(j))
+      host_tasks_[--host_off_[static_cast<std::size_t>(p)]] = j;
+#ifndef NDEBUG
+  // A cluster lists each of its processors once (Partition::validate()),
+  // so every bucket is strictly increasing.
+  for (std::size_t p = 0; p < m; ++p)
+    for (std::uint32_t k = host_off_[p] + 1; k < host_off_[p + 1]; ++k)
+      assert(host_tasks_[k - 1] < host_tasks_[k]);
+#endif
+}
+
+bool PreparedAnalysis::shares_processor(int i) const {
+  for (ProcessorId p : partition().cluster(i))
+    if (hosts(p).size() > 1) return true;
+  return false;
+}
+
+void PreparedAnalysis::preemption_demand(int i, DemandSoA* out) const {
+  out->clear();
+  const int prio = ts_.task(i).priority();
+  for (ProcessorId p : partition().cluster(i))
+    for (int j : hosts(p)) {
+      const DagTask& tj = ts_.task(j);
+      // A task co-hosted on several of tau_i's processors counts once.
+      if (tj.priority() <= prio ||
+          std::find(out->task.begin(), out->task.end(), j) != out->task.end())
+        continue;
+      out->add(j, tj.wcet(), tj.period());
+    }
+}
+
 void PreparedAnalysis::append_cluster(const Partition& part, int i,
                                       std::vector<Time>* out) {
   const auto& cluster = part.cluster(i);
@@ -80,15 +127,11 @@ void PreparedAnalysis::append_cluster(const Partition& part, int i,
 }
 
 void PreparedAnalysis::append_cohosted(const Partition& part, int i,
-                                       std::vector<Time>* out) {
+                                       std::vector<Time>* out) const {
   for (ProcessorId p : part.cluster(i)) {
-    const std::size_t count_at = out->size();
-    out->push_back(0);
-    for (int j = 0; j < part.num_tasks(); ++j) {
-      const std::vector<ProcessorId>& c = part.cluster(j);
-      if (std::find(c.begin(), c.end(), p) != c.end()) out->push_back(j);
-    }
-    (*out)[count_at] = static_cast<Time>(out->size() - count_at - 1);
+    const Slab<const int> on_p = hosts(p);
+    out->push_back(static_cast<Time>(on_p.size()));
+    out->insert(out->end(), on_p.begin(), on_p.end());
   }
 }
 

@@ -12,13 +12,21 @@
 // unchanged report task_unchanged() — letting the partitioning loop skip
 // them outright — while changed tasks get their cached contention
 // structures dropped through the invalidate() hook.
+//
+// Before any inputs are serialized, bind() also indexes the partition's
+// hosts once: per processor, the tasks whose clusters list it, in
+// increasing task index.  The co-hosted tokens, the shared-processor test
+// and the preemption demand of every analysis read this index instead of
+// rescanning every cluster once per task.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "analysis/rta_common.hpp"
 #include "analysis/session.hpp"
 #include "partition/partitioner.hpp"
+#include "util/slab.hpp"
 
 namespace dpcp {
 
@@ -75,15 +83,33 @@ class PreparedAnalysis : public WcrtOracle {
   /// every task re-analyzes on this bind.
   virtual void on_taskset_changed(bool remap) = 0;
 
+  // --- host index of the bound partition ---------------------------------
+  /// Tasks whose cluster lists processor p, in increasing task index
+  /// (Partition::tasks_on_processor() without the scan).
+  Slab<const int> hosts(ProcessorId p) const {
+    const std::size_t up = static_cast<std::size_t>(p);
+    return {host_tasks_.data() + host_off_[up],
+            host_off_[up + 1] - host_off_[up]};
+  }
+  /// True when a processor of task i's cluster hosts another task too
+  /// (Partition::task_shares_processor() without the scan).
+  bool shares_processor(int i) const;
+  /// Higher-priority tasks co-hosted with tau_i, as (task, C_j, T_j) in
+  /// (cluster processor, task) order.  Non-empty only for light tasks on
+  /// shared processors (Sec. VI extension): under partitioned
+  /// fixed-priority scheduling they preempt tau_i for up to eta_j(r) * C_j
+  /// within its response window.
+  void preemption_demand(int i, DemandSoA* out) const;
+
   // --- token helpers for partition_inputs() ------------------------------
   /// Task `i`'s cluster: size then processor ids.
   static void append_cluster(const Partition& part, int i,
                              std::vector<Time>* out);
   /// Tasks co-hosted with `i` (sharing any of its processors): per cluster
   /// processor, count then task indices.  Captures the inputs of
-  /// preemption_demand() and task_shares_processor().
-  static void append_cohosted(const Partition& part, int i,
-                              std::vector<Time>* out);
+  /// preemption_demand() and shares_processor().
+  void append_cohosted(const Partition& part, int i,
+                       std::vector<Time>* out) const;
   /// The full resource-to-processor map.
   static void append_placement(const Partition& part, std::vector<Time>* out);
   /// The session user-set epoch of resource q.  A subclass whose
@@ -100,6 +126,14 @@ class PreparedAnalysis : public WcrtOracle {
   const TaskSet& ts_;
 
  private:
+  /// Counting-sorts the clusters of `part` into host_off_/host_tasks_.
+  void index_hosts(const Partition& part);
+
+  // Host index: processor p's tasks are
+  // host_tasks_[host_off_[p], host_off_[p + 1]).
+  std::vector<std::uint32_t> host_off_;
+  std::vector<int> host_tasks_;
+
   // Double-buffered flat token streams: the previous round's inputs live
   // concatenated in prev_tokens_ with per-task [prev_off_[i], prev_off_[i+1])
   // ranges; each bind() serializes into cur_* and diffs span-against-span,

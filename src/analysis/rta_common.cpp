@@ -5,105 +5,141 @@
 
 namespace dpcp {
 
-void ContentionTables::fill(const TaskSet& ts, const Partition& part, int i) {
-  const DagTask& ti = ts.task(i);
-  const int m = part.num_processors();
-  const std::size_t nr = static_cast<std::size_t>(ts.num_resources());
-
-  users_.assign(nr, 0);
-  ceiling_.assign(nr, INT_MIN);
-  for (const DagTask& tj : ts.tasks())
+void PlacedGlobals::build(const TaskSet& ts, const Partition& part) {
+  const std::size_t n = static_cast<std::size_t>(ts.size());
+  users.assign(static_cast<std::size_t>(ts.num_resources()), 0);
+  ceiling.assign(users.size(), INT_MIN);
+  priority.resize(n);
+  period.resize(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    const DagTask& tj = ts.task(static_cast<int>(j));
+    priority[j] = tj.priority();
+    period[j] = tj.period();
     for (ResourceId q : tj.used_resources()) {
       const std::size_t uq = static_cast<std::size_t>(q);
-      ++users_[uq];
-      ceiling_[uq] = std::max(ceiling_[uq], tj.priority());
+      ++users[uq];
+      ceiling[uq] = std::max(ceiling[uq], tj.priority());
     }
-  // The processor hosting q if q is global, else kUnassigned.
-  const auto global_host = [&](ResourceId q) {
-    return users_[static_cast<std::size_t>(q)] > 1
-               ? part.processor_of_resource(q)
-               : Partition::kUnassigned;
-  };
-
-  // Counting sort of the globals by host: cursor_[p] ends as the end of
-  // processor p's bucket, which is also where bucket p + 1 begins.
-  cursor_.assign(static_cast<std::size_t>(m) + 1, 0);
-  for (ResourceId q = 0; q < ts.num_resources(); ++q) {
-    const ProcessorId p = global_host(q);
-    if (p != Partition::kUnassigned) ++cursor_[static_cast<std::size_t>(p) + 1];
   }
-  for (std::size_t p = 1; p <= static_cast<std::size_t>(m); ++p)
-    cursor_[p] += cursor_[p - 1];
-  globals.resize(cursor_[static_cast<std::size_t>(m)]);
-  const std::vector<ProcessorId>& cluster = part.cluster(i);
-  cluster_globals.clear();
+
+  // Host slots, in increasing processor order: mark each processor that
+  // hosts a global (0), then number the marked ones.
+  slot_of.assign(static_cast<std::size_t>(part.num_processors()), -1);
   for (ResourceId q = 0; q < ts.num_resources(); ++q) {
-    const ProcessorId p = global_host(q);
-    if (p == Partition::kUnassigned) continue;
-    globals[cursor_[static_cast<std::size_t>(p)]++] = q;
-    if (std::find(cluster.begin(), cluster.end(), p) != cluster.end())
-      cluster_globals.push_back(q);
+    const ProcessorId p = part.processor_of_resource(q);
+    if (users[static_cast<std::size_t>(q)] > 1 && p != Partition::kUnassigned)
+      slot_of[static_cast<std::size_t>(p)] = 0;
+  }
+  hosts.clear();
+  for (ProcessorId p = 0; p < part.num_processors(); ++p) {
+    int& slot = slot_of[static_cast<std::size_t>(p)];
+    if (slot < 0) continue;
+    slot = static_cast<int>(hosts.size());
+    hosts.push_back(p);
+  }
+
+  // Demand rows, and the beta candidates counting-sorted by host slot:
+  // boff[h] counts slot h's, then (prefix sums) ends its bucket, and
+  // filling from the end moves it to the bucket's start.
+  demand.assign(hosts.size() * n, 0);
+  boff.assign(hosts.size() + 1, 0);
+  for (std::size_t j = 0; j < n; ++j) {
+    const DagTask& tj = ts.task(static_cast<int>(j));
+    for (ResourceId q : tj.used_resources()) {
+      const int h = slot_of_resource(part, q);
+      if (h < 0) continue;
+      demand[static_cast<std::size_t>(h) * n + j] += tj.usage(q).demand();
+      ++boff[static_cast<std::size_t>(h)];
+    }
+  }
+  for (std::size_t h = 1; h <= hosts.size(); ++h) boff[h] += boff[h - 1];
+  beta.resize(boff[hosts.size()]);
+  for (std::size_t j = 0; j < n; ++j) {
+    const DagTask& tj = ts.task(static_cast<int>(j));
+    for (ResourceId q : tj.used_resources()) {
+      const int h = slot_of_resource(part, q);
+      if (h < 0) continue;
+      beta[--boff[static_cast<std::size_t>(h)]] = {
+          tj.priority(), ceiling[static_cast<std::size_t>(q)],
+          tj.usage(q).cs_length};
+    }
+  }
+}
+
+void ContentionTables::fill(const TaskSet& ts, const Partition& part,
+                            const PlacedGlobals& placed, int i) {
+  const DagTask& ti = ts.task(i);
+  const std::vector<ResourceId>& used = ti.used_resources();
+  const std::vector<ProcessorId>& cluster = part.cluster(i);
+  const std::size_t slots = placed.hosts.size();
+
+  // tau_i's own requests: locals, and the globals counting-sorted by host
+  // slot (cursor_[h + 1] counts slot h's; after the prefix sums and the
+  // fill, cursor_[h] ends bucket h, which is where bucket h + 1 begins).
+  slot_cs.resize(used.size());
+  locals.clear();
+  cluster_requests.clear();
+  cursor_.assign(slots + 1, 0);
+  for (std::size_t k = 0; k < used.size(); ++k) {
+    const ResourceId q = used[k];
+    const ResourceUsage& use = ti.usage(q);
+    slot_cs[k] = use.cs_length;
+    const Request r{q, static_cast<std::uint32_t>(k), use.max_requests,
+                    use.cs_length};
+    if (placed.users[static_cast<std::size_t>(q)] == 1) {
+      locals.push_back(r);
+      continue;
+    }
+    const int h = placed.slot_of_resource(part, q);
+    if (h < 0) continue;
+    ++cursor_[static_cast<std::size_t>(h) + 1];
+    if (std::find(cluster.begin(), cluster.end(),
+                  part.processor_of_resource(q)) != cluster.end())
+      cluster_requests.push_back(r);
+  }
+  for (std::size_t h = 1; h <= slots; ++h) cursor_[h] += cursor_[h - 1];
+  requests.resize(cursor_[slots]);
+  for (std::size_t k = 0; k < used.size(); ++k) {
+    const ResourceId q = used[k];
+    const int h = placed.slot_of_resource(part, q);
+    if (h < 0) continue;
+    const ResourceUsage& use = ti.usage(q);
+    requests[cursor_[static_cast<std::size_t>(h)]++] = {
+        q, static_cast<std::uint32_t>(k), use.max_requests, use.cs_length};
   }
 
   procs.clear();
   hp.clear();
   other.clear();
-  std::uint32_t gbeg = 0;
-  for (ProcessorId p = 0; p < m; ++p) {
-    const std::uint32_t gend = cursor_[static_cast<std::size_t>(p)];
-    if (gbeg == gend) continue;
+  const std::size_t n = placed.tasks();
+  const int prio = placed.priority[static_cast<std::size_t>(i)];
+  std::uint32_t rbeg = 0;
+  for (std::size_t h = 0; h < slots; ++h) {
     Proc pc;
-    pc.proc = p;
-    pc.gbeg = gbeg;
-    pc.gend = gend;
-    for (std::uint32_t g = gbeg; g < gend; ++g)
-      pc.own_demand += ti.usage(globals[g]).demand();
+    pc.proc = placed.hosts[h];
+    pc.rbeg = rbeg;
+    pc.rend = rbeg = cursor_[h];
+    // beta: a lower-priority task's critical section on a global here
+    // whose ceiling can block tau_i (some user has priority >= pi_i).
+    for (std::uint32_t c = placed.boff[h]; c < placed.boff[h + 1]; ++c) {
+      const PlacedGlobals::BetaCandidate& b = placed.beta[c];
+      if (b.priority < prio && prio <= b.ceiling)
+        pc.beta = std::max(pc.beta, b.cs_length);
+    }
+    const Time* row = placed.demand_row(h);
+    pc.own_demand = row[static_cast<std::size_t>(i)];
     pc.hbeg = static_cast<std::uint32_t>(hp.size());
     pc.obeg = static_cast<std::uint32_t>(other.size());
-    for (int j = 0; j < ts.size(); ++j) {
-      if (j == i) continue;
-      const DagTask& tj = ts.task(j);
-      // beta: a lower-priority task's critical section on a global here
-      // whose ceiling can block tau_i (some user has priority >= pi_i).
-      const bool lower = tj.priority() < ti.priority();
-      Time demand = 0;
-      for (std::uint32_t g = gbeg; g < gend; ++g) {
-        const ResourceId q = globals[g];
-        const ResourceUsage& use = tj.usage(q);
-        demand += use.demand();
-        if (lower && use.used() &&
-            ceiling_[static_cast<std::size_t>(q)] >= ti.priority())
-          pc.beta = std::max(pc.beta, use.cs_length);
-      }
-      if (demand == 0) continue;
-      other.add(j, demand, tj.period());
-      if (tj.priority() > ti.priority()) hp.add(j, demand, tj.period());
+    for (std::size_t j = 0; j < n; ++j) {
+      if (j == static_cast<std::size_t>(i) || row[j] == 0) continue;
+      other.add(static_cast<int>(j), row[j], placed.period[j]);
+      if (placed.priority[j] > prio)
+        hp.add(static_cast<int>(j), row[j], placed.period[j]);
     }
     pc.hend = static_cast<std::uint32_t>(hp.size());
     pc.oend = static_cast<std::uint32_t>(other.size());
     procs.push_back(pc);
-    gbeg = gend;
   }
-
-  locals.clear();
-  for (ResourceId q : ti.used_resources())
-    if (users_[static_cast<std::size_t>(q)] == 1) locals.push_back(q);
-}
-
-std::vector<std::pair<int, Time>> preemption_demand(const TaskSet& ts,
-                                                    const Partition& part,
-                                                    int i) {
-  std::vector<std::pair<int, Time>> out;
-  std::vector<bool> seen(static_cast<std::size_t>(ts.size()), false);
-  for (ProcessorId p : part.cluster(i)) {
-    for (int j : part.tasks_on_processor(p)) {
-      if (j == i || seen[static_cast<std::size_t>(j)]) continue;
-      seen[static_cast<std::size_t>(j)] = true;
-      if (ts.task(j).priority() > ts.task(i).priority())
-        out.emplace_back(j, ts.task(j).wcet());
-    }
-  }
-  return out;
 }
 
 }  // namespace dpcp

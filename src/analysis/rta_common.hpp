@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "model/taskset.hpp"
@@ -41,13 +40,6 @@ struct DemandSoA {
     demand.push_back(d);
     period.push_back(t);
   }
-  /// Rebuild from (task, demand) pairs, reading each task's period from
-  /// `ts`.
-  void assign(const std::vector<std::pair<int, Time>>& pairs,
-              const TaskSet& ts) {
-    clear();
-    for (const auto& [j, d] : pairs) add(j, d, ts.task(j).period());
-  }
 };
 
 /// sum_k eta(window, hint[task[k]], period[k]) * demand[k] over parallel
@@ -68,12 +60,64 @@ inline Time window_demand(const DemandSoA& d, const std::vector<Time>& hint,
                        d.size(), hint, window);
 }
 
+/// What the contention tables of every task share under one bound
+/// partition: built once per bind and read by each
+/// ContentionTables::fill() under it.  A "host slot" indexes `hosts`, the
+/// processors hosting a placed global resource.
+struct PlacedGlobals {
+  /// One per user j of a global q: tau_j's critical section on q blocks
+  /// tau_i when pi_j < pi_i <= ceiling_q (Lemma 2).
+  struct BetaCandidate {
+    int priority;    // pi_j
+    int ceiling;     // highest priority among q's users
+    Time cs_length;  // L_{j,q}
+  };
+
+  std::vector<int> users;    // per resource: number of tasks using it
+  std::vector<int> ceiling;  // per resource: highest user priority
+  std::vector<ProcessorId> hosts;  // increasing
+  std::vector<int> slot_of;  // per processor: its host slot, or -1
+  /// demand[h * tasks + j] = sum over the globals on host slot h of
+  /// N_{j,q} * L_{j,q}.
+  std::vector<Time> demand;
+  /// Host slot h's beta candidates are beta[boff[h], boff[h + 1]).
+  std::vector<std::uint32_t> boff;
+  std::vector<BetaCandidate> beta;
+  std::vector<int> priority;  // per task: pi_j
+  std::vector<Time> period;   // per task: T_j
+
+  void build(const TaskSet& ts, const Partition& part);
+
+  std::size_t tasks() const { return priority.size(); }
+  /// Host slot of resource q: its processor's if q is a placed global,
+  /// else -1.
+  int slot_of_resource(const Partition& part, ResourceId q) const {
+    const ProcessorId p = part.processor_of_resource(q);
+    return users[static_cast<std::size_t>(q)] > 1 && p != Partition::kUnassigned
+               ? slot_of[static_cast<std::size_t>(p)]
+               : -1;
+  }
+  /// Host slot h's demand row, indexed by task.
+  const Time* demand_row(std::size_t h) const {
+    return demand.data() + h * tasks();
+  }
+};
+
 /// The per-processor contention one task's analysis reads (Lemmas 2-6),
 /// flat: one Proc per processor hosting a global resource, in increasing
-/// processor order, whose globals and demand lists are [begin, end) ranges
-/// into arrays shared by all processors.  Globals are in increasing
-/// resource order and demand lists in increasing task order.
+/// processor order, whose own-request and demand lists are [begin, end)
+/// ranges into arrays shared by all processors.  Requests are in
+/// increasing resource order and demand lists in increasing task order.
 struct ContentionTables {
+  /// One resource tau_i requests: q, its slot (position in
+  /// used_resources(), which is also its index in a path class's request
+  /// row), N_{i,q} and L_{i,q}.
+  struct Request {
+    ResourceId q;
+    std::uint32_t slot;
+    int max_requests;
+    Time cs_length;
+  };
   struct Proc {
     ProcessorId proc = Partition::kUnassigned;
     /// beta_{i,q} for every q on this processor (identical across them): the
@@ -83,40 +127,35 @@ struct ContentionTables {
     /// Task i's own per-job demand on this processor's globals:
     /// sum_u N_{i,u} * L_{i,u}.
     Time own_demand = 0;
-    std::uint32_t gbeg = 0, gend = 0;  // range in globals
+    std::uint32_t rbeg = 0, rend = 0;  // range in requests
     std::uint32_t hbeg = 0, hend = 0;  // range in hp
     std::uint32_t obeg = 0, oend = 0;  // range in other
   };
   std::vector<Proc> procs;
-  std::vector<ResourceId> globals;
+  /// tau_i's requested globals, by processor.
+  std::vector<Request> requests;
   /// Per processor, each other task j with nonzero demand on its globals:
   /// (j, sum_u N_{j,u} * L_{j,u}, T_j).  `hp` keeps the higher-priority
-  /// tasks (gamma, Eq. 2), `other` all of them (zeta).
+  /// tasks (gamma, Eq. 2), `other` all of them (zeta).  Every processor
+  /// hosting a global gets its lists, requested by tau_i or not: DPCP-p's
+  /// result_depends_on() reads them all, so dropping the rest would change
+  /// which bounds admission reuses.
   DemandSoA hp;
   DemandSoA other;
-  /// Phi^p(tau_i): global resources hosted by tau_i's own cluster.
-  std::vector<ResourceId> cluster_globals;
+  /// tau_i's requested globals hosted by its own cluster (Phi^p(tau_i)).
+  std::vector<Request> cluster_requests;
   /// tau_i's local resources (used by no other task).
-  std::vector<ResourceId> locals;
+  std::vector<Request> locals;
+  /// L_{i,q} per slot.
+  std::vector<Time> slot_cs;
 
   /// Rebuilds every table above for task `i` under `part`, reusing the
-  /// arrays' capacity.  Each resource's users and priority ceiling are
-  /// counted once; one pass over the placement map buckets the globals by
-  /// processor.
-  void fill(const TaskSet& ts, const Partition& part, int i);
+  /// arrays' capacity.  `placed` must be built from `ts` and `part`.
+  void fill(const TaskSet& ts, const Partition& part,
+            const PlacedGlobals& placed, int i);
 
  private:
-  std::vector<int> users_;    // per resource: number of tasks using it
-  std::vector<int> ceiling_;  // per resource: highest user priority
-  std::vector<std::uint32_t> cursor_;  // per processor: bucket offset
+  std::vector<std::uint32_t> cursor_;  // per host slot: bucket offset
 };
-
-/// Higher-priority tasks sharing a processor with tau_i, as (task, C_h)
-/// pairs.  Non-empty only for light tasks on shared processors (Sec. VI
-/// extension): under partitioned fixed-priority scheduling they preempt
-/// tau_i for up to eta_h(r) * C_h within its response window.
-std::vector<std::pair<int, Time>> preemption_demand(const TaskSet& ts,
-                                                    const Partition& part,
-                                                    int i);
 
 }  // namespace dpcp

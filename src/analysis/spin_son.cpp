@@ -62,9 +62,9 @@ class SpinSonPrepared final : public PreparedAnalysis {
         st.fifo_bound.push_back(
             static_cast<Time>(ps.max_requests[k]) *
             SpinSonAnalysis::spin_delay(ts_, partition(), task, ps.q[k]));
-      st.preempt.assign(preemption_demand(ts_, partition(), task), ts_);
+      preemption_demand(task, &st.preempt);
       st.arrival_blocking = 0;
-      if (!st.preempt.empty() || partition().task_shares_processor(task)) {
+      if (!st.preempt.empty() || shares_processor(task)) {
         // Sec. VI shared processors: spinning and critical sections are
         // non-preemptable on the runtime (else lock holders deadlock), so
         // (i) a higher-priority co-located preemptor occupies the shared
@@ -116,7 +116,7 @@ class SpinSonPrepared final : public PreparedAnalysis {
     // spin_delay() of co-located tasks, which reads the cluster size of
     // *their* contenders -- conservatively fingerprint every cluster size
     // (and, same conservatism, every user-set epoch).
-    if (part.task_shares_processor(task)) {
+    if (shares_processor(task)) {
       out->push_back(static_cast<Time>(ts_.size()));
       for (int j = 0; j < ts_.size(); ++j)
         out->push_back(part.cluster_size(j));
@@ -178,12 +178,11 @@ class SpinSonPrepared final : public PreparedAnalysis {
   /// most one such chunk can be in flight when a job of tau_i arrives,
   /// and none can start while tau_i has ready work.
   Time max_lower_priority_chunk(int task) const {
+    // A task co-hosted on several of tau_i's processors is visited once
+    // per processor; the max does not mind.
     Time worst = 0;
-    std::vector<char> seen(static_cast<std::size_t>(ts_.size()), 0);
     for (ProcessorId p : partition().cluster(task)) {
-      for (int j : partition().tasks_on_processor(p)) {
-        if (j == task || seen[static_cast<std::size_t>(j)]) continue;
-        seen[static_cast<std::size_t>(j)] = 1;
+      for (int j : hosts(p)) {
         if (ts_.task(j).priority() >= ts_.task(task).priority()) continue;
         for (ResourceId q : ts_.task(j).used_resources())
           worst = std::max(

@@ -41,9 +41,9 @@ OptScore PartitionOptimizer::evaluate(const Partition& part) {
   // may keep its previous result when the oracle certifies its partition
   // inputs unchanged since the previous bind AND every earlier task
   // produced the same bound (so its hint vector is bitwise identical).
-  std::vector<Time> hint(n);
+  hint_.resize(n);
   for (int j = 0; j < ts_.size(); ++j)
-    hint[static_cast<std::size_t>(j)] = ts_.task(j).deadline();
+    hint_[static_cast<std::size_t>(j)] = ts_.task(j).deadline();
   last_wcrt_.assign(n, kTimeInfinity);
 
   bool hints_match = have_prev_;
@@ -55,7 +55,7 @@ OptScore PartitionOptimizer::evaluate(const Partition& part) {
       r = prev_result_[ui];
       ++stats_.tasks_reused;
     } else {
-      r = oracle_.wcrt(i, hint);
+      r = oracle_.wcrt(i, hint_);
       ++stats_.oracle_calls;
     }
     result_[ui] = r;
@@ -63,7 +63,7 @@ OptScore PartitionOptimizer::evaluate(const Partition& part) {
 
     const Time deadline = ts_.task(i).deadline();
     if (r && *r <= deadline) {
-      hint[ui] = *r;
+      hint_[ui] = *r;
       last_wcrt_[ui] = *r;
     } else {
       // Saturate each miss at one deadline so a single divergent task

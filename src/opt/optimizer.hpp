@@ -137,6 +137,7 @@ class PartitionOptimizer {
   bool have_prev_ = false;
 
   std::vector<Time> last_wcrt_;  // bounds of the last evaluated candidate
+  std::vector<Time> hint_;       // evaluate()'s hint vector, reused
   SearchStats stats_;
 };
 

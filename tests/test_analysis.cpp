@@ -3,7 +3,10 @@
 // formulas, and cross-analysis consistency on resource-free task sets.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cassert>
+#include <tuple>
 
 #include "analysis/dpcp_p.hpp"
 #include "analysis/fed_fp.hpp"
@@ -61,17 +64,43 @@ struct HandFixture {
   }
 };
 
+/// Request records as comparable tuples: (q, slot, N_{i,q}, L_{i,q}).
+using RequestRow = std::tuple<ResourceId, std::uint32_t, int, Time>;
+std::vector<RequestRow> request_rows(
+    const ContentionTables::Request* begin,
+    const ContentionTables::Request* end) {
+  std::vector<RequestRow> out;
+  for (const auto* r = begin; r != end; ++r)
+    out.emplace_back(r->q, r->slot, r->max_requests, r->cs_length);
+  return out;
+}
+std::vector<RequestRow> request_rows(
+    const std::vector<ContentionTables::Request>& records) {
+  return request_rows(records.data(), records.data() + records.size());
+}
+
 TEST(RtaCommon, ContentionTablesMatchHandComputation) {
   HandFixture f;
+  PlacedGlobals placed;
+  placed.build(f.ts, f.part);
+  EXPECT_EQ(placed.hosts, std::vector<ProcessorId>{1});
+  EXPECT_EQ(placed.slot_of, (std::vector<int>{-1, 0, -1}));
+  EXPECT_EQ(placed.users, std::vector<int>{2});
+  EXPECT_EQ(placed.ceiling, std::vector<int>{f.ts.task(0).priority()});
+  EXPECT_EQ(placed.demand, (std::vector<Time>{2, 4}));  // N x L per task
+  ASSERT_EQ(placed.boff, (std::vector<std::uint32_t>{0, 2}));
+
   // View of tau_0.
   ContentionTables t0;
-  t0.fill(f.ts, f.part, 0);
+  t0.fill(f.ts, f.part, placed, 0);
   ASSERT_EQ(t0.procs.size(), 1u);  // only processor 1 hosts a global
   const ContentionTables::Proc& pc0 = t0.procs[0];
   EXPECT_EQ(pc0.proc, 1);
-  EXPECT_EQ(t0.globals, std::vector<ResourceId>{0});
-  EXPECT_EQ(pc0.gbeg, 0u);
-  EXPECT_EQ(pc0.gend, 1u);
+  // tau_0's one request there: l_0 at slot 0, N = 1, L = 2.
+  EXPECT_EQ(request_rows(t0.requests.data() + pc0.rbeg,
+                         t0.requests.data() + pc0.rend),
+            (std::vector<RequestRow>{{0, 0u, 1, 2}}));
+  EXPECT_EQ(t0.slot_cs, std::vector<Time>{2});
   EXPECT_EQ(pc0.beta, 4);        // tau_1's CS, ceiling >= pi_0
   EXPECT_EQ(pc0.own_demand, 2);  // 1 x 2
   EXPECT_EQ(pc0.hbeg, pc0.hend);
@@ -79,25 +108,290 @@ TEST(RtaCommon, ContentionTablesMatchHandComputation) {
   EXPECT_EQ(t0.other.task[pc0.obeg], 1);
   EXPECT_EQ(t0.other.demand[pc0.obeg], 4);
   EXPECT_EQ(t0.other.period[pc0.obeg], 200);
-  EXPECT_TRUE(t0.cluster_globals.empty());  // l_0 is not on processor 0
+  EXPECT_TRUE(t0.cluster_requests.empty());  // l_0 is not on processor 0
   EXPECT_TRUE(t0.locals.empty());
 
   // View of tau_1: the higher-priority tau_0 contributes gamma demand.
   ContentionTables t1;
-  t1.fill(f.ts, f.part, 1);
+  t1.fill(f.ts, f.part, placed, 1);
   ASSERT_EQ(t1.procs.size(), 1u);
   const ContentionTables::Proc& pc1 = t1.procs[0];
   EXPECT_EQ(pc1.beta, 0);  // nobody below tau_1
+  EXPECT_EQ(pc1.own_demand, 4);
+  EXPECT_EQ(request_rows(t1.requests.data() + pc1.rbeg,
+                         t1.requests.data() + pc1.rend),
+            (std::vector<RequestRow>{{0, 0u, 1, 4}}));
   ASSERT_EQ(pc1.hend - pc1.hbeg, 1u);
   EXPECT_EQ(t1.hp.task[pc1.hbeg], 0);
   EXPECT_EQ(t1.hp.demand[pc1.hbeg], 2);
-  EXPECT_EQ(t1.cluster_globals, std::vector<ResourceId>{0});
+  // l_0 sits in tau_1's own cluster (Phi^p(tau_1)).
+  EXPECT_EQ(request_rows(t1.cluster_requests),
+            (std::vector<RequestRow>{{0, 0u, 1, 4}}));
+  EXPECT_TRUE(t1.locals.empty());
   // gamma over a window of 8 with R_0 hint 100: ceil(108/100)*2 = 4.
   EXPECT_EQ(window_demand(t1.hp.task.data() + pc1.hbeg,
                           t1.hp.demand.data() + pc1.hbeg,
                           t1.hp.period.data() + pc1.hbeg,
                           pc1.hend - pc1.hbeg, {100, 200}, 8),
             4);
+}
+
+/// A partition of `ts` over `m` processors shaped like the ones Algorithm
+/// 1 builds, drawn from `rng`: each task takes 1-3 dedicated processors
+/// or (one in three) joins a shared single-processor slot, and what is
+/// left stays spare.  Each resource goes to a random processor or (one in
+/// four) stays unplaced, globals included, so fill() sees unplaced
+/// globals and placed locals too.
+Partition random_partition(const TaskSet& ts, int m, Rng& rng) {
+  Partition part(m, ts.size(), ts.num_resources());
+  std::vector<ProcessorId> free(static_cast<std::size_t>(m));
+  for (int p = 0; p < m; ++p) free[static_cast<std::size_t>(p)] = p;
+  for (std::size_t k = free.size(); k > 1; --k)
+    std::swap(free[k - 1], free[rng.index(k)]);
+  ProcessorId shared = Partition::kUnassigned;
+  for (int i = 0; i < ts.size(); ++i) {
+    const std::size_t want = 1 + rng.index(3);
+    if (rng.index(3) == 0 || free.size() < want + 2) {
+      if (shared == Partition::kUnassigned || rng.index(4) == 0) {
+        assert(!free.empty());
+        shared = free.back();
+        free.pop_back();
+      }
+      part.add_processor_to_task(i, shared);
+      continue;
+    }
+    for (std::size_t k = 0; k < want; ++k) {
+      part.add_processor_to_task(i, free.back());
+      free.pop_back();
+    }
+  }
+  for (ResourceId q = 0; q < ts.num_resources(); ++q)
+    if (rng.index(4) != 0)
+      part.assign_resource(
+          q, static_cast<ProcessorId>(rng.index(static_cast<std::size_t>(m))));
+  return part;
+}
+
+/// Generated task sets with light tasks, over random partitions with
+/// shared and spare processors.
+std::vector<std::pair<TaskSet, Partition>> generated_partitions() {
+  std::vector<std::pair<TaskSet, Partition>> out;
+  Rng rng(2025);
+  for (const Scenario& scenario : scenario_corners()) {
+    GenParams params;
+    params.scenario = scenario;
+    params.total_utilization = 3.0;
+    params.light_tasks = 3;
+    for (int sample = 0; sample < 4; ++sample) {
+      const std::optional<TaskSet> ts = generate_taskset(rng, params);
+      if (!ts) continue;
+      const int m = ts->size() * 3 + 4;
+      Partition part = random_partition(*ts, m, rng);
+      out.emplace_back(*ts, std::move(part));
+    }
+  }
+  return out;
+}
+
+// fill() from the per-bind PlacedGlobals against a per-task recount that
+// reads only the task set and the partition, the way fill() did before
+// the per-bind tables: every processor hosting a placed global, in
+// increasing order, with beta, tau_i's own demand and requests there, and
+// the hp / other demand lists; then the requested cluster globals, the
+// locals and L per slot.
+TEST(RtaCommon, FillMatchesPerTaskRecount) {
+  const auto cases = generated_partitions();
+  ASSERT_GE(cases.size(), 12u);
+  std::size_t procs_seen = 0, locals_seen = 0, cluster_seen = 0, beta_seen = 0;
+  for (const auto& [ts, part] : cases) {
+    PlacedGlobals placed;
+    placed.build(ts, part);
+    ContentionTables tables;  // reused across tasks, like a rebuild's
+    for (int i = 0; i < ts.size(); ++i) {
+      tables.fill(ts, part, placed, i);
+      const DagTask& ti = ts.task(i);
+      const std::vector<ResourceId>& used = ti.used_resources();
+      const auto record = [&](ResourceId q) {
+        const auto slot = static_cast<std::uint32_t>(
+            std::find(used.begin(), used.end(), q) - used.begin());
+        return RequestRow{q, slot, ti.usage(q).max_requests,
+                          ti.usage(q).cs_length};
+      };
+
+      std::size_t k = 0;
+      for (ProcessorId p = 0; p < part.num_processors(); ++p) {
+        std::vector<ResourceId> globals;
+        for (ResourceId q = 0; q < ts.num_resources(); ++q)
+          if (ts.is_global(q) && part.processor_of_resource(q) == p)
+            globals.push_back(q);
+        if (globals.empty()) continue;
+        ASSERT_LT(k, tables.procs.size());
+        const ContentionTables::Proc& pc = tables.procs[k++];
+        EXPECT_EQ(pc.proc, p);
+        Time beta = 0, own = 0;
+        std::vector<RequestRow> own_requests;
+        for (ResourceId q : globals) {
+          own += ti.usage(q).demand();
+          if (ti.uses(q)) own_requests.push_back(record(q));
+          for (int j = 0; j < ts.size(); ++j)
+            if (j != i && ts.task(j).uses(q) &&
+                ts.task(j).priority() < ti.priority() &&
+                ts.ceiling_priority(q) >= ti.priority())
+              beta = std::max(beta, ts.task(j).usage(q).cs_length);
+        }
+        EXPECT_EQ(pc.beta, beta);
+        EXPECT_EQ(pc.own_demand, own);
+        EXPECT_EQ(request_rows(tables.requests.data() + pc.rbeg,
+                               tables.requests.data() + pc.rend),
+                  own_requests);
+        std::vector<std::tuple<int, Time, Time>> hp, other;
+        for (int j = 0; j < ts.size(); ++j) {
+          Time demand = 0;
+          for (ResourceId q : globals) demand += ts.task(j).usage(q).demand();
+          if (j == i || demand == 0) continue;
+          other.emplace_back(j, demand, ts.task(j).period());
+          if (ts.task(j).priority() > ti.priority())
+            hp.emplace_back(j, demand, ts.task(j).period());
+        }
+        const auto range = [](const DemandSoA& soa, std::uint32_t b,
+                              std::uint32_t e) {
+          std::vector<std::tuple<int, Time, Time>> rows;
+          for (std::uint32_t x = b; x < e; ++x)
+            rows.emplace_back(soa.task[x], soa.demand[x], soa.period[x]);
+          return rows;
+        };
+        EXPECT_EQ(range(tables.hp, pc.hbeg, pc.hend), hp);
+        EXPECT_EQ(range(tables.other, pc.obeg, pc.oend), other);
+        beta_seen += beta > 0;
+      }
+      EXPECT_EQ(tables.procs.size(), k);
+      procs_seen += k;
+
+      std::vector<RequestRow> cluster, locals;
+      std::vector<Time> slot_cs;
+      const std::vector<ProcessorId>& c = part.cluster(i);
+      for (ResourceId q : used) {
+        slot_cs.push_back(ti.usage(q).cs_length);
+        if (ts.is_local(q)) locals.push_back(record(q));
+        if (ts.is_global(q) &&
+            std::find(c.begin(), c.end(), part.processor_of_resource(q)) !=
+                c.end())
+          cluster.push_back(record(q));
+      }
+      EXPECT_EQ(request_rows(tables.cluster_requests), cluster);
+      EXPECT_EQ(request_rows(tables.locals), locals);
+      EXPECT_EQ(tables.slot_cs, slot_cs);
+      locals_seen += locals.size();
+      cluster_seen += cluster.size();
+    }
+  }
+  // The inputs reach every branch: contention processors with blocking,
+  // locals, and globals inside the analysed task's own cluster.
+  EXPECT_GT(procs_seen, 0u);
+  EXPECT_GT(beta_seen, 0u);
+  EXPECT_GT(locals_seen, 0u);
+  EXPECT_GT(cluster_seen, 0u);
+}
+
+// ---------- host index ------------------------------------------------------
+
+/// Opens a PreparedAnalysis's host index and token helpers to the test.
+class HostIndexProbe final : public PreparedAnalysis {
+ public:
+  explicit HostIndexProbe(AnalysisSession& session)
+      : PreparedAnalysis(session) {}
+  using PreparedAnalysis::hosts;
+  using PreparedAnalysis::preemption_demand;
+  using PreparedAnalysis::shares_processor;
+  std::vector<Time> cohosted(const Partition& part, int i) const {
+    std::vector<Time> out;
+    append_cohosted(part, i, &out);
+    return out;
+  }
+  std::optional<Time> wcrt(int, const std::vector<Time>&) override {
+    return std::nullopt;
+  }
+
+ protected:
+  void partition_inputs(const Partition& part, int task,
+                        std::vector<Time>* out) const override {
+    append_cohosted(part, task, out);
+  }
+  void on_taskset_changed(bool) override {}
+};
+
+// The co-hosted tokens as the per-task cluster scan wrote them.
+std::vector<Time> cohosted_by_scan(const Partition& part, int i) {
+  std::vector<Time> out;
+  for (ProcessorId p : part.cluster(i)) {
+    const std::size_t count_at = out.size();
+    out.push_back(0);
+    for (int j = 0; j < part.num_tasks(); ++j) {
+      const std::vector<ProcessorId>& c = part.cluster(j);
+      if (std::find(c.begin(), c.end(), p) != c.end()) out.push_back(j);
+    }
+    out[count_at] = static_cast<Time>(out.size() - count_at - 1);
+  }
+  return out;
+}
+
+// The preemption demand as the per-task scan built it: co-hosted
+// higher-priority tasks, first occurrence first.
+std::vector<std::tuple<int, Time, Time>> preemption_by_scan(
+    const TaskSet& ts, const Partition& part, int i) {
+  std::vector<std::tuple<int, Time, Time>> out;
+  std::vector<char> seen(static_cast<std::size_t>(ts.size()), 0);
+  for (ProcessorId p : part.cluster(i))
+    for (int j : part.tasks_on_processor(p)) {
+      if (j == i || seen[static_cast<std::size_t>(j)]) continue;
+      seen[static_cast<std::size_t>(j)] = 1;
+      if (ts.task(j).priority() > ts.task(i).priority())
+        out.emplace_back(j, ts.task(j).wcet(), ts.task(j).period());
+    }
+  return out;
+}
+
+// The host index bind() builds against the Partition scans it replaces,
+// on partitions with shared and spare processors, before and after a
+// mid-set departure renumbers the tasks behind it.
+TEST(Prepared, HostIndexMatchesPartitionScans) {
+  auto cases = generated_partitions();
+  ASSERT_GE(cases.size(), 12u);
+  std::size_t shared = 0, spare = 0, preempted = 0;
+  for (auto& [ts, part] : cases) {
+    AnalysisSession session(ts, AllowMutation{});
+    HostIndexProbe probe(session);
+    const auto check = [&] {
+      probe.bind(part);
+      for (ProcessorId p = 0; p < part.num_processors(); ++p) {
+        const Slab<const int> on_p = probe.hosts(p);
+        EXPECT_EQ(std::vector<int>(on_p.begin(), on_p.end()),
+                  part.tasks_on_processor(p));
+        spare += on_p.empty();
+      }
+      DemandSoA preempt;
+      for (int i = 0; i < ts.size(); ++i) {
+        EXPECT_EQ(probe.shares_processor(i), part.task_shares_processor(i));
+        EXPECT_EQ(probe.cohosted(part, i), cohosted_by_scan(part, i));
+        probe.preemption_demand(i, &preempt);
+        std::vector<std::tuple<int, Time, Time>> rows;
+        for (std::size_t k = 0; k < preempt.size(); ++k)
+          rows.emplace_back(preempt.task[k], preempt.demand[k],
+                            preempt.period[k]);
+        EXPECT_EQ(rows, preemption_by_scan(ts, part, i));
+        shared += part.task_shares_processor(i);
+        preempted += !rows.empty();
+      }
+    };
+    check();
+    const int victim = ts.size() / 2;
+    session.remove_task(victim);
+    part.erase_task_slot(victim);
+    check();
+  }
+  EXPECT_GT(shared, 0u);
+  EXPECT_GT(spare, 0u);
+  EXPECT_GT(preempted, 0u);
 }
 
 // ---------- DPCP-p hand-computed bounds ---------------------------------------
