@@ -38,36 +38,6 @@ PartitionOutcome SchedAnalysis::test(const TaskSet& ts, int m) const {
   return test(session, m);
 }
 
-std::vector<PartitionOptions> optimize_seed_options(
-    AnalysisSession& session, const std::vector<PlacementKind>& kinds) {
-  std::vector<PartitionOptions> seed_options;
-  seed_options.reserve(kinds.size());
-  for (PlacementKind kind : kinds) {
-    const PlacementStrategy& strategy = placement_strategy(kind);
-    PartitionOptions options;
-    options.strategy = &strategy;
-    options.priority_order = &session.priority_order();
-    options.placement_cache = &session.placement_cache(strategy.cache_key());
-    seed_options.push_back(options);
-  }
-  return seed_options;
-}
-
-OptimizeOutcome SchedAnalysis::optimize(AnalysisSession& session, int m,
-                                        const std::vector<PlacementKind>& seeds,
-                                        Rng rng, const OptOptions& opt) const {
-  if (placement() == ResourcePlacement::kNone || seeds.empty()) {
-    OptimizeOutcome out;
-    out.outcome = test(session, m);
-    out.seed_schedulable = out.outcome.schedulable;
-    return out;
-  }
-  auto prepared = prepare(session);
-  return partition_and_optimize(session.taskset(), m, *prepared,
-                                optimize_seed_options(session, seeds), rng,
-                                opt);
-}
-
 std::unique_ptr<SchedAnalysis> make_analysis(AnalysisKind kind,
                                              const AnalysisOptions& options) {
   switch (kind) {

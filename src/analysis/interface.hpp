@@ -29,10 +29,8 @@
 #include "analysis/prepared.hpp"
 #include "analysis/session.hpp"
 #include "model/taskset.hpp"
-#include "partition/optimize.hpp"
 #include "partition/partitioner.hpp"
 #include "partition/placement.hpp"
-#include "util/rng.hpp"
 
 namespace dpcp {
 
@@ -71,28 +69,7 @@ class SchedAnalysis {
 
   /// End-to-end schedulability test with a private one-shot session.
   PartitionOutcome test(const TaskSet& ts, int m) const;
-
-  /// Anytime partition-search test (partition/optimize.hpp): Algorithm 1
-  /// under every strategy in `seeds` (session-cached placements, one
-  /// prepared oracle shared across runs), then budgeted local search over
-  /// the rejected partitions.  Never worse than the best seed strategy by
-  /// construction.  `rng` is the search's private sub-stream — the
-  /// experiment engine forks one per (scenario, point, sample, column).
-  /// Placement-insensitive analyses (placement() == kNone) have no
-  /// placement/cluster trade-off to search — Algorithm 1 already grants
-  /// every useful spare — so they degrade to test().
-  OptimizeOutcome optimize(AnalysisSession& session, int m,
-                           const std::vector<PlacementKind>& seeds, Rng rng,
-                           const OptOptions& opt = {}) const;
 };
-
-/// Per-strategy Algorithm-1 options for partition_and_optimize() seeds:
-/// each entry carries the strategy plus `session`'s priority order and
-/// per-strategy placement memo — exactly what SchedAnalysis::optimize()
-/// wires internally.  Exposed so benches and tests that drive a prepared
-/// oracle directly (for its diff telemetry) seed the identical pipeline.
-std::vector<PartitionOptions> optimize_seed_options(
-    AnalysisSession& session, const std::vector<PlacementKind>& kinds);
 
 enum class AnalysisKind {
   kDpcpPEp,   // DPCP-p, enumerating complete paths (Sec. IV + VI)

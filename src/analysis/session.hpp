@@ -70,8 +70,6 @@ class AnalysisSession {
   // task but the last renumbers the survivors (remap_seq() advances too)
   // and prepared analyses resynchronize wholesale on their next bind().
 
-  bool is_mutable() const { return mutable_ts_ != nullptr; }
-
   /// Adopts `task` (arity must match) as the new last index and returns
   /// that index.  Requires a mutable session.
   int add_task(DagTask task);

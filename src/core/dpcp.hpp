@@ -48,7 +48,6 @@
 #include "opt/move.hpp"
 #include "opt/optimizer.hpp"
 #include "partition/federated.hpp"
-#include "partition/optimize.hpp"
 #include "partition/partition.hpp"
 #include "partition/partitioner.hpp"
 #include "partition/placement.hpp"

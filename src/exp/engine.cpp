@@ -10,6 +10,7 @@
 #include <tuple>
 
 #include "gen/taskset_gen.hpp"
+#include "opt/optimizer.hpp"
 #include "partition/federated.hpp"
 #include "sim/simulator.hpp"
 #include "util/parse.hpp"
@@ -278,8 +279,9 @@ SweepResult run_sweep(const std::vector<Scenario>& scenarios,
             // independent instead of threading outcomes between them.
             OptOptions opt_options;
             opt_options.max_evals = options.optimize_evals;
-            OptimizeOutcome opt_out = analyses[a]->optimize(
-                session, scenarios[s].m, opt_seeds,
+            const auto oracle = analyses[a]->prepare(session);
+            OptimizeOutcome opt_out = optimize_partition(
+                session, scenarios[s].m, *oracle, opt_seeds,
                 rng.fork(kOptimizeSalt + a), opt_options);
             OptPointStats& op = share.opt_stats[s][a][point];
             op.seed_accepts += opt_out.seed_schedulable ? 1 : 0;

@@ -33,13 +33,6 @@ double TaskSet::total_utilization() const {
   return u;
 }
 
-std::vector<int> TaskSet::users(ResourceId q) const {
-  std::vector<int> out;
-  for (int i = 0; i < size(); ++i)
-    if (tasks_[i].uses(q)) out.push_back(i);
-  return out;
-}
-
 int TaskSet::count_users_to_two(ResourceId q) const {
   int n = 0;
   for (const auto& t : tasks_)

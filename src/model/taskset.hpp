@@ -36,9 +36,6 @@ class TaskSet {
   /// Sum of task utilizations.
   double total_utilization() const;
 
-  /// tau(l_q): indices of the tasks using resource q.
-  std::vector<int> users(ResourceId q) const;
-
   /// A resource is local iff used by the vertices of a single task
   /// (Sec. III-A); global iff used by more than one task.
   bool is_local(ResourceId q) const { return count_users_to_two(q) <= 1; }

@@ -135,7 +135,6 @@ ControllerSnapshot AdmissionController::snapshot() {
 bool AdmissionController::prime() {
   const std::size_t n = static_cast<std::size_t>(ts_.size());
   prev_result_.assign(n, std::nullopt);
-  result_.assign(n, std::nullopt);
   stable_.assign(n, 0);
   have_prev_ = false;
   if (n == 0) {
@@ -144,22 +143,16 @@ bool AdmissionController::prime() {
     return true;
   }
   oracle_->bind(part_);
-  std::vector<Time> hint(n);
-  for (int j = 0; j < ts_.size(); ++j)
-    hint[static_cast<std::size_t>(j)] = ts_.task(j).deadline();
-  bounds_scratch_.assign(n, kTimeInfinity);
-  for (int i : session_.priority_order()) {
+  AnalysisPass pass(ts_, session_.priority_order());
+  if (pass.run(*oracle_, /*stop_at_miss=*/true) >= 0) return false;
+  wcrt_.resize(n);
+  for (int i = 0; i < ts_.size(); ++i) {
     const std::size_t ui = static_cast<std::size_t>(i);
-    const std::optional<Time> r = oracle_->wcrt(i, hint);
-    result_[ui] = r;
-    if (!r || *r > ts_.task(i).deadline()) return false;
-    hint[ui] = *r;
-    bounds_scratch_[ui] = *r;
+    prev_result_[ui] = pass.result(i);
+    wcrt_[ui] = *prev_result_[ui];
   }
-  prev_result_ = result_;
   stable_.assign(n, 1);
   have_prev_ = true;
-  wcrt_ = bounds_scratch_;
   return true;
 }
 
@@ -213,8 +206,11 @@ bool AdmissionController::evaluate(const Partition& part) {
   // inputs are unchanged since the last success AND none of the tasks
   // whose bounds deviated so far (in analysis order; later tasks
   // contribute their unchanged deadlines, not bounds) is in its contender
-  // read set — a sharper rule than the optimizer's any-deviation cutoff,
+  // read set — a sharper rule than AnalysisPass's any-deviation cutoff,
   // which the arrival of a new task (nullopt -> bound) always trips.
+  // This loop therefore stays apart from AnalysisPass: either rule in the
+  // other's place would change oracle-call counts, and with them the
+  // `calls=` reply bytes.
   deviated_scratch_.assign(n, 0);
   bool any_deviation = false;
   for (int i : order) {

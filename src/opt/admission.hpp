@@ -218,8 +218,8 @@ class AdmissionController {
   /// (ts_, part_).  False when some task no longer certifies (only
   /// possible on a corrupted snapshot — live state always certifies).
   bool prime();
-  /// Scores `part` for the whole resident set with the optimizer's
-  /// cross-evaluation reuse rule; fills bounds_scratch_.
+  /// Scores `part` for the whole resident set with the cross-event reuse
+  /// rule below; fills bounds_scratch_.
   bool evaluate(const Partition& part);
   /// Rung 1: cluster from spares (or a shared light processor) + agents
   /// for newly global resources only.  Returns false when no cluster
@@ -262,10 +262,10 @@ class AdmissionController {
   DecisionTrace trace_{kTraceCapacity};
   std::int64_t trace_seq_ = 0;  // event number of the next trace record
 
-  // Cross-event oracle-result reuse (the optimizer's evaluate() rule): a
-  // task keeps its previous bound when the oracle certifies its inputs
-  // unchanged since the last bind and every earlier task in the analysis
-  // order produced the same bound.
+  // Cross-event oracle-result reuse (see evaluate()): a task keeps its
+  // previous bound when the oracle certifies its inputs unchanged since
+  // the last successful pass and no task whose bound deviated before it
+  // is in its contender read set.
   std::vector<std::optional<Time>> prev_result_;
   std::vector<std::optional<Time>> result_;
   bool have_prev_ = false;

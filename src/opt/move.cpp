@@ -28,21 +28,6 @@ Move Move::swap_resources(ResourceId a, ResourceId b) {
   return Move(MoveKind::kSwapResources, a, b, Partition::kUnassigned);
 }
 
-namespace {
-
-/// Grants processor `p` to task `i` under Algorithm 1's rule: a task on a
-/// shared processor is sequential (extra processors cannot help it in
-/// place), so it is *promoted* to `p` alone; a dedicated cluster grows.
-void grant(Partition& part, int i, ProcessorId p) {
-  if (part.task_shares_processor(i)) {
-    part.set_cluster(i, {p});
-  } else {
-    part.add_processor_to_task(i, p);
-  }
-}
-
-}  // namespace
-
 bool Move::apply(Partition& part) {
   assert(!applied_);
   // Operand existence is part of apply()'s refusal contract: an
@@ -65,7 +50,7 @@ bool Move::apply(Partition& part) {
       const ProcessorId moved = from.back();
       part.set_cluster(a_, std::vector<ProcessorId>(from.begin(),
                                                     from.end() - 1));
-      grant(part, b_, moved);
+      part.grant(b_, moved);
       break;
     }
     case MoveKind::kRelocateResource: {
@@ -82,7 +67,7 @@ bool Move::apply(Partition& part) {
       if (proc_ < 0 || proc_ >= part.num_processors()) return false;
       if (part.task_of_processor(proc_) != -1) return false;  // not spare
       saved_cluster_a_ = part.cluster(a_);
-      grant(part, a_, proc_);
+      part.grant(a_, proc_);
       break;
     }
     case MoveKind::kNarrowCluster: {

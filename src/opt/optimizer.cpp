@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 namespace dpcp {
 namespace {
@@ -18,62 +19,36 @@ PartitionOptimizer::PartitionOptimizer(const TaskSet& ts, int m,
     : ts_(ts),
       m_(m),
       oracle_(oracle),
-      order_(order),
       rng_(rng),
       options_(options),
-      globals_(ts.global_resources()) {
-  const std::size_t n = static_cast<std::size_t>(ts_.size());
-  prev_result_.resize(n);
-  result_.resize(n);
-  last_wcrt_.assign(n, kTimeInfinity);
-}
+      globals_(ts.global_resources()),
+      pass_(ts, order),
+      last_wcrt_(static_cast<std::size_t>(ts.size()), kTimeInfinity) {}
 
 OptScore PartitionOptimizer::evaluate(const Partition& part) {
   ++stats_.evals;
   oracle_.bind(part);
-  const std::size_t n = static_cast<std::size_t>(ts_.size());
+  // One full pass, as in an Algorithm-1 round under the max-miss policy:
+  // every task is analysed so the objective covers the whole set.
+  pass_.run(oracle_, /*stop_at_miss=*/false);
+  stats_.oracle_calls = pass_.oracle_calls();
+  stats_.tasks_reused = pass_.reused();
 
-  // One full scoring pass mirrors one Algorithm-1 round under the
-  // max-miss policy: tasks in decreasing priority order, each seeing the
-  // computed bounds of earlier tasks (or D_j) as hints, and every task is
-  // analysed so the objective covers the whole set.  The reuse rule is
-  // the one partition_and_analyze() proves behavior-preserving: a task
-  // may keep its previous result when the oracle certifies its partition
-  // inputs unchanged since the previous bind AND every earlier task
-  // produced the same bound (so its hint vector is bitwise identical).
-  hint_.resize(n);
-  for (int j = 0; j < ts_.size(); ++j)
-    hint_[static_cast<std::size_t>(j)] = ts_.task(j).deadline();
-  last_wcrt_.assign(n, kTimeInfinity);
-
-  bool hints_match = have_prev_;
   OptScore score;
-  for (int i : order_) {
+  for (int i = 0; i < ts_.size(); ++i) {
     const std::size_t ui = static_cast<std::size_t>(i);
-    std::optional<Time> r;
-    if (hints_match && oracle_.task_unchanged(i)) {
-      r = prev_result_[ui];
-      ++stats_.tasks_reused;
-    } else {
-      r = oracle_.wcrt(i, hint_);
-      ++stats_.oracle_calls;
-    }
-    result_[ui] = r;
-    if (have_prev_ && r != prev_result_[ui]) hints_match = false;
-
+    const std::optional<Time> r = pass_.result(i);
     const Time deadline = ts_.task(i).deadline();
     if (r && *r <= deadline) {
-      hint_[ui] = *r;
       last_wcrt_[ui] = *r;
-    } else {
-      // Saturate each miss at one deadline so a single divergent task
-      // cannot drown the progress signal of the others.
-      ++score.failing;
-      score.penalty += r ? std::min(*r - deadline, deadline) : deadline;
+      continue;
     }
+    last_wcrt_[ui] = kTimeInfinity;
+    // Saturate each miss at one deadline so a single divergent task
+    // cannot drown the progress signal of the others.
+    ++score.failing;
+    score.penalty += r ? std::min(*r - deadline, deadline) : deadline;
   }
-  prev_result_.swap(result_);
-  have_prev_ = true;
   return score;
 }
 
@@ -155,7 +130,6 @@ SearchResult PartitionOptimizer::run(
     // final partitions are valid except when the initial federated
     // allocation itself failed.)
     res.partition = *seeds.front();
-    res.score = {static_cast<std::int64_t>(n), 0};
     res.wcrt.assign(n, kTimeInfinity);
     res.stats = stats_;
     return res;
@@ -204,7 +178,6 @@ SearchResult PartitionOptimizer::run(
       if (sc.better_than(cur_score)) {
         cur_score = sc;
         stall = 0;
-        ++stats_.improvements;
         if (sc.better_than(best_score)) {
           best_score = sc;
           best_part = cur;
@@ -249,7 +222,6 @@ SearchResult PartitionOptimizer::run(
         best_score = cur_score;
         best_part = cur;
         best_wcrt = last_wcrt_;
-        ++stats_.improvements;
         if (cur_score.schedulable()) break;
       }
     }
@@ -257,11 +229,62 @@ SearchResult PartitionOptimizer::run(
 
   res.schedulable = have_best && best_score.schedulable();
   res.partition = std::move(best_part);
-  res.score = best_score;
   res.wcrt = std::move(best_wcrt);
   res.seed_index = best_seed;
   res.stats = stats_;
   return res;
+}
+
+OptimizeOutcome optimize_partition(AnalysisSession& session, int m,
+                                   WcrtOracle& oracle,
+                                   const std::vector<PlacementKind>& seeds,
+                                   Rng rng, const OptOptions& opt) {
+  assert(!seeds.empty());
+  const TaskSet& ts = session.taskset();
+  OptimizeOutcome out;
+
+  std::vector<PartitionOutcome> outcomes;
+  outcomes.reserve(seeds.size());
+  std::int64_t seed_oracle_calls = 0;
+  for (PlacementKind kind : seeds) {
+    PartitionOptions options;
+    options.strategy = &placement_strategy(kind);
+    options.priority_order = &session.priority_order();
+    options.placement_cache =
+        &session.placement_cache(options.strategy->cache_key());
+    PartitionOutcome seed = partition_and_analyze(ts, m, oracle, options);
+    seed_oracle_calls += seed.oracle_calls;
+    if (seed.schedulable) {
+      out.outcome = std::move(seed);
+      out.outcome.oracle_calls = seed_oracle_calls;
+      out.seed_schedulable = true;
+      return out;
+    }
+    outcomes.push_back(std::move(seed));
+  }
+
+  // Unanimous reject: local-search from the rejected final partitions.
+  std::vector<const Partition*> parts;
+  parts.reserve(outcomes.size());
+  for (const PartitionOutcome& seed : outcomes)
+    parts.push_back(&seed.partition);
+  PartitionOptimizer optimizer(ts, m, oracle, session.priority_order(), rng,
+                               opt);
+  SearchResult found = optimizer.run(parts);
+  out.stats = found.stats;
+
+  if (found.schedulable) {
+    out.search_accepted = true;
+    out.outcome.schedulable = true;
+    out.outcome.partition = std::move(found.partition);
+    out.outcome.wcrt = std::move(found.wcrt);
+    out.outcome.rounds = outcomes[found.seed_index].rounds;
+  } else {
+    // The seeding strategy's outcome stands, diagnostics intact.
+    out.outcome = std::move(outcomes[found.seed_index]);
+  }
+  out.outcome.oracle_calls = seed_oracle_calls + found.stats.oracle_calls;
+  return out;
 }
 
 }  // namespace dpcp

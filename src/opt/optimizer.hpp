@@ -24,20 +24,25 @@
 //   * Validate-gated.  Every applied move runs Partition::validate()
 //     before the oracle sees the candidate; invalid candidates are undone
 //     with zero oracle queries (SearchStats::invalid_moves counts them).
-//   * Incremental.  Candidates are scored by re-walking the analysis
-//     priority order under the bound oracle exactly as Algorithm 1 does,
-//     so a stateful oracle (analysis/prepared.hpp) re-analyzes only the
-//     tasks whose declared partition inputs the move changed — the rest
-//     are skipped through task_unchanged() and the hint-chain argument of
-//     partition_and_analyze() (SearchStats::tasks_reused counts those).
+//   * Incremental.  Each candidate is scored by one AnalysisPass
+//     (partition/partitioner.hpp) kept across candidates, so a stateful
+//     oracle (analysis/prepared.hpp) re-analyzes only the tasks whose
+//     declared partition inputs the move changed; the pass reuses the
+//     rest (SearchStats::tasks_reused counts those).
+//
+// optimize_partition() is the seed-then-search entry point: Algorithm 1
+// under every seed strategy, then this search over the rejected
+// partitions.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <vector>
 
+#include "analysis/session.hpp"
 #include "opt/move.hpp"
 #include "partition/partitioner.hpp"
+#include "partition/placement.hpp"
 #include "util/rng.hpp"
 
 namespace dpcp {
@@ -80,7 +85,6 @@ struct SearchStats {
   std::int64_t tasks_reused = 0;   // per-task re-analyses skipped
   std::int64_t proposals = 0;      // moves proposed (all outcomes)
   std::int64_t invalid_moves = 0;  // undone by the validate gate, 0 queries
-  std::int64_t improvements = 0;   // accepted (strictly better) moves
   std::int64_t restarts = 0;       // kick-and-restart events
 };
 
@@ -90,7 +94,6 @@ struct SearchResult {
   bool schedulable = false;
   /// Best candidate found (== the best seed when nothing improved).
   Partition partition;
-  OptScore score;
   /// Per-task WCRT bounds of `partition` (kTimeInfinity where failing),
   /// computed with the same hint chaining as partition_and_analyze().
   std::vector<Time> wcrt;
@@ -103,7 +106,7 @@ class PartitionOptimizer {
  public:
   /// `ts`, `oracle`, and `order` (the decreasing-priority analysis order,
   /// analysis_priority_order(ts)) must outlive the optimizer.  The oracle
-  /// is queried through bind()/task_unchanged()/wcrt() exactly like
+  /// is queried through bind() and one AnalysisPass per candidate, like
   /// partition_and_analyze()'s — any WcrtOracle works, stateful ones get
   /// the incremental speedup.
   PartitionOptimizer(const TaskSet& ts, int m, WcrtOracle& oracle,
@@ -123,22 +126,45 @@ class PartitionOptimizer {
   const TaskSet& ts_;
   const int m_;
   WcrtOracle& oracle_;
-  const std::vector<int>& order_;
   Rng rng_;
   const OptOptions options_;
   const std::vector<ResourceId> globals_;
 
-  // Cross-evaluation oracle-result cache (see evaluate()): the per-task
-  // results of the previously bound candidate, reusable for a task when
-  // the oracle certifies its inputs unchanged and every earlier task in
-  // the analysis order produced the same bound (identical hint vector).
-  std::vector<std::optional<Time>> prev_result_;
-  std::vector<std::optional<Time>> result_;
-  bool have_prev_ = false;
-
+  AnalysisPass pass_;            // scores every candidate
   std::vector<Time> last_wcrt_;  // bounds of the last evaluated candidate
-  std::vector<Time> hint_;       // evaluate()'s hint vector, reused
   SearchStats stats_;
 };
+
+/// Outcome of optimize_partition().
+struct OptimizeOutcome {
+  /// Final verdict: the accepting seed outcome, the search's schedulable
+  /// partition (with oracle-computed per-task bounds), or — when neither
+  /// exists — the seeding strategy's rejected outcome.
+  PartitionOutcome outcome;
+  /// True when some seed strategy already accepted (no search ran).
+  bool seed_schedulable = false;
+  /// True when the local search turned a unanimous seed reject into an
+  /// accept — the optimizer's acceptance gain.
+  bool search_accepted = false;
+  /// Search counters; all zero when a seed accepted.
+  SearchStats stats;
+};
+
+/// Algorithm 1, then local search.  Runs partition_and_analyze() once per
+/// strategy in `seeds`, in order, with `session`'s priority order and
+/// per-strategy placement memo and one shared `oracle` (prepared on
+/// `session` by a placement-requiring analysis; its cross-round diffing
+/// keeps later runs cheap), and returns as soon as one accepts.  After a
+/// unanimous reject the rejected final partitions seed a
+/// PartitionOptimizer.  Never worse than the best seed: a search that
+/// fails to reach schedulability returns the seeding strategy's outcome
+/// untouched, with the search's oracle calls added.  `seeds` must be
+/// nonempty; `rng` is the search's private sub-stream, forked by callers
+/// from their keyed stream so results are reproducible at any thread
+/// count.
+OptimizeOutcome optimize_partition(AnalysisSession& session, int m,
+                                   WcrtOracle& oracle,
+                                   const std::vector<PlacementKind>& seeds,
+                                   Rng rng, const OptOptions& opt = {});
 
 }  // namespace dpcp

@@ -53,21 +53,6 @@ std::vector<ResourceId> Partition::resources_on_processor(ProcessorId p) const {
   return out;
 }
 
-std::vector<ResourceId> Partition::resources_colocated_with(ResourceId q) const {
-  const ProcessorId p = processor_of_resource(q);
-  if (p == kUnassigned) return {q};
-  return resources_on_processor(p);
-}
-
-std::vector<ResourceId> Partition::resources_on_cluster(int task) const {
-  const std::vector<ProcessorId>& c = cluster(task);
-  std::vector<ResourceId> out;
-  for (ResourceId q = 0; q < num_resources(); ++q)
-    if (std::find(c.begin(), c.end(), processor_of_resource(q)) != c.end())
-      out.push_back(q);
-  return out;
-}
-
 std::optional<std::string> Partition::validate(const TaskSet& ts) const {
   if (ts.size() != num_tasks() || ts.num_resources() != num_resources()) {
     return strfmt("partition shape (%d tasks, %d resources) does not match "

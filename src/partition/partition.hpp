@@ -64,6 +64,16 @@ class Partition {
   /// Replaces task i's cluster entirely (used when promoting a light task
   /// from a shared processor to a dedicated one).
   void set_cluster(int task, std::vector<ProcessorId> procs);
+  /// Grants processor p to task i under Algorithm 1's rule: a task on a
+  /// shared processor is sequential, so extra processors cannot help it
+  /// in place and it moves to p alone; a dedicated cluster grows by p.
+  void grant(int task, ProcessorId p) {
+    if (task_shares_processor(task)) {
+      set_cluster(task, {p});
+    } else {
+      add_processor_to_task(task, p);
+    }
+  }
   /// Appends an empty cluster slot for a newly admitted task (its index is
   /// the previous num_tasks()).  The slot must be populated before
   /// validate() — empty clusters are invalid.
@@ -107,11 +117,6 @@ class Partition {
   }
   /// Phi(p_k): resources placed on processor k.
   std::vector<ResourceId> resources_on_processor(ProcessorId p) const;
-  /// Resources placed on the same processor as q (including q itself).
-  std::vector<ResourceId> resources_colocated_with(ResourceId q) const;
-  /// Phi^p(tau_i): resources placed on any processor of task i's cluster,
-  /// in increasing order.
-  std::vector<ResourceId> resources_on_cluster(int task) const;
 
   /// Checks the structural invariants every placement strategy and the
   /// federated allocator must preserve:

@@ -77,6 +77,51 @@ std::vector<int> analysis_priority_order(const TaskSet& ts) {
   return order;
 }
 
+AnalysisPass::AnalysisPass(const TaskSet& ts, const std::vector<int>& order)
+    : ts_(ts),
+      order_(order),
+      hint_(static_cast<std::size_t>(ts.size())),
+      reached_(static_cast<std::size_t>(ts.size()), 0),
+      prev_reached_(static_cast<std::size_t>(ts.size()), 0),
+      result_(static_cast<std::size_t>(ts.size())),
+      prev_result_(static_cast<std::size_t>(ts.size())) {}
+
+int AnalysisPass::run(WcrtOracle& oracle, bool stop_at_miss) {
+  reached_.swap(prev_reached_);
+  result_.swap(prev_result_);
+  std::fill(reached_.begin(), reached_.end(), 0);
+  for (int j = 0; j < ts_.size(); ++j)
+    hint_[static_cast<std::size_t>(j)] = ts_.task(j).deadline();
+
+  // True while every task so far reproduced its previous answer, so the
+  // hints the next task sees equal the previous pass's.
+  bool same = true;
+  int first_miss = -1;
+  for (int i : order_) {
+    const std::size_t ui = static_cast<std::size_t>(i);
+    std::optional<Time> r;
+    if (same && prev_reached_[ui] && oracle.task_unchanged(i)) {
+      r = prev_result_[ui];
+      ++reused_;
+    } else {
+      r = oracle.wcrt(i, hint_);
+      ++oracle_calls_;
+    }
+    reached_[ui] = 1;
+    result_[ui] = r;
+    if (!prev_reached_[ui] || r != prev_result_[ui]) same = false;
+
+    if (r && *r <= ts_.task(i).deadline()) {
+      hint_[ui] = *r;
+      continue;
+    }
+    // A miss keeps D_i as its hint for the tasks after it.
+    if (first_miss < 0) first_miss = i;
+    if (stop_at_miss) break;
+  }
+  return first_miss;
+}
+
 PartitionOutcome partition_and_analyze(const TaskSet& ts, int m,
                                        WcrtOracle& oracle,
                                        const PartitionOptions& options) {
@@ -97,36 +142,11 @@ PartitionOutcome partition_and_analyze(const TaskSet& ts, int m,
       options.priority_order ? std::vector<int>() : analysis_priority_order(ts);
   const std::vector<int>& order =
       options.priority_order ? *options.priority_order : computed_order;
-
-  // Cross-round re-analysis cache: the previous round's oracle answer per
-  // task (where one was issued).  A task may reuse its answer when (i) the
-  // oracle certifies its partition inputs unchanged and (ii) every task
-  // analysed before it this round produced the same bound as last round —
-  // then the hint vector it would see is bitwise identical, and the
-  // oracle's purity guarantees the same result.  Skipping is therefore
-  // exactly behavior-preserving; it only avoids redundant recomputation.
-  std::vector<char> prev_called(n, 0), called(n, 0);
-  std::vector<std::optional<Time>> prev_result(n), result(n);
-  bool have_prev = false;
+  AnalysisPass pass(ts, order);
 
   assert(options.strategy);
-  const SparePolicy spare_policy = options.strategy->spare_policy();
-  // Grants one spare processor to task i (promoting partitioned light
-  // tasks to a dedicated spare, growing dedicated clusters by one).
-  // Returns false — with out.failure set — when no spare remains.
-  const auto grant_spare = [&](int i) {
-    if (next_spare >= m) {
-      out.failure = "no spare processor left for task " +
-                    std::to_string(ts.task(i).id());
-      return false;
-    }
-    if (part.task_shares_processor(i)) {
-      part.set_cluster(i, {next_spare++});
-    } else {
-      part.add_processor_to_task(i, next_spare++);
-    }
-    return true;
-  };
+  const bool max_miss =
+      options.strategy->spare_policy() == SparePolicy::kMaxMiss;
 
   // Each round consumes at least one spare processor, so the loop runs at
   // most m - sum(m_i) + 1 <= m - 2n + 1 times for all-heavy sets (Sec. V).
@@ -143,74 +163,46 @@ PartitionOutcome partition_and_analyze(const TaskSet& ts, int m,
     }
     oracle.bind(part);
 
-    // Response-time hints: D_j until a bound is computed this round.
-    std::vector<Time> hint(n);
-    for (int j = 0; j < ts.size(); ++j)
-      hint[static_cast<std::size_t>(j)] = ts.task(j).deadline();
-
-    std::fill(called.begin(), called.end(), 0);
-    // True while the hint state at the current position is provably equal
-    // to the previous round's at the same position.
-    bool hints_match = have_prev;
-    bool all_ok = true;
-    // Largest deadline miss seen this round (SparePolicy::kMaxMiss only):
-    // bound minus deadline, kTimeInfinity for a diverging recurrence.
-    int worst_task = -1;
-    Time worst_miss = -1;
-    for (int i : order) {
-      const std::size_t ui = static_cast<std::size_t>(i);
-      std::optional<Time> r;
-      if (hints_match && prev_called[ui] && oracle.task_unchanged(i)) {
-        r = prev_result[ui];
-      } else {
-        r = oracle.wcrt(i, hint);
-        ++out.oracle_calls;
-      }
-      called[ui] = 1;
-      result[ui] = r;
-      if (have_prev && (!prev_called[ui] || r != prev_result[ui]))
-        hints_match = false;
-
-      if (r && *r <= ts.task(i).deadline()) {
-        hint[ui] = *r;
-        out.wcrt[ui] = *r;
-        continue;
-      }
-      // Unschedulable task: grant one spare processor and restart.  A
-      // task on a *shared* processor (partitioned light task, Sec. VI) is
-      // sequential, so extra processors cannot help it; instead it is
-      // promoted to a dedicated spare.  Tasks with dedicated clusters
-      // grow by one processor as in Algorithm 1.
-      all_ok = false;
-      if (spare_policy == SparePolicy::kFirstFailure) {
-        if (!grant_spare(i)) {
-          out.partition = std::move(part);
-          return out;
-        }
-        break;  // rollback happens on re-entry via place_resources()
-      }
-      // kMaxMiss: finish the round (later tasks keep seeing D_i as this
-      // task's hint, exactly as they would after a first-failure break),
-      // then grant to the worst miss; ties stay with the earlier —
-      // higher-priority — task.
-      const Time miss = r ? *r - ts.task(i).deadline() : kTimeInfinity;
-      if (miss > worst_miss) {
-        worst_miss = miss;
-        worst_task = i;
-      }
+    // kFirstFailure stops the round at the first miss; kMaxMiss finishes
+    // it (later tasks see the missing task's D_i as its hint, exactly as
+    // after a first-failure stop).
+    int grantee = pass.run(oracle, !max_miss);
+    out.oracle_calls = pass.oracle_calls();
+    for (int i = 0; i < ts.size(); ++i) {
+      const std::optional<Time> r = pass.result(i);
+      if (r && *r <= ts.task(i).deadline())
+        out.wcrt[static_cast<std::size_t>(i)] = *r;
     }
-    if (all_ok) {
+    if (grantee < 0) {
       out.schedulable = true;
       out.partition = std::move(part);
       return out;
     }
-    if (spare_policy == SparePolicy::kMaxMiss && !grant_spare(worst_task)) {
+    if (max_miss) {
+      // Grant to the largest miss: bound minus deadline, kTimeInfinity
+      // for a diverging recurrence; ties stay with the earlier —
+      // higher-priority — task.
+      Time worst_miss = -1;
+      for (int i : order) {
+        const std::optional<Time> r = pass.result(i);
+        const Time deadline = ts.task(i).deadline();
+        if (r && *r <= deadline) continue;
+        const Time miss = r ? *r - deadline : kTimeInfinity;
+        if (miss > worst_miss) {
+          worst_miss = miss;
+          grantee = i;
+        }
+      }
+    }
+    if (next_spare >= m) {
+      out.failure = "no spare processor left for task " +
+                    std::to_string(ts.task(grantee).id());
       out.partition = std::move(part);
       return out;
     }
-    prev_called.swap(called);
-    prev_result.swap(result);
-    have_prev = true;
+    // The rollback of the resource placement happens on re-entry, in
+    // place_resources().
+    part.grant(grantee, next_spare++);
   }
 }
 

@@ -10,16 +10,16 @@
 //   2. Place global resources (protocols with remote execution only)
 //      with PartitionOptions::strategy — WFD per Algorithm 2 by default,
 //      or any other PlacementStrategy (partition/placement.hpp).
-//   3. Analyse tasks in decreasing priority order.  On failure, grant one
-//      spare processor (to the first failing task, or to the worst
-//      deadline miss under SparePolicy::kMaxMiss), roll the resource
-//      placement back, and restart from step 2; fail when no spare
-//      remains.
+//   3. Analyse tasks in decreasing priority order (one AnalysisPass).  On
+//      failure, grant one spare processor (to the first failing task, or
+//      to the worst deadline miss under SparePolicy::kMaxMiss), roll the
+//      resource placement back, and restart from step 2; fail when no
+//      spare remains.
 //
 // The oracle interface is *stateful* so analyses can amortize work across
 // the rounds of step 3: bind() announces each round's partition, and
-// task_unchanged() lets the loop skip re-analysing a task whose inputs are
-// provably identical to the previous round (see partition_and_analyze).
+// task_unchanged() lets a pass skip re-analysing a task whose inputs are
+// provably identical to the previous round (see AnalysisPass).
 #pragma once
 
 #include <cstdint>
@@ -66,6 +66,49 @@ class WcrtOracle {
 
  private:
   const Partition* part_ = nullptr;
+};
+
+/// One Algorithm-1 analysis pass over a bound partition, kept across
+/// passes: every scoring pass of the library (a partitioning round, a
+/// search candidate, an admission re-certification) is one run().  A
+/// pass walks `order`, hinting D_j for every task j until j meets its
+/// deadline; a met bound becomes its task's hint.
+///
+/// Task i reuses its previous answer instead of querying the oracle iff
+///   * the previous run() reached task i,
+///   * oracle.task_unchanged(i) holds, and
+///   * every task before i in `order` reproduced its previous answer.
+/// Then the oracle would see bitwise-identical inputs and hints, and its
+/// purity guarantees the same answer: reuse is exactly behaviour-
+/// preserving and only saves oracle calls.
+class AnalysisPass {
+ public:
+  /// `ts` and `order` (decreasing base priority) must outlive the pass.
+  AnalysisPass(const TaskSet& ts, const std::vector<int>& order);
+
+  /// Runs one pass against the partition `oracle` is bound to; with
+  /// `stop_at_miss` it ends at the first task that misses its deadline.
+  /// Returns the first task that missed, or -1.
+  int run(WcrtOracle& oracle, bool stop_at_miss);
+
+  /// Task i's answer in the last run(): nullopt when the pass did not
+  /// reach task i or the oracle found no bound.
+  std::optional<Time> result(int i) const {
+    const std::size_t ui = static_cast<std::size_t>(i);
+    return reached_[ui] ? result_[ui] : std::nullopt;
+  }
+  /// Oracle calls issued and answers reused, summed over every run().
+  std::int64_t oracle_calls() const { return oracle_calls_; }
+  std::int64_t reused() const { return reused_; }
+
+ private:
+  const TaskSet& ts_;
+  const std::vector<int>& order_;
+  std::vector<Time> hint_;
+  std::vector<char> reached_, prev_reached_;
+  std::vector<std::optional<Time>> result_, prev_result_;
+  std::int64_t oracle_calls_ = 0;
+  std::int64_t reused_ = 0;
 };
 
 /// Whether Algorithm 1 places global resources at all.  kNone is how

@@ -127,7 +127,6 @@ TEST(Session, AddTaskOnImmutableSessionThrows) {
   ts.assign_rm_priorities();
   ts.finalize();
   AnalysisSession session(ts);
-  EXPECT_FALSE(session.is_mutable());
   EXPECT_THROW(session.add_task(DagTask(0, 100, 100, 0)), std::logic_error);
 }
 

@@ -269,7 +269,6 @@ TEST(TaskSet, LocalGlobalClassification) {
   EXPECT_TRUE(ts.is_local(2));    // unused
   EXPECT_EQ(ts.global_resources(), std::vector<ResourceId>{0});
   EXPECT_EQ(ts.local_resources(), std::vector<ResourceId>{1});
-  EXPECT_EQ(ts.users(0), (std::vector<int>{0, 1}));
 }
 
 TEST(TaskSet, RmPrioritiesShorterPeriodHigher) {

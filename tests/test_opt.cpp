@@ -1,14 +1,16 @@
-// Tests for the anytime partition-search optimizer (src/opt/ and
-// partition/optimize.hpp): move apply/undo round-trips, the
-// never-worse-than-seed acceptance property over generated task sets,
-// the validate gate (every partition the oracle sees is valid; invalid
-// moves cost zero oracle queries), the evaluation budget (count-based,
-// anytime, 0 = seed-only), and the engine's opt column (layout, paired
-// never-below-strategy acceptance, 1-vs-8-thread CSV+JSON byte
-// identity).
+// Tests for the anytime partition-search optimizer (src/opt/): move
+// apply/undo round-trips, the never-worse-than-seed acceptance property
+// over generated task sets, a digest of every strategy and search
+// outcome, the validate gate (every partition the oracle sees is valid;
+// invalid moves cost zero oracle queries), the evaluation budget
+// (count-based, anytime, 0 = seed-only), and the engine's opt column
+// (layout, paired never-below-strategy acceptance, 1-vs-8-thread
+// CSV+JSON byte identity).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -21,7 +23,6 @@
 #include "opt/move.hpp"
 #include "opt/optimizer.hpp"
 #include "partition/federated.hpp"
-#include "partition/optimize.hpp"
 #include "partition/placement.hpp"
 #include "test_support.hpp"
 
@@ -156,8 +157,9 @@ TEST(OptimizerProperty, NeverWorseThanSeedOn200Sets) {
 
       OptOptions opt;
       opt.max_evals = 60;
-      const OptimizeOutcome out = analysis->optimize(
-          session, corners[c].m, kinds, rng.fork(0x4F5054ull), opt);
+      const OptimizeOutcome out =
+          optimize_partition(session, corners[c].m, *analysis->prepare(session),
+                             kinds, rng.fork(0x4F5054ull), opt);
 
       strategy_accepts += any_strategy ? 1 : 0;
       opt_accepts += out.outcome.schedulable ? 1 : 0;
@@ -185,6 +187,81 @@ TEST(OptimizerProperty, NeverWorseThanSeedOn200Sets) {
   // The search must actually flip some unanimous rejects, or this test
   // exercises nothing beyond the short-circuit.
   EXPECT_GT(search_accepts, 0);
+}
+
+// ---------- outcome pin ----------------------------------------------------
+
+// Every outcome byte of the five placement strategies (the max-miss spare
+// policy included) and of the seed-then-search at 60 evaluations, for
+// DPCP-p-EP and -EN over generated sets with and without light tasks.
+// The Golden.* tests pin only acceptance counts of these paths.
+TEST(Optimizer, StrategiesAndSearchDigestPinned) {
+  const auto corners = scenario_corners();
+  const auto kinds = all_placement_kinds();
+  const std::unique_ptr<SchedAnalysis> analyses[] = {
+      make_analysis(AnalysisKind::kDpcpPEp),
+      make_analysis(AnalysisKind::kDpcpPEn)};
+  OptOptions opt;
+  opt.max_evals = 60;
+  Fnv1a digest;
+  const auto add = [&digest](const PartitionOutcome& out) {
+    std::string text = out.schedulable ? "1" : "0";
+    for (Time w : out.wcrt) text += ' ' + std::to_string(w);
+    text += ' ' + std::to_string(out.rounds) + ' ' +
+            std::to_string(out.oracle_calls) + ' ' + out.failure + ' ' +
+            out.partition.to_string() + '\n';
+    digest.add(text);
+  };
+  int sets = 0;
+  std::int64_t searches = 0, search_accepts = 0;
+  bool shared = false;
+  for (int light : {0, 2}) {
+    for (std::size_t c = 0; c < corners.size(); ++c) {
+      for (int k = 0; k < 11; ++k) {
+        Rng rng(26'000 + 1'000 * static_cast<std::uint64_t>(light) +
+                100 * static_cast<std::uint64_t>(c) +
+                static_cast<std::uint64_t>(k));
+        GenParams params;
+        params.scenario = corners[c];
+        params.light_tasks = light;
+        params.total_utilization = (0.35 + 0.05 * (k % 8)) * corners[c].m;
+        const auto ts = generate_taskset(rng, params);
+        if (!ts) continue;
+        ++sets;
+        const int m = corners[c].m;
+        AnalysisSession session(*ts);
+        for (const auto& analysis : analyses) {
+          for (PlacementKind kind : kinds) {
+            const PartitionOutcome out =
+                analysis->test(session, m, &placement_strategy(kind));
+            add(out);
+            for (int i = 0; i < ts->size(); ++i)
+              if (out.partition.task_shares_processor(i)) shared = true;
+          }
+          const OptimizeOutcome out =
+              optimize_partition(session, m, *analysis->prepare(session),
+                                 kinds, rng.fork(0x4F5054ull), opt);
+          add(out.outcome);
+          const SearchStats& st = out.stats;
+          digest.add(std::to_string(st.evals) + ' ' +
+                     std::to_string(st.oracle_calls) + ' ' +
+                     std::to_string(st.tasks_reused) + ' ' +
+                     std::to_string(st.proposals) + ' ' +
+                     std::to_string(st.invalid_moves) + ' ' +
+                     std::to_string(st.restarts) + ' ' +
+                     (out.seed_schedulable ? "s" : "-") +
+                     (out.search_accepted ? "a" : "-") + '\n');
+          searches += st.evals > 0 ? 1 : 0;
+          search_accepts += out.search_accepted ? 1 : 0;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(sets, 88);
+  EXPECT_TRUE(shared) << "no light task shared a processor";
+  EXPECT_GT(searches, 0) << "no seed set was unanimously rejected";
+  EXPECT_GT(search_accepts, 0) << "the search flipped no reject";
+  EXPECT_EQ(digest.h, 0xa535dfe1689e1561ull) << std::hex << digest.h;
 }
 
 // ---------- validate gate and budget ---------------------------------------
@@ -303,10 +380,8 @@ TEST(Optimizer, PreparedOracleDiffingEngagesAcrossMoves) {
   const auto prepared = analysis->prepare(session);
   OptOptions opt;
   opt.max_evals = 40;
-  const OptimizeOutcome out = partition_and_optimize(
-      *ts, sc.m, *prepared,
-      optimize_seed_options(session, all_placement_kinds()), rng.fork(3),
-      opt);
+  const OptimizeOutcome out = optimize_partition(
+      session, sc.m, *prepared, all_placement_kinds(), rng.fork(3), opt);
 
   EXPECT_GT(prepared->binds(), 0);
   // Each bind diffs every task exactly once.

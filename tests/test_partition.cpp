@@ -81,9 +81,6 @@ TEST(Partition, ResourceBookkeeping) {
   part.assign_resource(1, 2);
   EXPECT_EQ(part.processor_of_resource(0), 1);
   EXPECT_EQ(part.resources_on_processor(1), (std::vector<ResourceId>{0, 2}));
-  EXPECT_EQ(part.resources_colocated_with(0), (std::vector<ResourceId>{0, 2}));
-  EXPECT_EQ(part.resources_on_cluster(0), (std::vector<ResourceId>{0, 2}));
-  EXPECT_EQ(part.resources_on_cluster(1), std::vector<ResourceId>{1});
   part.clear_resource_assignment();
   EXPECT_EQ(part.processor_of_resource(0), Partition::kUnassigned);
 }

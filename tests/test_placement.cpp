@@ -76,10 +76,15 @@ TEST(PlacementProperty, EndToEndPartitionsValidAndDeterministic) {
   const auto penalized = [](const TaskSet& ts, const Partition& p, int i,
                             const std::vector<Time>&) -> std::optional<Time> {
     Time bound = federated_wcrt_bound(ts.task(i), p.cluster_size(i));
-    for (ResourceId q : p.resources_on_cluster(i))
+    const std::vector<ProcessorId>& c = p.cluster(i);
+    for (ResourceId q = 0; q < ts.num_resources(); ++q) {
+      if (std::find(c.begin(), c.end(), p.processor_of_resource(q)) ==
+          c.end())
+        continue;
       bound += ts.resource_utilization(q) > 0.0
                    ? ts.task(i).usage(q).demand() / 2 + micros(10)
                    : 0;
+    }
     return bound;
   };
   const auto corners = scenario_corners();
