@@ -13,8 +13,8 @@
 // machine-independent, unlike the wall numbers).
 //
 // Usage: bench_admit [--events N]
-//        (env: DPCP_SEED; default 200 events, scenario (a) + light mix,
-//        nr=24, DPCP-p-EP, delta rung only)
+//        (default 200 events; seed 42, scenario (a) + light mix, nr=24,
+//        DPCP-p-EP, delta rung only)
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -110,8 +110,7 @@ int main(int argc, char** argv) {
                  arg.c_str());
     return 2;
   }
-  std::uint64_t seed = 42;
-  if (!env_knob("DPCP_SEED", &seed, 0, UINT64_MAX)) return 2;
+  constexpr std::uint64_t kSeed = 42;
 
   // Scenario (a) platform with sparser resource sharing (more resources,
   // lower p_r): each arrival then perturbs a few user sets instead of all
@@ -129,9 +128,9 @@ int main(int argc, char** argv) {
   options.repair_evals = 0;    // both legs then do comparable per-event work
   options.placements.clear();  // latency config: delta rung only
   options.retry_capacity = 4;  // bound the per-departure re-admission pass
-  options.seed = seed;
+  options.seed = kSeed;
   AdmissionController ctrl(nr, options);
-  const Rng root(seed);
+  const Rng root(kSeed);
   TaskPool pool(scenario, nr, root.fork(1));
   Rng stream = root.fork(2);
 

@@ -6,16 +6,30 @@
 // manages blocking better than burning cluster capacity on busy-waiting --
 // at the execution level rather than through the analyses.
 //
-// Usage: bench_runtime   (env: DPCP_SAMPLES, default 40)
+// Usage: bench_runtime [--samples N]   (task sets per point, default 40)
 #include <cstdio>
+#include <string>
 
 #include "core/dpcp.hpp"
+#include "util/parse.hpp"
 
 using namespace dpcp;
 
-int main() {
-  const SweepOptions env = sweep_options_from_env(/*default_samples=*/40);
-  const int samples = env.samples_per_point;
+int main(int argc, char** argv) {
+  int samples = 40;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == "--samples" && i + 1 < argc) {
+      const auto v = parse_int(argv[++i], 1, 1 << 20);
+      if (v) {
+        samples = static_cast<int>(*v);
+        continue;
+      }
+    }
+    std::fprintf(stderr, "bench_runtime: expected --samples N, got '%s'\n",
+                 arg.c_str());
+    return 2;
+  }
   Scenario sc = fig2_scenario('a');  // m=16, moderate contention
 
   std::printf(

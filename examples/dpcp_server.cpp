@@ -10,11 +10,8 @@
 // serve/router.hpp: every line is `@<session> <line>`, each session is
 // an independent client pinned to shard  session mod K,  and replies
 // come back grouped by session in ascending id order — byte-identical
-// at any --threads value.
-//
-// Environment defaults (overridden by flags): DPCP_M, DPCP_ANALYSIS,
-// DPCP_REPAIR_EVALS, DPCP_RETRY_CAP, DPCP_SEED.  A set-but-garbled knob
-// or flag is a hard usage error (exit 2), never a silent fallback.
+// at any --threads value.  A garbled flag is a hard usage error (exit 2),
+// never a silent fallback.
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
@@ -25,8 +22,6 @@
 #include "util/parse.hpp"
 
 namespace {
-
-using dpcp::AnalysisKind;
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
@@ -62,27 +57,12 @@ int usage(const char* argv0) {
   return 2;
 }
 
-bool parse_analysis(const std::string& token, AnalysisKind* out) {
-  return dpcp::analysis_kind_from_token(token, out);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   dpcp::ServeOptions options;
   int shards = 0;  // 0 = classic single-session mode
   int threads = 1;
-  if (!dpcp::env_knob("DPCP_M", &options.m, 1, 4096) ||
-      !dpcp::env_knob("DPCP_REPAIR_EVALS", &options.repair_evals, 0, 1 << 24) ||
-      !dpcp::env_knob("DPCP_RETRY_CAP", &options.retry_capacity, 0, 1 << 20) ||
-      !dpcp::env_knob("DPCP_SEED", &options.seed, 0, UINT64_MAX))
-    return 2;
-  if (const char* s = std::getenv("DPCP_ANALYSIS"); s && *s != '\0') {
-    if (!parse_analysis(s, &options.kind)) {
-      std::fprintf(stderr, "DPCP_ANALYSIS: unknown analysis '%s'\n", s);
-      return 2;
-    }
-  }
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -103,7 +83,7 @@ int main(int argc, char** argv) {
       options.m = number(1, 4096);
     } else if (arg == "--analysis") {
       const std::string token = value();
-      if (!parse_analysis(token, &options.kind)) {
+      if (!dpcp::analysis_kind_from_token(token, &options.kind)) {
         std::fprintf(stderr, "unknown analysis '%s'\n", token.c_str());
         return usage(argv[0]);
       }

@@ -6,10 +6,8 @@
 // independent, results are emitted in order, and all statistics are
 // integer counts) — CI diffs a 1-thread against an 8-thread run.  With
 // --validate every accept is re-executed on the discrete-event simulator
-// and the tool exits 1 if any accept is refuted.
-//
-// Environment defaults (overridden by flags): DPCP_SEED, DPCP_THREADS.
-// A set-but-garbled knob or flag is a hard usage error (exit 2).
+// and the tool exits 1 if any accept is refuted.  A garbled flag is a
+// hard usage error (exit 2).
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -65,9 +63,6 @@ int main(int argc, char** argv) {
   std::string scenario_spec = "a";
   std::string csv_path;
   std::string metrics_path;
-  if (!dpcp::env_knob("DPCP_THREADS", &options.threads, 1, 1024) ||
-      !dpcp::env_knob("DPCP_SEED", &options.seed, 0, UINT64_MAX))
-    return 2;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];

@@ -17,9 +17,6 @@
 // With --validate, every analysis accept is re-executed on the
 // discrete-event simulator; the tool exits 1 if any accept is refuted
 // (an unsound analysis or simulator bug — never ignorable).
-//
-// Environment defaults: DPCP_SAMPLES, DPCP_SEED, DPCP_THREADS (overridden
-// by the corresponding flags).
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -46,7 +43,7 @@ int usage(const char* argv0) {
       "                    paper (all five) | locking (no fed)\n"
       "                    (default: paper)\n"
       "  --placement LIST  placement-strategy axis: comma list of\n"
-      "                    wfd,ffd,bfd,sync,wfd-maxmiss, or all; every\n"
+      "                    wfd,ffd,bfd,sync, or all; every\n"
       "                    placement-requiring analysis runs once per\n"
       "                    strategy on the same task sets, as columns\n"
       "                    NAME@strategy (default: wfd only, plain names)\n"
@@ -150,7 +147,7 @@ bool export_sim_trace(const std::string& path, const Scenario& scenario,
 int main(int argc, char** argv) {
   std::string scenario_spec = "fig2";
   std::string analysis_list = "paper";
-  SweepOptions options = sweep_options_from_env(/*default_samples=*/100);
+  SweepOptions options;
   std::string csv_path, json_path, sim_trace_path;
   bool want_curves = false, want_tables = false, quiet = false;
 

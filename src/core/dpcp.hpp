@@ -30,8 +30,8 @@
 #include "analysis/prepared.hpp"
 #include "analysis/session.hpp"
 #include "analysis/spin_son.hpp"
-#include "core/acceptance.hpp"
-#include "core/dominance.hpp"
+#include "exp/acceptance.hpp"
+#include "exp/dominance.hpp"
 #include "exp/engine.hpp"
 #include "exp/grid.hpp"
 #include "exp/report.hpp"

@@ -1,4 +1,4 @@
-#include "core/acceptance.hpp"
+#include "exp/acceptance.hpp"
 
 #include <utility>
 

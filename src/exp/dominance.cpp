@@ -1,4 +1,4 @@
-#include "core/dominance.hpp"
+#include "exp/dominance.hpp"
 
 #include <cassert>
 

@@ -11,7 +11,7 @@
 #include <string>
 #include <vector>
 
-#include "core/acceptance.hpp"
+#include "exp/acceptance.hpp"
 
 namespace dpcp {
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -13,7 +12,6 @@
 #include "opt/optimizer.hpp"
 #include "partition/federated.hpp"
 #include "sim/simulator.hpp"
-#include "util/parse.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 #include "util/workers.hpp"
@@ -426,21 +424,6 @@ std::function<void(std::size_t, std::size_t)> stderr_progress(
     if (every <= 1 || done % every == 0 || done == total)
       std::fprintf(stderr, "  ... %zu/%zu scenarios done\n", done, total);
   };
-}
-
-SweepOptions sweep_options_from_env(int default_samples) {
-  SweepOptions options;
-  options.samples_per_point = default_samples;
-  // A set-but-garbled knob is a fatal error, not a silent fallback: the
-  // historical atoi path turned "DPCP_SAMPLES=1O0" into a 1-sample sweep
-  // whose results looked plausible enough to trust.  The seed is
-  // documented as uint64, so it parses unsigned: a signed parse would
-  // silently reject the upper half of its range.
-  if (!env_knob("DPCP_SAMPLES", &options.samples_per_point, 1, 1 << 20) ||
-      !env_knob("DPCP_SEED", &options.seed, 0, UINT64_MAX) ||
-      !env_knob("DPCP_THREADS", &options.threads, 0, 1 << 16))
-    std::exit(2);
-  return options;
 }
 
 }  // namespace dpcp

@@ -15,7 +15,7 @@
 //
 // Drivers (bench/, examples/) differ only in which scenarios they pass in
 // and how they render the returned curves; see exp/report.hpp for CSV/JSON
-// emission and core/dominance.hpp for the Tables 2-3 statistics.
+// emission and exp/dominance.hpp for the Tables 2-3 statistics.
 #pragma once
 
 #include <cstdint>
@@ -23,7 +23,7 @@
 #include <string>
 #include <vector>
 
-#include "core/acceptance.hpp"
+#include "exp/acceptance.hpp"
 #include "exp/validate.hpp"
 #include "gen/scenario.hpp"
 #include "gen/taskset_gen.hpp"
@@ -167,13 +167,6 @@ struct SweepSummary {
 };
 
 SweepSummary summarize(const SweepResult& result);
-
-/// Reads DPCP_SAMPLES / DPCP_SEED / DPCP_THREADS from the environment into
-/// a SweepOptions (the bench binaries' tuning knobs).  Values are strictly
-/// validated (util/parse.hpp); a variable that is set but not a number in
-/// range prints a diagnostic and exits with status 2 — a garbled knob must
-/// never silently run a differently-sized experiment.
-SweepOptions sweep_options_from_env(int default_samples);
 
 /// Standard CLI progress reporter: prints "  ... done/total scenarios
 /// done" to stderr every `every` completions and at the end; `every` of

@@ -28,8 +28,8 @@ PartitionOptimizer::PartitionOptimizer(const TaskSet& ts, int m,
 OptScore PartitionOptimizer::evaluate(const Partition& part) {
   ++stats_.evals;
   oracle_.bind(part);
-  // One full pass, as in an Algorithm-1 round under the max-miss policy:
-  // every task is analysed so the objective covers the whole set.
+  // One full pass: every task is analysed so the objective covers the
+  // whole set.
   pass_.run(oracle_, /*stop_at_miss=*/false);
   stats_.oracle_calls = pass_.oracle_calls();
   stats_.tasks_reused = pass_.reused();

@@ -1,7 +1,6 @@
 #include "partition/partitioner.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <numeric>
 
 namespace dpcp {
@@ -144,10 +143,6 @@ PartitionOutcome partition_and_analyze(const TaskSet& ts, int m,
       options.priority_order ? *options.priority_order : computed_order;
   AnalysisPass pass(ts, order);
 
-  assert(options.strategy);
-  const bool max_miss =
-      options.strategy->spare_policy() == SparePolicy::kMaxMiss;
-
   // Each round consumes at least one spare processor, so the loop runs at
   // most m - sum(m_i) + 1 <= m - 2n + 1 times for all-heavy sets (Sec. V).
   while (true) {
@@ -163,10 +158,8 @@ PartitionOutcome partition_and_analyze(const TaskSet& ts, int m,
     }
     oracle.bind(part);
 
-    // kFirstFailure stops the round at the first miss; kMaxMiss finishes
-    // it (later tasks see the missing task's D_i as its hint, exactly as
-    // after a first-failure stop).
-    int grantee = pass.run(oracle, !max_miss);
+    // The round stops at the first miss, which gets the next spare.
+    const int grantee = pass.run(oracle, /*stop_at_miss=*/true);
     out.oracle_calls = pass.oracle_calls();
     for (int i = 0; i < ts.size(); ++i) {
       const std::optional<Time> r = pass.result(i);
@@ -177,22 +170,6 @@ PartitionOutcome partition_and_analyze(const TaskSet& ts, int m,
       out.schedulable = true;
       out.partition = std::move(part);
       return out;
-    }
-    if (max_miss) {
-      // Grant to the largest miss: bound minus deadline, kTimeInfinity
-      // for a diverging recurrence; ties stay with the earlier —
-      // higher-priority — task.
-      Time worst_miss = -1;
-      for (int i : order) {
-        const std::optional<Time> r = pass.result(i);
-        const Time deadline = ts.task(i).deadline();
-        if (r && *r <= deadline) continue;
-        const Time miss = r ? *r - deadline : kTimeInfinity;
-        if (miss > worst_miss) {
-          worst_miss = miss;
-          grantee = i;
-        }
-      }
     }
     if (next_spare >= m) {
       out.failure = "no spare processor left for task " +

@@ -11,9 +11,8 @@
 //      with PartitionOptions::strategy — WFD per Algorithm 2 by default,
 //      or any other PlacementStrategy (partition/placement.hpp).
 //   3. Analyse tasks in decreasing priority order (one AnalysisPass).  On
-//      failure, grant one spare processor (to the first failing task, or
-//      to the worst deadline miss under SparePolicy::kMaxMiss), roll the
-//      resource placement back, and restart from step 2; fail when no
+//      failure, grant one spare processor to the first failing task, roll
+//      the resource placement back, and restart from step 2; fail when no
 //      spare remains.
 //
 // The oracle interface is *stateful* so analyses can amortize work across
@@ -167,12 +166,11 @@ struct PartitionOutcome {
 
 struct PartitionOptions {
   ResourcePlacement placement = ResourcePlacement::kWfd;
-  /// Placement strategy (never null).  It selects the spare-granting
-  /// policy and, unless `placement` is kNone, places the resources; every
-  /// placement it produces is checked with Partition::validate() *before*
-  /// any analysis runs — an invalid partition rejects the task set with a
-  /// "produced an invalid partition" failure instead of feeding the
-  /// oracle garbage.
+  /// Placement strategy (never null).  Unless `placement` is kNone, it
+  /// places the resources; every placement it produces is checked with
+  /// Partition::validate() *before* any analysis runs — an invalid
+  /// partition rejects the task set with a "produced an invalid
+  /// partition" failure instead of feeding the oracle garbage.
   const PlacementStrategy* strategy = &placement_strategy(PlacementKind::kWfd);
   /// Task indices in decreasing base-priority order, precomputed by the
   /// caller (e.g. an AnalysisSession shared across analyses); must equal

@@ -150,51 +150,38 @@ int choose_sync_aware(const TaskSet& ts, const Partition& part, ResourceId q,
   return best;
 }
 
-/// A built-in strategy: one cluster chooser over place_decreasing(), plus
-/// the spare policy and placement-memo identity.
+/// A built-in strategy: one cluster chooser over place_decreasing().
 class DecreasingStrategy final : public PlacementStrategy {
  public:
-  DecreasingStrategy(const char* name, Chooser choose,
-                     SparePolicy spare = SparePolicy::kFirstFailure,
-                     const char* cache_key = nullptr)
-      : name_(name),
-        choose_(choose),
-        spare_(spare),
-        cache_key_(cache_key ? cache_key : name) {}
+  DecreasingStrategy(const char* name, Chooser choose)
+      : name_(name), choose_(choose) {}
 
   std::string name() const override { return name_; }
   bool place_resources(const TaskSet& ts, Partition& part) const override {
     return place_decreasing(ts, part, choose_);
   }
-  SparePolicy spare_policy() const override { return spare_; }
-  std::string cache_key() const override { return cache_key_; }
 
  private:
   const char* name_;
   Chooser choose_;
-  SparePolicy spare_;
-  const char* cache_key_;
 };
 
 }  // namespace
 
 const PlacementStrategy& placement_strategy(PlacementKind kind) {
-  // Indexed by PlacementKind.  The max-miss variant places exactly like
-  // plain WFD, so it shares WFD's cluster-shape memo.
+  // Indexed by PlacementKind.
   static const DecreasingStrategy strategies[] = {
       {"wfd", choose_worst_fit},
       {"ffd", choose_first_fit},
       {"bfd", choose_best_fit},
       {"sync", choose_sync_aware},
-      {"wfd-maxmiss", choose_worst_fit, SparePolicy::kMaxMiss, "wfd"},
   };
   return strategies[static_cast<std::size_t>(kind)];
 }
 
 std::vector<PlacementKind> all_placement_kinds() {
   return {PlacementKind::kWfd, PlacementKind::kFirstFit,
-          PlacementKind::kBestFit, PlacementKind::kSyncAware,
-          PlacementKind::kWfdMaxMiss};
+          PlacementKind::kBestFit, PlacementKind::kSyncAware};
 }
 
 std::string placement_kind_token(PlacementKind kind) {
@@ -225,7 +212,7 @@ std::optional<std::vector<PlacementKind>> placements_from_spec(
       if (error)
         *error = strfmt(
             "unknown placement strategy '%s' "
-            "(expect all | wfd | ffd | bfd | sync | wfd-maxmiss)",
+            "(expect all | wfd | ffd | bfd | sync)",
             token.c_str());
       return std::nullopt;
     }

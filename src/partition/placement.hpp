@@ -1,16 +1,10 @@
 // Pluggable placement strategies for Algorithm 1.
 //
-// The paper pins Algorithm 2 to worst-fit-decreasing resource placement
-// and Algorithm 1 to a first-failure spare-granting policy, but both are
-// heuristics: the analysis stack is partition-generic (WcrtOracle), so any
-// placement that respects the capacity invariants yields a sound
-// schedulability test.  A PlacementStrategy bundles the two policy knobs
-// of one Algorithm-1 variant:
-//
-//   * resource placement — where each global resource's agent lives
-//     (Algorithm 2's slot in the loop);
-//   * spare granting     — which failing task receives the next spare
-//     processor when a round rejects.
+// The paper pins Algorithm 2 to worst-fit-decreasing resource placement,
+// but that is a heuristic: the analysis stack is partition-generic
+// (WcrtOracle), so any placement that respects the capacity invariants
+// yields a sound schedulability test.  A PlacementStrategy decides where
+// each global resource's agent lives (Algorithm 2's slot in the loop).
 //
 // Strategies are stateless and deterministic: place_resources() must be a
 // pure function of (task set, cluster shape), which is what makes the
@@ -30,17 +24,6 @@
 
 namespace dpcp {
 
-/// Which failing task Algorithm 1 grants the next spare processor to.
-enum class SparePolicy {
-  /// The paper's rule: the first (highest-priority) task that fails the
-  /// round; the rest of the round is not analysed.
-  kFirstFailure,
-  /// Finish the round and grant to the task with the largest deadline
-  /// miss (WCRT bound minus deadline; a diverging recurrence counts as an
-  /// infinite miss).  Ties go to the higher-priority task.
-  kMaxMiss,
-};
-
 class PlacementStrategy {
  public:
   virtual ~PlacementStrategy() = default;
@@ -55,17 +38,11 @@ class PlacementStrategy {
   /// exists.  Must be deterministic in (ts, cluster shape).
   virtual bool place_resources(const TaskSet& ts, Partition& part) const = 0;
 
-  /// Spare-granting policy of the Algorithm-1 loop.
-  virtual SparePolicy spare_policy() const { return SparePolicy::kFirstFailure; }
-
-  /// Identity of the resource-placement *function* for session-level
-  /// placement memos: two strategies with equal cache keys must compute
-  /// identical placements for identical cluster shapes (e.g. the max-miss
-  /// variant shares the "wfd" key with plain WFD).
-  virtual std::string cache_key() const { return name(); }
+  /// Key of this strategy's session-level placement memo: its name().
+  std::string cache_key() const { return name(); }
 };
 
-/// The built-in strategies, in sweep-axis display order.  All five share
+/// The built-in strategies, in sweep-axis display order.  All four share
 /// Algorithm 2's skeleton (resources in decreasing utilization, each to
 /// the least-loaded processor of a chosen cluster) and differ only in how
 /// they choose the cluster.
@@ -74,7 +51,6 @@ enum class PlacementKind {
   kFirstFit,    // first-fit decreasing (ablation baseline)
   kBestFit,     // best-fit decreasing: tightest cluster that still fits
   kSyncAware,   // co-locate with the cluster requesting most often
-  kWfdMaxMiss,  // WFD placement + max-deadline-miss spare granting
 };
 
 /// The shared immutable instance of `kind` (strategies are stateless).
@@ -83,7 +59,7 @@ const PlacementStrategy& placement_strategy(PlacementKind kind);
 /// All built-in strategies, in enum order.
 std::vector<PlacementKind> all_placement_kinds();
 
-/// CLI token of `kind`: wfd | ffd | bfd | sync | wfd-maxmiss.
+/// CLI token of `kind`: wfd | ffd | bfd | sync.
 std::string placement_kind_token(PlacementKind kind);
 
 /// Inverse of placement_kind_token(); nullopt on an unknown token.

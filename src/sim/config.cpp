@@ -2,18 +2,9 @@
 
 #include <sstream>
 
-#include "sim/event.hpp"
 #include "util/table.hpp"
 
 namespace dpcp {
-
-const char* sim_event_kind_name(SimEventKind kind) {
-  switch (kind) {
-    case SimEventKind::kJobRelease:  return "job-release";
-    case SimEventKind::kSegmentDone: return "segment-done";
-  }
-  return "?";
-}
 
 std::string trace_kind_name(TraceKind kind) {
   switch (kind) {

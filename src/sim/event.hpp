@@ -27,8 +27,6 @@ enum class SimEventKind {
   kSegmentDone,
 };
 
-const char* sim_event_kind_name(SimEventKind kind);
-
 struct SimEvent {
   Time time = 0;
   /// Stable tie-break: events scheduled earlier fire earlier at equal

@@ -16,13 +16,6 @@ namespace dpcp {
 struct CacheStats {
   std::uint64_t memo_hits = 0;    // response-memo probe found the key
   std::uint64_t memo_misses = 0;  // probe inserted a fresh entry
-
-  double memo_hit_rate() const {
-    const std::uint64_t total = memo_hits + memo_misses;
-    return total ? static_cast<double>(memo_hits) /
-                       static_cast<double>(total)
-                 : 0.0;
-  }
 };
 
 }  // namespace dpcp

@@ -1,5 +1,5 @@
-// Strict numeric parsing for CLI flags, environment knobs and the text
-// formats (task sets, partitions, snapshots).
+// Strict numeric parsing for CLI flags and the text formats (task sets,
+// partitions, snapshots).
 //
 // std::atoi / std::atoll silently map garbage to 0 and wrap or saturate
 // out-of-range input, so "--samples abc" runs a sweep with a mangled knob
@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <optional>
 #include <string>
@@ -59,8 +58,7 @@ bool parse_into(const std::string& s, T* out,
   return true;
 }
 
-/// parse_into for a named knob (a CLI flag or an environment variable):
-/// the value of `text` when it is one base-10 number in [lo, hi];
+/// parse_into for a named CLI flag: the value of `text` when it is one base-10 number in [lo, hi];
 /// otherwise prints `<name>: invalid integer '<text>' (expected lo..hi)`
 /// (`invalid unsigned integer` for an unsigned T) to stderr and returns
 /// nullopt.
@@ -80,20 +78,6 @@ std::optional<T> parse_knob(const std::string& name, const std::string& text,
                  static_cast<unsigned long long>(lo),
                  static_cast<unsigned long long>(hi));
   return std::nullopt;
-}
-
-/// parse_knob for the environment variable `name`, stored into *field:
-/// true when the variable is unset, empty or valid; false, after
-/// parse_knob's message, when it is set to anything else.  A garbled
-/// knob must never silently run on the default.
-template <typename T>
-bool env_knob(const char* name, T* field, std::common_type_t<T> lo,
-              std::common_type_t<T> hi) {
-  const char* s = std::getenv(name);
-  if (!s || *s == '\0') return true;
-  const auto v = parse_knob(name, s, lo, hi);
-  if (v) *field = *v;
-  return v.has_value();
 }
 
 }  // namespace dpcp

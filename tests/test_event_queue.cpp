@@ -96,11 +96,5 @@ TEST(EventQueue, ComparatorIsAStrictWeakOrderOnTimeSeq) {
   EXPECT_FALSE(after(a, c));
 }
 
-TEST(EventQueueNames, KindNamesAreStable) {
-  EXPECT_STREQ(sim_event_kind_name(SimEventKind::kJobRelease), "job-release");
-  EXPECT_STREQ(sim_event_kind_name(SimEventKind::kSegmentDone),
-               "segment-done");
-}
-
 }  // namespace
 }  // namespace dpcp

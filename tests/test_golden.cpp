@@ -69,16 +69,14 @@ TEST(Golden, PerPlacementStrategyAcceptanceCounts) {
 
   ASSERT_EQ(result.curves.size(), 2u);
   ASSERT_EQ(result.curves[0].names,
-            (std::vector<std::string>{
-                "DPCP-p-EP@wfd", "DPCP-p-EP@ffd", "DPCP-p-EP@bfd",
-                "DPCP-p-EP@sync", "DPCP-p-EP@wfd-maxmiss"}));
+            (std::vector<std::string>{"DPCP-p-EP@wfd", "DPCP-p-EP@ffd",
+                                      "DPCP-p-EP@bfd", "DPCP-p-EP@sync"}));
   using Grid = std::vector<std::vector<std::int64_t>>;
-  // accepted[strategy][point]; strategy order wfd, ffd, bfd, sync,
-  // wfd-maxmiss.
+  // accepted[strategy][point]; strategy order wfd, ffd, bfd, sync.
   EXPECT_EQ(result.curves[0].accepted,
-            (Grid{{2, 3}, {1, 2}, {0, 1}, {2, 4}, {2, 3}}));
+            (Grid{{2, 3}, {1, 2}, {0, 1}, {2, 4}}));
   EXPECT_EQ(result.curves[1].accepted,
-            (Grid{{2, 0}, {1, 1}, {2, 0}, {3, 0}, {2, 0}}));
+            (Grid{{2, 0}, {1, 1}, {2, 0}, {3, 0}}));
 }
 
 // Optimizer column pinned at two diverging utilization points: DPCP-p-EP

@@ -4,9 +4,7 @@
 // the paper's headline claims on a reduced sweep.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-
-#include "core/dominance.hpp"
+#include "exp/dominance.hpp"
 #include "exp/engine.hpp"
 
 namespace dpcp {
@@ -84,21 +82,6 @@ TEST(Acceptance, PairedComparisonKeepsHeadlineOrdering) {
     for (std::size_t a = 0; a + 1 < kinds.size(); ++a)
       EXPECT_GE(curve.accepted[4][p], curve.accepted[a][p]) << "point " << p;
   }
-}
-
-TEST(Acceptance, OptionsFromEnv) {
-  setenv("DPCP_SAMPLES", "17", 1);
-  setenv("DPCP_SEED", "99", 1);
-  setenv("DPCP_THREADS", "2", 1);
-  const SweepOptions o = sweep_options_from_env(5);
-  EXPECT_EQ(o.samples_per_point, 17);
-  EXPECT_EQ(o.seed, 99u);
-  EXPECT_EQ(o.threads, 2);
-  unsetenv("DPCP_SAMPLES");
-  unsetenv("DPCP_SEED");
-  unsetenv("DPCP_THREADS");
-  const SweepOptions d = sweep_options_from_env(5);
-  EXPECT_EQ(d.samples_per_point, 5);
 }
 
 // ---------- dominance / outperformance ----------------------------------------

@@ -1,19 +1,23 @@
 // Cross-module property and failure-injection tests: consistency between
 // independent implementations (path counting vs signature enumeration),
-// determinism of the simulator, divergence handling, and the behaviour of
-// every component at its documented failure boundaries.
+// determinism of the simulator, divergence handling, the deadline cap on
+// every bound an analysis reports, and the behaviour of every component
+// at its documented failure boundaries.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
 
 #include "analysis/dpcp_p.hpp"
+#include "analysis/interface.hpp"
 #include "gen/erdos_renyi.hpp"
 #include "gen/randfixedsum.hpp"
 #include "gen/taskset_gen.hpp"
 #include "model/paths.hpp"
+#include "opt/optimizer.hpp"
 #include "partition/federated.hpp"
 #include "sim/simulator.hpp"
+#include "test_support.hpp"
 
 namespace dpcp {
 namespace {
@@ -289,6 +293,93 @@ TEST(FailureInjection, DivergentRecurrenceReportsNotSchedulable) {
   // Windows inflated by enormous response hints -> bound blows past D.
   const auto r = ep.wcrt(ts, part, 1, {kTimeInfinity / 8, 101});
   EXPECT_FALSE(r.has_value());
+}
+
+// ---------- no bound above its deadline --------------------------------------------
+
+/// Forwards every call to a prepared analysis and counts its raw wcrt()
+/// answers: found no bound (nullopt), or a bound above the task's deadline.
+class DeadlineCapProbe final : public WcrtOracle {
+ public:
+  DeadlineCapProbe(const TaskSet& ts, WcrtOracle& inner)
+      : ts_(ts), inner_(inner) {}
+
+  void bind(const Partition& part) override { inner_.bind(part); }
+  bool task_unchanged(int task) const override {
+    return inner_.task_unchanged(task);
+  }
+  std::optional<Time> wcrt(int task, const std::vector<Time>& hint) override {
+    const std::optional<Time> r = inner_.wcrt(task, hint);
+    ++answers;
+    if (!r) ++misses;
+    else if (*r > ts_.task(task).deadline()) ++overshoots;
+    return r;
+  }
+
+  std::int64_t answers = 0, misses = 0, overshoots = 0;
+
+ private:
+  const TaskSet& ts_;
+  WcrtOracle& inner_;
+};
+
+// Every analysis abandons its fixed point above D_i, so a wcrt() answer is
+// nullopt or at most D_i.  That is why Algorithm 1 needs no spare-grant
+// rule but the first failure: a rule that grants to the largest miss sees
+// every miss as unbounded and picks the first failure too.  Probed over
+// every Algorithm-1 round (rejecting rounds included) under each placement
+// strategy, and every candidate the partition search scores.
+TEST(BoundProperty, EveryWcrtAnswerIsNulloptOrWithinTheDeadline) {
+  const auto corners = scenario_corners();
+  const std::vector<PlacementKind> strategies = all_placement_kinds();
+  OptOptions opt;
+  opt.max_evals = 20;
+  std::int64_t answers = 0, misses = 0, search_evals = 0;
+  for (int light : {0, 2}) {
+    for (std::size_t c = 0; c < corners.size(); ++c) {
+      for (int k = 0; k < 4; ++k) {
+        Rng rng(27'000 + 1'000 * static_cast<std::uint64_t>(light) +
+                100 * static_cast<std::uint64_t>(c) +
+                static_cast<std::uint64_t>(k));
+        GenParams params;
+        params.scenario = corners[c];
+        params.light_tasks = light;
+        params.total_utilization = (0.35 + 0.1 * k) * corners[c].m;
+        const auto ts = generate_taskset(rng, params);
+        if (!ts) continue;
+        const int m = corners[c].m;
+        AnalysisSession session(*ts);
+        for (AnalysisKind kind : all_analysis_kinds()) {
+          const auto analysis = make_analysis(kind);
+          const auto prepared = analysis->prepare(session);
+          DeadlineCapProbe probe(*ts, *prepared);
+          const bool places =
+              analysis->placement() != ResourcePlacement::kNone;
+          for (PlacementKind strategy : strategies) {
+            PartitionOptions options;
+            options.placement = analysis->placement();
+            options.strategy = &placement_strategy(strategy);
+            options.priority_order = &session.priority_order();
+            partition_and_analyze(*ts, m, probe, options);
+            if (!places) break;  // nothing to place: one run covers it
+          }
+          if (places)
+            search_evals += optimize_partition(session, m, probe, strategies,
+                                               rng.fork(0x4F5054ull), opt)
+                                .stats.evals;
+          EXPECT_EQ(probe.overshoots, 0)
+              << analysis->name() << " light " << light << " corner " << c
+              << " k " << k;
+          answers += probe.answers;
+          misses += probe.misses;
+        }
+      }
+    }
+  }
+  // Rejecting rounds and search candidates were both probed.
+  EXPECT_GT(misses, 0);
+  EXPECT_GT(search_evals, 0);
+  EXPECT_GT(answers, misses);
 }
 
 // ---------- scheduling-theory sanity ------------------------------------------------

@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <cstdlib>
 #include <set>
 #include <stdexcept>
@@ -14,7 +13,6 @@
 #include <vector>
 
 #include "util/fixed_point.hpp"
-#include "util/instrument.hpp"
 #include "util/parse.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -319,7 +317,6 @@ TEST(Stats, RunningStatMoments) {
   for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(v);
   EXPECT_EQ(s.count(), 8);
   EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.stddev(), std::sqrt(32.0 / 7.0), 1e-12);
   EXPECT_DOUBLE_EQ(s.min(), 2.0);
   EXPECT_DOUBLE_EQ(s.max(), 9.0);
 }
@@ -364,14 +361,6 @@ TEST(Table, CsvEscapesSpecials) {
 TEST(Table, Strfmt) {
   EXPECT_EQ(strfmt("%d-%s", 5, "x"), "5-x");
   EXPECT_EQ(strfmt("%.2f", 1.239), "1.24");
-}
-
-TEST(CacheStats, HitRateFromMemoCounts) {
-  CacheStats stats;
-  EXPECT_DOUBLE_EQ(stats.memo_hit_rate(), 0.0);  // no probes yet
-  stats.memo_hits += 3;
-  stats.memo_misses += 1;
-  EXPECT_DOUBLE_EQ(stats.memo_hit_rate(), 0.75);
 }
 
 // ---------- worker pool ------------------------------------------------------
