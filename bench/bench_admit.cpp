@@ -39,45 +39,6 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-/// Per-stream task source (same shape as the online driver's pool), with
-/// a Sec. VI light/heavy mix: the heavy budget keeps the platform busy,
-/// the light tasks grow the resident set well past the processor count —
-/// the regime where re-certifying everything per event actually hurts.
-class TaskPool {
- public:
-  TaskPool(const Scenario& scenario, int num_resources, Rng rng)
-      : scenario_(scenario), nr_(num_resources), rng_(rng) {}
-
-  DagTask next() {
-    while (pool_.empty()) refill();
-    DagTask t = std::move(pool_.back());
-    pool_.pop_back();
-    return t;
-  }
-
- private:
-  void refill() {
-    GenParams params;
-    params.scenario = scenario_;
-    params.scenario.nr_min = nr_;
-    params.scenario.nr_max = nr_;
-    params.total_utilization = 0.15 * scenario_.m;
-    params.light_tasks = 12;
-    params.light_util_min = 0.05;
-    params.light_util_max = 0.25;
-    Rng fork = rng_.fork(++refills_);
-    const auto ts = generate_taskset(fork, params);
-    if (!ts) return;
-    for (int i = 0; i < ts->size(); ++i) pool_.push_back(ts->task(i));
-  }
-
-  Scenario scenario_;
-  int nr_;
-  Rng rng_;
-  std::uint64_t refills_ = 0;
-  std::vector<DagTask> pool_;
-};
-
 /// The from-scratch leg: what a non-incremental admission service pays
 /// per event — rebuild the analysis session and run the full offline
 /// pipeline (cluster sizing, resource placement, partitioning rounds,
@@ -130,8 +91,19 @@ int main(int argc, char** argv) {
   options.retry_capacity = 4;  // bound the per-departure re-admission pass
   options.seed = kSeed;
   AdmissionController ctrl(nr, options);
+  // Refills with a Sec. VI light/heavy mix: the heavy budget keeps the
+  // platform busy, the light tasks grow the resident set well past the
+  // processor count — the regime where re-certifying everything per
+  // event actually hurts.
+  GenParams refill;
+  refill.scenario = scenario;
+  refill.scenario.nr_min = refill.scenario.nr_max = nr;
+  refill.total_utilization = 0.15 * scenario.m;
+  refill.light_tasks = 12;
+  refill.light_util_min = 0.05;
+  refill.light_util_max = 0.25;
   const Rng root(kSeed);
-  TaskPool pool(scenario, nr, root.fork(1));
+  TaskPool pool(refill, root.fork(1));
   Rng stream = root.fork(2);
 
   int arrivals = 0, accepts = 0, departs = 0;

@@ -50,7 +50,7 @@ class PreparedAnalysis : public WcrtOracle {
   }
 
   /// Telemetry of the cross-round diffing (read by test_opt's
-  /// diff-contract test and fold_cache_stats()' slab counters): how
+  /// diff-contract test and an online stream's slab counters): how
   /// many partitions were bound and, summed over binds, how many
   /// per-task diffs certified the inputs unchanged (re-analysis
   /// avoidable) vs. dropped cached state through invalidate().

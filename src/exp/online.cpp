@@ -4,6 +4,7 @@
 #include <atomic>
 #include <ostream>
 
+#include "analysis/prepared.hpp"
 #include "exp/validate.hpp"
 #include "gen/taskset_gen.hpp"
 #include "opt/admission.hpp"
@@ -12,43 +13,6 @@
 
 namespace dpcp {
 namespace {
-
-/// Deterministic per-stream task source: individual tasks pulled out of
-/// repeated generate_taskset() refills, all sharing one resource arity.
-class TaskPool {
- public:
-  TaskPool(const Scenario& scenario, int num_resources, double util_frac,
-           Rng rng)
-      : scenario_(scenario), nr_(num_resources), util_frac_(util_frac),
-        rng_(rng) {}
-
-  DagTask next() {
-    while (pool_.empty()) refill();
-    DagTask t = std::move(pool_.back());
-    pool_.pop_back();
-    return t;
-  }
-
- private:
-  void refill() {
-    GenParams params;
-    params.scenario = scenario_;
-    params.scenario.nr_min = nr_;
-    params.scenario.nr_max = nr_;
-    params.total_utilization = util_frac_ * scenario_.m;
-    Rng fork = rng_.fork(++refills_);
-    const auto ts = generate_taskset(fork, params);
-    if (!ts) return;  // resample with the next fork
-    for (int i = 0; i < ts->size(); ++i) pool_.push_back(ts->task(i));
-  }
-
-  Scenario scenario_;
-  int nr_;
-  double util_frac_;
-  Rng rng_;
-  std::uint64_t refills_ = 0;
-  std::vector<DagTask> pool_;
-};
 
 std::int64_t percentile(const std::vector<std::int64_t>& sorted, int pct) {
   if (sorted.empty()) return 0;
@@ -73,7 +37,11 @@ OnlineStreamResult run_stream(const OnlineOptions& options, int scenario_idx,
   Rng events_rng = root.fork(1);
   Rng sim_rng = root.fork(2);
   const int nr = (scenario.nr_min + scenario.nr_max) / 2;
-  TaskPool pool(scenario, nr, options.util_frac, root.fork(3));
+  GenParams refill;
+  refill.scenario = scenario;
+  refill.scenario.nr_min = refill.scenario.nr_max = nr;
+  refill.total_utilization = options.util_frac * scenario.m;
+  TaskPool pool(refill, root.fork(3));
 
   AdmitOptions admit;
   admit.m = scenario.m;
@@ -132,7 +100,17 @@ OnlineStreamResult run_stream(const OnlineOptions& options, int scenario_idx,
   r.oracle_calls = ctrl.stats().oracle_calls;
   r.tasks_reused = ctrl.stats().tasks_reused;
   r.metrics = ctrl.metrics();
-  fold_cache_stats(ctrl.cache_stats(), ctrl.oracle(), r.metrics);
+  // Plus the analysis cache counters: the session's response memo, and
+  // the oracle's bind() diffs as slab reuses (tables kept) and rebuilds.
+  const CacheStats& cache = ctrl.cache_stats();
+  r.metrics.add("dpcp_analysis_memo_hits_total",
+                static_cast<std::int64_t>(cache.memo_hits));
+  r.metrics.add("dpcp_analysis_memo_misses_total",
+                static_cast<std::int64_t>(cache.memo_misses));
+  r.metrics.add("dpcp_analysis_slab_reuses_total",
+                ctrl.oracle().diffs_unchanged());
+  r.metrics.add("dpcp_analysis_slab_rebuilds_total",
+                ctrl.oracle().diffs_invalidated());
   return r;
 }
 

@@ -219,4 +219,16 @@ std::optional<TaskSet> generate_taskset(Rng& rng, const GenParams& params,
   return ts;
 }
 
+DagTask TaskPool::next() {
+  while (pool_.empty()) {
+    Rng fork = rng_.fork(++refills_);
+    const auto ts = generate_taskset(fork, refill_);
+    if (!ts) continue;
+    for (int i = 0; i < ts->size(); ++i) pool_.push_back(ts->task(i));
+  }
+  DagTask t = std::move(pool_.back());
+  pool_.pop_back();
+  return t;
+}
+
 }  // namespace dpcp

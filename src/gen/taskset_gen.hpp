@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "gen/randfixedsum.hpp"
 #include "gen/scenario.hpp"
@@ -73,5 +74,22 @@ struct GenStats {
 /// within the retry budget (counted in stats; rare).
 std::optional<TaskSet> generate_taskset(Rng& rng, const GenParams& params,
                                         GenStats* stats = nullptr);
+
+/// Deterministic task source: single tasks pulled, last first, out of
+/// repeated generate_taskset() refills, the k-th drawn from rng.fork(k)
+/// (a refill that fails is skipped).  Online streams give every refill
+/// one resource arity, so their tasks can share one controller.
+class TaskPool {
+ public:
+  TaskPool(const GenParams& refill, Rng rng) : refill_(refill), rng_(rng) {}
+
+  DagTask next();
+
+ private:
+  GenParams refill_;
+  Rng rng_;
+  std::uint64_t refills_ = 0;
+  std::vector<DagTask> pool_;
+};
 
 }  // namespace dpcp

@@ -3,217 +3,121 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "analysis/prepared.hpp"
-
 namespace dpcp {
 namespace {
 
-const char* kind_token(int kind) {
-  switch (kind) {
-    case 0:
-      return "counter";
-    case 1:
-      return "histogram";
-    case 2:
-      return "window";
-  }
-  return "?";
+using Metric = MetricsRegistry::Metric;
+
+const char* const kKindNames[] = {"counter", "histogram", "window"};
+
+void fold(std::int64_t& into, std::int64_t value) { into += value; }
+void fold(IntHistogram& into, const IntHistogram& value) { into.merge(value); }
+void fold(RollingQuantile& into, const RollingQuantile& value) {
+  into.merge(value);
 }
 
-/// Sum of value * count over the histogram cells (IntHistogram tracks
-/// cells, not a running sum; exact either way).
-std::int64_t hist_sum(const IntHistogram& h) {
-  std::int64_t sum = 0;
-  for (const auto& [v, c] : h.cells()) sum += v * c;
-  return sum;
+/// Folds `value` into `name`, which starts as `empty` when absent.
+template <class T>
+void add_to(std::map<std::string, Metric>& metrics, const std::string& name,
+            const T& value, T empty) {
+  Metric& metric = metrics.try_emplace(name, std::move(empty)).first->second;
+  T* into = std::get_if<T>(&metric);
+  if (!into)
+    throw std::logic_error("MetricsRegistry: '" + name +
+                           "' already names a " +
+                           kKindNames[metric.index()]);
+  fold(*into, value);
 }
 
-struct SummaryView {
-  std::int64_t count = 0;
-  std::int64_t sum = 0;
-  std::int64_t p50 = 0;
-  std::int64_t p90 = 0;
-  std::int64_t p99 = 0;
-  std::int64_t max = 0;
+struct Summary {
+  std::int64_t count, sum, p50, p90, p99, max;
 };
 
-SummaryView summarize(const IntHistogram& h) {
-  SummaryView s;
-  s.count = h.count();
-  if (!s.count) return s;
-  s.sum = hist_sum(h);
-  s.p50 = h.percentile(50);
-  s.p90 = h.percentile(90);
-  s.p99 = h.percentile(99);
-  s.max = h.max();
-  return s;
-}
-
-SummaryView summarize(const RollingQuantile& w) {
-  SummaryView s;
-  s.count = static_cast<std::int64_t>(w.size());
-  if (!s.count) return s;
-  for (std::int64_t v : w.samples_in_order()) s.sum += v;
-  s.p50 = w.percentile(50);
-  s.p90 = w.percentile(90);
-  s.p99 = w.percentile(99);
-  s.max = w.percentile(100);
-  return s;
-}
-
-void render_summary(std::ostream& os, const std::string& name,
-                    const SummaryView& s) {
-  os << name << "{quantile=\"0.5\"} " << s.p50 << "\n";
-  os << name << "{quantile=\"0.9\"} " << s.p90 << "\n";
-  os << name << "{quantile=\"0.99\"} " << s.p99 << "\n";
-  os << name << "{quantile=\"1\"} " << s.max << "\n";
-  os << name << "_sum " << s.sum << "\n";
-  os << name << "_count " << s.count << "\n";
-}
-
-void render_summary_json(std::ostream& os, const SummaryView& s) {
-  os << "{\"count\":" << s.count << ",\"sum\":" << s.sum << ",\"p50\":"
-     << s.p50 << ",\"p90\":" << s.p90 << ",\"p99\":" << s.p99
-     << ",\"max\":" << s.max << "}";
+/// A histogram's or a window's summary.  A window summarizes as the
+/// histogram of its retained samples: both take nearest-rank
+/// percentiles, so the figures are the same.
+Summary summarize(const Metric& metric) {
+  IntHistogram window_cells;
+  const IntHistogram* h = std::get_if<IntHistogram>(&metric);
+  if (!h) {
+    for (std::int64_t v : std::get<RollingQuantile>(metric).samples_in_order())
+      window_cells.add(v);
+    h = &window_cells;
+  }
+  std::int64_t sum = 0;
+  for (const auto& [v, c] : h->cells()) sum += v * c;
+  return {h->count(),        sum,        h->percentile(50),
+          h->percentile(90), h->percentile(99), h->max()};
 }
 
 }  // namespace
 
-std::size_t MetricsRegistry::register_name(const std::string& name,
-                                           Kind kind) {
-  const auto it = names_.find(name);
-  if (it != names_.end()) {
-    if (it->second.first != kind)
-      throw std::logic_error(
-          "MetricsRegistry: '" + name + "' already registered as " +
-          kind_token(static_cast<int>(it->second.first)) +
-          ", cannot re-register as " + kind_token(static_cast<int>(kind)));
-    return it->second.second;
-  }
-  std::size_t index = 0;
-  switch (kind) {
-    case Kind::kCounter:
-      index = counter_values_.size();
-      counter_values_.push_back(0);
-      break;
-    case Kind::kHistogram:
-      index = hist_values_.size();
-      hist_values_.emplace_back();
-      break;
-    case Kind::kWindow:
-      // Caller appends the RollingQuantile itself (it needs a capacity).
-      index = window_values_.size();
-      break;
-  }
-  names_.emplace(name, std::make_pair(kind, index));
-  return index;
+void MetricsRegistry::add(const std::string& name, std::int64_t value) {
+  add_to(metrics_, name, value, std::int64_t{0});
 }
 
-MetricsRegistry::Counter MetricsRegistry::counter(const std::string& name) {
-  return Counter{register_name(name, Kind::kCounter)};
+void MetricsRegistry::add(const std::string& name, const IntHistogram& value) {
+  add_to(metrics_, name, value, IntHistogram{});
 }
 
-MetricsRegistry::Histogram MetricsRegistry::histogram(
-    const std::string& name) {
-  return Histogram{register_name(name, Kind::kHistogram)};
-}
-
-MetricsRegistry::Window MetricsRegistry::window(const std::string& name,
-                                                std::size_t capacity) {
-  const std::size_t before = window_values_.size();
-  const std::size_t index = register_name(name, Kind::kWindow);
-  if (window_values_.size() == before && index == before)
-    window_values_.emplace_back(capacity);
-  return Window{index};
-}
-
-std::int64_t MetricsRegistry::counter_value(const std::string& name) const {
-  const auto it = names_.find(name);
-  if (it == names_.end() || it->second.first != Kind::kCounter) return 0;
-  return counter_values_[it->second.second];
+void MetricsRegistry::add(const std::string& name,
+                          const RollingQuantile& value) {
+  add_to(metrics_, name, value, RollingQuantile(value.capacity()));
 }
 
 void MetricsRegistry::merge(const MetricsRegistry& o) {
-  for (const auto& [name, entry] : o.names_) {
-    const auto [kind, oi] = entry;
-    switch (kind) {
-      case Kind::kCounter:
-        inc(counter(name), o.counter_values_[oi]);
-        break;
-      case Kind::kHistogram:
-        hist_values_[histogram(name).index].merge(o.hist_values_[oi]);
-        break;
-      case Kind::kWindow: {
-        const RollingQuantile& ow = o.window_values_[oi];
-        window_values_[window(name, ow.capacity()).index].merge(ow);
-        break;
-      }
-    }
-  }
+  for (const auto& [name, metric] : o.metrics_)
+    std::visit([&](const auto& value) { add(name, value); }, metric);
+}
+
+std::int64_t MetricsRegistry::counter_value(const std::string& name) const {
+  const auto it = metrics_.find(name);
+  if (it == metrics_.end()) return 0;
+  const std::int64_t* value = std::get_if<std::int64_t>(&it->second);
+  return value ? *value : 0;
 }
 
 std::string MetricsRegistry::to_prometheus() const {
   std::ostringstream os;
-  for (const auto& [name, entry] : names_) {
-    const auto [kind, index] = entry;
-    switch (kind) {
-      case Kind::kCounter:
-        os << "# TYPE " << name << " counter\n";
-        os << name << " " << counter_values_[index] << "\n";
-        break;
-      case Kind::kHistogram:
-        os << "# TYPE " << name << " summary\n";
-        render_summary(os, name, summarize(hist_values_[index]));
-        break;
-      case Kind::kWindow:
-        os << "# TYPE " << name << " summary\n";
-        render_summary(os, name, summarize(window_values_[index]));
-        break;
+  for (const auto& [name, metric] : metrics_) {
+    if (const std::int64_t* value = std::get_if<std::int64_t>(&metric)) {
+      os << "# TYPE " << name << " counter\n" << name << " " << *value << "\n";
+      continue;
     }
+    const Summary s = summarize(metric);
+    os << "# TYPE " << name << " summary\n"
+       << name << "{quantile=\"0.5\"} " << s.p50 << "\n"
+       << name << "{quantile=\"0.9\"} " << s.p90 << "\n"
+       << name << "{quantile=\"0.99\"} " << s.p99 << "\n"
+       << name << "{quantile=\"1\"} " << s.max << "\n"
+       << name << "_sum " << s.sum << "\n"
+       << name << "_count " << s.count << "\n";
   }
   return os.str();
 }
 
 std::string MetricsRegistry::to_json() const {
   std::ostringstream os;
-  os << "{\"counters\":{";
-  bool first = true;
-  for (const auto& [name, entry] : names_) {
-    if (entry.first != Kind::kCounter) continue;
-    os << (first ? "" : ",") << "\"" << name
-       << "\":" << counter_values_[entry.second];
-    first = false;
-  }
-  os << "},\"histograms\":{";
-  first = true;
-  for (const auto& [name, entry] : names_) {
-    if (entry.first != Kind::kHistogram) continue;
-    os << (first ? "" : ",") << "\"" << name << "\":";
-    render_summary_json(os, summarize(hist_values_[entry.second]));
-    first = false;
-  }
-  os << "},\"windows\":{";
-  first = true;
-  for (const auto& [name, entry] : names_) {
-    if (entry.first != Kind::kWindow) continue;
-    os << (first ? "" : ",") << "\"" << name << "\":";
-    render_summary_json(os, summarize(window_values_[entry.second]));
-    first = false;
+  const char* const sections[] = {"counters", "histograms", "windows"};
+  for (std::size_t kind = 0; kind < 3; ++kind) {
+    os << (kind ? "},\"" : "{\"") << sections[kind] << "\":{";
+    const char* sep = "";
+    for (const auto& [name, metric] : metrics_) {
+      if (metric.index() != kind) continue;
+      os << sep << "\"" << name << "\":";
+      sep = ",";
+      if (kind == 0) {
+        os << std::get<std::int64_t>(metric);
+        continue;
+      }
+      const Summary s = summarize(metric);
+      os << "{\"count\":" << s.count << ",\"sum\":" << s.sum
+         << ",\"p50\":" << s.p50 << ",\"p90\":" << s.p90
+         << ",\"p99\":" << s.p99 << ",\"max\":" << s.max << "}";
+    }
   }
   os << "}}";
   return os.str();
-}
-
-void fold_cache_stats(const CacheStats& stats, const PreparedAnalysis& oracle,
-                      MetricsRegistry& reg) {
-  reg.inc(reg.counter("dpcp_analysis_memo_hits_total"),
-          static_cast<std::int64_t>(stats.memo_hits));
-  reg.inc(reg.counter("dpcp_analysis_memo_misses_total"),
-          static_cast<std::int64_t>(stats.memo_misses));
-  reg.inc(reg.counter("dpcp_analysis_slab_reuses_total"),
-          oracle.diffs_unchanged());
-  reg.inc(reg.counter("dpcp_analysis_slab_rebuilds_total"),
-          oracle.diffs_invalidated());
 }
 
 }  // namespace dpcp

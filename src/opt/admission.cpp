@@ -86,26 +86,23 @@ AdmissionController::AdmissionController(const ControllerSnapshot& snap)
 
 MetricsRegistry AdmissionController::metrics() const {
   MetricsRegistry reg;
-  const auto put = [&reg](const char* name, std::int64_t value) {
-    reg.set(reg.counter(name), value);
-  };
-  put("dpcp_admit_submitted_total", stats_.submitted);
-  put("dpcp_admit_accepted_total", stats_.accepted);
-  put("dpcp_admit_rejected_total", stats_.rejected);
-  put("dpcp_admit_departed_total", stats_.departed);
-  put("dpcp_admit_delta_total", stats_.delta_accepts);
-  put("dpcp_admit_replace_total", stats_.replace_accepts);
-  put("dpcp_admit_repair_total", stats_.repair_accepts);
-  put("dpcp_admit_readmit_total", stats_.readmits);
-  put("dpcp_admit_evictions_total", stats_.retry_evictions);
-  put("dpcp_admit_degraded_total", stats_.degraded_admits);
-  put("dpcp_admit_streak_resets_total", streak_resets_);
-  put("dpcp_oracle_calls_total", stats_.oracle_calls);
-  put("dpcp_oracle_reused_total", stats_.tasks_reused);
-  put("dpcp_resident_tasks", ts_.size());
-  put("dpcp_retry_queue_depth", static_cast<std::int64_t>(retry_.size()));
-  reg.fold(reg.histogram("dpcp_admit_cost"), cost_hist_);
-  reg.fold(reg.window("dpcp_admit_cost_window", kSloWindow), slo_window_);
+  reg.add("dpcp_admit_submitted_total", stats_.submitted);
+  reg.add("dpcp_admit_accepted_total", stats_.accepted);
+  reg.add("dpcp_admit_rejected_total", stats_.rejected);
+  reg.add("dpcp_admit_departed_total", stats_.departed);
+  reg.add("dpcp_admit_delta_total", stats_.delta_accepts);
+  reg.add("dpcp_admit_replace_total", stats_.replace_accepts);
+  reg.add("dpcp_admit_repair_total", stats_.repair_accepts);
+  reg.add("dpcp_admit_readmit_total", stats_.readmits);
+  reg.add("dpcp_admit_evictions_total", stats_.retry_evictions);
+  reg.add("dpcp_admit_degraded_total", stats_.degraded_admits);
+  reg.add("dpcp_admit_streak_resets_total", streak_resets_);
+  reg.add("dpcp_oracle_calls_total", stats_.oracle_calls);
+  reg.add("dpcp_oracle_reused_total", stats_.tasks_reused);
+  reg.add("dpcp_resident_tasks", ts_.size());
+  reg.add("dpcp_retry_queue_depth", static_cast<std::int64_t>(retry_.size()));
+  reg.add("dpcp_admit_cost", cost_hist_);
+  reg.add("dpcp_admit_cost_window", slo_window_);
   return reg;
 }
 

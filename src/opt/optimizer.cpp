@@ -58,21 +58,26 @@ std::optional<Move> PartitionOptimizer::propose(const Partition& part) {
       rng_.index(static_cast<std::size_t>(kNumMoveKinds)));
   const int n = ts_.size();
 
-  // Tasks whose cluster can shed a processor (multi-processor clusters
-  // are dedicated by the sharing invariant).
-  const auto wide_tasks = [&]() {
-    std::vector<int> out;
-    for (int i = 0; i < n; ++i)
-      if (part.cluster_size(i) >= 2) out.push_back(i);
-    return out;
+  // A task drawn uniformly among those whose cluster can shed a
+  // processor (multi-processor clusters are dedicated by the sharing
+  // invariant), or -1 without a draw when there is none.
+  const auto draw_wide_task = [&]() {
+    std::size_t count = 0;
+    for (int i = 0; i < n; ++i) count += part.cluster_size(i) >= 2;
+    if (count == 0) return -1;
+    std::size_t k = rng_.index(count);
+    for (int i = 0;; ++i) {
+      if (part.cluster_size(i) < 2) continue;
+      if (k == 0) return i;
+      --k;
+    }
   };
 
   switch (kind) {
     case MoveKind::kRegrantSpare: {
       if (n < 2) return std::nullopt;
-      const std::vector<int> wide = wide_tasks();
-      if (wide.empty()) return std::nullopt;
-      const int from = wide[rng_.index(wide.size())];
+      const int from = draw_wide_task();
+      if (from < 0) return std::nullopt;
       int to = static_cast<int>(rng_.index(static_cast<std::size_t>(n - 1)));
       if (to >= from) ++to;
       return Move::regrant(from, to);
@@ -98,9 +103,8 @@ std::optional<Move> PartitionOptimizer::propose(const Partition& part) {
       return Move::widen(task, spares[rng_.index(spares.size())]);
     }
     case MoveKind::kNarrowCluster: {
-      const std::vector<int> wide = wide_tasks();
-      if (wide.empty()) return std::nullopt;
-      const int task = wide[rng_.index(wide.size())];
+      const int task = draw_wide_task();
+      if (task < 0) return std::nullopt;
       const auto& c = part.cluster(task);
       return Move::narrow(task, c[rng_.index(c.size())]);
     }

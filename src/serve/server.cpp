@@ -148,14 +148,7 @@ void CommandSession::do_load(const std::string& block) {
     error("parse: " + parse_error);
     return;
   }
-  AdmitOptions admit;
-  admit.m = options_.m;
-  admit.kind = options_.kind;
-  admit.analysis = options_.analysis;
-  admit.repair_evals = options_.repair_evals;
-  admit.retry_capacity = options_.retry_capacity;
-  admit.seed = options_.seed;
-  ctrl_ = std::make_unique<AdmissionController>(ts->num_resources(), admit);
+  ctrl_ = std::make_unique<AdmissionController>(ts->num_resources(), options_);
   const int accepted = admit_all(*ts);
   out_ << "ok load resources=" << ts->num_resources()
        << " submitted=" << ts->size() << " accepted=" << accepted

@@ -39,32 +39,18 @@
 //     sessions that run one after another.
 #pragma once
 
-#include <cstdint>
 #include <iosfwd>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "analysis/interface.hpp"
+#include "opt/admission.hpp"
 
 namespace dpcp {
 
-class AdmissionController;
-struct AdmitDecision;
-
-/// Server-lifetime knobs (everything else arrives via commands).
-struct ServeOptions {
-  /// Platform size handed to every controller created by `load`.
-  int m = 16;
-  /// Analysis vouching for admissions.
-  AnalysisKind kind = AnalysisKind::kDpcpPEp;
-  AnalysisOptions analysis;
-  /// Budget of the Move-search repair rung (0 disables repair).
-  std::int64_t repair_evals = 200;
-  /// Retry-queue capacity.
-  std::size_t retry_capacity = 16;
-  /// Root seed of the repair search streams.
-  std::uint64_t seed = 42;
+/// Server-lifetime knobs (everything else arrives via commands): the
+/// options of every controller `load` creates, plus the error policy.
+struct ServeOptions : AdmitOptions {
   /// Stop at the first `error` reply and make the run exit 2 (CI gates
   /// validate bad input this way; interactive sessions keep the default
   /// in-band error replies).

@@ -3,8 +3,8 @@
 // The memo sits on wcrt()'s innermost loop, so probes are counted in
 // locals of the per-query context and added here once per wcrt() call.
 // Counting never changes a bound, so sweep and server output do not
-// depend on these values; they reach a report only through
-// fold_cache_stats() (obs/metrics.hpp).
+// depend on these values; they reach a report only at the end of an
+// online stream (run_stream(), exp/online.cpp).
 #pragma once
 
 #include <cstdint>

@@ -227,39 +227,16 @@ TEST(Admission, StructurallyInfeasibleTaskIsNeverQueued) {
   EXPECT_EQ(ctrl.stats().rejected, 1);
 }
 
-/// Pulls individual finalized tasks out of generated task sets so a
-/// stream shares one resource arity.
-class TaskPool {
- public:
-  TaskPool(const Scenario& scenario, int num_resources, std::uint64_t seed)
-      : scenario_(scenario), nr_(num_resources), rng_(seed) {}
-
-  DagTask next() {
-    while (pool_.empty()) refill();
-    DagTask t = std::move(pool_.back());
-    pool_.pop_back();
-    return t;
-  }
-
- private:
-  void refill() {
-    GenParams params;
-    params.scenario = scenario_;
-    params.scenario.nr_min = nr_;
-    params.scenario.nr_max = nr_;
-    params.total_utilization = 0.4 * scenario_.m;
-    Rng fork = rng_.fork(++refills_);
-    const auto ts = generate_taskset(fork, params);
-    if (!ts) return;
-    for (int i = 0; i < ts->size(); ++i) pool_.push_back(ts->task(i));
-  }
-
-  Scenario scenario_;
-  int nr_;
-  Rng rng_;
-  std::uint64_t refills_ = 0;
-  std::vector<DagTask> pool_;
-};
+/// Single finalized tasks out of generated task sets of one resource
+/// arity, so a stream can share one controller.
+TaskPool task_pool(const Scenario& scenario, int num_resources,
+                   std::uint64_t seed) {
+  GenParams refill;
+  refill.scenario = scenario;
+  refill.scenario.nr_min = refill.scenario.nr_max = num_resources;
+  refill.total_utilization = 0.4 * scenario.m;
+  return TaskPool(refill, Rng(seed));
+}
 
 // Every accept must (a) re-certify on a fresh session over the resident
 // set with identical bounds — the controller's incremental state buys
@@ -272,7 +249,7 @@ TEST(Admission, AcceptsRecertifyFreshAndSurviveSimulation) {
   opt.kind = AnalysisKind::kDpcpPEp;
   opt.repair_evals = 100;
   AdmissionController ctrl(kNumResources, opt);
-  TaskPool pool(fig2_scenario('a'), kNumResources, 4242);
+  TaskPool pool = task_pool(fig2_scenario('a'), kNumResources, 4242);
 
   Rng sim_rng(777);
   SimBackendOptions sim_opt;
@@ -333,7 +310,7 @@ TEST(Admission, ReplayIsDeterministic) {
     opt.kind = AnalysisKind::kDpcpPEn;
     opt.repair_evals = 60;
     AdmissionController ctrl(kNumResources, opt);
-    TaskPool pool(fig2_scenario('b'), kNumResources, 99);
+    TaskPool pool = task_pool(fig2_scenario('b'), kNumResources, 99);
     std::vector<std::int64_t> trace;
     Rng stream(5);
     for (int ev = 0; ev < 25; ++ev) {
@@ -432,7 +409,7 @@ TEST(Admission, SloDegradationDisablesRepairDeterministically) {
     opt.repair_evals = 60;
     AdmissionController ctrl(kNumResources, opt);
     if (slo) ctrl.set_slo(50, 0);  // rolling median > 0 calls => degrade
-    TaskPool pool(fig2_scenario('b'), kNumResources, 99);
+    TaskPool pool = task_pool(fig2_scenario('b'), kNumResources, 99);
     std::vector<std::int64_t> trace;
     Rng stream(5);
     for (int ev = 0; ev < 25; ++ev) {
@@ -479,7 +456,7 @@ TEST_P(SnapshotCornerTest, RestoreReplaysBitForBit) {
   opt.retry_capacity = 4;
   opt.seed = 7;
   AdmissionController original(kNumResources, opt);
-  TaskPool pool(scenario, kNumResources, 4242);
+  TaskPool pool = task_pool(scenario, kNumResources, 4242);
 
   // Phase 1: warm the controller (arrivals, departures, maybe a queue).
   Rng stream(11);

@@ -1,6 +1,6 @@
 // Tests for the unified telemetry layer (src/obs/): the metrics registry
-// contract (handle identity, merge-equals-single-stream determinism,
-// render goldens), the IntHistogram / RollingQuantile merge semantics the
+// contract (add by kind, merge-equals-single-stream determinism, render
+// goldens), the IntHistogram / RollingQuantile merge semantics the
 // registry builds on, the bounded decision-trace ring, the Chrome
 // trace-event exporter (validated by an in-test JSON parser), the
 // simulator's trace-memory guard, the AdmissionController's registry
@@ -16,8 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/fed_fp.hpp"
-#include "analysis/prepared.hpp"
 #include "gen/scenario.hpp"
 #include "gen/taskset_gen.hpp"
 #include "obs/chrome_trace.hpp"
@@ -25,7 +23,6 @@
 #include "obs/metrics.hpp"
 #include "opt/admission.hpp"
 #include "opt/snapshot.hpp"
-#include "partition/federated.hpp"
 #include "serve/server.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
@@ -36,72 +33,63 @@ namespace {
 
 // ---------- metrics registry ------------------------------------------------
 
-TEST(MetricsRegistry, HandlesAreIdempotentAndKindsConflict) {
+TEST(MetricsRegistry, AddSumsCountersAndKindsConflict) {
   MetricsRegistry reg;
-  const auto a = reg.counter("dpcp_x_total");
-  const auto b = reg.counter("dpcp_x_total");
-  EXPECT_EQ(a.index, b.index);
-
-  reg.inc(a);
-  reg.inc(b, 4);
-  EXPECT_EQ(reg.value(a), 5);
-  reg.set(a, 2);
-  EXPECT_EQ(reg.counter_value("dpcp_x_total"), 2);
+  reg.add("dpcp_x_total", 1);
+  reg.add("dpcp_x_total", 4);
+  EXPECT_EQ(reg.counter_value("dpcp_x_total"), 5);
   EXPECT_EQ(reg.counter_value("no_such_counter"), 0);
 
-  reg.histogram("dpcp_h");
-  reg.window("dpcp_w", 4);
-  EXPECT_THROW(reg.histogram("dpcp_x_total"), std::logic_error);
-  EXPECT_THROW(reg.counter("dpcp_h"), std::logic_error);
-  EXPECT_THROW(reg.window("dpcp_h", 4), std::logic_error);
+  reg.add("dpcp_h", IntHistogram{});
+  reg.add("dpcp_w", RollingQuantile(4));
+  EXPECT_EQ(reg.counter_value("dpcp_h"), 0);  // not a counter
+  EXPECT_THROW(reg.add("dpcp_x_total", IntHistogram{}), std::logic_error);
+  EXPECT_THROW(reg.add("dpcp_h", 1), std::logic_error);
+  EXPECT_THROW(reg.add("dpcp_h", RollingQuantile(4)), std::logic_error);
   EXPECT_EQ(reg.num_metrics(), 3u);
 }
 
 TEST(MetricsRegistry, WindowCapacityIsFixedAtFirstRegistration) {
   MetricsRegistry reg;
-  const auto w = reg.window("dpcp_w", 2);
-  const auto again = reg.window("dpcp_w", 99);  // capacity ignored
-  EXPECT_EQ(w.index, again.index);
-  for (int v : {1, 2, 3}) reg.observe(w, v);
-  EXPECT_EQ(reg.values(w).capacity(), 2u);
-  EXPECT_EQ(reg.values(w).size(), 2u);
-  EXPECT_EQ(reg.values(w).percentile(100), 3);
+  RollingQuantile first(2), again(99);
+  first.add(1);
+  for (int v : {2, 3}) again.add(v);
+  reg.add("dpcp_w", first);
+  reg.add("dpcp_w", again);  // appended into the first add's 2 slots
+  EXPECT_EQ(reg.to_json(),
+            "{\"counters\":{},\"histograms\":{},\"windows\":{\"dpcp_w\":"
+            "{\"count\":2,\"sum\":5,\"p50\":2,\"p90\":3,\"p99\":3,\"max\":3}}}");
 }
 
 // Merging per-shard registries in a fixed order must render byte-identically
 // to one registry that saw the whole stream — the property that makes the
 // sharded `metrics` output thread-count independent.
 TEST(MetricsRegistry, MergeEqualsSingleStream) {
-  MetricsRegistry single;
-  const auto sc = single.counter("c");
-  const auto sh = single.histogram("h");
-  const auto sw = single.window("w", 8);
-  MetricsRegistry shard1, shard2;
-  const auto c1 = shard1.counter("c");
-  const auto h1 = shard1.histogram("h");
-  const auto w1 = shard1.window("w", 8);
-  const auto c2 = shard2.counter("c");
-  const auto h2 = shard2.histogram("h");
-  const auto w2 = shard2.window("w", 8);
-  shard2.counter("only_in_shard2");  // disjoint names concatenate
-
-  for (int v : {3, 1, 4, 1, 5}) {
-    single.inc(sc);
-    single.observe(sh, v);
-    single.observe(sw, v);
-    shard1.inc(c1);
-    shard1.observe(h1, v);
-    shard1.observe(w1, v);
-  }
-  for (int v : {9, 2, 6}) {
-    single.inc(sc);
-    single.observe(sh, v);
-    single.observe(sw, v);
-    shard2.inc(c2);
-    shard2.observe(h2, v);
-    shard2.observe(w2, v);
-  }
-  single.counter("only_in_shard2");
+  // `single` adds every event on its own; a shard adds its part whole.
+  MetricsRegistry single, shard1, shard2;
+  const auto add_events = [&single](MetricsRegistry& shard,
+                                    const std::vector<int>& values) {
+    IntHistogram h;
+    RollingQuantile w(8);
+    for (int v : values) {
+      IntHistogram one;
+      one.add(v);
+      RollingQuantile last(8);
+      last.add(v);
+      single.add("c", 1);
+      single.add("h", one);
+      single.add("w", last);
+      h.add(v);
+      w.add(v);
+    }
+    shard.add("c", static_cast<std::int64_t>(values.size()));
+    shard.add("h", h);
+    shard.add("w", w);
+  };
+  add_events(shard1, {3, 1, 4, 1, 5});
+  add_events(shard2, {9, 2, 6});
+  shard2.add("only_in_shard2", 0);  // disjoint names concatenate
+  single.add("only_in_shard2", 0);
 
   MetricsRegistry merged;
   merged.merge(shard1);
@@ -114,9 +102,10 @@ TEST(MetricsRegistry, MergeEqualsSingleStream) {
 
 TEST(MetricsRegistry, RenderGoldens) {
   MetricsRegistry reg;
-  reg.inc(reg.counter("dpcp_b_total"), 7);
-  const auto h = reg.histogram("dpcp_a_hist");
-  for (int v : {1, 1, 3}) reg.observe(h, v);
+  reg.add("dpcp_b_total", 7);
+  IntHistogram h;
+  for (int v : {1, 1, 3}) h.add(v);
+  reg.add("dpcp_a_hist", h);
 
   // Names iterate sorted: the histogram renders before the counter.
   EXPECT_EQ(reg.to_prometheus(),
@@ -134,31 +123,6 @@ TEST(MetricsRegistry, RenderGoldens) {
             "\"histograms\":{\"dpcp_a_hist\":"
             "{\"count\":3,\"sum\":5,\"p50\":1,\"p90\":3,\"p99\":3,\"max\":3}},"
             "\"windows\":{}}");
-}
-
-TEST(MetricsRegistry, FoldCacheStatsAccumulates) {
-  TaskSet ts(0);
-  ts.add_task(100, 100).add_vertex(10);
-  ts.assign_rm_priorities();
-  ts.finalize();
-  Partition part(2, 1, 0);
-  part.add_processor_to_task(0, 0);
-  AnalysisSession session(ts);
-  const FedFpAnalysis fed;
-  const auto oracle = fed.prepare(session);
-  oracle->bind(part);  // first bind: the task's tables are built
-  oracle->bind(part);  // same inputs: its tables are kept
-
-  CacheStats stats;
-  stats.memo_hits = 3;
-  stats.memo_misses = 1;
-  MetricsRegistry reg;
-  fold_cache_stats(stats, *oracle, reg);
-  fold_cache_stats(stats, *oracle, reg);  // accumulating fold
-  EXPECT_EQ(reg.counter_value("dpcp_analysis_memo_hits_total"), 6);
-  EXPECT_EQ(reg.counter_value("dpcp_analysis_memo_misses_total"), 2);
-  EXPECT_EQ(reg.counter_value("dpcp_analysis_slab_reuses_total"), 2);
-  EXPECT_EQ(reg.counter_value("dpcp_analysis_slab_rebuilds_total"), 2);
 }
 
 // ---------- histogram / window merge semantics ------------------------------
@@ -540,8 +504,10 @@ void expect_metrics_mirror_stats(const AdmissionController& ctrl) {
   EXPECT_EQ(m.counter_value("dpcp_retry_queue_depth"),
             static_cast<std::int64_t>(ctrl.retry_queue_size()));
   // The cost histogram renders the controller's lifetime histogram.
-  EXPECT_EQ(m.values(MetricsRegistry::Histogram{0}).count(),
-            ctrl.cost_histogram().count());
+  EXPECT_NE(m.to_prometheus().find(
+                "\ndpcp_admit_cost_count " +
+                std::to_string(ctrl.cost_histogram().count()) + "\n"),
+            std::string::npos);
 }
 
 TEST(AdmissionTelemetry, RegistryMirrorsStatsAndTraceRecordsDecisions) {
