@@ -108,7 +108,112 @@ class ResponseMemoTable {
   std::uint32_t epoch_ = 1;
 };
 
-constexpr Time kMissedDeadline = -1;  // encoded nullopt in the memo
+constexpr Time kMissedDeadline = -1;  // encoded nullopt in the memos
+
+/// Bound memo of one task-set epoch: a word string naming a query state
+/// (see DpcpPPrepared::result_key()) -> the bound compute() returned for
+/// it.  Keys live back to back in one arena; each open-addressed slot
+/// holds a key's hash, its arena range and the encoded bound, and a hash
+/// match is confirmed by comparing the whole key, so a hit is exact.
+/// clear() bumps an epoch (slots whose tag is stale read as empty) and
+/// empties the arena; both keep their capacity.  An arena past kMaxWords
+/// clears itself before the next insert: forgetting a state only costs
+/// its recomputation, and it bounds the memory of a long search.
+class ResultMemo {
+ public:
+  ResultMemo() { rebuild(kInitialSlots); }
+
+  void clear() {
+    if (++epoch_ == 0) {
+      // u32 epoch wrapped: stale tags could alias; hard-reset once per 4G
+      // clears.
+      for (Slot& s : slots_) s.epoch = 0;
+      epoch_ = 1;
+    }
+    arena_.clear();
+    live_ = 0;
+  }
+
+  /// The encoded bound stored for the `len` words at `key` (hashing to
+  /// `h`), or nullptr.
+  const Time* find(const Time* key, std::size_t len, std::uint64_t h) const {
+    for (std::size_t i = h & mask_;; i = (i + 1) & mask_) {
+      const Slot& s = slots_[i];
+      if (s.epoch != epoch_) return nullptr;
+      if (s.hash == h && s.len == len &&
+          std::equal(key, key + len, arena_.data() + s.off))
+        return &s.value;
+    }
+  }
+
+  void insert(const Time* key, std::size_t len, std::uint64_t h,
+              Time encoded) {
+    if (arena_.size() + len > kMaxWords) clear();
+    if ((live_ + 1) * 10 >= slots_.size() * 7) grow();
+    std::size_t i = h & mask_;
+    while (slots_[i].epoch == epoch_) i = (i + 1) & mask_;
+    slots_[i] = {h, arena_.size(), static_cast<std::uint32_t>(len), epoch_,
+                 encoded};
+    arena_.insert(arena_.end(), key, key + len);
+    ++live_;
+  }
+
+  /// Two multiply-xor lanes over alternate words, then a finalizer that
+  /// folds the high bits of both into the low (slot index) bits.
+  static std::uint64_t hash(const Time* key, std::size_t len) {
+    constexpr std::uint64_t kA = 0x9E3779B97F4A7C15ull;
+    constexpr std::uint64_t kB = 0xC2B2AE3D27D4EB4Full;
+    std::uint64_t a = len, b = kA;
+    std::size_t k = 0;
+    for (; k + 2 <= len; k += 2) {
+      a = (a ^ static_cast<std::uint64_t>(key[k])) * kA;
+      b = (b ^ static_cast<std::uint64_t>(key[k + 1])) * kB;
+    }
+    if (k < len) a = (a ^ static_cast<std::uint64_t>(key[k])) * kA;
+    std::uint64_t h = a ^ ((b << 31) | (b >> 33));
+    h ^= h >> 32;
+    h *= kB;
+    h ^= h >> 29;
+    return h;
+  }
+
+ private:
+  static constexpr std::size_t kInitialSlots = 256;       // power of two
+  static constexpr std::size_t kMaxWords = std::size_t{1} << 20;  // 8 MiB
+
+  struct Slot {
+    std::uint64_t hash;
+    std::size_t off;  // key = arena_[off, off + len)
+    std::uint32_t len;
+    std::uint32_t epoch;
+    Time value;
+  };
+
+  void rebuild(std::size_t slots) {
+    slots_.assign(slots, Slot{0, 0, 0, 0u, 0});
+    mask_ = slots - 1;
+    epoch_ = 1;
+  }
+
+  void grow() {
+    std::vector<Slot> old = std::move(slots_);
+    const std::uint32_t old_epoch = epoch_;
+    rebuild(old.size() * 2);
+    for (Slot& s : old) {
+      if (s.epoch != old_epoch) continue;
+      std::size_t i = s.hash & mask_;
+      while (slots_[i].epoch == epoch_) i = (i + 1) & mask_;
+      s.epoch = epoch_;
+      slots_[i] = s;
+    }
+  }
+
+  std::vector<Slot> slots_;
+  std::vector<Time> arena_;
+  std::size_t mask_ = 0;
+  std::size_t live_ = 0;
+  std::uint32_t epoch_ = 1;
+};
 
 /// Partition-dependent tables of one task (the Lemma 2-6 inputs), valid
 /// for the currently bound partition while !dirty.  All contender lists
@@ -126,12 +231,6 @@ struct TaskTables : ContentionTables {
   DemandSoA agent;
   /// P-FP preemption by co-located higher-priority tasks (Sec. VI).
   DemandSoA preempt;
-
-  /// Memo of the last query against these tables: with identical hints the
-  /// bound is identical (the analysis is pure in (tables, hint)).
-  bool have_result = false;
-  std::vector<Time> last_hint;
-  std::optional<Time> last_result;
 };
 
 /// Per-processor Lemma-3 eps term of one path class, rebuilt per
@@ -370,15 +469,16 @@ class DpcpPPrepared final : public PreparedAnalysis {
   std::optional<Time> wcrt(int task,
                            const std::vector<Time>& hint) override {
     TaskTables& tb = tables_[static_cast<std::size_t>(task)];
-    if (tb.dirty) {
-      rebuild(task, tb);
-    } else if (tb.have_result && tb.last_hint == hint) {
-      return tb.last_result;
+    if (tb.dirty) rebuild(task, tb);
+    const std::size_t len = result_key(task, tb, hint);
+    const std::uint64_t h = ResultMemo::hash(key_.data(), len);
+    if (const Time* v = results_.find(key_.data(), len, h)) {
+      ++session_.stats().result_hits;
+      if (*v == kMissedDeadline) return std::nullopt;
+      return *v;
     }
     const auto r = compute(task, tb, hint);
-    tb.have_result = true;
-    tb.last_hint = hint;
-    tb.last_result = r;
+    results_.insert(key_.data(), len, h, r ? *r : kMissedDeadline);
     return r;
   }
 
@@ -424,9 +524,7 @@ class DpcpPPrepared final : public PreparedAnalysis {
   }
 
   void invalidate(int task) override {
-    TaskTables& tb = tables_[static_cast<std::size_t>(task)];
-    tb.dirty = true;
-    tb.have_result = false;
+    tables_[static_cast<std::size_t>(task)].dirty = true;
   }
 
   bool result_depends_on(int task,
@@ -445,6 +543,10 @@ class DpcpPPrepared final : public PreparedAnalysis {
   }
 
   void on_taskset_changed(bool remap) override {
+    // result_key() leaves out what only a mutation changes (periods,
+    // priorities, N, L, locals, path classes), and an append after a
+    // remove-last reuses an index, so every mutation forgets every bound.
+    results_.clear();
     const std::size_t n = static_cast<std::size_t>(ts_.size());
     if (remap) {
       // Indices were renumbered: a surviving slot may now describe a
@@ -496,6 +598,60 @@ class DpcpPPrepared final : public PreparedAnalysis {
     else
       tb.preempt.clear();
     tb.dirty = false;
+  }
+
+  // Serializes into key_ the query state of wcrt(task, hint) and returns
+  // its length: every word compute() reads that can differ between two
+  // queries of one task-set epoch.  That is m_i and the shared-processor
+  // flag; per contention processor where tau_i requests a global, beta,
+  // the requested resources (they fix N, L and the own demand there) and
+  // the `other` list as (j, demand, hint[j]) (`hp` is its higher-priority
+  // part, and priorities are fixed); the requested cluster globals; and
+  // the agent and preemption lists.  Periods, priorities, N, L, slots,
+  // locals and path classes change only with the task set, and every
+  // change clears the memo.  Each variable-length section leads with its
+  // length.  key_ only grows, to the longest key's bound so far, so the
+  // words are plain stores.
+  std::size_t result_key(int task, const TaskTables& tb,
+                         const std::vector<Time>& hint) {
+    const std::size_t bound =
+        7 + 3 * tb.procs.size() + tb.requests.size() + 3 * tb.other.size() +
+        tb.cluster_requests.size() + 3 * (tb.agent.size() + tb.preempt.size());
+    if (key_.size() < bound) key_.resize(bound);
+    Time* w = key_.data();
+    *w++ = task;
+    *w++ = tb.mi;
+    *w++ = tb.shares_processor;
+    Time* procs = w++;
+    *procs = 0;
+    for (const TaskTables::Proc& pc : tb.procs) {
+      if (pc.rbeg == pc.rend) continue;
+      ++*procs;
+      *w++ = pc.beta;
+      *w++ = pc.rend - pc.rbeg;
+      for (std::uint32_t r = pc.rbeg; r < pc.rend; ++r)
+        *w++ = tb.requests[r].q;
+      w = append_contenders(w, tb.other, pc.obeg, pc.oend, hint);
+    }
+    *w++ = static_cast<Time>(tb.cluster_requests.size());
+    for (const TaskTables::Request& r : tb.cluster_requests) *w++ = r.q;
+    w = append_contenders(w, tb.agent, 0, tb.agent.size(), hint);
+    w = append_contenders(w, tb.preempt, 0, tb.preempt.size(), hint);
+    assert(w <= key_.data() + bound);
+    return static_cast<std::size_t>(w - key_.data());
+  }
+
+  static Time* append_contenders(Time* w, const DemandSoA& soa,
+                                 std::size_t begin, std::size_t end,
+                                 const std::vector<Time>& hint) {
+    *w++ = static_cast<Time>(end - begin);
+    for (std::size_t x = begin; x < end; ++x) {
+      const int j = soa.task[x];
+      *w++ = j;
+      *w++ = soa.demand[x];
+      *w++ = hint[static_cast<std::size_t>(j)];
+    }
+    return w;
   }
 
   std::optional<Time> compute(int task, const TaskTables& tb,
@@ -551,6 +707,8 @@ class DpcpPPrepared final : public PreparedAnalysis {
   PlacedGlobals placed_;           // of the bind numbered placed_bind_
   std::int64_t placed_bind_ = 0;   // binds() count; 0 = never built
   ResponseMemoTable memo_;
+  ResultMemo results_;    // cleared by every task-set change
+  std::vector<Time> key_;  // result_key()'s buffer; only grows
   QueryScratch scratch_;
   std::vector<int> all_requests_;   // a light task's N_{i,q}, per slot
   mutable std::vector<char> mark_;  // partition_inputs() flags, per task

@@ -27,7 +27,11 @@
 //    processor grant or resource re-placement changed the task's inputs,
 //    each rebuild copying rows of one per-bind PlacedGlobals index;
 //    the per-(resource, intra-ahead) request-response memo of Lemma 2 is
-//    per query, as it depends on the hint vector.
+//    per query, as it depends on the hint vector;
+//  * per task-set epoch — a result memo from each query state (the task,
+//    the table words that can change between two task-set mutations, and
+//    the hints they read) to its bound, so a state computed since the
+//    last mutation is not computed again.
 #pragma once
 
 #include "analysis/interface.hpp"

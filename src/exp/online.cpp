@@ -100,13 +100,16 @@ OnlineStreamResult run_stream(const OnlineOptions& options, int scenario_idx,
   r.oracle_calls = ctrl.stats().oracle_calls;
   r.tasks_reused = ctrl.stats().tasks_reused;
   r.metrics = ctrl.metrics();
-  // Plus the analysis cache counters: the session's response memo, and
-  // the oracle's bind() diffs as slab reuses (tables kept) and rebuilds.
+  // Plus the analysis cache counters: the session's response and result
+  // memos, and the oracle's bind() diffs as slab reuses (tables kept) and
+  // rebuilds.
   const CacheStats& cache = ctrl.cache_stats();
   r.metrics.add("dpcp_analysis_memo_hits_total",
                 static_cast<std::int64_t>(cache.memo_hits));
   r.metrics.add("dpcp_analysis_memo_misses_total",
                 static_cast<std::int64_t>(cache.memo_misses));
+  r.metrics.add("dpcp_analysis_result_hits_total",
+                static_cast<std::int64_t>(cache.result_hits));
   r.metrics.add("dpcp_analysis_slab_reuses_total",
                 ctrl.oracle().diffs_unchanged());
   r.metrics.add("dpcp_analysis_slab_rebuilds_total",

@@ -97,10 +97,21 @@ std::optional<Move> PartitionOptimizer::propose(const Partition& part) {
     }
     case MoveKind::kWidenCluster: {
       if (n == 0) return std::nullopt;
-      const std::vector<ProcessorId> spares = part.spare_processors();
-      if (spares.empty()) return std::nullopt;
+      // The spare processors, in increasing order, are the unmarked ones.
+      hosted_.assign(static_cast<std::size_t>(part.num_processors()), 0);
+      for (int i = 0; i < n; ++i)
+        for (ProcessorId p : part.cluster(i))
+          hosted_[static_cast<std::size_t>(p)] = 1;
+      const std::size_t spares = static_cast<std::size_t>(
+          std::count(hosted_.begin(), hosted_.end(), 0));
+      if (spares == 0) return std::nullopt;
       const int task = static_cast<int>(rng_.index(static_cast<std::size_t>(n)));
-      return Move::widen(task, spares[rng_.index(spares.size())]);
+      std::size_t k = rng_.index(spares);
+      for (ProcessorId p = 0;; ++p) {
+        if (hosted_[static_cast<std::size_t>(p)]) continue;
+        if (k == 0) return Move::widen(task, p);
+        --k;
+      }
     }
     case MoveKind::kNarrowCluster: {
       const int task = draw_wide_task();

@@ -132,6 +132,7 @@ class PartitionOptimizer {
 
   AnalysisPass pass_;            // scores every candidate
   std::vector<Time> last_wcrt_;  // bounds of the last evaluated candidate
+  std::vector<char> hosted_;     // propose()'s per-processor marks
   SearchStats stats_;
 };
 

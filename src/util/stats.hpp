@@ -122,9 +122,9 @@ class RollingQuantile {
 
   /// Window contents oldest-first (the snapshot serialization order).
   std::vector<std::int64_t> samples_in_order() const {
+    if (window_.size() < capacity_) return window_;
     std::vector<std::int64_t> out;
     out.reserve(window_.size());
-    if (window_.size() < capacity_) return window_;
     for (std::size_t k = 0; k < window_.size(); ++k)
       out.push_back(window_[(next_ + k) % window_.size()]);
     return out;

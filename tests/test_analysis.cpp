@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
+#include <memory>
 #include <tuple>
 
 #include "analysis/dpcp_p.hpp"
@@ -17,6 +18,7 @@
 #include "exp/engine.hpp"
 #include "gen/scenario.hpp"
 #include "gen/taskset_gen.hpp"
+#include "opt/optimizer.hpp"
 #include "partition/federated.hpp"
 #include "partition/placement.hpp"
 #include "test_support.hpp"
@@ -571,9 +573,11 @@ TEST(DpcpP, PathBudgetFallbackIsEnvelope) {
 // per-task bound, its round and oracle-call counts, its failure text and
 // its partition, so a change to any bound, to the cross-round skip, or to
 // the partition queries the oracle tokenizes moves the digest.  The
-// sessions' Lemma-2 memo hits and misses are summed and pinned beside it:
-// a change that makes a probe cheaper must not move them.  Scenarios run
-// on 4 workers; their texts fold in scenario order.
+// sessions' Lemma-2 memo hits and misses and their result-memo hits are
+// summed and pinned beside it: a query the result memo answers makes no
+// probe, so the probe counts are those of the queries that miss it, and
+// a change that makes a probe cheaper must not move any of the three.
+// Scenarios run on 4 workers; their texts fold in scenario order.
 TEST(DpcpP, BoundsDigestPinnedOverTheGrid) {
   std::vector<std::pair<std::uint64_t, GenParams>> items;
   const std::vector<Scenario> scenarios = all_scenarios();
@@ -591,7 +595,7 @@ TEST(DpcpP, BoundsDigestPinnedOverTheGrid) {
 
   std::vector<std::string> texts(items.size());
   std::atomic<bool> shared{false};
-  std::atomic<std::uint64_t> memo_hits{0}, memo_misses{0};
+  std::atomic<std::uint64_t> memo_hits{0}, memo_misses{0}, result_hits{0};
   std::atomic<std::size_t> next{0};
   run_workers(4, [&] {
     const std::unique_ptr<SchedAnalysis> analyses[] = {
@@ -621,6 +625,7 @@ TEST(DpcpP, BoundsDigestPinnedOverTheGrid) {
         }
         memo_hits += session.stats().memo_hits;
         memo_misses += session.stats().memo_misses;
+        result_hits += session.stats().result_hits;
       }
     }
   });
@@ -628,8 +633,127 @@ TEST(DpcpP, BoundsDigestPinnedOverTheGrid) {
   for (const std::string& text : texts) digest.add(text);
   EXPECT_TRUE(shared) << "no light task shared a processor";
   EXPECT_EQ(digest.h, 0xe428223863a728f2ull) << std::hex << digest.h;
-  EXPECT_EQ(memo_hits.load(), 18437692u);
-  EXPECT_EQ(memo_misses.load(), 630259u);
+  EXPECT_EQ(memo_hits.load(), 18219438u);
+  EXPECT_EQ(memo_misses.load(), 622360u);
+  EXPECT_EQ(result_hits.load(), 458u);
+}
+
+/// Forwards every query to one prepared analysis on a mutable session and
+/// counts the answers that differ from an analysis freshly prepared, on
+/// an immutable session of its own, for the same task set, partition and
+/// hint.  A fresh analysis has an empty result memo, so it computes.
+class FreshCheckedOracle final : public WcrtOracle {
+ public:
+  FreshCheckedOracle(const SchedAnalysis& analysis, AnalysisSession& session)
+      : analysis_(analysis),
+        session_(session),
+        inner_(analysis.prepare(session)) {}
+
+  void bind(const Partition& part) override {
+    WcrtOracle::bind(part);
+    inner_->bind(part);
+  }
+  bool task_unchanged(int task) const override {
+    return inner_->task_unchanged(task);
+  }
+  std::optional<Time> wcrt(int task, const std::vector<Time>& hint) override {
+    const std::optional<Time> got = inner_->wcrt(task, hint);
+    if (!fresh_session_ || fresh_seq_ != session_.mutation_seq()) {
+      fresh_session_ = std::make_unique<AnalysisSession>(session_.taskset());
+      fresh_seq_ = session_.mutation_seq();
+    }
+    const std::unique_ptr<PreparedAnalysis> fresh =
+        analysis_.prepare(*fresh_session_);
+    fresh->bind(partition());
+    wrong += got != fresh->wcrt(task, hint);
+    ++queries;
+    shared += partition().task_shares_processor(task);
+    return got;
+  }
+
+  std::int64_t queries = 0, wrong = 0, shared = 0;
+
+ private:
+  const SchedAnalysis& analysis_;
+  AnalysisSession& session_;
+  const std::unique_ptr<PreparedAnalysis> inner_;
+  std::unique_ptr<AnalysisSession> fresh_session_;  // of the current set
+  std::uint64_t fresh_seq_ = 0;
+};
+
+// DPCP-p's result memo against fresh analyses: EP and EN on a mutable
+// session, driven through Algorithm 1 under every seed strategy and the
+// search at its default budget (optimize_partition()) across an append,
+// a mid-set removal, and a removal of the last task followed by an
+// append that reuses its index, over a heavy-only set and a set whose
+// light tasks share processors.  The index reuse is also built by hand:
+// every task is queried under one partition, the last task is replaced
+// by a copy whose critical sections are one unit long (which leaves its
+// memo key as it was), and every task is queried again.  A memo that
+// outlived a task-set change, or a key without the hints, answers some
+// query with a stale bound.
+TEST(DpcpP, ResultMemoMatchesAFreshOracle) {
+  std::int64_t queries = 0, wrong = 0, shared = 0, replaced = 0;
+  std::uint64_t result_hits = 0;
+  Rng gen(3);
+  for (const int light : {0, 2}) {
+    GenParams params;
+    params.scenario = fig2_scenario('a');
+    params.scenario.nr_min = params.scenario.nr_max = 6;  // one arity
+    params.total_utilization = 0.4 * params.scenario.m;
+    params.light_tasks = light;
+    std::optional<TaskSet> base, extra;
+    while (!base) base = generate_taskset(gen, params);
+    while (!extra) extra = generate_taskset(gen, params);
+    for (const AnalysisKind kind :
+         {AnalysisKind::kDpcpPEp, AnalysisKind::kDpcpPEn}) {
+      const std::unique_ptr<SchedAnalysis> analysis = make_analysis(kind);
+      TaskSet ts = *base;
+      AnalysisSession session(ts, AllowMutation{});
+      FreshCheckedOracle oracle(*analysis, session);
+      Partition last;
+      std::uint64_t searches = 0;
+      const auto search = [&] {
+        last = optimize_partition(session, params.scenario.m, oracle,
+                                  all_placement_kinds(),
+                                  Rng(7).fork(searches++))
+                   .outcome.partition;
+      };
+      const auto query_all = [&] {
+        oracle.bind(last);
+        std::vector<Time> hint;
+        for (int i = 0; i < ts.size(); ++i)
+          hint.push_back(ts.task(i).deadline());
+        std::vector<std::optional<Time>> out;
+        for (int i = 0; i < ts.size(); ++i) out.push_back(oracle.wcrt(i, hint));
+        return out;
+      };
+
+      search();
+      session.add_task(extra->task(0));
+      search();
+      session.remove_task(ts.size() / 2);
+      search();
+      ASSERT_EQ(last.validate(ts), std::nullopt);
+      const std::vector<std::optional<Time>> before = query_all();
+      DagTask copy = ts.task(ts.size() - 1);
+      for (ResourceId q : copy.used_resources()) copy.set_cs_length(q, 1);
+      session.remove_task(ts.size() - 1);
+      session.add_task(copy);
+      const std::vector<std::optional<Time>> after = query_all();
+      replaced += before.back() != after.back();
+      search();
+
+      queries += oracle.queries;
+      wrong += oracle.wrong;
+      shared += oracle.shared;
+      result_hits += session.stats().result_hits;
+    }
+  }
+  EXPECT_EQ(wrong, 0) << "of " << queries << " queries";
+  EXPECT_GT(result_hits, 0u);
+  EXPECT_GT(replaced, 0) << "no replaced task changed its bound";
+  EXPECT_GT(shared, 0) << "no query of a task on a shared processor";
 }
 
 // ---------- SPIN-SON ---------------------------------------------------------
