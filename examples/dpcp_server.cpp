@@ -17,6 +17,7 @@
 #include <iostream>
 #include <string>
 
+#include "io/taskset_io.hpp"
 #include "serve/router.hpp"
 #include "serve/server.hpp"
 #include "util/parse.hpp"
@@ -80,7 +81,7 @@ int main(int argc, char** argv) {
       return *v;
     };
     if (arg == "--m") {
-      options.m = number(1, 4096);
+      options.m = number(1, dpcp::kMaxProcessors);
     } else if (arg == "--analysis") {
       const std::string token = value();
       if (!dpcp::analysis_kind_from_token(token, &options.kind)) {
@@ -88,7 +89,7 @@ int main(int argc, char** argv) {
         return usage(argv[0]);
       }
     } else if (arg == "--repair-evals") {
-      options.repair_evals = number(0, 1 << 24);
+      options.repair_evals = number(0, dpcp::kMaxRepairEvals);
     } else if (arg == "--retry-cap") {
       options.retry_capacity = number(std::size_t{0}, std::size_t{1} << 20);
     } else if (arg == "--seed") {

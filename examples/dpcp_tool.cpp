@@ -49,9 +49,9 @@ bool parse_args(int argc, char** argv, Args* out) {
     auto value = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
-    auto bad = [&a](const char* v, const char* expected) {
+    auto bad = [&a](const char* v, const std::string& expected) {
       std::fprintf(stderr, "%s: invalid value '%s' (expected %s)\n",
-                   a.c_str(), v, expected);
+                   a.c_str(), v, expected.c_str());
       return false;
     };
     if (a == "--util") {
@@ -63,8 +63,9 @@ bool parse_args(int argc, char** argv, Args* out) {
     } else if (a == "--m") {
       const char* v = value();
       if (!v) return false;
-      const auto m = parse_int(v, 1, 4096);
-      if (!m) return bad(v, "an integer in 1..4096");
+      const auto m = parse_int(v, 1, kMaxProcessors);
+      if (!m)
+        return bad(v, "an integer in 1.." + std::to_string(kMaxProcessors));
       out->m = static_cast<int>(*m);
     } else if (a == "--seed") {
       const char* v = value();

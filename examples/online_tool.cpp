@@ -16,11 +16,10 @@
 
 #include "exp/grid.hpp"
 #include "exp/online.hpp"
+#include "opt/admission.hpp"
 #include "util/parse.hpp"
 
 namespace {
-
-using dpcp::AnalysisKind;
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
@@ -50,10 +49,6 @@ int usage(const char* argv0) {
                "  --help              this text\n",
                argv0);
   return 2;
-}
-
-bool parse_analysis(const std::string& token, AnalysisKind* out) {
-  return dpcp::analysis_kind_from_token(token, out);
 }
 
 }  // namespace
@@ -101,12 +96,12 @@ int main(int argc, char** argv) {
       options.util_frac = *v;
     } else if (arg == "--analysis") {
       const std::string token = value();
-      if (!parse_analysis(token, &options.kind)) {
+      if (!dpcp::analysis_kind_from_token(token, &options.kind)) {
         std::fprintf(stderr, "unknown analysis '%s'\n", token.c_str());
         return usage(argv[0]);
       }
     } else if (arg == "--repair-evals") {
-      options.repair_evals = number(0, 1 << 24);
+      options.repair_evals = number(0, dpcp::kMaxRepairEvals);
     } else if (arg == "--retry-cap") {
       options.retry_capacity = number(std::size_t{0}, std::size_t{1} << 20);
     } else if (arg == "--seed") {

@@ -11,117 +11,19 @@
 namespace dpcp {
 namespace {
 
-/// Open-addressed (resource, intra-ahead) -> Lemma-3 unit memo: the value
-/// is beta + the higher-priority demand over the Lemma-2 response W of a
-/// request to q, i.e. what each on-path request to q adds to epsilon.
-/// The hint is fixed for a query and q fixes its processor, so the key
-/// determines the unit.  One table per prepared analysis, cleared per
-/// wcrt() query by bumping an epoch (slots whose epoch tag is stale read
-/// as empty, so a clear is O(1) and the table's flat parallel arrays stay
-/// hot across queries instead of being reallocated like the per-query
-/// unordered_map they replace).  Values encode "request misses the
-/// deadline" (nullopt) as -1; real units are always >= 0.
-class ResponseMemoTable {
- public:
-  ResponseMemoTable() { rebuild(kInitialSlots); }
-
-  void new_query() {
-    if (++epoch_ == 0) {
-      // u32 epoch wrapped: stale tags could alias; hard-reset once per 4G
-      // queries.
-      std::fill(epochs_.begin(), epochs_.end(), 0u);
-      epoch_ = 1;
-    }
-    live_ = 0;
-  }
-
-  /// Pointer to the stored value for (q, ahead), or nullptr if absent this
-  /// query.
-  const Time* find(ResourceId q, Time ahead) const {
-    std::size_t i = hash(q, ahead) & mask_;
-    for (;;) {
-      if (epochs_[i] != epoch_) return nullptr;
-      if (q_[i] == q && ahead_[i] == ahead) return &val_[i];
-      i = (i + 1) & mask_;
-    }
-  }
-
-  void insert(ResourceId q, Time ahead, Time encoded) {
-    if ((live_ + 1) * 10 >= epochs_.size() * 7) grow();
-    std::size_t i = hash(q, ahead) & mask_;
-    while (epochs_[i] == epoch_) i = (i + 1) & mask_;
-    epochs_[i] = epoch_;
-    q_[i] = q;
-    ahead_[i] = ahead;
-    val_[i] = encoded;
-    ++live_;
-  }
-
- private:
-  static constexpr std::size_t kInitialSlots = 256;  // power of two
-
-  static std::size_t hash(ResourceId q, Time ahead) {
-    std::uint64_t h = static_cast<std::uint64_t>(ahead) +
-                      0x9E3779B97F4A7C15ull *
-                          (static_cast<std::uint64_t>(q) + 1);
-    h ^= h >> 30;
-    h *= 0xBF58476D1CE4E5B9ull;
-    h ^= h >> 27;
-    return static_cast<std::size_t>(h);
-  }
-
-  void rebuild(std::size_t slots) {
-    epochs_.assign(slots, 0u);
-    q_.assign(slots, 0);
-    ahead_.assign(slots, 0);
-    val_.assign(slots, 0);
-    mask_ = slots - 1;
-    epoch_ = 1;
-  }
-
-  void grow() {
-    std::vector<std::uint32_t> old_epochs = std::move(epochs_);
-    std::vector<ResourceId> old_q = std::move(q_);
-    std::vector<Time> old_ahead = std::move(ahead_);
-    std::vector<Time> old_val = std::move(val_);
-    const std::uint32_t old_epoch = epoch_;
-    rebuild(old_epochs.size() * 2);
-    for (std::size_t i = 0; i < old_epochs.size(); ++i) {
-      if (old_epochs[i] != old_epoch) continue;
-      std::size_t j = hash(old_q[i], old_ahead[i]) & mask_;
-      while (epochs_[j] == epoch_) j = (j + 1) & mask_;
-      epochs_[j] = epoch_;
-      q_[j] = old_q[i];
-      ahead_[j] = old_ahead[i];
-      val_[j] = old_val[i];
-    }
-  }
-
-  // Parallel slot arrays (SoA): the probe loop touches epochs_ + keys
-  // only; values load on a confirmed hit.
-  std::vector<std::uint32_t> epochs_;
-  std::vector<ResourceId> q_;
-  std::vector<Time> ahead_;
-  std::vector<Time> val_;
-  std::size_t mask_ = 0;
-  std::size_t live_ = 0;
-  std::uint32_t epoch_ = 1;
-};
-
 constexpr Time kMissedDeadline = -1;  // encoded nullopt in the memos
 
-/// Bound memo of one task-set epoch: a word string naming a query state
-/// (see DpcpPPrepared::result_key()) -> the bound compute() returned for
-/// it.  Keys live back to back in one arena; each open-addressed slot
-/// holds a key's hash, its arena range and the encoded bound, and a hash
-/// match is confirmed by comparing the whole key, so a hit is exact.
-/// clear() bumps an epoch (slots whose tag is stale read as empty) and
-/// empties the arena; both keep their capacity.  An arena past kMaxWords
-/// clears itself before the next insert: forgetting a state only costs
-/// its recomputation, and it bounds the memory of a long search.
-class ResultMemo {
+/// Open-addressed memo from a word string to one encoded Time.  Keys live
+/// back to back in one arena; each slot holds a key's hash, its arena
+/// range and the value, and a hash match is confirmed by comparing the
+/// whole key, so a hit is exact.  clear() bumps an epoch (slots whose tag
+/// is stale read as empty) and empties the arena; both keep their
+/// capacity, so the table stays hot across clears.  The oracle keeps two:
+/// the Lemma-3 unit per (q, intra-ahead) of one query, and the bound per
+/// query state (see DpcpPPrepared::result_key()) of one task-set epoch.
+class Memo {
  public:
-  ResultMemo() { rebuild(kInitialSlots); }
+  Memo() { rebuild(kInitialSlots); }
 
   void clear() {
     if (++epoch_ == 0) {
@@ -134,7 +36,10 @@ class ResultMemo {
     live_ = 0;
   }
 
-  /// The encoded bound stored for the `len` words at `key` (hashing to
+  /// Key words stored since the last clear().
+  std::size_t words() const { return arena_.size(); }
+
+  /// The encoded value stored for the `len` words at `key` (hashing to
   /// `h`), or nullptr.
   const Time* find(const Time* key, std::size_t len, std::uint64_t h) const {
     for (std::size_t i = h & mask_;; i = (i + 1) & mask_) {
@@ -148,7 +53,6 @@ class ResultMemo {
 
   void insert(const Time* key, std::size_t len, std::uint64_t h,
               Time encoded) {
-    if (arena_.size() + len > kMaxWords) clear();
     if ((live_ + 1) * 10 >= slots_.size() * 7) grow();
     std::size_t i = h & mask_;
     while (slots_[i].epoch == epoch_) i = (i + 1) & mask_;
@@ -178,8 +82,7 @@ class ResultMemo {
   }
 
  private:
-  static constexpr std::size_t kInitialSlots = 256;       // power of two
-  static constexpr std::size_t kMaxWords = std::size_t{1} << 20;  // 8 MiB
+  static constexpr std::size_t kInitialSlots = 256;  // power of two
 
   struct Slot {
     std::uint64_t hash;
@@ -272,7 +175,7 @@ struct QueryScratch {
 class QueryContext {
  public:
   QueryContext(const TaskSet& ts, int i, const TaskTables& tables,
-               const std::vector<Time>& hint, ResponseMemoTable& memo,
+               const std::vector<Time>& hint, Memo& memo,
                CacheStats& stats, QueryScratch& scratch)
       : ti_(ts.task(i)),
         tables_(tables),
@@ -282,7 +185,7 @@ class QueryContext {
         memo_(memo),
         stats_(stats),
         scratch_(scratch) {
-    memo_.new_query();
+    memo_.clear();
     scratch_.zeta.assign(tables_.procs.size(), ZetaSlot{});
   }
   QueryContext(const QueryContext&) = delete;
@@ -300,7 +203,9 @@ class QueryContext {
   /// deadline.
   std::optional<Time> request_unit(const TaskTables::Proc& pc, ResourceId q,
                                    Time own_cs, Time intra_ahead) {
-    if (const Time* v = memo_.find(q, intra_ahead)) {
+    const Time key[2] = {q, intra_ahead};
+    const std::uint64_t h = Memo::hash(key, 2);
+    if (const Time* v = memo_.find(key, 2, h)) {
       ++memo_hits_;
       if (*v == kMissedDeadline) return std::nullopt;
       return *v;
@@ -317,7 +222,7 @@ class QueryContext {
     };
     const std::optional<Time> w = solve_fixed_point(f, f(0), deadline_).value;
     const Time unit = w ? pc.beta + hp_demand(*w) : kMissedDeadline;
-    memo_.insert(q, intra_ahead, unit);
+    memo_.insert(key, 2, h, unit);
     if (!w) return std::nullopt;
     return unit;
   }
@@ -449,7 +354,7 @@ class QueryContext {
   const std::vector<Time>& hint_;
   const Time deadline_;
   const Time noncrit_wcet_;  // C'_i
-  ResponseMemoTable& memo_;
+  Memo& memo_;             // (q, intra_ahead) -> encoded unit
   CacheStats& stats_;
   QueryScratch& scratch_;  // per-prepared, reused
   OwnWindowSlot own_;      // tau_i's agent and preemption demand
@@ -471,13 +376,16 @@ class DpcpPPrepared final : public PreparedAnalysis {
     TaskTables& tb = tables_[static_cast<std::size_t>(task)];
     if (tb.dirty) rebuild(task, tb);
     const std::size_t len = result_key(task, tb, hint);
-    const std::uint64_t h = ResultMemo::hash(key_.data(), len);
+    const std::uint64_t h = Memo::hash(key_.data(), len);
     if (const Time* v = results_.find(key_.data(), len, h)) {
       ++session_.stats().result_hits;
       if (*v == kMissedDeadline) return std::nullopt;
       return *v;
     }
     const auto r = compute(task, tb, hint);
+    // Forgetting a state only costs its recomputation, so a memo past
+    // kMaxResultWords starts over: that bounds the memory of a long search.
+    if (results_.words() + len > kMaxResultWords) results_.clear();
     results_.insert(key_.data(), len, h, r ? *r : kMissedDeadline);
     return r;
   }
@@ -565,6 +473,9 @@ class DpcpPPrepared final : public PreparedAnalysis {
   }
 
  private:
+  // Key words results_ holds at most (8 MiB).
+  static constexpr std::size_t kMaxResultWords = std::size_t{1} << 20;
+
   // Runs whenever bind() reported changed inputs for the task.  The
   // inputs include the whole placement map, so in an admission stream
   // that is about 96% of wcrt() calls: the tables are filled in place
@@ -706,8 +617,8 @@ class DpcpPPrepared final : public PreparedAnalysis {
   std::vector<TaskTables> tables_;
   PlacedGlobals placed_;           // of the bind numbered placed_bind_
   std::int64_t placed_bind_ = 0;   // binds() count; 0 = never built
-  ResponseMemoTable memo_;
-  ResultMemo results_;    // cleared by every task-set change
+  Memo memo_;              // QueryContext's units, cleared per query
+  Memo results_;           // cleared by every task-set change
   std::vector<Time> key_;  // result_key()'s buffer; only grows
   QueryScratch scratch_;
   std::vector<int> all_requests_;   // a light task's N_{i,q}, per slot

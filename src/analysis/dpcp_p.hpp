@@ -26,12 +26,16 @@
 //    inputs), cached per task and rebuilt only when bind() reports that a
 //    processor grant or resource re-placement changed the task's inputs,
 //    each rebuild copying rows of one per-bind PlacedGlobals index;
-//    the per-(resource, intra-ahead) request-response memo of Lemma 2 is
-//    per query, as it depends on the hint vector;
+//  * per query — a memo from (resource, intra-ahead) to Lemma 3's unit
+//    (beta plus the higher-priority demand over Lemma 2's response W),
+//    as it depends on the hint vector;
 //  * per task-set epoch — a result memo from each query state (the task,
 //    the table words that can change between two task-set mutations, and
 //    the hints they read) to its bound, so a state computed since the
 //    last mutation is not computed again.
+// Both memos are instances of one epoch-cleared open-addressed table
+// keyed by word strings; only the result memo is size-capped, as the
+// unit memo is emptied by every query.
 #pragma once
 
 #include "analysis/interface.hpp"

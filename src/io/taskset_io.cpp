@@ -253,16 +253,18 @@ std::optional<Partition> partition_from_text(const std::string& text,
     return std::nullopt;
   }
   int m = 0, tasks = 0, nr = 0;
-  auto read_scalar = [&](const char* key, int* out) {
+  auto read_scalar = [&](const char* key, int* out, std::int64_t hi) {
     if (!in.next() || in.tokens().size() != 2 || in.tokens()[0] != key ||
-        !parse_into(in.tokens()[1], out, 0)) {
-      set_error(error, in.err(std::string("expected '") + key + " <n>'"));
+        !parse_into(in.tokens()[1], out, 0, hi)) {
+      set_error(error, in.err(std::string("expected '") + key +
+                              " <n>', n in 0.." + std::to_string(hi)));
       return false;
     }
     return true;
   };
-  if (!read_scalar("processors", &m) || !read_scalar("tasks", &tasks) ||
-      !read_scalar("nresources", &nr))
+  if (!read_scalar("processors", &m, kMaxProcessors) ||
+      !read_scalar("tasks", &tasks, kMaxTasksetCells) ||
+      !read_scalar("nresources", &nr, kMaxTasksetResources))
     return std::nullopt;
 
   Partition part(m, tasks, nr);

@@ -36,6 +36,11 @@ namespace dpcp {
 /// make the parser allocate; the paper's scenarios use at most 16.
 inline constexpr int kMaxTasksetResources = 4096;
 
+/// Largest processor count partition_from_text(), a snapshot's `m` and
+/// every `--m` flag accept.  Controllers keep per-processor state, so the
+/// cap bounds what one number can make them allocate.
+inline constexpr int kMaxProcessors = 4096;
+
 /// Largest tasks x resources product taskset_from_text() accepts: the
 /// usage rows of all tasks together, 16 MiB at this cap.  With the
 /// resource cap it bounds what a payload can make the parser allocate.
@@ -56,6 +61,10 @@ std::optional<TaskSet> taskset_from_text(const std::string& text,
                                          std::string* error = nullptr);
 
 std::string partition_to_text(const Partition& part);
+/// Parses a partition; nullopt + line-numbered `error` on the first
+/// problem.  Rejects `processors` above kMaxProcessors, `tasks` above
+/// kMaxTasksetCells and `nresources` above kMaxTasksetResources, the
+/// bounds a task set or a flag already meets.
 std::optional<Partition> partition_from_text(const std::string& text,
                                              std::string* error = nullptr);
 

@@ -51,6 +51,10 @@ namespace dpcp {
 
 struct ControllerSnapshot;  // opt/snapshot.hpp
 
+/// Largest repair budget a flag or a snapshot accepts: it keeps the
+/// search's proposal cap, 32 x budget + 64, far inside int64.
+inline constexpr int kMaxRepairEvals = 1 << 24;
+
 /// Knobs of one controller instance.
 struct AdmitOptions {
   /// Platform size.

@@ -63,8 +63,6 @@ class Move {
   /// Exchanges the processors of global resources `a` and `b`.
   static Move swap_resources(ResourceId a, ResourceId b);
 
-  MoveKind kind() const { return kind_; }
-
   /// Applies the edit to `part`.  Returns false — leaving `part` exactly
   /// as it was — when the move is structurally impossible (no such
   /// processor, cluster too small, no-op target, ...).  A successful

@@ -153,7 +153,8 @@ std::optional<ControllerSnapshot> snapshot_from_text(const std::string& text,
   }
 
   AdmitOptions& o = snap.options;
-  if (!expect("m", 1) || !parse_into(in.tokens()[1], &o.m, 1)) {
+  if (!expect("m", 1) ||
+      !parse_into(in.tokens()[1], &o.m, 1, kMaxProcessors)) {
     set_error(error, in.err("bad 'm'"));
     return std::nullopt;
   }
@@ -183,7 +184,7 @@ std::optional<ControllerSnapshot> snapshot_from_text(const std::string& text,
     o.placements.push_back(*kind);
   }
   if (!expect("repair-evals", 1) ||
-      !parse_into(in.tokens()[1], &o.repair_evals, 0)) {
+      !parse_into(in.tokens()[1], &o.repair_evals, 0, kMaxRepairEvals)) {
     set_error(error, in.err("bad 'repair-evals'"));
     return std::nullopt;
   }

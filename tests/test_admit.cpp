@@ -19,6 +19,7 @@
 #include "exp/validate.hpp"
 #include "gen/scenario.hpp"
 #include "gen/taskset_gen.hpp"
+#include "io/taskset_io.hpp"
 #include "opt/admission.hpp"
 #include "opt/snapshot.hpp"
 #include "partition/federated.hpp"
@@ -573,17 +574,29 @@ TEST(Snapshot, TextParserRejectsNumbersBeyondTheFieldRange) {
   AdmissionController ctrl(0, opt);
   ASSERT_TRUE(ctrl.admit(heavy_task(1, 0)).accepted);
   const std::string text = snapshot_to_text(ctrl.snapshot());
+  const auto above = [](std::int64_t bound) {
+    return std::to_string(bound + 1);
+  };
   // strtoull/strtoll clamped both to the type's maximum, so the restore
   // succeeded with a different seed / path cap than the text said.
-  const std::string cases[][3] = {
-      {"seed", "42", "99999999999999999999999"},
-      {"max-paths", "100000", "9223372036854775808"},
+  const std::string cases[][4] = {
+      {"seed", "42", "99999999999999999999999", "bad 'seed'"},
+      {"max-paths", "100000", "9223372036854775808", "bad 'max-paths'"},
       // Both budgets must be at least 1.
-      {"max-paths", "100000", "0"},
-      {"max-signatures", "20000", "0"},
+      {"max-paths", "100000", "0", "bad 'max-paths'"},
+      {"max-signatures", "20000", "0", "bad 'max-signatures'"},
       // depart() always re-admits from the retry queue.
-      {"readmit-on-depart", "1", "0"}};
-  for (const auto& [key, value, beyond] : cases) {
+      {"readmit-on-depart", "1", "0", "bad 'readmit-on-depart'"},
+      // One past the bound a flag or the task-set parser enforces: the
+      // counts sized allocations that died of std::bad_alloc, and the
+      // repair budget overflowed the search's proposal cap.
+      {"m", "4", above(kMaxProcessors), "bad 'm'"},
+      {"repair-evals", "200", above(kMaxRepairEvals), "bad 'repair-evals'"},
+      {"processors", "4", above(kMaxProcessors), "expected 'processors"},
+      {"tasks", "1", above(kMaxTasksetCells), "expected 'tasks"},
+      {"nresources", "0", above(kMaxTasksetResources),
+       "expected 'nresources"}};
+  for (const auto& [key, value, beyond, message] : cases) {
     const std::string line = "\n" + key + " " + value + "\n";
     std::string mangled = text;
     const auto at = mangled.find(line);
@@ -591,7 +604,7 @@ TEST(Snapshot, TextParserRejectsNumbersBeyondTheFieldRange) {
     mangled.replace(at, line.size(), "\n" + key + " " + beyond + "\n");
     std::string error;
     EXPECT_FALSE(snapshot_from_text(mangled, &error).has_value()) << beyond;
-    EXPECT_NE(error.find("bad '" + key + "'"), std::string::npos) << error;
+    EXPECT_NE(error.find(message), std::string::npos) << error;
   }
 }
 

@@ -756,6 +756,38 @@ TEST(DpcpP, ResultMemoMatchesAFreshOracle) {
   EXPECT_GT(shared, 0) << "no query of a task on a shared processor";
 }
 
+// Sanitizer builds replace malloc, which mallinfo2() cannot see.
+#if !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
+TEST(DpcpP, ResultMemoMemoryStaysBoundedThroughALongSearch) {
+  // A sweep's session never changes its task set, so nothing clears the
+  // result memo during a search but its own cap of 2^20 key words.  The
+  // first Fig. 2(b) set at U = 0.6m (seed 42) is a unanimous reject, so
+  // the search spends its whole budget, and each candidate adds keys:
+  // 2,000 evaluations grew the heap by 14 MB with the cap and by 55 MB
+  // without it.
+  GenParams params;
+  params.scenario = fig2_scenario('b');
+  params.total_utilization = 0.6 * params.scenario.m;
+  Rng rng = Rng(42).fork(0);
+  const std::optional<TaskSet> ts = generate_taskset(rng, params);
+  ASSERT_TRUE(ts.has_value());
+  AnalysisSession session(*ts);
+  const std::unique_ptr<PreparedAnalysis> oracle =
+      make_analysis(AnalysisKind::kDpcpPEp)->prepare(session);
+  OptOptions opt;
+  opt.max_evals = 2000;
+  const std::size_t before = heap_in_use();
+  const OptimizeOutcome out =
+      optimize_partition(session, params.scenario.m, *oracle,
+                         all_placement_kinds(), rng.fork(1), opt);
+  const std::size_t after = heap_in_use();
+  EXPECT_FALSE(out.seed_schedulable);
+  EXPECT_EQ(out.stats.evals, opt.max_evals);
+  EXPECT_LT(after, before + (24u << 20))
+      << "heap grew by " << (after - before) << " bytes";
+}
+#endif
+
 // ---------- SPIN-SON ---------------------------------------------------------
 
 TEST(SpinSon, SpinDelayFormula) {

@@ -321,6 +321,35 @@ TEST(PartitionIo, RejectsOutOfRangeIds) {
   EXPECT_NE(error.find("processor id"), std::string::npos);
 }
 
+TEST(PartitionIo, RejectsCountsAboveTheInputBounds) {
+  // Each count sizes what the parser or a restored controller allocates;
+  // a snapshot with `tasks 100000000` died of std::bad_alloc.  The bounds
+  // are the ones a task set or an `--m` flag already meets.
+  const auto text = [](std::int64_t m, std::int64_t tasks, std::int64_t nr) {
+    return "dpcp-partition v1\nprocessors " + std::to_string(m) +
+           "\ntasks " + std::to_string(tasks) + "\nnresources " +
+           std::to_string(nr) + "\n";
+  };
+  std::string error;
+  EXPECT_TRUE(partition_from_text(
+                  text(kMaxProcessors, kMaxTasksetCells, kMaxTasksetResources),
+                  &error)
+                  .has_value())
+      << error;
+  const struct {
+    std::string text;
+    const char* key;
+  } rows[] = {{text(kMaxProcessors + 1, 1, 1), "processors"},
+              {text(1, kMaxTasksetCells + 1, 1), "tasks"},
+              {text(1, 1, kMaxTasksetResources + 1), "nresources"}};
+  for (const auto& row : rows) {
+    EXPECT_FALSE(partition_from_text(row.text, &error).has_value()) << row.key;
+    EXPECT_NE(error.find(std::string("expected '") + row.key + " <n>'"),
+              std::string::npos)
+        << error;
+  }
+}
+
 TEST(Files, WriteThenRead) {
   const std::string path = ::testing::TempDir() + "/dpcp_io_test.txt";
   std::string error;
