@@ -49,8 +49,7 @@ double scratch_certify(const AdmissionController& ctrl, AnalysisKind kind,
   const auto t0 = std::chrono::steady_clock::now();
   TaskSet ts = ctrl.taskset();
   AnalysisSession session(ts);
-  const auto analysis = make_analysis(kind);
-  analysis->test(session, m);
+  SchedAnalysis(kind).test(session, m);
   return seconds_since(t0);
 }
 

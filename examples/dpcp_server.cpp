@@ -17,9 +17,9 @@
 #include <iostream>
 #include <string>
 
-#include "io/taskset_io.hpp"
 #include "serve/router.hpp"
 #include "serve/server.hpp"
+#include "util/limits.hpp"
 #include "util/parse.hpp"
 
 namespace {

@@ -22,6 +22,7 @@
 
 #include "core/dpcp.hpp"
 #include "io/taskset_io.hpp"
+#include "util/limits.hpp"
 #include "util/parse.hpp"
 
 using namespace dpcp;
@@ -107,7 +108,7 @@ bool parse_args(int argc, char** argv, Args* out) {
 
 std::optional<AnalysisKind> kind_by_name(const std::string& name) {
   for (AnalysisKind k : all_analysis_kinds())
-    if (analysis_kind_name(k) == name) return k;
+    if (SchedAnalysis(k).name() == name) return k;
   return std::nullopt;
 }
 
@@ -174,10 +175,10 @@ int cmd_analyze(const Args& args) {
     std::fprintf(stderr, "unknown protocol '%s'\n", args.protocol.c_str());
     return 2;
   }
-  const auto analysis = make_analysis(*kind);
-  const PartitionOutcome out = analysis->test(*ts, args.m);
+  const SchedAnalysis analysis(*kind);
+  const PartitionOutcome out = analysis.test(*ts, args.m);
   std::printf("%s on m=%d: %s (%d partitioning rounds)\n",
-              analysis->name().c_str(), args.m,
+              analysis.name().c_str(), args.m,
               out.schedulable ? "SCHEDULABLE" : "unschedulable", out.rounds);
   if (!out.schedulable) {
     std::printf("  reason: %s\n", out.failure.c_str());
@@ -216,16 +217,15 @@ int cmd_simulate(const Args& args) {
   }
   SimConfig cfg;
   cfg.horizon = args.horizon;
-  cfg.record_trace = args.trace;
-  std::optional<Simulator> sim;
+  std::vector<TraceEvent> trace;
+  SimResult res;
   try {
-    sim.emplace(*ts, *part, cfg);
+    res = simulate(*ts, *part, cfg, args.trace ? &trace : nullptr);
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "%s\n", e.what());
     return 1;
   }
-  const SimResult res = sim->run();
-  if (args.trace) std::fputs(trace_to_string(sim->trace()).c_str(), stdout);
+  std::fputs(trace_to_string(trace).c_str(), stdout);
   std::printf("simulated %s: %lld global requests, invariants %s\n",
               format_time(res.end_time).c_str(),
               static_cast<long long>(res.global_requests_completed),

@@ -74,12 +74,11 @@ int main() {
 
   SimConfig cfg;
   cfg.horizon = 19;  // one job per task
-  cfg.record_trace = true;
-  Simulator sim(ts, part, cfg);
-  const SimResult res = sim.run();
+  std::vector<TraceEvent> trace;
+  const SimResult res = simulate(ts, part, cfg, &trace);
 
   std::puts("\nEvent trace (times are abstract units, as in the paper):");
-  std::fputs(trace_to_string(sim.trace()).c_str(), stdout);
+  std::fputs(trace_to_string(trace).c_str(), stdout);
 
   std::printf(
       "\nResponses: J_i=%ld J_j=%ld; lower-priority blockers observed per "

@@ -16,7 +16,7 @@
 
 #include "exp/grid.hpp"
 #include "exp/online.hpp"
-#include "opt/admission.hpp"
+#include "util/limits.hpp"
 #include "util/parse.hpp"
 
 namespace {
@@ -96,16 +96,17 @@ int main(int argc, char** argv) {
       options.util_frac = *v;
     } else if (arg == "--analysis") {
       const std::string token = value();
-      if (!dpcp::analysis_kind_from_token(token, &options.kind)) {
+      if (!dpcp::analysis_kind_from_token(token, &options.admit.kind)) {
         std::fprintf(stderr, "unknown analysis '%s'\n", token.c_str());
         return usage(argv[0]);
       }
     } else if (arg == "--repair-evals") {
-      options.repair_evals = number(0, dpcp::kMaxRepairEvals);
+      options.admit.repair_evals = number(0, dpcp::kMaxRepairEvals);
     } else if (arg == "--retry-cap") {
-      options.retry_capacity = number(std::size_t{0}, std::size_t{1} << 20);
+      options.admit.retry_capacity =
+          number(std::size_t{0}, std::size_t{1} << 20);
     } else if (arg == "--seed") {
-      options.seed = number(std::uint64_t{0}, UINT64_MAX);
+      options.admit.seed = number(std::uint64_t{0}, UINT64_MAX);
     } else if (arg == "--threads") {
       options.threads = number(1, 1024);
     } else if (arg == "--validate") {

@@ -42,9 +42,9 @@ int main() {
   // --- 2. Run all five analyses (Algorithm 1 + the protocol's bound). ----
   std::puts("\nSchedulability on 8 processors:");
   for (AnalysisKind kind : all_analysis_kinds()) {
-    auto analysis = make_analysis(kind);
-    const PartitionOutcome outcome = analysis->test(*ts, scenario.m);
-    std::printf("  %-10s : %s", analysis->name().c_str(),
+    const SchedAnalysis analysis(kind);
+    const PartitionOutcome outcome = analysis.test(*ts, scenario.m);
+    std::printf("  %-10s : %s", analysis.name().c_str(),
                 outcome.schedulable ? "schedulable  " : "unschedulable");
     if (outcome.schedulable) {
       std::printf(" (WCRT bounds:");
@@ -58,8 +58,8 @@ int main() {
   }
 
   // --- 3. Execute under DPCP-p and validate the runtime invariants. ------
-  auto dpcp_ep = make_analysis(AnalysisKind::kDpcpPEp);
-  const PartitionOutcome outcome = dpcp_ep->test(*ts, scenario.m);
+  const PartitionOutcome outcome =
+      SchedAnalysis(AnalysisKind::kDpcpPEp).test(*ts, scenario.m);
   if (!outcome.schedulable) {
     std::puts("\nDPCP-p deems this set unschedulable; nothing to simulate.");
     return 0;

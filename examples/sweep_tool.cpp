@@ -125,15 +125,14 @@ bool export_sim_trace(const std::string& path, const Scenario& scenario,
     Rng sim_rng = rng.fork(7);
     SimConfig cfg = sample_sim_config(options.sim, *ts, sim_rng);
     cfg.protocol = SimProtocol::kDpcpP;
-    cfg.record_trace = true;
-    Simulator sim(*ts, *part, cfg);
-    sim.run();
+    std::vector<TraceEvent> trace;
+    simulate(*ts, *part, cfg, &trace);
     std::ofstream out(path);
     if (!out) {
       *error = "cannot open '" + path + "' for writing";
       return false;
     }
-    out << chrome_trace_json(sim.trace());
+    out << chrome_trace_json(trace);
     return true;
   }
   *error = "no generable+partitionable sample in the first " +
@@ -226,7 +225,7 @@ int main(int argc, char** argv) {
   // silently sweeping without a search.
   bool any_placement_requiring = false;
   for (AnalysisKind k : kinds)
-    if (make_analysis(k)->placement() != ResourcePlacement::kNone)
+    if (SchedAnalysis(k).placement() != ResourcePlacement::kNone)
       any_placement_requiring = true;
   if (options.optimize_evals > 0 && !any_placement_requiring)
     std::fprintf(stderr,

@@ -364,10 +364,10 @@ class QueryContext {
 
 class DpcpPPrepared final : public PreparedAnalysis {
  public:
-  DpcpPPrepared(AnalysisSession& session, DpcpPAnalysis::PathMode mode,
+  DpcpPPrepared(AnalysisSession& session, bool enumerate_paths,
                 AnalysisOptions options)
       : PreparedAnalysis(session),
-        mode_(mode),
+        enumerate_paths_(enumerate_paths),
         options_(options),
         tables_(static_cast<std::size_t>(ts_.size())) {}
 
@@ -584,7 +584,7 @@ class DpcpPPrepared final : public PreparedAnalysis {
                             /*envelope=*/false, 0);
     }
 
-    if (mode_ == DpcpPAnalysis::PathMode::kEnvelope) {
+    if (!enumerate_paths_) {
       return ctx.path_bound(ti.longest_path_length(), nullptr,
                             /*envelope=*/true, 0);
     }
@@ -612,7 +612,7 @@ class DpcpPPrepared final : public PreparedAnalysis {
     return worst;
   }
 
-  const DpcpPAnalysis::PathMode mode_;
+  const bool enumerate_paths_;  // EP; EN takes the envelope
   const AnalysisOptions options_;
   std::vector<TaskTables> tables_;
   PlacedGlobals placed_;           // of the bind numbered placed_bind_
@@ -627,9 +627,10 @@ class DpcpPPrepared final : public PreparedAnalysis {
 
 }  // namespace
 
-std::unique_ptr<PreparedAnalysis> DpcpPAnalysis::prepare(
-    AnalysisSession& session) const {
-  return std::make_unique<DpcpPPrepared>(session, mode_, options_);
+std::unique_ptr<PreparedAnalysis> prepare_dpcp_p(
+    AnalysisSession& session, bool enumerate_paths,
+    const AnalysisOptions& options) {
+  return std::make_unique<DpcpPPrepared>(session, enumerate_paths, options);
 }
 
 }  // namespace dpcp

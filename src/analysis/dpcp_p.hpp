@@ -42,27 +42,9 @@
 
 namespace dpcp {
 
-class DpcpPAnalysis final : public SchedAnalysis {
- public:
-  enum class PathMode { kEnumerate, kEnvelope };
-  using Options = AnalysisOptions;
-
-  explicit DpcpPAnalysis(PathMode mode, Options options = Options())
-      : mode_(mode), options_(options) {}
-
-  std::string name() const override {
-    return mode_ == PathMode::kEnumerate ? "DPCP-p-EP" : "DPCP-p-EN";
-  }
-  ResourcePlacement placement() const override {
-    return ResourcePlacement::kWfd;
-  }
-
-  std::unique_ptr<PreparedAnalysis> prepare(
-      AnalysisSession& session) const override;
-
- private:
-  PathMode mode_;
-  Options options_;
-};
+/// The DPCP-p oracle over `session`: EP when `enumerate_paths`, else EN.
+std::unique_ptr<PreparedAnalysis> prepare_dpcp_p(
+    AnalysisSession& session, bool enumerate_paths,
+    const AnalysisOptions& options);
 
 }  // namespace dpcp

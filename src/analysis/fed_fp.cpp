@@ -60,8 +60,7 @@ class FedFpPrepared final : public PreparedAnalysis {
 
 }  // namespace
 
-std::unique_ptr<PreparedAnalysis> FedFpAnalysis::prepare(
-    AnalysisSession& session) const {
+std::unique_ptr<PreparedAnalysis> prepare_fed_fp(AnalysisSession& session) {
   return std::make_unique<FedFpPrepared>(session);
 }
 

@@ -7,15 +7,6 @@
 
 namespace dpcp {
 
-class FedFpAnalysis final : public SchedAnalysis {
- public:
-  std::string name() const override { return "FED-FP"; }
-  ResourcePlacement placement() const override {
-    return ResourcePlacement::kNone;
-  }
-
-  std::unique_ptr<PreparedAnalysis> prepare(
-      AnalysisSession& session) const override;
-};
+std::unique_ptr<PreparedAnalysis> prepare_fed_fp(AnalysisSession& session);
 
 }  // namespace dpcp

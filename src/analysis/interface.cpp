@@ -9,6 +9,44 @@
 #include "util/table.hpp"
 
 namespace dpcp {
+namespace {
+
+struct KindRow {
+  const char* token;  // command lines and snapshots
+  const char* name;   // display
+  ResourcePlacement placement;
+};
+
+/// One row per AnalysisKind, in enum (= display) order.  Remote-execution
+/// protocols pin global resources to processors; local-execution
+/// protocols (and FED-FP, which ignores resources) place nothing.
+constexpr KindRow kKinds[] = {
+    {"ep", "DPCP-p-EP", ResourcePlacement::kWfd},
+    {"en", "DPCP-p-EN", ResourcePlacement::kWfd},
+    {"spin", "SPIN-SON", ResourcePlacement::kNone},
+    {"lpp", "LPP", ResourcePlacement::kNone},
+    {"fed", "FED-FP", ResourcePlacement::kNone},
+};
+
+const KindRow& row(AnalysisKind kind) {
+  return kKinds[static_cast<std::size_t>(kind)];
+}
+
+}  // namespace
+
+std::string SchedAnalysis::name() const { return row(kind_).name; }
+
+ResourcePlacement SchedAnalysis::placement() const {
+  return row(kind_).placement;
+}
+
+std::unique_ptr<PreparedAnalysis> SchedAnalysis::prepare(
+    AnalysisSession& session) const {
+  if (kind_ == AnalysisKind::kSpinSon) return prepare_spin_son(session);
+  if (kind_ == AnalysisKind::kLpp) return prepare_lpp(session);
+  if (kind_ == AnalysisKind::kFedFp) return prepare_fed_fp(session);
+  return prepare_dpcp_p(session, kind_ == AnalysisKind::kDpcpPEp, options_);
+}
 
 std::optional<Time> SchedAnalysis::wcrt(const TaskSet& ts,
                                         const Partition& part, int task,
@@ -40,21 +78,7 @@ PartitionOutcome SchedAnalysis::test(const TaskSet& ts, int m) const {
 
 std::unique_ptr<SchedAnalysis> make_analysis(AnalysisKind kind,
                                              const AnalysisOptions& options) {
-  switch (kind) {
-    case AnalysisKind::kDpcpPEp:
-      return std::make_unique<DpcpPAnalysis>(DpcpPAnalysis::PathMode::kEnumerate,
-                                             options);
-    case AnalysisKind::kDpcpPEn:
-      return std::make_unique<DpcpPAnalysis>(DpcpPAnalysis::PathMode::kEnvelope,
-                                             options);
-    case AnalysisKind::kSpinSon:
-      return std::make_unique<SpinSonAnalysis>();
-    case AnalysisKind::kLpp:
-      return std::make_unique<LppAnalysis>();
-    case AnalysisKind::kFedFp:
-      return std::make_unique<FedFpAnalysis>();
-  }
-  return nullptr;
+  return std::make_unique<SchedAnalysis>(kind, options);
 }
 
 std::vector<AnalysisKind> all_analysis_kinds() {
@@ -62,25 +86,7 @@ std::vector<AnalysisKind> all_analysis_kinds() {
           AnalysisKind::kSpinSon, AnalysisKind::kLpp, AnalysisKind::kFedFp};
 }
 
-std::string analysis_kind_name(AnalysisKind kind) {
-  return make_analysis(kind)->name();
-}
-
-const char* analysis_kind_token(AnalysisKind kind) {
-  switch (kind) {
-    case AnalysisKind::kDpcpPEp:
-      return "ep";
-    case AnalysisKind::kDpcpPEn:
-      return "en";
-    case AnalysisKind::kSpinSon:
-      return "spin";
-    case AnalysisKind::kLpp:
-      return "lpp";
-    case AnalysisKind::kFedFp:
-      return "fed";
-  }
-  return "ep";
-}
+const char* analysis_kind_token(AnalysisKind kind) { return row(kind).token; }
 
 bool analysis_kind_from_token(const std::string& token, AnalysisKind* out) {
   for (AnalysisKind kind : all_analysis_kinds()) {

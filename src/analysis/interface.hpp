@@ -34,21 +34,42 @@
 
 namespace dpcp {
 
+enum class AnalysisKind {
+  kDpcpPEp,   // DPCP-p, enumerating complete paths (Sec. IV + VI)
+  kDpcpPEn,   // DPCP-p, N^lambda envelope as in prior work [6],[11]
+  kSpinSon,   // FIFO spin locks under federated scheduling (after [6])
+  kLpp,       // suspension-based semaphores under federated scheduling [11]
+  kFedFp,     // federated scheduling ignoring shared resources [13]
+};
+
+/// Cross-analysis tuning knobs; today these reach only DPCP-p-EP, which
+/// falls back to the (sound) EN envelope for a task over either budget.
+struct AnalysisOptions {
+  /// Complete-path budget for EP path enumeration.
+  std::int64_t max_paths = 100'000;
+  /// Signature budget for EP's per-signature fixed points.
+  std::int64_t max_signatures = 20'000;
+};
+
+/// One of the five analyses: its name and placement policy come from the
+/// kind's row in interface.cpp, its oracle from the kind's prepare
+/// function (analysis/dpcp_p.hpp, spin_son.hpp, lpp.hpp, fed_fp.hpp).
 class SchedAnalysis {
  public:
-  virtual ~SchedAnalysis() = default;
+  explicit SchedAnalysis(AnalysisKind kind,
+                         const AnalysisOptions& options = AnalysisOptions())
+      : kind_(kind), options_(options) {}
 
   /// Display name, e.g. "DPCP-p-EP".
-  virtual std::string name() const = 0;
+  std::string name() const;
 
   /// Placement policy Algorithm 1 must run for this protocol.
-  virtual ResourcePlacement placement() const = 0;
+  ResourcePlacement placement() const;
 
   /// Two-phase entry point: binds this analysis to `session`'s task set
   /// and returns the per-partition query object Algorithm 1 iterates.
   /// The session must outlive the returned oracle.
-  virtual std::unique_ptr<PreparedAnalysis> prepare(
-      AnalysisSession& session) const = 0;
+  std::unique_ptr<PreparedAnalysis> prepare(AnalysisSession& session) const;
 
   /// One-shot WCRT bound of `task` under `part`; `hint[j]` is the response
   /// time to assume for every other task (computed value or D_j).  nullopt
@@ -69,24 +90,10 @@ class SchedAnalysis {
 
   /// End-to-end schedulability test with a private one-shot session.
   PartitionOutcome test(const TaskSet& ts, int m) const;
-};
 
-enum class AnalysisKind {
-  kDpcpPEp,   // DPCP-p, enumerating complete paths (Sec. IV + VI)
-  kDpcpPEn,   // DPCP-p, N^lambda envelope as in prior work [6],[11]
-  kSpinSon,   // FIFO spin locks under federated scheduling (after [6])
-  kLpp,       // suspension-based semaphores under federated scheduling [11]
-  kFedFp,     // federated scheduling ignoring shared resources [13]
-};
-
-/// Cross-analysis tuning knobs forwarded by make_analysis(); today these
-/// reach only DPCP-p-EP, which falls back to the (sound) EN envelope for a
-/// task over either budget.
-struct AnalysisOptions {
-  /// Complete-path budget for EP path enumeration.
-  std::int64_t max_paths = 100'000;
-  /// Signature budget for EP's per-signature fixed points.
-  std::int64_t max_signatures = 20'000;
+ private:
+  AnalysisKind kind_;
+  AnalysisOptions options_;
 };
 
 std::unique_ptr<SchedAnalysis> make_analysis(AnalysisKind kind,
@@ -95,8 +102,6 @@ std::unique_ptr<SchedAnalysis> make_analysis(AnalysisKind kind,
 
 /// The five approaches in the paper's comparison, in display order.
 std::vector<AnalysisKind> all_analysis_kinds();
-
-std::string analysis_kind_name(AnalysisKind kind);
 
 /// Short stable token ("ep", "en", "spin", "lpp", "fed") used by command
 /// lines and serialized snapshots; inverse of analysis_kind_from_token().

@@ -7,9 +7,9 @@
 
 namespace dpcp {
 
-std::optional<Time> LppAnalysis::request_response(
-    const TaskSet& ts, int task, ResourceId q,
-    const std::vector<Time>& hint) {
+std::optional<Time> lpp_request_response(const TaskSet& ts, int task,
+                                         ResourceId q,
+                                         const std::vector<Time>& hint) {
   const DagTask& ti = ts.task(task);
   const auto& own = ti.usage(q);
 
@@ -182,7 +182,7 @@ class LppPrepared final : public PreparedAnalysis {
   }
 
   /// The inner Lemma-2-style recurrence over precomputed contender lists;
-  /// identical to the static request_response().
+  /// identical to lpp_request_response().
   std::optional<Time> inner_response(const TaskStatics& ps, std::size_t k,
                                      Time deadline,
                                      const std::vector<Time>& hint) const {
@@ -204,8 +204,7 @@ class LppPrepared final : public PreparedAnalysis {
 
 }  // namespace
 
-std::unique_ptr<PreparedAnalysis> LppAnalysis::prepare(
-    AnalysisSession& session) const {
+std::unique_ptr<PreparedAnalysis> prepare_lpp(AnalysisSession& session) {
   return std::make_unique<LppPrepared>(session);
 }
 

@@ -23,21 +23,12 @@
 
 namespace dpcp {
 
-class LppAnalysis final : public SchedAnalysis {
- public:
-  std::string name() const override { return "LPP"; }
-  ResourcePlacement placement() const override {
-    return ResourcePlacement::kNone;  // local execution: no resource pinning
-  }
+std::unique_ptr<PreparedAnalysis> prepare_lpp(AnalysisSession& session);
 
-  std::unique_ptr<PreparedAnalysis> prepare(
-      AnalysisSession& session) const override;
-
-  /// Response time of one request of tau_i to l_q (lock wait + own critical
-  /// section); nullopt if the inner recurrence exceeds the deadline.
-  static std::optional<Time> request_response(const TaskSet& ts, int task,
-                                              ResourceId q,
-                                              const std::vector<Time>& hint);
-};
+/// Response time of one request of tau_i to l_q (lock wait + own critical
+/// section); nullopt if the inner recurrence exceeds the deadline.
+std::optional<Time> lpp_request_response(const TaskSet& ts, int task,
+                                         ResourceId q,
+                                         const std::vector<Time>& hint);
 
 }  // namespace dpcp

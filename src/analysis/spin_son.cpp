@@ -8,8 +8,8 @@
 
 namespace dpcp {
 
-Time SpinSonAnalysis::spin_delay(const TaskSet& ts, const Partition& part,
-                                 int task, ResourceId q) {
+Time spin_delay(const TaskSet& ts, const Partition& part, int task,
+                ResourceId q) {
   const DagTask& ti = ts.task(task);
   Time delay = 0;
   // FIFO: one in-flight request per contending processor can be ahead.
@@ -61,7 +61,7 @@ class SpinSonPrepared final : public PreparedAnalysis {
       for (std::size_t k = 0; k < ps.q.size(); ++k)
         st.fifo_bound.push_back(
             static_cast<Time>(ps.max_requests[k]) *
-            SpinSonAnalysis::spin_delay(ts_, partition(), task, ps.q[k]));
+            spin_delay(ts_, partition(), task, ps.q[k]));
       preemption_demand(task, &st.preempt);
       st.arrival_blocking = 0;
       if (!st.preempt.empty() || shares_processor(task)) {
@@ -169,7 +169,7 @@ class SpinSonPrepared final : public PreparedAnalysis {
     Time total = 0;
     for (ResourceId q : ts_.task(j).used_resources())
       total += static_cast<Time>(ts_.task(j).usage(q).max_requests) *
-               SpinSonAnalysis::spin_delay(ts_, partition(), j, q);
+               spin_delay(ts_, partition(), j, q);
     return total;
   }
 
@@ -186,7 +186,7 @@ class SpinSonPrepared final : public PreparedAnalysis {
         if (ts_.task(j).priority() >= ts_.task(task).priority()) continue;
         for (ResourceId q : ts_.task(j).used_resources())
           worst = std::max(
-              worst, SpinSonAnalysis::spin_delay(ts_, partition(), j, q) +
+              worst, spin_delay(ts_, partition(), j, q) +
                          ts_.task(j).usage(q).cs_length);
       }
     }
@@ -225,8 +225,7 @@ class SpinSonPrepared final : public PreparedAnalysis {
 
 }  // namespace
 
-std::unique_ptr<PreparedAnalysis> SpinSonAnalysis::prepare(
-    AnalysisSession& session) const {
+std::unique_ptr<PreparedAnalysis> prepare_spin_son(AnalysisSession& session) {
   return std::make_unique<SpinSonPrepared>(session);
 }
 

@@ -30,20 +30,11 @@
 
 namespace dpcp {
 
-class SpinSonAnalysis final : public SchedAnalysis {
- public:
-  std::string name() const override { return "SPIN-SON"; }
-  ResourcePlacement placement() const override {
-    return ResourcePlacement::kNone;  // local execution: no resource pinning
-  }
+std::unique_ptr<PreparedAnalysis> prepare_spin_son(AnalysisSession& session);
 
-  std::unique_ptr<PreparedAnalysis> prepare(
-      AnalysisSession& session) const override;
-
-  /// Worst-case spin delay of one request of tau_i to l_q (exposed for
-  /// tests).
-  static Time spin_delay(const TaskSet& ts, const Partition& part, int task,
-                         ResourceId q);
-};
+/// Worst-case spin delay of one request of tau_i to l_q (exposed for
+/// tests).
+Time spin_delay(const TaskSet& ts, const Partition& part, int task,
+                ResourceId q);
 
 }  // namespace dpcp

@@ -9,8 +9,8 @@
 //   dpcp::GenParams params;                     // paper Sec. VII-A defaults
 //   params.total_utilization = 8.0;
 //   auto ts = dpcp::generate_taskset(rng, params);
-//   auto analysis = dpcp::make_analysis(dpcp::AnalysisKind::kDpcpPEp);
-//   auto outcome = analysis->test(*ts, /*m=*/16);   // Algorithm 1 + Sec. IV
+//   dpcp::SchedAnalysis analysis(dpcp::AnalysisKind::kDpcpPEp);
+//   auto outcome = analysis.test(*ts, /*m=*/16);    // Algorithm 1 + Sec. IV
 //   if (outcome.schedulable) { /* per-task WCRTs in outcome.wcrt */ }
 //
 //   // Execute the protocol and validate Lemma 1 at runtime:

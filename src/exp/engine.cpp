@@ -117,9 +117,9 @@ SweepResult run_sweep(const std::vector<Scenario>& scenarios,
   // optimize; opt_active keeps the reports free of empty opt scaffolding.
   bool have_opt_column = false;
   for (AnalysisKind k : kinds) {
-    const auto analysis = make_analysis(k, options.analysis);
-    const std::string bare = analysis->name();
-    if (analysis->placement() == ResourcePlacement::kNone) {
+    const SchedAnalysis analysis(k, options.analysis);
+    const std::string bare = analysis.name();
+    if (analysis.placement() == ResourcePlacement::kNone) {
       columns.push_back({k, nullptr, bare, false});
       result.column_analysis.push_back(bare);
       result.column_placement.push_back("");
@@ -231,9 +231,9 @@ SweepResult run_sweep(const std::vector<Scenario>& scenarios,
   // folds it into `result` once, under the merge mutex.
   const SweepResult skeleton = result;
   auto worker = [&]() {
-    std::vector<std::unique_ptr<SchedAnalysis>> analyses;  // one per column
+    std::vector<SchedAnalysis> analyses;  // one per column
     for (const Column& c : columns)
-      analyses.push_back(make_analysis(c.kind, options.analysis));
+      analyses.emplace_back(c.kind, options.analysis);
     SweepResult share = skeleton;
 
     for (;;) {
@@ -277,7 +277,7 @@ SweepResult run_sweep(const std::vector<Scenario>& scenarios,
             // independent instead of threading outcomes between them.
             OptOptions opt_options;
             opt_options.max_evals = options.optimize_evals;
-            const auto oracle = analyses[a]->prepare(session);
+            const auto oracle = analyses[a].prepare(session);
             OptimizeOutcome opt_out = optimize_partition(
                 session, scenarios[s].m, *oracle, opt_seeds,
                 rng.fork(kOptimizeSalt + a), opt_options);
@@ -290,7 +290,7 @@ SweepResult run_sweep(const std::vector<Scenario>& scenarios,
             outcome = std::move(opt_out.outcome);
           } else {
             outcome =
-                analyses[a]->test(session, scenarios[s].m, columns[a].strategy);
+                analyses[a].test(session, scenarios[s].m, columns[a].strategy);
           }
           if (!outcome.schedulable) continue;
           ++curve.accepted[a][point];

@@ -46,7 +46,7 @@ struct SweepOptions {
   /// Normalized utilization points (fraction of m) overriding the paper's
   /// per-scenario grid of utilization_grid(); empty = paper grid.
   std::vector<double> norm_utilizations;
-  /// Tuning knobs forwarded to make_analysis() (EP path/signature budgets).
+  /// Tuning knobs of every column's analysis (EP path/signature budgets).
   AnalysisOptions analysis;
   /// Placement axis: when non-empty, every placement-requiring analysis
   /// (placement() != kNone) is run once per listed strategy on the same

@@ -7,7 +7,6 @@
 #include "analysis/prepared.hpp"
 #include "exp/validate.hpp"
 #include "gen/taskset_gen.hpp"
-#include "opt/admission.hpp"
 #include "util/rng.hpp"
 #include "util/workers.hpp"
 
@@ -31,7 +30,7 @@ OnlineStreamResult run_stream(const OnlineOptions& options, int scenario_idx,
 
   // One fork per (scenario, stream): the replay is self-contained, so the
   // thread that runs it cannot matter.
-  const Rng root = Rng(options.seed).fork(
+  const Rng root = Rng(options.admit.seed).fork(
       static_cast<std::uint64_t>(scenario_idx) * 1000003u +
       static_cast<std::uint64_t>(stream_idx));
   Rng events_rng = root.fork(1);
@@ -43,17 +42,13 @@ OnlineStreamResult run_stream(const OnlineOptions& options, int scenario_idx,
   refill.total_utilization = options.util_frac * scenario.m;
   TaskPool pool(refill, root.fork(3));
 
-  AdmitOptions admit;
+  AdmitOptions admit = options.admit;
   admit.m = scenario.m;
-  admit.kind = options.kind;
-  admit.analysis = options.analysis;
-  admit.repair_evals = options.repair_evals;
-  admit.retry_capacity = options.retry_capacity;
   admit.seed = root.fork(4).raw();
   AdmissionController ctrl(nr, admit);
 
   const auto protocol =
-      options.validate ? sim_protocol_for(options.kind) : std::nullopt;
+      options.validate ? sim_protocol_for(options.admit.kind) : std::nullopt;
   SimBackendOptions sim_options;
 
   std::vector<std::int64_t> costs;  // per-arrival admission cost

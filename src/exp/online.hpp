@@ -21,9 +21,9 @@
 #include <iosfwd>
 #include <vector>
 
-#include "analysis/interface.hpp"
 #include "gen/scenario.hpp"
 #include "obs/metrics.hpp"
+#include "opt/admission.hpp"
 
 namespace dpcp {
 
@@ -38,11 +38,9 @@ struct OnlineOptions {
   /// Heavy-task utilization budget per generator refill, as a fraction
   /// of m (the sweep's per-point normalized utilization).
   double util_frac = 0.4;
-  AnalysisKind kind = AnalysisKind::kDpcpPEp;
-  AnalysisOptions analysis;
-  std::int64_t repair_evals = 200;
-  std::size_t retry_capacity = 16;
-  std::uint64_t seed = 42;
+  /// Every stream's controller knobs; run_stream() sets `m` to the
+  /// scenario's and `seed` to the stream's fork of this seed.
+  AdmitOptions admit;
   /// Worker threads; at most one per (scenario, stream) replay starts.
   int threads = 1;
   /// Simulate every accept under the analysis's protocol.

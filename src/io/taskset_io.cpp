@@ -6,6 +6,7 @@
 #include <sstream>
 #include <vector>
 
+#include "util/limits.hpp"
 #include "util/parse.hpp"
 
 namespace dpcp {

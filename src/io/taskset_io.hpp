@@ -22,7 +22,6 @@
 //   resource 0 1
 #pragma once
 
-#include <cstdint>
 #include <optional>
 #include <string>
 
@@ -30,21 +29,6 @@
 #include "partition/partition.hpp"
 
 namespace dpcp {
-
-/// Largest resource count taskset_from_text() accepts.  Every task holds a
-/// usage row that wide, so the cap bounds what one `resources` line can
-/// make the parser allocate; the paper's scenarios use at most 16.
-inline constexpr int kMaxTasksetResources = 4096;
-
-/// Largest processor count partition_from_text(), a snapshot's `m` and
-/// every `--m` flag accept.  Controllers keep per-processor state, so the
-/// cap bounds what one number can make them allocate.
-inline constexpr int kMaxProcessors = 4096;
-
-/// Largest tasks x resources product taskset_from_text() accepts: the
-/// usage rows of all tasks together, 16 MiB at this cap.  With the
-/// resource cap it bounds what a payload can make the parser allocate.
-inline constexpr std::int64_t kMaxTasksetCells = std::int64_t{1} << 20;
 
 /// Serializes a task set (priorities are not stored; they are re-derived
 /// by Rate-Monotonic assignment on load, matching the paper's setup).

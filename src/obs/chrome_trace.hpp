@@ -1,6 +1,6 @@
 // Chrome trace-event JSON exporter for simulator traces.
 //
-// Serializes a Simulator event trace (sim/config.hpp TraceEvent) into
+// Serializes a simulator event trace (sim/config.hpp TraceEvent) into
 // the Trace Event Format that Perfetto and chrome://tracing load
 // natively, giving the protocol machine its first visual debugging
 // surface:

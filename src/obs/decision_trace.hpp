@@ -12,7 +12,8 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
+
+#include "util/ring.hpp"
 
 namespace dpcp {
 
@@ -54,44 +55,7 @@ inline std::string decision_record_line(const DecisionRecord& r) {
   return out;
 }
 
-class DecisionTrace {
- public:
-  explicit DecisionTrace(std::size_t capacity) : capacity_(capacity) {
-    ring_.reserve(capacity_);
-  }
-
-  void push(const DecisionRecord& r) {
-    ++recorded_;
-    if (capacity_ == 0) return;
-    if (ring_.size() < capacity_) {
-      ring_.push_back(r);
-    } else {
-      ring_[next_] = r;
-      next_ = (next_ + 1) % capacity_;
-    }
-  }
-
-  std::size_t capacity() const { return capacity_; }
-  /// Records currently retained (<= capacity).
-  std::size_t size() const { return ring_.size(); }
-  /// Lifetime records pushed, including overwritten ones.
-  std::int64_t recorded() const { return recorded_; }
-
-  /// The most recent min(n, size()) records, oldest first.
-  std::vector<DecisionRecord> last(std::size_t n) const {
-    std::vector<DecisionRecord> out;
-    const std::size_t take = n < ring_.size() ? n : ring_.size();
-    out.reserve(take);
-    for (std::size_t k = ring_.size() - take; k < ring_.size(); ++k)
-      out.push_back(ring_[(next_ + k) % ring_.size()]);
-    return out;
-  }
-
- private:
-  std::size_t capacity_;
-  std::vector<DecisionRecord> ring_;
-  std::size_t next_ = 0;  // overwrite cursor once the ring is full
-  std::int64_t recorded_ = 0;
-};
+/// The last `capacity` records, oldest first, and the lifetime count.
+using DecisionTrace = BoundedRing<DecisionRecord>;
 
 }  // namespace dpcp

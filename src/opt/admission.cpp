@@ -29,8 +29,7 @@ AdmissionController::AdmissionController(int num_resources,
     : options_(options),
       ts_(num_resources),
       session_(ts_, AllowMutation{}),
-      analysis_(make_analysis(options.kind, options.analysis)),
-      oracle_(analysis_->prepare(session_)),
+      oracle_(SchedAnalysis(options.kind, options.analysis).prepare(session_)),
       part_(options.m, 0, num_resources),
       rng_root_(options.seed) {}
 
@@ -38,8 +37,8 @@ AdmissionController::AdmissionController(const ControllerSnapshot& snap)
     : options_(snap.options),
       ts_(snap.taskset),
       session_(ts_, AllowMutation{}),
-      analysis_(make_analysis(options_.kind, options_.analysis)),
-      oracle_(analysis_->prepare(session_)),
+      oracle_(
+          SchedAnalysis(options_.kind, options_.analysis).prepare(session_)),
       part_(snap.partition),
       ext_ids_(snap.ext_ids),
       rng_root_(options_.seed),

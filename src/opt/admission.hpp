@@ -51,10 +51,6 @@ namespace dpcp {
 
 struct ControllerSnapshot;  // opt/snapshot.hpp
 
-/// Largest repair budget a flag or a snapshot accepts: it keeps the
-/// search's proposal cap, 32 x budget + 64, far inside int64.
-inline constexpr int kMaxRepairEvals = 1 << 24;
-
 /// Knobs of one controller instance.
 struct AdmitOptions {
   /// Platform size.
@@ -239,7 +235,6 @@ class AdmissionController {
   const AdmitOptions options_;
   TaskSet ts_;
   AnalysisSession session_;
-  std::unique_ptr<SchedAnalysis> analysis_;
   std::unique_ptr<PreparedAnalysis> oracle_;
   Partition part_;
   std::vector<int> ext_ids_;

@@ -1,10 +1,12 @@
 #include "opt/snapshot.hpp"
 
+#include <array>
 #include <sstream>
 
 #include "analysis/interface.hpp"
 #include "io/taskset_io.hpp"
 #include "partition/placement.hpp"
+#include "util/limits.hpp"
 #include "util/parse.hpp"
 
 namespace dpcp {
@@ -20,10 +22,11 @@ void set_error(std::string* error, const std::string& message) {
 /// Strict line/token cursor over the snapshot text.  Unlike the taskset
 /// reader this one keeps every line verbatim (no comment stripping): a
 /// snapshot is machine-written, and the embedded blocks must round-trip
-/// byte-for-byte.
+/// byte-for-byte.  Its checks report through `error` as `line N: ...`.
 class Cursor {
  public:
-  explicit Cursor(const std::string& text) : input_(text) {}
+  Cursor(const std::string& text, std::string* error)
+      : input_(text), error_(error) {}
 
   bool next() {
     std::string raw;
@@ -40,12 +43,33 @@ class Cursor {
   std::istringstream& stream() { return input_; }
   int* line_no() { return &line_no_; }
 
-  std::string err(const std::string& what) const {
-    return "line " + std::to_string(line_no_) + ": " + what;
+  /// Sets the error to `line N: <what>`; returns false.
+  bool fail(const std::string& what) {
+    set_error(error_, "line " + std::to_string(line_no_) + ": " + what);
+    return false;
+  }
+
+  /// Reads the next line, which must be `key` and at least `min_tokens`
+  /// more tokens (`key` alone is legal where the list may be empty).
+  bool expect(const char* key, std::size_t min_tokens) {
+    if (next() && !tokens_.empty() && tokens_[0] == key &&
+        tokens_.size() >= 1 + min_tokens)
+      return true;
+    return fail(std::string("expected '") + key + " ...'");
+  }
+
+  /// Reads a `key <n>` line into `*out`, n in [lo, hi].
+  template <typename T>
+  bool number(const char* key, T* out,
+              std::common_type_t<T> lo = std::numeric_limits<T>::min(),
+              std::common_type_t<T> hi = std::numeric_limits<T>::max()) {
+    return (expect(key, 1) && parse_into(tokens_[1], out, lo, hi)) ||
+           fail(std::string("bad '") + key + "'");
   }
 
  private:
   std::istringstream input_;
+  std::string* error_;
   std::vector<std::string> tokens_;
   int line_no_ = 0;
 };
@@ -55,18 +79,14 @@ const char* const kStatKeys[] = {
     "delta",     "replace",   "repair",       "readmits",
     "evictions", "degraded",  "oracle-calls", "reused"};
 
-std::vector<std::int64_t*> stat_slots(AdmissionStats& s) {
-  return {&s.submitted,       &s.accepted,        &s.rejected,
-          &s.departed,        &s.delta_accepts,   &s.replace_accepts,
-          &s.repair_accepts,  &s.readmits,        &s.retry_evictions,
-          &s.degraded_admits, &s.oracle_calls,    &s.tasks_reused};
-}
-
-std::vector<const std::int64_t*> stat_slots(const AdmissionStats& s) {
-  return {&s.submitted,       &s.accepted,        &s.rejected,
-          &s.departed,        &s.delta_accepts,   &s.replace_accepts,
-          &s.repair_accepts,  &s.readmits,        &s.retry_evictions,
-          &s.degraded_admits, &s.oracle_calls,    &s.tasks_reused};
+/// The AdmissionStats fields in kStatKeys order (`S` may be const).
+template <typename S>
+auto stat_slots(S& s) {
+  return std::array{
+      &s.submitted,       &s.accepted,        &s.rejected,
+      &s.departed,        &s.delta_accepts,   &s.replace_accepts,
+      &s.repair_accepts,  &s.readmits,        &s.retry_evictions,
+      &s.degraded_admits, &s.oracle_calls,    &s.tasks_reused};
 }
 
 /// Serializes one task as a single-task taskset block (arity `nr`), so
@@ -132,139 +152,100 @@ std::string snapshot_to_text(const ControllerSnapshot& snap) {
 
 std::optional<ControllerSnapshot> snapshot_from_text(const std::string& text,
                                                      std::string* error) {
-  Cursor in(text);
-  ControllerSnapshot snap;
-
   // Every scalar line is `key <tokens...>` in the fixed order written by
-  // snapshot_to_text; `key` alone is legal where the list may be empty.
-  auto expect = [&](const char* key, std::size_t min_tokens) {
-    if (!in.next() || in.tokens().empty() || in.tokens()[0] != key ||
-        in.tokens().size() < 1 + min_tokens) {
-      set_error(error, in.err(std::string("expected '") + key + " ...'"));
-      return false;
-    }
-    return true;
-  };
-
+  // snapshot_to_text.
+  Cursor in(text, error);
+  ControllerSnapshot snap;
   if (!in.next() ||
       in.tokens() != std::vector<std::string>{"dpcp-snapshot", "v1"}) {
-    set_error(error, in.err("expected header 'dpcp-snapshot v1'"));
+    in.fail("expected header 'dpcp-snapshot v1'");
     return std::nullopt;
   }
 
   AdmitOptions& o = snap.options;
-  if (!expect("m", 1) ||
-      !parse_into(in.tokens()[1], &o.m, 1, kMaxProcessors)) {
-    set_error(error, in.err("bad 'm'"));
-    return std::nullopt;
-  }
-  if (!expect("analysis", 1) ||
+  if (!in.number("m", &o.m, 1, kMaxProcessors)) return std::nullopt;
+  if (!in.expect("analysis", 1) ||
       !analysis_kind_from_token(in.tokens()[1], &o.kind)) {
-    set_error(error, in.err("bad 'analysis'"));
+    in.fail("bad 'analysis'");
     return std::nullopt;
   }
-  if (!expect("max-paths", 1) ||
-      !parse_into(in.tokens()[1], &o.analysis.max_paths, 1)) {
-    set_error(error, in.err("bad 'max-paths'"));
+  if (!in.number("max-paths", &o.analysis.max_paths, 1) ||
+      !in.number("max-signatures", &o.analysis.max_signatures, 1) ||
+      !in.expect("placements", 0))
     return std::nullopt;
-  }
-  if (!expect("max-signatures", 1) ||
-      !parse_into(in.tokens()[1], &o.analysis.max_signatures, 1)) {
-    set_error(error, in.err("bad 'max-signatures'"));
-    return std::nullopt;
-  }
-  if (!expect("placements", 0)) return std::nullopt;
   o.placements.clear();
   for (std::size_t k = 1; k < in.tokens().size(); ++k) {
     const auto kind = placement_kind_from_token(in.tokens()[k]);
     if (!kind) {
-      set_error(error, in.err("unknown placement '" + in.tokens()[k] + "'"));
+      in.fail("unknown placement '" + in.tokens()[k] + "'");
       return std::nullopt;
     }
     o.placements.push_back(*kind);
   }
-  if (!expect("repair-evals", 1) ||
-      !parse_into(in.tokens()[1], &o.repair_evals, 0, kMaxRepairEvals)) {
-    set_error(error, in.err("bad 'repair-evals'"));
+  if (!in.number("repair-evals", &o.repair_evals, 0, kMaxRepairEvals) ||
+      !in.number("retry-cap", &o.retry_capacity) ||
+      !in.number("seed", &o.seed))
+    return std::nullopt;
+  if (!in.expect("readmit-on-depart", 1) || in.tokens()[1] != "1") {
+    in.fail("bad 'readmit-on-depart'");
     return std::nullopt;
   }
-  if (!expect("retry-cap", 1) ||
-      !parse_into(in.tokens()[1], &o.retry_capacity)) {
-    set_error(error, in.err("bad 'retry-cap'"));
+  if (!in.number("next-ext", &snap.next_ext, 0) ||
+      !in.number("admit-seq", &snap.admit_seq))
     return std::nullopt;
-  }
-  if (!expect("seed", 1) || !parse_into(in.tokens()[1], &o.seed)) {
-    set_error(error, in.err("bad 'seed'"));
-    return std::nullopt;
-  }
-  if (!expect("readmit-on-depart", 1) || in.tokens()[1] != "1") {
-    set_error(error, in.err("bad 'readmit-on-depart'"));
-    return std::nullopt;
-  }
-  if (!expect("next-ext", 1) ||
-      !parse_into(in.tokens()[1], &snap.next_ext, 0)) {
-    set_error(error, in.err("bad 'next-ext'"));
-    return std::nullopt;
-  }
-  if (!expect("admit-seq", 1) ||
-      !parse_into(in.tokens()[1], &snap.admit_seq)) {
-    set_error(error, in.err("bad 'admit-seq'"));
-    return std::nullopt;
-  }
-  if (!expect("slo", 2) ||
+  if (!in.expect("slo", 2) ||
       !parse_into(in.tokens()[1], &snap.slo_percentile, 0, 100) ||
       !parse_into(in.tokens()[2], &snap.slo_budget, 0)) {
-    set_error(error, in.err("bad 'slo <percentile> <budget>'"));
+    in.fail("bad 'slo <percentile> <budget>'");
     return std::nullopt;
   }
-  if (!expect("slo-window", 0)) return std::nullopt;
+  if (!in.expect("slo-window", 0)) return std::nullopt;
   for (std::size_t k = 1; k < in.tokens().size(); ++k) {
     std::int64_t v = 0;
     if (!parse_into(in.tokens()[k], &v, 0)) {
-      set_error(error, in.err("bad slo-window sample"));
+      in.fail("bad slo-window sample");
       return std::nullopt;
     }
     snap.slo_window.push_back(v);
   }
-  if (!expect("cost-hist", 0)) return std::nullopt;
+  if (!in.expect("cost-hist", 0)) return std::nullopt;
   for (std::size_t k = 1; k < in.tokens().size(); ++k) {
     const auto colon = in.tokens()[k].find(':');
     std::int64_t value = 0, count = 0;
     if (colon == std::string::npos ||
         !parse_into(in.tokens()[k].substr(0, colon), &value) ||
         !parse_into(in.tokens()[k].substr(colon + 1), &count, 1)) {
-      set_error(error, in.err("bad cost-hist cell '" + in.tokens()[k] + "'"));
+      in.fail("bad cost-hist cell '" + in.tokens()[k] + "'");
       return std::nullopt;
     }
     snap.cost_hist.add(value, count);
   }
-  if (!expect("stats", 24)) return std::nullopt;
+  if (!in.expect("stats", 24)) return std::nullopt;
   {
     const auto slots = stat_slots(snap.stats);
     if (in.tokens().size() != 1 + 2 * slots.size()) {
-      set_error(error, in.err("bad 'stats' arity"));
+      in.fail("bad 'stats' arity");
       return std::nullopt;
     }
     for (std::size_t k = 0; k < slots.size(); ++k) {
       if (in.tokens()[1 + 2 * k] != kStatKeys[k] ||
           !parse_into(in.tokens()[2 + 2 * k], slots[k], 0)) {
-        set_error(error,
-                  in.err(std::string("bad stats field '") + kStatKeys[k] + "'"));
+        in.fail(std::string("bad stats field '") + kStatKeys[k] + "'");
         return std::nullopt;
       }
     }
   }
-  if (!expect("ext-ids", 0)) return std::nullopt;
+  if (!in.expect("ext-ids", 0)) return std::nullopt;
   for (std::size_t k = 1; k < in.tokens().size(); ++k) {
     int id = 0;
     if (!parse_into(in.tokens()[k], &id, 0)) {
-      set_error(error, in.err("bad ext-id"));
+      in.fail("bad ext-id");
       return std::nullopt;
     }
     snap.ext_ids.push_back(id);
   }
 
-  if (!expect("taskset", 0)) return std::nullopt;
+  if (!in.expect("taskset", 0)) return std::nullopt;
   auto ts_text = read_embedded_block(in.stream(), kTasksetMarker,
                                      in.line_no(), error);
   if (!ts_text) return std::nullopt;
@@ -276,7 +257,7 @@ std::optional<ControllerSnapshot> snapshot_from_text(const std::string& text,
   }
   snap.taskset = std::move(*ts);
 
-  if (!expect("partition", 0)) return std::nullopt;
+  if (!in.expect("partition", 0)) return std::nullopt;
   auto part_text = read_embedded_block(in.stream(), kPartitionMarker,
                                        in.line_no(), error);
   if (!part_text) return std::nullopt;
@@ -288,14 +269,14 @@ std::optional<ControllerSnapshot> snapshot_from_text(const std::string& text,
   snap.partition = std::move(*part);
 
   std::int64_t retry_count = 0;
-  if (!expect("retry", 1) || !parse_into(in.tokens()[1], &retry_count, 0)) {
-    set_error(error, in.err("bad 'retry <count>'"));
+  if (!in.expect("retry", 1) || !parse_into(in.tokens()[1], &retry_count, 0)) {
+    in.fail("bad 'retry <count>'");
     return std::nullopt;
   }
   for (std::int64_t k = 0; k < retry_count; ++k) {
     int id = 0;
-    if (!expect("pending", 1) || !parse_into(in.tokens()[1], &id, 0)) {
-      set_error(error, in.err("bad 'pending <id>'"));
+    if (!in.expect("pending", 1) || !parse_into(in.tokens()[1], &id, 0)) {
+      in.fail("bad 'pending <id>'");
       return std::nullopt;
     }
     auto block = read_embedded_block(in.stream(), kTasksetMarker,
@@ -313,7 +294,7 @@ std::optional<ControllerSnapshot> snapshot_from_text(const std::string& text,
   }
 
   if (!in.next() || in.tokens() != std::vector<std::string>{"end-snapshot"}) {
-    set_error(error, in.err("expected 'end-snapshot'"));
+    in.fail("expected 'end-snapshot'");
     return std::nullopt;
   }
   return snap;

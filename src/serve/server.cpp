@@ -1,9 +1,9 @@
 #include "serve/server.hpp"
 
+#include <exception>
 #include <istream>
 #include <ostream>
 #include <sstream>
-#include <stdexcept>
 
 #include "io/taskset_io.hpp"
 #include "opt/admission.hpp"
@@ -45,25 +45,38 @@ void CommandSession::error(const std::string& message) {
   if (options_.strict) done_ = true;
 }
 
+bool CommandSession::loaded() {
+  if (ctrl_) return true;
+  error("no workload loaded (use 'load')");
+  return false;
+}
+
 void CommandSession::feed(const std::string& line) {
   if (done_) return;
-  if (payload_state_ != Payload::kNone) {
-    if (line == ".") {
-      finish_payload();
-    } else {
-      payload_.append(line);
-      payload_.push_back('\n');
+  // Fault isolation: a command that throws (a restore that fails
+  // re-certification, an allocation failure) gets an `error` reply, and
+  // the session, like every other session behind the mux, carries on.
+  try {
+    if (payload_state_ != Payload::kNone) {
+      if (line == ".") {
+        finish_payload();
+      } else {
+        payload_.append(line);
+        payload_.push_back('\n');
+      }
+      return;
     }
-    return;
+    const std::vector<std::string> cmd = tokenize(line);
+    if (cmd.empty()) return;  // blank lines are free
+    if (cmd[0] == "quit") {
+      out_ << "ok quit\n";
+      done_ = true;
+      return;
+    }
+    dispatch(cmd);
+  } catch (const std::exception& e) {
+    error(e.what());
   }
-  const std::vector<std::string> cmd = tokenize(line);
-  if (cmd.empty()) return;  // blank lines are free
-  if (cmd[0] == "quit") {
-    out_ << "ok quit\n";
-    done_ = true;
-    return;
-  }
-  dispatch(cmd);
 }
 
 void CommandSession::finish() {
@@ -89,7 +102,7 @@ void CommandSession::dispatch(const std::vector<std::string>& cmd) {
     else if (cmd[0] == "restore")
       payload_state_ = Payload::kRestore;
     else
-      payload_state_ = ctrl_ ? Payload::kAdmit : Payload::kAdmitUnloaded;
+      payload_state_ = Payload::kAdmit;
     return;
   }
   if (cmd[0] == "depart") return do_depart(cmd);
@@ -114,8 +127,6 @@ void CommandSession::finish_payload() {
       return do_load(block);
     case Payload::kAdmit:
       return do_admit(block);
-    case Payload::kAdmitUnloaded:
-      return error("no workload loaded (use 'load')");
     case Payload::kRestore:
       return do_restore(block);
   }
@@ -156,6 +167,7 @@ void CommandSession::do_load(const std::string& block) {
 }
 
 void CommandSession::do_admit(const std::string& block) {
+  if (!loaded()) return;
   std::string parse_error;
   const auto ts = taskset_from_text(block, &parse_error);
   if (!ts) {
@@ -181,12 +193,7 @@ void CommandSession::do_restore(const std::string& block) {
     error("parse: " + parse_error);
     return;
   }
-  try {
-    ctrl_ = std::make_unique<AdmissionController>(*snap);
-  } catch (const std::invalid_argument& e) {
-    error(e.what());
-    return;
-  }
+  ctrl_ = std::make_unique<AdmissionController>(*snap);
   out_ << "ok restore resident=" << ctrl_->resident()
        << " retry=" << ctrl_->retry_queue_size() << "\n";
 }
@@ -197,10 +204,7 @@ void CommandSession::do_depart(const std::vector<std::string>& cmd) {
     error("usage: depart <id>");
     return;
   }
-  if (!ctrl_) {
-    error("no workload loaded (use 'load')");
-    return;
-  }
+  if (!loaded()) return;
   const DepartOutcome gone = ctrl_->depart(id);
   if (!gone.found) {
     error("unknown id " + std::to_string(id));
@@ -219,10 +223,7 @@ void CommandSession::do_query(const std::vector<std::string>& cmd) {
     error("usage: query");
     return;
   }
-  if (!ctrl_) {
-    error("no workload loaded (use 'load')");
-    return;
-  }
+  if (!loaded()) return;
   const TaskSet& ts = ctrl_->taskset();
   for (int i = 0; i < ts.size(); ++i) {
     out_ << "task id=" << ctrl_->external_id(i)
@@ -244,10 +245,7 @@ void CommandSession::do_stats(const std::vector<std::string>& cmd) {
     error("usage: stats");
     return;
   }
-  if (!ctrl_) {
-    error("no workload loaded (use 'load')");
-    return;
-  }
+  if (!loaded()) return;
   // The cost line appears only once an SLO was configured, so sessions
   // that never touch `slo` keep the original one-line stats reply.
   if (ctrl_->slo_percentile() > 0) {
@@ -272,10 +270,7 @@ void CommandSession::do_metrics(const std::vector<std::string>& cmd) {
     error("usage: metrics [json]");
     return;
   }
-  if (!ctrl_) {
-    error("no workload loaded (use 'load')");
-    return;
-  }
+  if (!loaded()) return;
   // The registry is computed from the controller's integer decision
   // counts, so this body is a pure function of the session's command
   // history — golden transcripts pin it byte for byte.  The analysis
@@ -302,10 +297,7 @@ void CommandSession::do_trace(const std::vector<std::string>& cmd) {
     }
     n = static_cast<std::size_t>(*v);
   }
-  if (!ctrl_) {
-    error("no workload loaded (use 'load')");
-    return;
-  }
+  if (!loaded()) return;
   const DecisionTrace& trace = ctrl_->decision_trace();
   const std::vector<DecisionRecord> recent = trace.last(n);
   for (const DecisionRecord& r : recent)
@@ -326,10 +318,7 @@ void CommandSession::do_slo(const std::vector<std::string>& cmd) {
     error("usage: slo <percentile 1..100, 0 disables> <budget>");
     return;
   }
-  if (!ctrl_) {
-    error("no workload loaded (use 'load')");
-    return;
-  }
+  if (!loaded()) return;
   ctrl_->set_slo(static_cast<int>(*pct), *budget);
   out_ << "ok slo percentile=" << *pct << " budget=" << *budget << "\n";
 }
@@ -339,10 +328,7 @@ void CommandSession::do_snapshot(const std::vector<std::string>& cmd) {
     error("usage: snapshot");
     return;
   }
-  if (!ctrl_) {
-    error("no workload loaded (use 'load')");
-    return;
-  }
+  if (!loaded()) return;
   const std::string text = snapshot_to_text(ctrl_->snapshot());
   // Same lone-dot framing as command payloads; no snapshot line is ever
   // a bare ".", so clients can split the reply without counting.

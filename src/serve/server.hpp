@@ -85,11 +85,10 @@ class CommandSession {
   enum class Payload {
     kNone,
     kLoad,
+    /// Before any `load` too: the payload is still consumed (the stream
+    /// must stay framed) and then answered with an error — unless the
+    /// stream ends first, which is the framing error instead.
     kAdmit,
-    /// `admit` before any `load`: the announced payload is still consumed
-    /// (the stream must stay framed) and then answered with an error —
-    /// unless the stream ends first, which is the framing error instead.
-    kAdmitUnloaded,
     kRestore,
   };
 
@@ -108,6 +107,8 @@ class CommandSession {
   void do_slo(const std::vector<std::string>& cmd);
   void do_snapshot(const std::vector<std::string>& cmd);
   void error(const std::string& message);
+  /// True when a workload is loaded; otherwise replies with the error.
+  bool loaded();
 
   std::ostream& out_;
   const ServeOptions options_;

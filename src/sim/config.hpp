@@ -51,13 +51,11 @@ struct SimConfig {
   double execution_scale = 1.0;
   /// Seed for jitter / scaling randomisation.
   std::uint64_t seed = 1;
-  /// Record a full event trace (costly; for tests and examples).
-  bool record_trace = false;
-  /// Memory guard on the recorded trace, mirroring `max_events`:
-  /// recording more than this many entries throws std::runtime_error
-  /// with a descriptive message instead of growing without bound (long
-  /// horizons with record_trace on are exactly the exporter's use case).
-  /// 0 = unlimited (the default; record_trace already defaults off).
+  /// Memory guard on the trace simulate() records when given one,
+  /// mirroring `max_events`: recording more than this many entries
+  /// throws std::runtime_error with a descriptive message instead of
+  /// growing without bound (long traced horizons are exactly the
+  /// exporter's use case).  0 = unlimited (the default).
   std::int64_t max_trace_entries = 0;
 };
 

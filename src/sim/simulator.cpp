@@ -109,7 +109,7 @@ struct JobState {
   Time arrival = 0;
   Time deadline = 0;
   int vertices_left = 0;
-  int runs = 0;  // first VertexRun of this job's block in Impl::runs
+  int runs = 0;  // first VertexRun of this job's block in Simulation::runs
 };
 
 struct GlobalRequest {
@@ -174,14 +174,11 @@ struct Processor {
   std::vector<int> live_requests;
 };
 
-}  // namespace
-
-struct Simulator::Impl {
+struct Simulation {
   const TaskSet& ts;
   const Partition& part;
   const SimConfig& cfg;
-  std::vector<TraceEvent>& trace;
-  const bool record_trace;
+  std::vector<TraceEvent>* const trace;  // null: not recorded
   const bool spin;  // SimProtocol::kSpinFifo
   SimResult result;
   Rng rng;
@@ -225,13 +222,12 @@ struct Simulator::Impl {
   std::vector<char> is_light;
   std::vector<int> running_vertices;
 
-  Impl(const TaskSet& t, const Partition& p, const SimConfig& c,
-       std::vector<TraceEvent>& tr)
+  Simulation(const TaskSet& t, const Partition& p, const SimConfig& c,
+             std::vector<TraceEvent>* tr)
       : ts(t),
         part(p),
         cfg(c),
         trace(tr),
-        record_trace(c.record_trace),
         spin(c.protocol == SimProtocol::kSpinFifo),
         rng(c.seed),
         plan(build_plan(t, c.execution_scale)) {
@@ -300,21 +296,17 @@ struct Simulator::Impl {
   // ---- tracing ----------------------------------------------------------
   void record(TraceKind kind, int task, std::int64_t job, int vertex,
               int processor, int resource) {
-    if (record_trace)
-      append_trace(
-          TraceEvent{now, kind, task, job, vertex, processor, resource});
-  }
-
-  void append_trace(const TraceEvent& e) {
+    if (!trace) return;
     if (cfg.max_trace_entries > 0 &&
-        static_cast<std::int64_t>(trace.size()) >= cfg.max_trace_entries)
+        static_cast<std::int64_t>(trace->size()) >= cfg.max_trace_entries)
       throw std::runtime_error(
           "simulator trace guard tripped: more than " +
           std::to_string(cfg.max_trace_entries) +
           " trace entries recorded (simulated time " + std::to_string(now) +
           " ns) -- raise SimConfig::max_trace_entries (0 = unlimited) or "
           "narrow the horizon");
-    trace.push_back(e);
+    trace->push_back(
+        TraceEvent{now, kind, task, job, vertex, processor, resource});
   }
 
   // ---- event plumbing ---------------------------------------------------
@@ -917,9 +909,7 @@ struct Simulator::Impl {
   }
 };
 
-namespace {
-
-/// The first violation of the constructor's precondition, if any.
+/// The first violation of simulate()'s precondition, if any.
 std::optional<std::string> unsimulable(const TaskSet& ts, const Partition& part,
                                        SimProtocol protocol) {
   if (part.num_tasks() != ts.size())
@@ -957,27 +947,11 @@ std::optional<std::string> unsimulable(const TaskSet& ts, const Partition& part,
 
 }  // namespace
 
-Simulator::Simulator(const TaskSet& ts, const Partition& part,
-                     SimConfig config)
-    : ts_(ts), part_(part), config_(config) {
+SimResult simulate(const TaskSet& ts, const Partition& part,
+                   const SimConfig& config, std::vector<TraceEvent>* trace) {
   if (const auto error = unsimulable(ts, part, config.protocol))
     throw std::invalid_argument("cannot simulate this partition: " + *error);
-}
-
-SimResult Simulator::run() {
-  if (ran_)
-    throw std::logic_error(
-        "Simulator::run() is single-shot: construct a new Simulator per "
-        "run (a rerun would append to the already-filled trace)");
-  ran_ = true;
-  Impl impl(ts_, part_, config_, trace_);
-  return impl.run();
-}
-
-SimResult simulate(const TaskSet& ts, const Partition& part,
-                   const SimConfig& config) {
-  Simulator sim(ts, part, config);
-  return sim.run();
+  return Simulation(ts, part, config, trace).run();
 }
 
 }  // namespace dpcp

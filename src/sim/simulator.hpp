@@ -15,7 +15,7 @@
 // lower-priority request), mutual exclusion, the ceiling gate and
 // work-conservation on every run.
 //
-// The clock is next-event: run() drains one global EventQueue
+// The clock is next-event: simulate() drains one global EventQueue
 // (sim/event_queue.hpp), jumping straight to each entry's timestamp, so
 // idle time costs nothing.
 #pragma once
@@ -29,42 +29,20 @@
 
 namespace dpcp {
 
-class Simulator {
- public:
-  /// `part` must have the shape of `ts` (one cluster per task, one
-  /// placement slot per resource), map every task to a non-empty cluster
-  /// of processors in 0..m-1, and, under SimProtocol::kDpcpP, place every
-  /// global resource on such a processor (kSpinFifo ignores placement).
-  /// Throws std::invalid_argument naming the first violation.  Capacity
-  /// is not checked: an over-utilized partition simulates (and misses
-  /// deadlines).
-  Simulator(const TaskSet& ts, const Partition& part, SimConfig config);
-
-  /// Runs to completion and returns the collected statistics.
-  ///
-  /// Single-shot contract (enforced): a Simulator instance may run() at
-  /// most once — a second call throws std::logic_error instead of
-  /// silently operating on stale state (historically it reused the
-  /// already-filled trace buffer, so back-to-back runs accumulated each
-  /// other's events).  Construct a new Simulator per run.
-  SimResult run();
-
-  /// Valid after run() when config.record_trace was set.
-  const std::vector<TraceEvent>& trace() const { return trace_; }
-
- private:
-  struct Impl;
-  const TaskSet& ts_;
-  const Partition& part_;
-  SimConfig config_;
-  std::vector<TraceEvent> trace_;
-  bool ran_ = false;
-};
-
-/// Convenience: simulate `ts` under `part` with default worst-case settings
-/// and return the result.  Throws std::invalid_argument as the Simulator
-/// constructor does.
+/// Simulates `ts` under `part` to completion and returns the collected
+/// statistics.  When `trace` is non-null, every event is also appended to
+/// `*trace`; a trace that would grow past `config.max_trace_entries`
+/// (0 = no bound) throws std::runtime_error.
+///
+/// `part` must have the shape of `ts` (one cluster per task, one
+/// placement slot per resource), map every task to a non-empty cluster
+/// of processors in 0..m-1, and, under SimProtocol::kDpcpP, place every
+/// global resource on such a processor (kSpinFifo ignores placement).
+/// Throws std::invalid_argument naming the first violation.  Capacity
+/// is not checked: an over-utilized partition simulates (and misses
+/// deadlines).
 SimResult simulate(const TaskSet& ts, const Partition& part,
-                   const SimConfig& config = {});
+                   const SimConfig& config = {},
+                   std::vector<TraceEvent>* trace = nullptr);
 
 }  // namespace dpcp

@@ -8,6 +8,8 @@
 #include <map>
 #include <vector>
 
+#include "util/ring.hpp"
+
 namespace dpcp {
 
 /// Streaming mean and extrema.
@@ -85,18 +87,11 @@ class IntHistogram {
 /// controller snapshot so a restored shard degrades at the same events.
 class RollingQuantile {
  public:
-  explicit RollingQuantile(std::size_t capacity) : capacity_(capacity) {
+  explicit RollingQuantile(std::size_t capacity) : window_(capacity) {
     assert(capacity > 0);
   }
 
-  void add(std::int64_t v) {
-    if (window_.size() < capacity_) {
-      window_.push_back(v);
-    } else {
-      window_[next_] = v;
-      next_ = (next_ + 1) % capacity_;
-    }
-  }
+  void add(std::int64_t v) { window_.push(v); }
 
   /// Folds in `o`'s retained window, oldest first — exactly equivalent
   /// to feeding o's surviving samples into this window after this one's
@@ -107,12 +102,12 @@ class RollingQuantile {
   }
 
   std::size_t size() const { return window_.size(); }
-  std::size_t capacity() const { return capacity_; }
+  std::size_t capacity() const { return window_.capacity(); }
 
   std::int64_t percentile(int pct) const {
     assert(pct >= 1 && pct <= 100);
-    if (window_.empty()) return 0;
-    std::vector<std::int64_t> sorted = window_;
+    if (window_.size() == 0) return 0;
+    std::vector<std::int64_t> sorted = window_.values();
     const std::size_t rank =
         (window_.size() * static_cast<std::size_t>(pct) + 99) / 100;
     std::nth_element(sorted.begin(), sorted.begin() + (rank - 1),
@@ -122,18 +117,11 @@ class RollingQuantile {
 
   /// Window contents oldest-first (the snapshot serialization order).
   std::vector<std::int64_t> samples_in_order() const {
-    if (window_.size() < capacity_) return window_;
-    std::vector<std::int64_t> out;
-    out.reserve(window_.size());
-    for (std::size_t k = 0; k < window_.size(); ++k)
-      out.push_back(window_[(next_ + k) % window_.size()]);
-    return out;
+    return window_.last(window_.size());
   }
 
  private:
-  std::size_t capacity_;
-  std::vector<std::int64_t> window_;
-  std::size_t next_ = 0;  // overwrite cursor once the window is full
+  BoundedRing<std::int64_t> window_;
 };
 
 /// Accepted / total counter for schedulability experiments.

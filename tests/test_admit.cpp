@@ -26,6 +26,7 @@
 #include "serve/router.hpp"
 #include "serve/server.hpp"
 #include "test_support.hpp"
+#include "util/limits.hpp"
 #include "util/rng.hpp"
 
 namespace dpcp {
@@ -842,7 +843,7 @@ TEST(OnlineReplay, OversizedThreadCountMatchesOneThread) {
   options.scenarios = {fig2_scenario('a')};
   options.streams = 2;
   options.events = 10;
-  options.repair_evals = 10;
+  options.admit.repair_evals = 10;
   auto run = [&options](int threads) {
     options.threads = threads;
     const auto results = run_online(options);
@@ -864,7 +865,7 @@ TEST(OnlineReplay, MetricsJsonPinned) {
   options.scenarios = {fig2_scenario('a')};
   options.streams = 2;
   options.events = 40;
-  options.repair_evals = 20;
+  options.admit.repair_evals = 20;
   const std::string json = merge_online_metrics(run_online(options)).to_json();
   Fnv1a digest;
   digest.add(json);

@@ -400,7 +400,7 @@ TEST(Prepared, HostIndexMatchesPartitionScans) {
 
 TEST(DpcpP, HighPriorityTaskBoundMatchesHand) {
   HandFixture f;
-  DpcpPAnalysis ep(DpcpPAnalysis::PathMode::kEnumerate);
+  SchedAnalysis ep(AnalysisKind::kDpcpPEp);
   // Hand: W = 2 + beta(4) = 6; B = min(eps=4, zeta=eta_1(r)*4) = 4;
   // b = 0; I_intra = 0; I_A = 0 (no global on tau_0's cluster).
   // r = 20 + 4 = 24.
@@ -411,7 +411,7 @@ TEST(DpcpP, HighPriorityTaskBoundMatchesHand) {
 
 TEST(DpcpP, HighPriorityEnvelopeIsLooser) {
   HandFixture f;
-  DpcpPAnalysis en(DpcpPAnalysis::PathMode::kEnvelope);
+  SchedAnalysis en(AnalysisKind::kDpcpPEn);
   // Envelope: b^G gains the off-path demand (N*L = 2): r = 20 + 4 + 2 = 26.
   const auto r = en.wcrt(f.ts, f.part, 0, f.hints);
   ASSERT_TRUE(r.has_value());
@@ -420,7 +420,7 @@ TEST(DpcpP, HighPriorityEnvelopeIsLooser) {
 
 TEST(DpcpP, LowPriorityTaskPaysAgentInterference) {
   HandFixture f;
-  DpcpPAnalysis ep(DpcpPAnalysis::PathMode::kEnumerate);
+  SchedAnalysis ep(AnalysisKind::kDpcpPEp);
   // Hand: W = 8 (inner fixed point with gamma); eps = gamma(W) = 4;
   // B = min(4, zeta) = 4; l_0 lives on tau_1's own processor, so agent
   // interference I_A = eta_0(r)*2 = 4 at r=18; r = 10 + 4 + 4 = 18.
@@ -431,7 +431,7 @@ TEST(DpcpP, LowPriorityTaskPaysAgentInterference) {
 
 TEST(DpcpP, ResponseHintsTightenTheBound) {
   HandFixture f;
-  DpcpPAnalysis ep(DpcpPAnalysis::PathMode::kEnumerate);
+  SchedAnalysis ep(AnalysisKind::kDpcpPEp);
   // With tau_0's computed bound (24) instead of D_0=100 as hint, tau_1's
   // eta terms cannot grow and the bound must not increase.
   const auto loose = ep.wcrt(f.ts, f.part, 1, {100, 200});
@@ -453,9 +453,9 @@ TEST(DpcpP, NoResourcesReducesToFederatedBound) {
   part.add_processor_to_task(0, 0);
   part.add_processor_to_task(0, 1);
 
-  DpcpPAnalysis ep(DpcpPAnalysis::PathMode::kEnumerate);
-  DpcpPAnalysis en(DpcpPAnalysis::PathMode::kEnvelope);
-  FedFpAnalysis fed;
+  SchedAnalysis ep(AnalysisKind::kDpcpPEp);
+  SchedAnalysis en(AnalysisKind::kDpcpPEn);
+  SchedAnalysis fed(AnalysisKind::kFedFp);
   const std::vector<Time> hints{100};
   const Time expected = federated_wcrt_bound(ts.task(0), 2);  // 60+ceil(30/2)
   EXPECT_EQ(ep.wcrt(ts, part, 0, hints), std::optional<Time>(expected));
@@ -477,7 +477,7 @@ TEST(DpcpP, DeadlineExceededYieldsNullopt) {
   t1.set_cs_length(0, 4);
   ts.assign_rm_priorities();
   ts.finalize();
-  DpcpPAnalysis ep(DpcpPAnalysis::PathMode::kEnumerate);
+  SchedAnalysis ep(AnalysisKind::kDpcpPEp);
   EXPECT_FALSE(ep.wcrt(ts, f.part, 0, {23, 200}).has_value());
 }
 
@@ -498,8 +498,8 @@ TEST_P(EpDominatesEnTest, PerTaskBoundNeverWorse) {
   if (!placement_strategy(PlacementKind::kWfd).place_resources(*ts, part))
     GTEST_SKIP();
 
-  DpcpPAnalysis ep(DpcpPAnalysis::PathMode::kEnumerate);
-  DpcpPAnalysis en(DpcpPAnalysis::PathMode::kEnvelope);
+  SchedAnalysis ep(AnalysisKind::kDpcpPEp);
+  SchedAnalysis en(AnalysisKind::kDpcpPEn);
   std::vector<Time> hints;
   for (int i = 0; i < ts->size(); ++i)
     hints.push_back(ts->task(i).deadline());
@@ -518,8 +518,8 @@ TEST_P(EpDominatesEnTest, PerTaskBoundNeverWorse) {
 INSTANTIATE_TEST_SUITE_P(Seeds, EpDominatesEnTest, ::testing::Range(0, 12));
 
 TEST(DpcpP, EnSchedulableImpliesEpSchedulable) {
-  DpcpPAnalysis ep(DpcpPAnalysis::PathMode::kEnumerate);
-  DpcpPAnalysis en(DpcpPAnalysis::PathMode::kEnvelope);
+  SchedAnalysis ep(AnalysisKind::kDpcpPEp);
+  SchedAnalysis en(AnalysisKind::kDpcpPEn);
   for (int seed = 0; seed < 10; ++seed) {
     Rng rng(900 + seed);
     GenParams params;
@@ -538,8 +538,8 @@ TEST(DpcpP, PathBudgetFallbackIsEnvelope) {
   HandFixture f;
   AnalysisOptions tiny;
   tiny.max_paths = 1;
-  DpcpPAnalysis ep_tiny(DpcpPAnalysis::PathMode::kEnumerate, tiny);
-  DpcpPAnalysis en(DpcpPAnalysis::PathMode::kEnvelope);
+  SchedAnalysis ep_tiny(AnalysisKind::kDpcpPEp, tiny);
+  SchedAnalysis en(AnalysisKind::kDpcpPEn);
   // tau_0 has one complete path, so cap=1 triggers truncation only if
   // paths > 1; use a diamond task instead.
   TaskSet ts(1);
@@ -794,14 +794,14 @@ TEST(SpinSon, SpinDelayFormula) {
   HandFixture f;
   // tau_0 requesting l_0: one remote contender (tau_1, min(m=1, N=1)=1
   // slot x CS 4) and no intra-task contention (N_0=1).
-  EXPECT_EQ(SpinSonAnalysis::spin_delay(f.ts, f.part, 0, 0), 4);
+  EXPECT_EQ(spin_delay(f.ts, f.part, 0, 0), 4);
   // tau_1 requesting l_0: tau_0 contributes min(1, 1) * 2.
-  EXPECT_EQ(SpinSonAnalysis::spin_delay(f.ts, f.part, 1, 0), 2);
+  EXPECT_EQ(spin_delay(f.ts, f.part, 1, 0), 2);
 }
 
 TEST(SpinSon, WcrtAddsSpinToPath) {
   HandFixture f;
-  SpinSonAnalysis spin;
+  SchedAnalysis spin(AnalysisKind::kSpinSon);
   // tau_0: L*=20, C=20, m=1, total spin = 1 request x 4 = 4:
   // r = 20 + 4 + ceil((20 - 20)/1) = 24 (joint N^lambda maximum puts all
   // spin on the path, none in the interfering workload).
@@ -822,10 +822,10 @@ TEST(SpinSon, IntraTaskSpinNeedsSecondProcessor) {
   Partition part(2, 1, 1);
   part.add_processor_to_task(0, 0);
   part.add_processor_to_task(0, 1);
-  EXPECT_EQ(SpinSonAnalysis::spin_delay(ts, part, 0, 0), 10);
+  EXPECT_EQ(spin_delay(ts, part, 0, 0), 10);
   Partition single(1, 1, 1);
   single.add_processor_to_task(0, 0);
-  EXPECT_EQ(SpinSonAnalysis::spin_delay(ts, single, 0, 0), 0);
+  EXPECT_EQ(spin_delay(ts, single, 0, 0), 0);
 }
 
 // ---------- LPP ---------------------------------------------------------------
@@ -833,17 +833,17 @@ TEST(SpinSon, IntraTaskSpinNeedsSecondProcessor) {
 TEST(Lpp, RequestResponseHand) {
   HandFixture f;
   // tau_0's request: own CS 2 + lower-priority beta 4, no higher tasks.
-  EXPECT_EQ(LppAnalysis::request_response(f.ts, 0, 0, f.hints),
+  EXPECT_EQ(lpp_request_response(f.ts, 0, 0, f.hints),
             std::optional<Time>(6));
   // tau_1's request: own CS 4 + higher-priority eta-window over tau_0:
   // X = 4 + ceil((X+100)/100)*2 -> X = 8.
-  EXPECT_EQ(LppAnalysis::request_response(f.ts, 1, 0, f.hints),
+  EXPECT_EQ(lpp_request_response(f.ts, 1, 0, f.hints),
             std::optional<Time>(8));
 }
 
 TEST(Lpp, WcrtHand) {
   HandFixture f;
-  LppAnalysis lpp;
+  SchedAnalysis lpp(AnalysisKind::kLpp);
   // tau_0: L*=20, one request: path wait = X - L = 4 (window cap does not
   // bind: tau_1 releases >= 4 units), intra = 0, interference =
   // ceil((20-20)/1) = 0, plus the half-weight suspension charge
@@ -857,7 +857,7 @@ TEST(Lpp, WcrtHand) {
 
 TEST(FedFp, IgnoresResources) {
   HandFixture f;
-  FedFpAnalysis fed;
+  SchedAnalysis fed(AnalysisKind::kFedFp);
   EXPECT_EQ(fed.wcrt(f.ts, f.part, 0, f.hints), std::optional<Time>(20));
   EXPECT_EQ(fed.wcrt(f.ts, f.part, 1, f.hints), std::optional<Time>(10));
 }

@@ -7,6 +7,7 @@
 #include "gen/taskset_gen.hpp"
 #include "io/taskset_io.hpp"
 #include "partition/federated.hpp"
+#include "util/limits.hpp"
 
 namespace dpcp {
 namespace {

@@ -86,7 +86,7 @@ TEST(MixedAnalysis, SharedLightTasksPayPreemption) {
   part.add_processor_to_task(0, 0);
   part.add_processor_to_task(1, 0);  // shared
 
-  DpcpPAnalysis ep(DpcpPAnalysis::PathMode::kEnumerate);
+  SchedAnalysis ep(AnalysisKind::kDpcpPEp);
   const std::vector<Time> hints{100, 200};
   // tau_0: sequential, nobody above: r = C = 10.
   EXPECT_EQ(ep.wcrt(ts, part, 0, hints), std::optional<Time>(10));
@@ -94,7 +94,7 @@ TEST(MixedAnalysis, SharedLightTasksPayPreemption) {
   // r = 20 + ceil((r+10)/100)*10 -> r = 30.
   EXPECT_EQ(ep.wcrt(ts, part, 1, {10, 200}), std::optional<Time>(30));
   // FED-FP agrees on resource-free sets.
-  FedFpAnalysis fed;
+  SchedAnalysis fed(AnalysisKind::kFedFp);
   EXPECT_EQ(fed.wcrt(ts, part, 1, {10, 200}), std::optional<Time>(30));
 }
 
@@ -108,7 +108,7 @@ TEST(MixedAnalysis, DedicatedLightTaskStaysDagAnalysed) {
   Partition part(2, 1, 0);
   part.add_processor_to_task(0, 0);
   part.add_processor_to_task(0, 1);  // two dedicated processors
-  DpcpPAnalysis ep(DpcpPAnalysis::PathMode::kEnumerate);
+  SchedAnalysis ep(AnalysisKind::kDpcpPEp);
   // Chain task: L* = C = 20 even on 2 processors.
   EXPECT_EQ(ep.wcrt(ts, part, 0, {100}), std::optional<Time>(20));
 }
@@ -139,7 +139,7 @@ TEST(MixedAnalysis, GlobalResourceBetweenHeavyAndLight) {
   part.add_processor_to_task(2, 2);  // lights share processor 2
   part.assign_resource(0, 1);        // global on heavy cluster
 
-  DpcpPAnalysis ep(DpcpPAnalysis::PathMode::kEnumerate);
+  SchedAnalysis ep(AnalysisKind::kDpcpPEp);
   const std::vector<Time> hints{100, 400, 300};
   const auto r_heavy = ep.wcrt(ts, part, 0, hints);
   const auto r_light = ep.wcrt(ts, part, 1, hints);
@@ -215,16 +215,15 @@ TEST(MixedSim, SharedTaskRunsSequentially) {
   part.add_processor_to_task(1, 1);  // ...proc 1 shared -> sequential
   SimConfig cfg;
   cfg.horizon = 99;
-  cfg.record_trace = true;
-  Simulator sim(ts, part, cfg);
-  const SimResult res = sim.run();
+  std::vector<TraceEvent> trace;
+  const SimResult res = simulate(ts, part, cfg, &trace);
   EXPECT_TRUE(res.all_invariants_hold());
   // Sequential execution: responses equal total work, not work/2.
   EXPECT_GE(res.task[0].max_response, 20);
 
   // Cross-check from the trace: the wide task never overlaps itself.
   int concurrent = 0, max_concurrent = 0;
-  for (const auto& e : sim.trace()) {
+  for (const auto& e : trace) {
     if (e.task != 0) continue;
     if (e.kind == TraceKind::kVertexDispatch) {
       max_concurrent = std::max(max_concurrent, ++concurrent);
@@ -255,7 +254,7 @@ TEST_P(MixedBoundCoversSimTest, ObservedResponseWithinBound) {
     if (ts->task(i).utilization() < 1.0) ++lights;
   EXPECT_EQ(lights, 3);
 
-  DpcpPAnalysis ep(DpcpPAnalysis::PathMode::kEnumerate);
+  SchedAnalysis ep(AnalysisKind::kDpcpPEp);
   const PartitionOutcome outcome = ep.test(*ts, 16);
   if (!outcome.schedulable) GTEST_SKIP() << "unschedulable sample";
 

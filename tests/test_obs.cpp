@@ -419,11 +419,10 @@ TEST(ChromeTrace, RealSimulatorTracesAreStructurallyValid) {
     SimConfig cfg;
     cfg.protocol = protocol;
     cfg.horizon = millis(5);
-    cfg.record_trace = true;
-    Simulator sim(*ts, *part, cfg);
-    sim.run();
-    ASSERT_FALSE(sim.trace().empty());
-    expect_valid_chrome_trace(chrome_trace_json(sim.trace()),
+    std::vector<TraceEvent> trace;
+    simulate(*ts, *part, cfg, &trace);
+    ASSERT_FALSE(trace.empty());
+    expect_valid_chrome_trace(chrome_trace_json(trace),
                               /*min_spans=*/1);
   }
 }
@@ -441,11 +440,10 @@ TEST(SimConfigTraceGuard, ThrowsDescriptivelyAndZeroMeansUnlimited) {
 
   SimConfig cfg;
   cfg.horizon = millis(1);
-  cfg.record_trace = true;
   cfg.max_trace_entries = 3;
-  Simulator guarded(ts, *part, cfg);
+  std::vector<TraceEvent> trace;
   try {
-    guarded.run();
+    simulate(ts, *part, cfg, &trace);
     FAIL() << "expected the trace guard to throw";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("trace guard"), std::string::npos)
@@ -456,16 +454,13 @@ TEST(SimConfigTraceGuard, ThrowsDescriptivelyAndZeroMeansUnlimited) {
   }
 
   cfg.max_trace_entries = 0;  // unlimited
-  Simulator unlimited(ts, *part, cfg);
-  unlimited.run();
-  EXPECT_GT(unlimited.trace().size(), 3u);
+  std::vector<TraceEvent> unlimited;
+  simulate(ts, *part, cfg, &unlimited);
+  EXPECT_GT(unlimited.size(), 3u);
 
   // The guard never fires when the trace is not recorded at all.
-  cfg.record_trace = false;
   cfg.max_trace_entries = 3;
-  Simulator untraced(ts, *part, cfg);
-  untraced.run();
-  EXPECT_TRUE(untraced.trace().empty());
+  EXPECT_TRUE(simulate(ts, *part, cfg).drained);
 }
 
 // ---------- admission controller telemetry ----------------------------------

@@ -289,7 +289,7 @@ TEST(FailureInjection, DivergentRecurrenceReportsNotSchedulable) {
   part.add_processor_to_task(0, 0);
   part.add_processor_to_task(1, 1);
   part.assign_resource(0, 0);
-  DpcpPAnalysis ep(DpcpPAnalysis::PathMode::kEnumerate);
+  SchedAnalysis ep(AnalysisKind::kDpcpPEp);
   // Windows inflated by enormous response hints -> bound blows past D.
   const auto r = ep.wcrt(ts, part, 1, {kTimeInfinity / 8, 101});
   EXPECT_FALSE(r.has_value());

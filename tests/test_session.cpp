@@ -110,7 +110,7 @@ TEST(Session, PreparedEpQueriesCountMemoHits) {
   GenParams params;
   params.scenario = fig2_scenario('b');
   params.total_utilization = 0.2 * params.scenario.m;
-  const DpcpPAnalysis ep(DpcpPAnalysis::PathMode::kEnumerate);
+  const SchedAnalysis ep(AnalysisKind::kDpcpPEp);
   CacheStats total;
   for (std::uint64_t s = 0; s < 20; ++s) {
     Rng rng = Rng(2024).fork(s);

@@ -163,10 +163,8 @@ TEST(Fig1Schedule, ReproducesThePapersProtocolEvents) {
   Fig1 f;
   SimConfig cfg;
   cfg.horizon = 19;  // a single job per task
-  cfg.record_trace = true;
-  Simulator sim(f.ts, f.part, cfg);
-  const SimResult res = sim.run();
-  const auto& trace = sim.trace();
+  std::vector<TraceEvent> trace;
+  const SimResult res = simulate(f.ts, f.part, cfg, &trace);
 
   // <j,1 arrives at t=1 and is granted immediately; releases l_1 at t=4.
   EXPECT_EQ(find_event(trace, TraceKind::kRequestIssue, 1, 0), 1);
@@ -216,14 +214,13 @@ TEST(Fig1Schedule, AgentPreemptsVertexOnItsProcessor) {
   part.assign_resource(0, 1);
   SimConfig cfg;
   cfg.horizon = 19;
-  cfg.record_trace = true;
-  Simulator sim(f.ts, part, cfg);
-  const SimResult res = sim.run();
+  std::vector<TraceEvent> trace;
+  const SimResult res = simulate(f.ts, part, cfg, &trace);
   EXPECT_GT(res.preemptions, 0);
   EXPECT_TRUE(res.all_invariants_hold());
   // The vertex preemption must appear in the trace.
   bool saw_preempt = false;
-  for (const auto& e : sim.trace())
+  for (const auto& e : trace)
     if (e.kind == TraceKind::kVertexPreempt && e.task == 0) saw_preempt = true;
   EXPECT_TRUE(saw_preempt);
 }
@@ -296,7 +293,7 @@ TEST_P(BoundCoversSimTest, ObservedResponseWithinAnalysedWcrt) {
   params.total_utilization = 5.0;
   const auto ts = generate_taskset(rng, params);
   ASSERT_TRUE(ts.has_value());
-  DpcpPAnalysis ep(DpcpPAnalysis::PathMode::kEnumerate);
+  SchedAnalysis ep(AnalysisKind::kDpcpPEp);
   const PartitionOutcome outcome = ep.test(*ts, 16);
   if (!outcome.schedulable) GTEST_SKIP() << "unschedulable sample";
 
@@ -332,27 +329,6 @@ TEST(Simulator, OverloadedClusterMissesDeadlines) {
   cfg.horizon = 99;
   const SimResult res = simulate(ts, part, cfg);
   EXPECT_GT(res.total_deadline_misses(), 0);
-}
-
-TEST(Simulator, SecondRunOnSameInstanceThrows) {
-  // The Simulator is single-shot: rerunning an instance would reuse the
-  // already-filled trace buffer.  The contract is enforced, not implied.
-  TaskSet ts(0);
-  DagTask& t = ts.add_task(100, 100);
-  t.add_vertex(10);
-  ts.assign_rm_priorities();
-  ts.finalize();
-  Partition part(1, 1, 0);
-  part.add_processor_to_task(0, 0);
-  SimConfig cfg;
-  cfg.horizon = 99;
-  cfg.record_trace = true;
-  Simulator sim(ts, part, cfg);
-  const SimResult first = sim.run();
-  EXPECT_TRUE(first.drained);
-  EXPECT_THROW(sim.run(), std::logic_error);
-  // The one-shot convenience wrapper is unaffected.
-  EXPECT_TRUE(simulate(ts, part, cfg).drained);
 }
 
 TEST(Simulator, PeriodicReleasesMatchHorizon) {
@@ -408,16 +384,15 @@ TEST(Simulator, TwoTasksContendOnGlobalFifoWithinPriority) {
   part.assign_resource(0, 2);  // dedicated synchronization processor
   SimConfig cfg;
   cfg.horizon = 99;
-  cfg.record_trace = true;
-  Simulator sim(ts, part, cfg);
-  const SimResult res = sim.run();
+  std::vector<TraceEvent> trace;
+  const SimResult res = simulate(ts, part, cfg, &trace);
   EXPECT_TRUE(res.all_invariants_hold());
   EXPECT_EQ(res.global_requests_completed, 3);
   // hi's request (arrives t=1, lo's first CS started at t=0) must be
   // granted before lo's *second* request executes.
   Time hi_done = -1, lo_second_start = -1;
   int lo_agent_runs = 0;
-  for (const auto& e : sim.trace()) {
+  for (const auto& e : trace) {
     if (e.kind == TraceKind::kAgentComplete && e.task == 0) hi_done = e.time;
     if (e.kind == TraceKind::kAgentDispatch && e.task == 1 &&
         ++lo_agent_runs == 2)
@@ -432,10 +407,9 @@ TEST(Simulator, TraceRendering) {
   Fig1 f;
   SimConfig cfg;
   cfg.horizon = 19;
-  cfg.record_trace = true;
-  Simulator sim(f.ts, f.part, cfg);
-  sim.run();
-  const std::string text = trace_to_string(sim.trace());
+  std::vector<TraceEvent> trace;
+  simulate(f.ts, f.part, cfg, &trace);
+  const std::string text = trace_to_string(trace);
   EXPECT_NE(text.find("grant"), std::string::npos);
   EXPECT_NE(text.find("agent-done"), std::string::npos);
   EXPECT_NE(text.find("local-lock"), std::string::npos);
@@ -481,16 +455,15 @@ TEST(Simulator, ResumedAgentCountsOnceAsLowerPriorityBlocker) {
 
   SimConfig cfg;
   cfg.horizon = 49;
-  cfg.record_trace = true;
-  Simulator sim(ts, part, cfg);
-  const SimResult res = sim.run();
+  std::vector<TraceEvent> trace;
+  const SimResult res = simulate(ts, part, cfg, &trace);
   int agent_runs = 0;
-  for (const TraceEvent& e : sim.trace())
+  for (const TraceEvent& e : trace)
     if (e.kind == TraceKind::kAgentDispatch && e.task == 2 && e.resource == 0)
       ++agent_runs;
-  ASSERT_EQ(agent_runs, 2) << trace_to_string(sim.trace());
-  EXPECT_EQ(find_event(sim.trace(), TraceKind::kAgentPreempt, 2, 0), 4);
-  EXPECT_EQ(find_event(sim.trace(), TraceKind::kRequestGrant, 1, 0), 13);
+  ASSERT_EQ(agent_runs, 2) << trace_to_string(trace);
+  EXPECT_EQ(find_event(trace, TraceKind::kAgentPreempt, 2, 0), 4);
+  EXPECT_EQ(find_event(trace, TraceKind::kRequestGrant, 1, 0), 13);
   EXPECT_EQ(res.max_lower_priority_blockers, 1);
   EXPECT_TRUE(res.all_invariants_hold());
   EXPECT_TRUE(res.drained);
@@ -518,7 +491,7 @@ TEST(Simulator, RejectsPartitionsItCannotRun) {
     SimConfig cfg;
     cfg.protocol = protocol;
     try {
-      Simulator sim(ts, part, cfg);
+      simulate(ts, part, cfg);
     } catch (const std::invalid_argument& e) {
       EXPECT_NE(std::string(e.what()).find(expected), std::string::npos)
           << e.what();

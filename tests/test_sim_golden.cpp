@@ -32,12 +32,10 @@ struct TracedRun {
   std::vector<TraceEvent> trace;
 };
 
-TracedRun run_traced(const TaskSet& ts, const Partition& part, SimConfig cfg) {
-  cfg.record_trace = true;
-  Simulator sim(ts, part, cfg);
+TracedRun run_traced(const TaskSet& ts, const Partition& part,
+                     const SimConfig& cfg) {
   TracedRun out;
-  out.res = sim.run();
-  out.trace = sim.trace();
+  out.res = simulate(ts, part, cfg, &out.trace);
   return out;
 }
 
@@ -150,7 +148,7 @@ TEST(SimGolden, ResultDigestOnSharedProcessors) {
   // Algorithm 1 (DPCP-p-EP) packs them onto shared processors: P-FP pass 3,
   // sequential light tasks and spinning on a shared processor all run.
   const auto corners = scenario_corners();
-  const DpcpPAnalysis ep(DpcpPAnalysis::PathMode::kEnumerate);
+  const SchedAnalysis ep(AnalysisKind::kDpcpPEp);
   Fnv1a digest;
   int runs = 0;
   int shared_runs = 0;
@@ -185,9 +183,7 @@ TEST(SimGolden, ResultDigestOnSharedProcessors) {
         const TracedRun traced = run_traced(*ts, part, base);
         digest.add(trace_to_string(traced.trace));
         add_result(digest, traced.res);
-        SimConfig untraced = base;
-        untraced.record_trace = false;
-        add_result(digest, simulate(*ts, part, untraced));
+        add_result(digest, simulate(*ts, part, base));
         ++runs;
         if (shared) ++shared_runs;
       }

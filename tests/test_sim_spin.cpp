@@ -36,9 +36,8 @@ TEST(SpinSim, ContendedLockSpinsThenRuns) {
   SimConfig cfg;
   cfg.protocol = SimProtocol::kSpinFifo;
   cfg.horizon = 99;
-  cfg.record_trace = true;
-  Simulator sim(f.ts, f.part, cfg);
-  const SimResult res = sim.run();
+  std::vector<TraceEvent> trace;
+  const SimResult res = simulate(f.ts, f.part, cfg, &trace);
   // tau_1 locks at t=0 (pure CS, 10 units).  tau_0 executes noncrit [0,1],
   // requests at 1 (plan puts half the noncrit before the CS), spins until
   // 10, runs CS [10,14], finishes its remaining noncrit by 15.
@@ -72,14 +71,13 @@ TEST(SpinSim, FifoOrderAmongWaiters) {
   SimConfig cfg;
   cfg.protocol = SimProtocol::kSpinFifo;
   cfg.horizon = 99;
-  cfg.record_trace = true;
-  Simulator sim(ts, part, cfg);
-  const SimResult res = sim.run();
+  std::vector<TraceEvent> trace;
+  const SimResult res = simulate(ts, part, cfg, &trace);
   EXPECT_TRUE(res.mutual_exclusion_violations == 0);
   // b's plan: noncrit 1 + CS at t=1; c's: noncrit 2 + CS at t=2.
   // FIFO: a [0,10], b [10,20], c [20,30] -- even though c outranks b.
   Time b_lock = -1, c_lock = -1;
-  for (const auto& e : sim.trace()) {
+  for (const auto& e : trace) {
     if (e.kind != TraceKind::kLocalLock) continue;
     if (e.task == 1) b_lock = e.time;
     if (e.task == 2) c_lock = e.time;
