@@ -11,7 +11,6 @@
 #include "gen/taskset_gen.hpp"
 #include "opt/optimizer.hpp"
 #include "partition/federated.hpp"
-#include "sim/simulator.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 #include "util/workers.hpp"
@@ -263,6 +262,9 @@ SweepResult run_sweep(const std::vector<Scenario>& scenarios,
         // analysis kind: partition-independent work (path signatures,
         // priority order) is computed once for the paired comparison.
         AnalysisSession session(*ts);
+        // This task set's simulations: the cross-checks and the sim column
+        // simulate each distinct run once.
+        SimRunTable runs(*ts);
         for (std::size_t a = 0; a < n_acol; ++a) {
           PartitionOutcome outcome;
           if (columns[a].optimize) {
@@ -299,9 +301,10 @@ SweepResult run_sweep(const std::vector<Scenario>& scenarios,
           // the protocol the analysis models.  Fork order is fixed, so
           // the checked behaviour is a pure function of the coordinates.
           Rng check_rng = rng.fork(kValidateSalt + a);
-          const SimConfig cfg = sample_sim_config(sim_opts, *ts, check_rng);
+          SimConfig cfg = sample_sim_config(sim_opts, *ts, check_rng);
+          cfg.protocol = *protocols[a];
           const CrossCheckResult cc =
-              cross_check_accept(*ts, outcome, *protocols[a], cfg);
+              cross_check_accept(outcome, runs.run(outcome.partition, cfg));
           AnalysisValidation& av = share.validation.analyses[a];
           ValidationPointStats& vp = share.validation_points[s][a][point];
           ++av.accepts_checked;
@@ -338,7 +341,7 @@ SweepResult run_sweep(const std::vector<Scenario>& scenarios,
             Rng sim_rng = rng.fork(kSimColumnSalt);
             SimConfig cfg = sample_sim_config(sim_opts, *ts, sim_rng);
             cfg.protocol = SimProtocol::kDpcpP;
-            const SimResult res = simulate(*ts, *part, cfg);
+            const SimResult& res = runs.run(*part, cfg);
             const SimVerdict v = classify_sim(res);
             ++sp.simulated;
             sp.deadline_misses += v.deadline_misses;

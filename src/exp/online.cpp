@@ -7,6 +7,7 @@
 #include "analysis/prepared.hpp"
 #include "exp/validate.hpp"
 #include "gen/taskset_gen.hpp"
+#include "sim/simulator.hpp"
 #include "util/rng.hpp"
 #include "util/workers.hpp"
 
@@ -74,11 +75,12 @@ OnlineStreamResult run_stream(const OnlineOptions& options, int scenario_idx,
       outcome.schedulable = true;
       outcome.partition = ctrl.partition();
       outcome.wcrt = ctrl.wcrt();
-      const SimConfig config =
+      SimConfig config =
           sample_sim_config(sim_options, ctrl.taskset(), sim_rng);
-      if (cross_check_accept(ctrl.taskset(), outcome, *protocol, config)
-              .unsound)
-        ++r.unsound;
+      config.protocol = *protocol;
+      const SimResult res =
+          simulate(ctrl.taskset(), outcome.partition, config);
+      if (cross_check_accept(outcome, res).unsound) ++r.unsound;
     }
   }
 

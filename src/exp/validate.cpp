@@ -1,6 +1,8 @@
 #include "exp/validate.hpp"
 
 #include <algorithm>
+#include <cassert>
+#include <tuple>
 
 #include "sim/simulator.hpp"
 #include "util/table.hpp"
@@ -21,6 +23,15 @@ std::int64_t ratio_ppm(Time observed, Time bound) {
       static_cast<__int128>(observed) * 1'000'000 / static_cast<__int128>(bound);
   if (ppm >= kMaxRatioPpm) return kMaxRatioPpm;
   return static_cast<std::int64_t>(ppm);
+}
+
+// Every SimConfig field by name.  Binding them all fails to compile when
+// SimConfig gains a field, until the run table compares that one too.
+auto config_fields(const SimConfig& c) {
+  const auto& [protocol, max_events, horizon, hard_stop, release_jitter,
+               execution_scale, seed, max_trace_entries] = c;
+  return std::tie(protocol, max_events, horizon, hard_stop, release_jitter,
+                  execution_scale, seed, max_trace_entries);
 }
 
 }  // namespace
@@ -190,19 +201,24 @@ SimConfig sample_sim_config(const SimBackendOptions& options,
   return cfg;
 }
 
-CrossCheckResult cross_check_accept(const TaskSet& ts,
-                                    const PartitionOutcome& outcome,
-                                    SimProtocol protocol,
-                                    const SimConfig& config) {
-  SimConfig cfg = config;
-  cfg.protocol = protocol;
-  const SimResult res = simulate(ts, outcome.partition, cfg);
+const SimResult& SimRunTable::run(const Partition& part,
+                                  const SimConfig& config) {
+  for (const Run& r : runs_)
+    if (config_fields(r.config) == config_fields(config) &&
+        r.partition == part)
+      return r.result;
+  runs_.push_back({part, config, simulate(ts_, part, config)});
+  return runs_.back().result;
+}
 
+CrossCheckResult cross_check_accept(const PartitionOutcome& outcome,
+                                    const SimResult& res) {
+  assert(res.task.size() == outcome.wcrt.size());
   CrossCheckResult cc;
   cc.verdict = classify_sim(res);
-  for (int i = 0; i < ts.size(); ++i) {
-    const auto& st = res.task[static_cast<std::size_t>(i)];
-    const Time bound = outcome.wcrt[static_cast<std::size_t>(i)];
+  for (std::size_t i = 0; i < res.task.size(); ++i) {
+    const TaskSimStats& st = res.task[i];
+    const Time bound = outcome.wcrt[i];
     if (st.jobs_completed == 0 || bound >= kTimeInfinity || bound <= 0)
       continue;
     cc.ratios.emplace_back(st.max_response, bound);
@@ -210,7 +226,7 @@ CrossCheckResult cross_check_accept(const TaskSet& ts,
     if (cc.worst_task < 0 ||
         static_cast<__int128>(st.max_response) * cc.worst_bound >
             static_cast<__int128>(cc.worst_observed) * bound) {
-      cc.worst_task = i;
+      cc.worst_task = static_cast<int>(i);
       cc.worst_observed = st.max_response;
       cc.worst_bound = bound;
     }

@@ -18,6 +18,9 @@
 //    (EP/EN -> DPCP-p agents, SPIN-SON -> FIFO spin locks; LPP and
 //    FED-FP have no faithful runtime counterpart and are gap-reported
 //    only, never hard-failed);
+//  * a run table per task set: the sim column and the cross-checks take
+//    their runs from it, so a run equal to one already made for the same
+//    task set (same partition, protocol and config) is not simulated again;
 //  * deterministically mergeable statistics: observed/bound response
 //    ratios quantized to parts-per-million and accumulated in integer
 //    histograms, so sweep results stay bit-identical at any thread count.
@@ -25,6 +28,7 @@
 
 #include <array>
 #include <cstdint>
+#include <deque>
 #include <optional>
 #include <string>
 #include <vector>
@@ -190,11 +194,43 @@ SimVerdict classify_sim(const SimResult& res);
 SimConfig sample_sim_config(const SimBackendOptions& options,
                             const TaskSet& ts, Rng& rng);
 
-/// Cross-checks one accept: simulates `ts` under the partition `outcome`
-/// produced (protocol `protocol`) and compares observed responses with
-/// the outcome's WCRT bounds.  Returns the filled UnsoundAccept fields
-/// (scenario/point/sample/analysis left to the caller) when the run
-/// refutes the accept, plus the ratios to fold into the gap statistics.
+/// The simulations of one task set, each distinct run made once.  A run
+/// is its partition (processor count, every cluster in order, the
+/// resource map) and every SimConfig field, the protocol among them.
+/// Under SimSweepMode::kWorst every run of a task set has the same config,
+/// and the sim column's baseline partition is also the partition
+/// DPCP-p-EP and -EN accept whenever Algorithm 1 grants no extra
+/// processor, so those columns share one run.  Under kRandom each column
+/// draws its own config and nothing is shared.
+class SimRunTable {
+ public:
+  /// `ts` must outlive the table.
+  explicit SimRunTable(const TaskSet& ts) : ts_(ts) {}
+
+  /// The result of simulate(ts, part, config): simulated on the first
+  /// call with these inputs, and the stored result on every later one.
+  /// The reference stays valid for the table's lifetime.
+  const SimResult& run(const Partition& part, const SimConfig& config);
+
+  /// Distinct runs simulated so far.
+  std::size_t simulations() const { return runs_.size(); }
+
+ private:
+  struct Run {
+    Partition partition;
+    SimConfig config;
+    SimResult result;
+  };
+  const TaskSet& ts_;
+  std::deque<Run> runs_;  // a deque keeps handed-out references valid
+};
+
+/// Cross-checks one accept against `res`, a simulation of the task set
+/// on the partition `outcome` produced, under the protocol the analysis
+/// models: compares the observed responses with the outcome's WCRT
+/// bounds.  Returns the filled UnsoundAccept fields (scenario/point/
+/// sample/analysis left to the caller) when the run refutes the accept,
+/// plus the ratios to fold into the gap statistics.
 struct CrossCheckResult {
   bool unsound = false;
   SimVerdict verdict;
@@ -205,9 +241,7 @@ struct CrossCheckResult {
   /// (observed max response, analytical bound).
   std::vector<std::pair<Time, Time>> ratios;
 };
-CrossCheckResult cross_check_accept(const TaskSet& ts,
-                                    const PartitionOutcome& outcome,
-                                    SimProtocol protocol,
-                                    const SimConfig& config);
+CrossCheckResult cross_check_accept(const PartitionOutcome& outcome,
+                                    const SimResult& res);
 
 }  // namespace dpcp

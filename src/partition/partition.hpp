@@ -144,6 +144,13 @@ class Partition {
 
   std::string to_string() const;
 
+  /// Same processor count, same clusters (each in order) and same
+  /// resource map.
+  bool operator==(const Partition& o) const {
+    return m_ == o.m_ && clusters_ == o.clusters_ &&
+           resource_proc_ == o.resource_proc_;
+  }
+
  private:
   int m_ = 0;
   std::vector<std::vector<ProcessorId>> clusters_;

@@ -1,8 +1,20 @@
 #include "util/rng.hpp"
 
+// The AVX2 refill copy needs the target attribute and
+// __builtin_cpu_supports of GCC and Clang (which defines __GNUC__), and
+// x86-64; other builds have only the baseline copy.
+#if defined(__x86_64__) && defined(__GNUC__)
+#define DPCP_MT64_AVX2 1
+#else
+#define DPCP_MT64_AVX2 0
+#endif
+
 namespace dpcp {
 
-void Mt64::refill() {
+// The one twist-and-temper body.  always_inline puts a copy of it into
+// each refill copy below, where it is compiled (and vectorized) for that
+// copy's ISA; being a member keeps state_ and out_ provably apart.
+[[gnu::always_inline]] inline void Mt64::twist_and_temper() {
   // In-place twist: positions >= kN - kM read state_[i + kM - kN], which
   // this same loop already updated — exactly the standard's recurrence
   // order, so the stream matches std::mt19937_64 word for word.  The index
@@ -32,6 +44,31 @@ void Mt64::refill() {
     out_[i] = y;
   }
   next_ = 0;
+}
+
+void Mt64::refill_baseline() { twist_and_temper(); }
+
+#if DPCP_MT64_AVX2
+[[gnu::target("avx2")]] void Mt64::refill_avx2() { twist_and_temper(); }
+#endif
+
+Mt64::Isa Mt64::native_isa() {
+#if DPCP_MT64_AVX2
+  static const Isa isa = [] {
+    __builtin_cpu_init();  // needed if first asked from a static initializer
+    return __builtin_cpu_supports("avx2") ? Isa::kAvx2 : Isa::kBaseline;
+  }();
+  return isa;
+#else
+  return Isa::kBaseline;
+#endif
+}
+
+void Mt64::refill() {
+#if DPCP_MT64_AVX2
+  if (isa_ == Isa::kAvx2) return refill_avx2();
+#endif
+  refill_baseline();
 }
 
 std::vector<std::int64_t> Rng::composition(std::int64_t total,

@@ -1,10 +1,14 @@
 // Seeded random-number facility for task-set synthesis and simulation.
 //
-// A thin, value-semantic wrapper over std::mt19937_64 so that every
-// generator in the code base draws from an explicitly seeded stream --
-// experiments are reproducible from a single seed, and sub-streams can be
-// forked deterministically (one per task set) so sample i is identical no
-// matter how many worker threads produced it.
+// A thin, value-semantic wrapper over Mt64, an in-repo engine that draws
+// exactly what std::mt19937_64 draws, so that every generator in the code
+// base draws from an explicitly seeded stream -- experiments are
+// reproducible from a single seed, and sub-streams can be forked
+// deterministically (one per task set) so sample i is identical no matter
+// how many worker threads produced it.  Mt64 refills its buffer through
+// one of two compiled copies of one body: AVX2 where the CPU has it (on
+// x86-64 GCC/Clang builds), the baseline ISA elsewhere.  Both copies
+// yield the same words.
 #pragma once
 
 #include <algorithm>
@@ -30,14 +34,27 @@ namespace dpcp {
 /// into a buffered load.  Task-set synthesis draws ~10^8 words per full
 /// sweep, almost all in the Erdos-Renyi pair loop, which reads them as raw
 /// words against an integer threshold through visit() (see
-/// erdos_renyi.cpp).
+/// erdos_renyi.cpp).  The pass is compiled twice (see Isa), so it runs
+/// four words wide where the CPU has AVX2.
 class Mt64 {
  public:
   using result_type = std::uint64_t;
   static constexpr result_type min() { return 0; }
   static constexpr result_type max() { return ~0ull; }
 
-  explicit Mt64(std::uint64_t s) { seed(s); }
+  /// The instruction sets the refill pass is compiled for.
+  enum class Isa : unsigned char { kBaseline, kAvx2 };
+  /// The copy engines refill with by default: kAvx2 when this build has
+  /// that copy and the CPU runs AVX2 (asked once, on first use), else
+  /// kBaseline.
+  static Isa native_isa();
+
+  /// `isa` must be kBaseline or native_isa(); tests pass kBaseline to
+  /// check the fallback copy on AVX2 hosts.
+  explicit Mt64(std::uint64_t s, Isa isa = native_isa()) : isa_(isa) {
+    assert(isa == Isa::kBaseline || isa == native_isa());
+    seed(s);
+  }
 
   void seed(std::uint64_t s) {
     state_[0] = s;
@@ -76,11 +93,17 @@ class Mt64 {
   static constexpr std::uint64_t kUpper = 0xFFFFFFFF80000000ull;
   static constexpr std::uint64_t kLower = 0x000000007FFFFFFFull;
 
-  void refill();  // twist state_, bulk-temper into out_
+  // Twist state_ and bulk-temper it into out_, through the copy isa_
+  // names.  Both copies inline the one body, twist_and_temper().
+  void refill();
+  void refill_baseline();
+  void refill_avx2();              // built on x86-64 GCC/Clang only
+  inline void twist_and_temper();  // defined in rng.cpp only
 
   std::uint64_t state_[kN];
   std::uint64_t out_[kN];
   unsigned next_ = kN;
+  [[maybe_unused]] Isa isa_;  // read only where the AVX2 copy exists
 };
 
 class Rng {

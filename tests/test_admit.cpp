@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <optional>
@@ -25,6 +26,7 @@
 #include "partition/federated.hpp"
 #include "serve/router.hpp"
 #include "serve/server.hpp"
+#include "sim/simulator.hpp"
 #include "test_support.hpp"
 #include "util/limits.hpp"
 #include "util/rng.hpp"
@@ -291,9 +293,10 @@ TEST(Admission, AcceptsRecertifyFreshAndSurviveSimulation) {
     outcome.schedulable = true;
     outcome.partition = ctrl.partition();
     outcome.wcrt = ctrl.wcrt();
-    const SimConfig config = sample_sim_config(sim_opt, copy, sim_rng);
-    const CrossCheckResult check =
-        cross_check_accept(copy, outcome, *protocol, config);
+    SimConfig config = sample_sim_config(sim_opt, copy, sim_rng);
+    config.protocol = *protocol;
+    const CrossCheckResult check = cross_check_accept(
+        outcome, simulate(copy, outcome.partition, config));
     EXPECT_FALSE(check.unsound)
         << "event " << ev << " task " << check.worst_task << " observed "
         << check.worst_observed << " bound " << check.worst_bound;
@@ -777,6 +780,78 @@ TEST(Server, SloCommandValidatesAndReportsCostLine) {
   std::istringstream bad_in("slo 101 5\nquit\n");
   std::ostringstream bad_out;
   EXPECT_EQ(run_server(bad_in, bad_out, strict), 2);
+}
+
+// A committed transcript or golden under tests/data, line by line.
+std::vector<std::string> data_lines(const std::string& name) {
+  std::ifstream in(std::string(DPCP_TEST_DATA_DIR) + "/" + name);
+  EXPECT_TRUE(in.is_open()) << name;
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+// The commands of a transcript that are `command`, each with its payload
+// through the "." line.
+std::vector<std::string> payload_commands(
+    const std::vector<std::string>& lines, const std::string& command) {
+  std::vector<std::string> blocks;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    if (lines[i] != command) continue;
+    std::string block;
+    for (; i < lines.size(); ++i) {
+      block += lines[i] + "\n";
+      if (lines[i] == ".") break;
+    }
+    blocks.push_back(block);
+  }
+  return blocks;
+}
+
+// --strict exits 2 on every input limit: each over-limit input, fed alone
+// to the server loop, gets the `error parse:` reply its golden holds, and
+// reading stops there.
+TEST(Server, StrictExitsTwoOnEveryInputLimit) {
+  struct Case {
+    std::string input, reply;
+  };
+  std::vector<Case> cases;
+  // The committed inputs, paired in order with their goldens' parse
+  // errors: the resource count's load, and the five restores past the
+  // tasks, nresources, m, processors and repair-evals bounds.
+  const std::pair<std::string, std::string> sessions[] = {
+      {"resource_cap_session", "load"}, {"restore_bounds_session", "restore"}};
+  for (const auto& [session, command] : sessions) {
+    const std::vector<std::string> inputs =
+        payload_commands(data_lines(session + ".txt"), command);
+    std::vector<std::string> replies;
+    for (const std::string& line : data_lines(session + ".golden"))
+      if (line.rfind("error parse:", 0) == 0) replies.push_back(line);
+    ASSERT_EQ(inputs.size(), replies.size()) << session;
+    for (std::size_t k = 0; k < inputs.size(); ++k)
+      cases.push_back({inputs[k], replies[k]});
+  }
+  // A load whose tasks x resources passes kMaxTasksetCells at its first
+  // task past the cap (payload line 3 + 3 per earlier task).
+  const std::int64_t tasks = kMaxTasksetCells / kMaxTasksetResources + 1;
+  std::string load = "load\ndpcp-taskset v1\nresources " +
+                     std::to_string(kMaxTasksetResources) + "\n";
+  for (std::int64_t k = 0; k < tasks; ++k)
+    load += "task period 10 deadline 10\nvertex 1\nend\n";
+  cases.push_back({load + ".\n",
+                   "error parse: line " + std::to_string(3 * tasks) +
+                       ": tasks x resources exceeds " +
+                       std::to_string(kMaxTasksetCells)});
+  ASSERT_EQ(cases.size(), 7u);
+
+  ServeOptions strict;
+  strict.strict = true;
+  for (const Case& c : cases) {
+    std::istringstream in(c.input + "query\nquit\n");
+    std::ostringstream out;
+    EXPECT_EQ(run_server(in, out, strict), 2) << c.reply;
+    EXPECT_EQ(out.str(), c.reply + "\n");
+  }
 }
 
 // ---------- mux front --------------------------------------------------------

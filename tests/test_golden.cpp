@@ -148,6 +148,38 @@ TEST(Golden, SimValidateSweepBytesPinnedAtOneAndEightThreads) {
   EXPECT_EQ(fnv1a64(single.second), 0xaf1a998d85c36f03ull);
 }
 
+// A worst-case --sim --validate sweep over all five analyses, pinned by
+// size and hash of its CSV and JSON (recorded while every column still
+// simulated its own run) and identical at 1 and 4 worker threads.  Under
+// kWorst every run of a task set draws the same config, so the sim column
+// and the EP/EN cross-checks often execute the same partition: here 148
+// of the 338 runs repeat an earlier run of their task set, and the engine
+// simulates each distinct run once.  The kRandom pin above shares none.
+TEST(Golden, WorstCaseValidateSweepBytesPinnedAtOneAndFourThreads) {
+  auto run_with = [](int threads) {
+    SweepOptions options;
+    options.samples_per_point = 4;
+    options.seed = 42;
+    options.threads = threads;
+    options.sim.validate = true;
+    options.sim.horizon = millis(20);
+    options.sim.mode = SimSweepMode::kWorst;
+    const SweepResult result = run_sweep(
+        scenarios_from_spec("first:2").value(), all_analysis_kinds(), options);
+    return std::make_pair(sweep_to_csv(result), sweep_to_json(result));
+  };
+
+  const auto four = run_with(4);
+  const auto single = run_with(1);
+  EXPECT_EQ(four.first, single.first) << "CSV differs across thread counts";
+  EXPECT_EQ(four.second, single.second) << "JSON differs across thread counts";
+
+  EXPECT_EQ(single.first.size(), 29748u);
+  EXPECT_EQ(fnv1a64(single.first), 0xb9886ab7edcf1464ull);
+  EXPECT_EQ(single.second.size(), 9988u);
+  EXPECT_EQ(fnv1a64(single.second), 0x147506f4d8dac0b3ull);
+}
+
 // The full 216-scenario grid at 1 sample/point, seed 42: the long-format
 // CSV must stay byte-identical to the pre-refactor output (hash and size
 // recorded from commit bc24c1f).  This is the bit-exactness contract of

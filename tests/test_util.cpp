@@ -185,16 +185,31 @@ TEST(Rng, BernoulliMatchesProbability) {
   EXPECT_NEAR(hits / 20000.0, 0.25, 0.02);
 }
 
+// The refill copies this host runs: the baseline copy always, so the
+// fallback stays tested on AVX2 hosts, and the AVX2 copy where the CPU
+// has AVX2.
+std::vector<Mt64::Isa> runnable_refill_copies() {
+  std::vector<Mt64::Isa> isas{Mt64::Isa::kBaseline};
+  if (Mt64::native_isa() == Mt64::Isa::kAvx2)
+    isas.push_back(Mt64::Isa::kAvx2);
+  return isas;
+}
+
 TEST(Rng, Mt64MatchesStdMt19937_64) {
   // The in-repo engine must be draw-for-draw identical to the standard
-  // engine for any seed: every generated task set (and so every golden
-  // CSV) depends on this stream.  Cross the 312-word refill boundary
-  // several times and sample odd seeds including 0 and UINT64_MAX.
-  for (std::uint64_t seed : {0ull, 1ull, 42ull, 0x9E3779B97F4A7C15ull,
-                             0xFFFFFFFFFFFFFFFFull}) {
-    Mt64 ours(seed);
-    std::mt19937_64 ref(seed);
-    for (int i = 0; i < 1000; ++i) ASSERT_EQ(ours(), ref()) << "seed " << seed;
+  // engine for any seed, through either refill copy: every generated task
+  // set (and so every golden CSV) depends on this stream.  Cross the
+  // 312-word refill boundary several times and sample odd seeds including
+  // 0 and UINT64_MAX.
+  for (const Mt64::Isa isa : runnable_refill_copies()) {
+    for (std::uint64_t seed : {0ull, 1ull, 42ull, 0x9E3779B97F4A7C15ull,
+                               0xFFFFFFFFFFFFFFFFull}) {
+      Mt64 ours(seed, isa);
+      std::mt19937_64 ref(seed);
+      for (int i = 0; i < 1000; ++i)
+        ASSERT_EQ(ours(), ref())
+            << "seed " << seed << " copy " << static_cast<int>(isa);
+    }
   }
 }
 
@@ -203,27 +218,31 @@ TEST(Rng, Mt64VisitorMatchesOperatorCall) {
   // (and so std::mt19937_64) yields, across refills: spans around the
   // 312-word buffer size, interleaved with single draws, from a fresh
   // buffer, partly consumed ones and an exactly drained one.  With 310
-  // consumed, the span of 1 starts with one buffered word left.
-  for (const int consumed : {0, 7, 310, 312}) {
-    Mt64 ours(42), single(42);
-    std::mt19937_64 ref(42);
-    for (int i = 0; i < consumed; ++i) {
-      single();
-      ASSERT_EQ(ours(), ref());
-    }
-    for (const std::size_t n : {0, 1, 311, 312, 313, 1000}) {
-      std::size_t seen = 0;
-      ours.visit(n, [&](const std::uint64_t* words, std::size_t count) {
-        ASSERT_GT(count, 0u);
-        for (std::size_t i = 0; i < count; ++i) {
-          ASSERT_EQ(words[i], single()) << "n=" << n << " at " << seen + i;
-          ASSERT_EQ(words[i], ref());
-        }
-        seen += count;
-      });
-      ASSERT_EQ(seen, n);
-      ASSERT_EQ(ours(), single()) << "single draw after a span of " << n;
-      ref();
+  // consumed, the span of 1 starts with one buffered word left.  Both
+  // engines refill through the copy under test.
+  for (const Mt64::Isa isa : runnable_refill_copies()) {
+    SCOPED_TRACE(static_cast<int>(isa));
+    for (const int consumed : {0, 7, 310, 312}) {
+      Mt64 ours(42, isa), single(42, isa);
+      std::mt19937_64 ref(42);
+      for (int i = 0; i < consumed; ++i) {
+        single();
+        ASSERT_EQ(ours(), ref());
+      }
+      for (const std::size_t n : {0, 1, 311, 312, 313, 1000}) {
+        std::size_t seen = 0;
+        ours.visit(n, [&](const std::uint64_t* words, std::size_t count) {
+          ASSERT_GT(count, 0u);
+          for (std::size_t i = 0; i < count; ++i) {
+            ASSERT_EQ(words[i], single()) << "n=" << n << " at " << seen + i;
+            ASSERT_EQ(words[i], ref());
+          }
+          seen += count;
+        });
+        ASSERT_EQ(seen, n);
+        ASSERT_EQ(ours(), single()) << "single draw after a span of " << n;
+        ref();
+      }
     }
   }
 }

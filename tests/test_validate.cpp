@@ -1,17 +1,23 @@
 // Tests for the simulation-in-the-loop validation backend (exp/validate):
 // deterministic gap statistics, the analysis->protocol mapping, the
 // baseline partition, cross-checking (including a deliberately weakened
-// oracle whose unsound accept must be flagged), engine integration with
-// thread-count determinism, and report edge cases at samples == 0.
+// oracle whose unsound accept must be flagged), the per-task-set run
+// table's identity of a run, engine integration with thread-count
+// determinism, and report edge cases at samples == 0.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "exp/engine.hpp"
 #include "exp/report.hpp"
 #include "exp/validate.hpp"
 #include "gen/taskset_gen.hpp"
 #include "partition/federated.hpp"
+#include "sim/simulator.hpp"
 #include "test_support.hpp"
 
 namespace dpcp {
@@ -140,8 +146,8 @@ TEST(Validate, CrossCheckFlagsWeakenedOracleAccept) {
   WeakenedOracleFixture f;
   SimConfig cfg;
   cfg.horizon = 350;
-  const CrossCheckResult cc =
-      cross_check_accept(f.ts, f.claimed, SimProtocol::kDpcpP, cfg);
+  const CrossCheckResult cc = cross_check_accept(
+      f.claimed, simulate(f.ts, f.claimed.partition, cfg));
   EXPECT_TRUE(cc.unsound);
   EXPECT_GT(cc.verdict.deadline_misses, 0);
   EXPECT_EQ(cc.worst_task, 0);
@@ -167,13 +173,108 @@ TEST(Validate, CrossCheckAcceptsSoundClaim) {
   SimConfig cfg;
   cfg.horizon = 350;
   const CrossCheckResult cc =
-      cross_check_accept(ts, outcome, SimProtocol::kDpcpP, cfg);
+      cross_check_accept(outcome, simulate(ts, outcome.partition, cfg));
   EXPECT_FALSE(cc.unsound);
   EXPECT_EQ(cc.verdict.deadline_misses, 0);
   EXPECT_TRUE(cc.verdict.drained);
   ASSERT_EQ(cc.ratios.size(), 1u);
   EXPECT_EQ(cc.ratios[0].first, 40);
   EXPECT_EQ(cc.ratios[0].second, 100);
+}
+
+// ---------- SimRunTable ----------------------------------------------------
+
+// Two tasks sharing one global resource on five processors: task 0 on
+// {0, 1}, task 1 on {2, 3}, the resource on processor 0, processor 4 spare.
+struct RunTableFixture {
+  TaskSet ts{1};
+  Partition part{5, 2, 1};
+  SimConfig config;
+
+  RunTableFixture() {
+    for (int k = 0; k < 2; ++k) {
+      DagTask& t = ts.add_task(100 + 50 * k, 100 + 50 * k);
+      t.add_vertex(10, {1});
+      t.add_vertex(20);
+      t.add_vertex(15, {1});
+      t.add_edge(0, 1);
+      t.set_cs_length(0, 3);
+    }
+    ts.assign_rm_priorities();
+    ts.finalize();
+    for (int p = 0; p < 4; ++p) part.add_processor_to_task(p / 2, p);
+    part.assign_resource(0, 0);
+    config.horizon = 400;
+    config.hard_stop = 4000;
+  }
+};
+
+TEST(SimRunTable, EqualInputsShareOneSimulation) {
+  const RunTableFixture f;
+  SimRunTable table(f.ts);
+  const SimResult& first = table.run(f.part, f.config);
+  // Equal inputs held in other objects are the same run.
+  const Partition part = f.part;
+  const SimConfig config = f.config;
+  const SimResult& again = table.run(part, config);
+  EXPECT_EQ(table.simulations(), 1u);
+  EXPECT_EQ(&again, &first);
+
+  const SimResult direct = simulate(f.ts, f.part, f.config);
+  EXPECT_GT(first.global_requests_completed, 0);
+  EXPECT_EQ(first.events_processed, direct.events_processed);
+  EXPECT_EQ(first.global_requests_completed, direct.global_requests_completed);
+  EXPECT_EQ(first.end_time, direct.end_time);
+  ASSERT_EQ(first.task.size(), direct.task.size());
+  for (std::size_t i = 0; i < direct.task.size(); ++i) {
+    EXPECT_EQ(first.task[i].jobs_completed, direct.task[i].jobs_completed);
+    EXPECT_EQ(first.task[i].max_response, direct.task[i].max_response);
+  }
+}
+
+TEST(SimRunTable, EachDifferenceGivesASecondRun) {
+  using Change = std::function<void(Partition&, SimConfig&)>;
+  const std::vector<std::pair<std::string, Change>> changes = {
+      {"protocol",
+       [](Partition&, SimConfig& c) { c.protocol = SimProtocol::kSpinFifo; }},
+      {"max_events", [](Partition&, SimConfig& c) { c.max_events += 1; }},
+      {"horizon", [](Partition&, SimConfig& c) { c.horizon += 1; }},
+      {"hard_stop", [](Partition&, SimConfig& c) { c.hard_stop += 1; }},
+      {"release_jitter", [](Partition&, SimConfig& c) { c.release_jitter = 5; }},
+      {"execution_scale",
+       [](Partition&, SimConfig& c) { c.execution_scale = 0.75; }},
+      {"seed", [](Partition&, SimConfig& c) { c.seed += 1; }},
+      {"max_trace_entries",
+       [](Partition&, SimConfig& c) { c.max_trace_entries = 1000; }},
+      {"processor count",
+       [](Partition& p, SimConfig&) {
+         Partition wider(6, 2, 1);
+         for (int i = 0; i < 2; ++i) wider.set_cluster(i, p.cluster(i));
+         wider.assign_resource(0, p.processor_of_resource(0));
+         p = wider;
+       }},
+      {"one processor of one cluster",
+       [](Partition& p, SimConfig&) { p.set_cluster(1, {2, 4}); }},
+      {"cluster order",
+       [](Partition& p, SimConfig&) { p.set_cluster(1, {3, 2}); }},
+      {"one resource's placement",
+       [](Partition& p, SimConfig&) { p.assign_resource(0, 2); }},
+  };
+  const RunTableFixture f;
+  for (const auto& [name, change] : changes) {
+    SimRunTable table(f.ts);
+    const SimResult& base = table.run(f.part, f.config);
+    Partition part = f.part;
+    SimConfig config = f.config;
+    change(part, config);
+    const SimResult& other = table.run(part, config);
+    EXPECT_EQ(table.simulations(), 2u) << name;
+    EXPECT_NE(&other, &base) << name;
+    // The changed run is now in the table too, and the first one stays.
+    EXPECT_EQ(&table.run(part, config), &other) << name;
+    EXPECT_EQ(&table.run(f.part, f.config), &base) << name;
+    EXPECT_EQ(table.simulations(), 2u) << name;
+  }
 }
 
 // A deliberately broken placement strategy: dumps every global resource
